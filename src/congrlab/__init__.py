@@ -4,12 +4,9 @@ coefficient sums, with two independent evaluation paths that must agree."""
 from .arith import (
     PAdic,
     PrimeRange,
-    Rational,
     Residue,
     binomial_big,
     mod_inverse,
-    padic_arith,
-    padic_from_rat,
     rat_reduce_mod,
     sieve_primes,
     vp_binomial,
@@ -37,6 +34,7 @@ from .special import (
     bernoulli_exact,
     bernoulli_mod_p_fast,
     euler_exact,
+    euler_mod_p_fast,
     fermat_quotient_mod,
     harmonic_exact,
 )

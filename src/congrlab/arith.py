@@ -17,8 +17,6 @@ from .errors import (
     PrecisionExhausted,
 )
 
-Rational = Fraction
-
 
 def vp_int(a: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
@@ -221,16 +219,6 @@ class PAdic:
             k >>= 1
         return result
 
-    def int_scale(self, c: int) -> "PAdic":
-        """Multiply by an exact integer."""
-        if not isinstance(c, int):
-            raise TypeError("int_scale expects an integer")
-        if self.unit is None:
-            if c == 0 or self.val is None:
-                return PAdic.zero_marker(self.p) if c == 0 else self
-            return PAdic.zero_marker(self.p, self.val + vp_int(c, self.p))
-        return self * PAdic.from_rational(c, self.p, self.prec)
-
     # -- extraction ----------------------------------------------------
 
     def shift(self, s: int) -> "PAdic":
@@ -262,23 +250,6 @@ class PAdic:
             return f"PAdic(p={self.p}, O(p^{bound}))"
         return (f"PAdic(p={self.p}, {self.p}^{self.val}*{self.unit} "
                 f"+ O(p^{self.val + self.prec}))")
-
-
-def padic_from_rat(r, p: int, prec: int) -> PAdic:
-    return PAdic.from_rational(r, p, prec)
-
-
-def padic_arith(op: str, x: PAdic, y=None) -> PAdic:
-    """Uniform dispatcher over the p-adic primitive operations."""
-    if op == "add":
-        return x + y
-    if op == "mul":
-        return x * y
-    if op == "inv":
-        return x.inv()
-    if op == "int_scale":
-        return x.int_scale(y)
-    raise ValueError(f"unknown p-adic operation {op!r}")
 
 
 # -- binomial coefficients and primes ----------------------------------

@@ -3,16 +3,10 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .arith import PrimeRange, sieve_primes
-from .congruences import (
-    DEFAULT_SLACK,
-    PADIC_PATH_MAX_PRIME,
-    check_ids,
-    run_suite,
-)
+from .congruences import PADIC_PATH_MAX_PRIME, check_ids, run_suite
 from .errors import CongrlabError
 from .identities import IDENTITY_CATALOG, run_identity_suite
 from .report import emit_report, exit_status
@@ -48,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
         sp.add_argument("--out", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
-        sp.add_argument("--cache", metavar="PATH",
-                        default=os.environ.get("CONGRLAB_CACHE"),
-                        help="Bernoulli/Euler cache file (env CONGRLAB_CACHE)")
 
     sp = sub.add_parser("verify", help="run congruence checks over a prime range")
     common(sp)
@@ -58,8 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="LO:HI")
     sp.add_argument("--checks", default="proven",
                     help="comma list of ids, or all/proven/conjectural/exploratory")
-    sp.add_argument("--slack", type=int, default=DEFAULT_SLACK,
-                    help="extra working p-adic digits")
     sp.add_argument("--padic-limit", type=int, default=PADIC_PATH_MAX_PRIME,
                     help="run the p-adic second path for primes up to this")
     sp.add_argument("--jobs", type=int, default=1)
@@ -76,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--terms", type=int, default=None)
     sp.add_argument("--tol", type=float, default=None)
 
-    sp = sub.add_parser("bernoulli", help="print/extend the special-number cache")
+    sp = sub.add_parser("bernoulli", help="print the even-index Bernoulli numbers")
     common(sp)
     sp.add_argument("--max", type=int, default=30, dest="max_index")
 
@@ -91,13 +80,11 @@ def parse_and_run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        cache = SpecialCache.load(args.cache) if args.cache else SpecialCache()
-
         if args.subcommand == "verify":
             ids = check_ids(args.checks)
             primes = sieve_primes(PrimeRange(*args.primes))
-            results, _ = run_suite(ids, primes, cache, slack=args.slack,
-                                   padic_limit=args.padic_limit, jobs=args.jobs)
+            results, _ = run_suite(ids, primes, padic_limit=args.padic_limit,
+                                   jobs=args.jobs)
             status = exit_status(results)
         elif args.subcommand == "identity":
             names = (None if args.names == "all"
@@ -111,13 +98,11 @@ def parse_and_run(argv=None) -> int:
             results = run_series_suite(names, args.terms, args.tol)
             status = exit_status(results)
         else:  # bernoulli
+            cache = SpecialCache()
             cache.ensure_bernoulli(args.max_index)
-            cache.ensure_euler(args.max_index)
             lines = [f"B_{n} = {bernoulli_exact(n, cache)}"
                      for n in range(0, args.max_index + 1, 2)]
             text = "\n".join(lines) + "\n"
-            if args.cache:
-                cache.save(args.cache)
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text)
@@ -126,8 +111,6 @@ def parse_and_run(argv=None) -> int:
             return EXIT_OK
 
         report = emit_report(results, args.format)
-        if args.cache:
-            cache.save(args.cache)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(report)

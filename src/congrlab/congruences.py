@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import PAdic, binomial_big, rat_reduce_mod, vp_rational
@@ -20,10 +20,21 @@ from .errors import (
     UnknownCheck,
     ValuationViolation,
 )
-from .special import SpecialCache, bernoulli_exact, euler_exact, harmonic_prefix
+from .special import (
+    SpecialCache,
+    bernoulli_exact,
+    bernoulli_mod_p_fast,
+    euler_exact,
+    euler_mod_p_fast,
+    harmonic_prefix,
+)
 
-DEFAULT_SLACK = 4
+DEFAULT_SLACK = 4  # extra working p-adic digits
 PADIC_PATH_MAX_PRIME = 61
+
+# The special numbers a check reads, as (table, p - index).  Table sizing and
+# the per-prime cross-check of the residues both come from these declarations.
+B_P3, B_P5, E_P3 = ("B", 3), ("B", 5), ("E", 3)
 
 
 # -- evaluation contexts -------------------------------------------------
@@ -113,6 +124,7 @@ class CheckSpec:
     pairs: callable             # ctx -> [(label, lhs_value, rhs_value)]
     shift: int = 0              # extra working precision for explicit 1/p^s
     note: str = ""
+    reads: tuple = ()           # special numbers read: B_P3, B_P5, E_P3
 
 
 @dataclass
@@ -213,57 +225,64 @@ def _S_inv_quad_shifted(ctx, lo, hi, half: bool):
 def _catalog() -> dict[str, CheckSpec]:
     C: dict[str, CheckSpec] = {}
 
-    def add(id, desc, m, minp, status, pairs, shift=0, note=""):
-        C[id] = CheckSpec(id, desc, m, minp, status, pairs, shift, note)
+    def add(id, desc, m, minp, status, pairs, shift=0, note="", reads=()):
+        C[id] = CheckSpec(id, desc, m, minp, status, pairs, shift, note, reads)
 
     add("T1.1-1.1", "alternating inverse central sum vs -2 B_{p-3}", 1, 7, "proven",
         _scalar(lambda c: _S_alt_inv_k3(c, 1, c.n),
-                lambda c: c.frac(-2) * c.bern(c.p - 3)))
+                lambda c: c.frac(-2) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("T1.1-1.2", "alternating central sum vs (56/15) p B_{p-3}", 2, 7, "proven",
         _scalar(lambda c: _S_alt_binom_k2(c, 1, c.n),
-                lambda c: c.frac(56 * c.p, 15) * c.bern(c.p - 3)))
+                lambda c: c.frac(56 * c.p, 15) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("T1.1-1.3", "half-range squared central sum vs harmonic + B_{p-3}", 3, 7, "proven",
         _scalar(lambda c: _S_central_sq(c, 1, c.n, 1),
                 lambda c: c.frac(-2) * c.H(c.n)
-                - c.frac(7 * c.p * c.p, 2) * c.bern(c.p - 3)))
+                - c.frac(7 * c.p * c.p, 2) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("T1.1-1.4a", "(-4/p^2) upper-half squared central sum vs -14 B_{p-3}", 1, 7, "proven",
         _scalar(lambda c: c.frac(-4) * c.div_pp(_S_central_sq(c, c.n + 1, c.p - 1, 1), 2),
                 lambda c: c.frac(-14) * c.bern(c.p - 3)),
-        shift=2)
+        shift=2, reads=(B_P3,))
 
     add("T1.1-1.4b", "reciprocal squared central sum vs -14 B_{p-3}", 1, 7, "proven",
         _scalar(lambda c: _S_inv_central_sq(c, 1, c.n),
-                lambda c: c.frac(-14) * c.bern(c.p - 3)))
+                lambda c: c.frac(-14) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("C1.1-1.5a", "(1/p) upper-half odd sum vs -B_{p-3}/4", 1, 7, "proven",
         _scalar(lambda c: c.div_pp(_S_central_odd(c, c.n + 1, c.p - 1, 2, sign=-1), 1),
                 lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
-        shift=1)
+        shift=1, reads=(B_P3,))
 
     add("C1.1-1.5b", "negated reciprocal odd-cube sum vs -B_{p-3}/4", 1, 7, "proven",
         _scalar(lambda c: -_sum(c, (c.frac((-16) ** k, (2 * k + 1) ** 3)
                                     / c.binom(2 * k, k)
                                     for k in range(0, c.n))),
-                lambda c: c.frac(-1, 4) * c.bern(c.p - 3)))
+                lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("T1.2-1.6a", "(1/p^2) upper-half odd squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
         _scalar(lambda c: c.div_pp(_S_central_sq_odd(c, c.n + 1, c.p - 1, 1), 2),
                 lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
-        shift=2)
+        shift=2, reads=(B_P3,))
 
     add("T1.2-1.6b", "negated reciprocal odd-cube squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
         _scalar(lambda c: -_sum(c, (c.frac(16 ** k, (2 * k + 1) ** 3)
                                     / c.binom(2 * k, k) ** 2
                                     for k in range(0, c.n))),
-                lambda c: c.frac(-7, 4) * c.bern(c.p - 3)))
+                lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
         _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 1),
                 lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
-                + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)))
+                + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     def l21a_pairs(c):
         # sign is (-1)^(floor(2k/p) - 1)
@@ -286,21 +305,25 @@ def _catalog() -> dict[str, CheckSpec]:
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
         _scalar(lambda c: c.frac((-1) ** c.n) * c.binom(c.p - 1, c.n),
                 lambda c: c.frac(4 ** (c.p - 1))
-                + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)))
+                + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("L2.2-2.4", "refined Lehmer congruence for H_{(p-1)/2}", 3, 5, "proven",
         _scalar(lambda c: c.H(c.n),
                 lambda c: c.frac(-2) * c.qp() + c.frac(c.p) * c.qp() ** 2
                 - c.frac(c.p * c.p) * (c.frac(2, 3) * c.qp() ** 3
-                                       + c.frac(7, 12) * c.bern(c.p - 3))))
+                                       + c.frac(7, 12) * c.bern(c.p - 3))),
+        reads=(B_P3,))
 
     add("L2.2-2.5a", "H_{(p-1)/2}^(2) vs (7/3) p B_{p-3}", 2, 5, "proven",
         _scalar(lambda c: c.H(c.n, 2),
-                lambda c: c.frac(7 * c.p, 3) * c.bern(c.p - 3)))
+                lambda c: c.frac(7 * c.p, 3) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("L2.2-2.5b", "H_{(p-1)/2}^(3) vs -2 B_{p-3}", 1, 5, "proven",
         _scalar(lambda c: c.H(c.n, 3),
-                lambda c: c.frac(-2) * c.bern(c.p - 3)))
+                lambda c: c.frac(-2) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("L2.4a", "full squared central sum /k^2 vs -2 H^2", 2, 5, "proven",
         _scalar(lambda c: _S_central_sq(c, 1, c.p - 1, 2),
@@ -313,26 +336,30 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("P2.9", "full alternating central sum vs -(4/15) p B_{p-3}", 2, 7, "proven",
         _scalar(lambda c: _S_alt_binom_k2(c, 1, c.p - 1),
-                lambda c: c.frac(-4 * c.p, 15) * c.bern(c.p - 3)))
+                lambda c: c.frac(-4 * c.p, 15) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("P2.10", "half-range bridge congruence", 3, 7, "proven",
         _scalar(lambda c: _S_central_sq(c, 1, c.n, 1) + c.frac(2) * c.H(c.n),
                 lambda c: c.frac(-5 * c.p, 8) * _S_alt_binom_k2(c, 1, c.n)
-                - c.frac(7 * c.p * c.p, 6) * c.bern(c.p - 3)))
+                - c.frac(7 * c.p * c.p, 6) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("P2.11", "full-range bridge congruence", 3, 7, "proven",
         _scalar(lambda c: _S_central_sq(c, 1, c.p - 1, 1) + c.frac(2) * c.H(c.n),
                 lambda c: c.frac(-5 * c.p, 8) * _S_alt_binom_k2(c, 1, c.p - 1)
                 - c.frac(c.p * c.p, 6) * c.bern(c.p - 3)),
         note="source prints C(2k,k)/(k16^k); the surrounding argument requires "
-             "the square, which is what is checked")
+             "the square, which is what is checked",
+        reads=(B_P3,))
 
     add("P2.12", "shifted-denominator squared sum vs Fermat quotient", 3, 7, "proven",
         _scalar(lambda c: _sum(c, (c.binom(2 * k, k) ** 2
                                    * c.frac(1, (2 * k + c.p) * 16 ** k)
                                    for k in range(1, c.n + 1))),
                 lambda c: c.frac(2) * c.qp() + c.frac(c.p) * c.qp() ** 2
-                - c.frac(c.p * c.p) * c.bern(c.p - 3)))
+                - c.frac(c.p * c.p) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("P2.13", "shifted-denominator sum vs 1/2,1/4,1/8 splitting", 3, 7, "proven",
         _scalar(lambda c: _sum(c, (c.binom(2 * k, k) ** 2
@@ -349,7 +376,8 @@ def _catalog() -> dict[str, CheckSpec]:
     add("P2.15", "half squared central sum /k^3 vs Fermat quotient", 1, 7, "proven",
         _scalar(lambda c: _S_central_sq(c, 1, c.n, 3),
                 lambda c: c.frac(32, 3) * c.qp() ** 3
-                + c.frac(4, 3) * c.bern(c.p - 3)))
+                + c.frac(4, 3) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     def ps11c_pairs(c):
         return [(f"k={k}",
@@ -367,29 +395,34 @@ def _catalog() -> dict[str, CheckSpec]:
     add("L3.2-3.3", "odd-cube squared sum vs Fermat quotient cube", 1, 5, "proven",
         _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 3),
                 lambda c: c.frac(-4, 3) * c.qp() ** 3
-                - c.frac(1, 6) * c.bern(c.p - 3)))
+                - c.frac(1, 6) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("L3.3-3.4", "odd-square squared sum vs Fermat quotient square", 2, 5, "proven",
         _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 2),
                 lambda c: c.frac(-2) * c.qp() ** 2
                 + c.frac(2 * c.p, 3) * c.qp() ** 3
-                - c.frac(c.p, 6) * c.bern(c.p - 3)))
+                - c.frac(c.p, 6) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
         _scalar(lambda c: _sum(c, (c.binom(2 * k, k) * c.frac(1, k)
                                    for k in range(1, c.p))),
-                lambda c: c.frac(8 * c.p * c.p, 9) * c.bern(c.p - 3)))
+                lambda c: c.frac(8 * c.p * c.p, 9) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("X-S11c-a", "half central sum /k vs Euler number", 2, 5, "proven",
         _scalar(lambda c: _sum(c, (c.binom(2 * k, k) * c.frac(1, k)
                                    for k in range(1, c.n + 1))),
                 lambda c: c.frac((-1) ** ((c.p + 1) // 2) * 8 * c.p, 3)
-                * c.euler_num(c.p - 3)))
+                * c.euler_num(c.p - 3)),
+        reads=(E_P3,))
 
     add("X-S11c-b", "half reciprocal central sum vs Euler number", 1, 5, "proven",
         _scalar(lambda c: _sum(c, (c.frac(1, k * k) / c.binom(2 * k, k)
                                    for k in range(1, c.n + 1))),
-                lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler_num(c.p - 3)))
+                lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler_num(c.p - 3)),
+        reads=(E_P3,))
 
     add("X-T1-a", "full alternating inverse sum vs -(2/5) H_{p-1}/p^2", 3, 7, "proven",
         _scalar(lambda c: _S_alt_inv_k3(c, 1, c.p - 1),
@@ -403,11 +436,13 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-G1-a", "Glaisher: H_{p-1} vs -(p^2/3) B_{p-3}", 3, 5, "proven",
         _scalar(lambda c: c.H(c.p - 1),
-                lambda c: c.frac(-c.p * c.p, 3) * c.bern(c.p - 3)))
+                lambda c: c.frac(-c.p * c.p, 3) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("X-G1-b", "Glaisher: H_{p-1}^(2) vs (2/3) p B_{p-3}", 2, 5, "proven",
         _scalar(lambda c: c.H(c.p - 1, 2),
-                lambda c: c.frac(2 * c.p, 3) * c.bern(c.p - 3)))
+                lambda c: c.frac(2 * c.p, 3) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("X-S11c-16", "full squared central sum /16^k vs Euler number", 3, 5, "proven",
         _scalar(lambda c: _sum(c, (c.binom(2 * k, k) ** 2 * c.frac(1, 16 ** k)
@@ -415,7 +450,8 @@ def _catalog() -> dict[str, CheckSpec]:
                 lambda c: c.frac((-1) ** c.n)
                 - c.frac(c.p * c.p) * c.euler_num(c.p - 3)),
         note="summation starts at k=0; the source's k=1 lower bound drops "
-             "the unit term and fails at every prime")
+             "the unit term and fails at every prime",
+        reads=(E_P3,))
 
     add("X-T2", "full squared central sum /(k 16^k) vs -2 H_{(p-1)/2}", 3, 5, "proven",
         _scalar(lambda c: _S_central_sq(c, 1, c.p - 1, 1),
@@ -427,7 +463,8 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-S11b-b", "upper odd central sum vs (p/3) E_{p-3}", 2, 5, "proven",
         _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 1),
-                lambda c: c.frac(c.p, 3) * c.euler_num(c.p - 3)))
+                lambda c: c.frac(c.p, 3) * c.euler_num(c.p - 3)),
+        reads=(E_P3,))
 
     add("X-T3", "lower odd-square alternating sum vs H_{p-1}/(5p)", 3, 7, "proven",
         _scalar(lambda c: _S_central_odd(c, 0, c.n - 1, 2, sign=-1),
@@ -437,7 +474,8 @@ def _catalog() -> dict[str, CheckSpec]:
     add("X-S11b-c", "upper odd-square alternating sum vs -(p/4) B_{p-3}", 2, 7,
         "conjectural",
         _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 2, sign=-1),
-                lambda c: c.frac(-c.p, 4) * c.bern(c.p - 3)))
+                lambda c: c.frac(-c.p, 4) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("CJ1.1-a", "upper squared central sum vs -(21/2) H_{p-1}", 4, 7,
         "conjectural",
@@ -451,20 +489,22 @@ def _catalog() -> dict[str, CheckSpec]:
                                    for k in range(0, c.n))),
                 lambda c: c.frac(-3, 4) * c.div_pp(c.H(c.p - 1), 2)
                 - c.frac(47 * c.p * c.p, 400) * c.bern(c.p - 5)),
-        shift=2, note="B_{p-5} forces p >= 7")
+        shift=2, note="B_{p-5} forces p >= 7", reads=(B_P5,))
 
     add("CJ1.2-a", "full quartic-binomial sum vs -3H + (7/4) p^2 B_{p-3}", 3, 3,
         "conjectural",
         _scalar(lambda c: _S_quad(c, 1, c.p - 1, 1),
                 lambda c: c.frac(-3) * c.H(c.n)
-                + c.frac(7 * c.p * c.p, 4) * c.bern(c.p - 3)))
+                + c.frac(7 * c.p * c.p, 4) * c.bern(c.p - 3)),
+        reads=(B_P3,))
 
     add("CJ1.2-b", "half quartic-binomial sum vs -3H + Euler number", 2, 3,
         "conjectural",
         _scalar(lambda c: _S_quad(c, 1, c.n, 1),
                 lambda c: c.frac(-3) * c.H(c.n)
                 + c.frac((-1) ** ((c.p + 1) // 2) * 2 * c.p)
-                * c.euler_num(c.p - 3)))
+                * c.euler_num(c.p - 3)),
+        reads=(E_P3,))
 
     _cj12_note = ("the garbled leading token in the source resolves to a "
                   "factor p on the sum; verified empirically")
@@ -472,25 +512,25 @@ def _catalog() -> dict[str, CheckSpec]:
     add("CJ1.2-c", "p * reciprocal quartic sum vs 32 E_{p-3}", 1, 3, "conjectural",
         _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, half=False),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
-        shift=1, note=_cj12_note)
+        shift=1, note=_cj12_note, reads=(E_P3,))
 
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
         "conjectural",
         _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, half=False),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
-        shift=1, note=_cj12_note + "; fails at p=3, so min prime 5")
+        shift=1, note=_cj12_note + "; fails at p=3, so min prime 5", reads=(E_P3,))
 
     add("CJ1.2-c-lit", "literal C(4k,k) reading of CJ1.2-c", 1, 3, "exploratory",
         _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, half=True),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
-        shift=1, note="reported for the conjectural hunt, never asserted")
+        shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
 
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
         _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, half=True),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
-        shift=1, note="reported for the conjectural hunt, never asserted")
+        shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
 
     return C
 
@@ -514,17 +554,30 @@ def check_ids(selector: str = "all") -> list[str]:
 # -- evaluation ------------------------------------------------------------
 
 
+def _special_reads(ids, p: int) -> set:
+    """The (table, p - index) pairs that the checks applicable at p read."""
+    return {r for i in ids if p >= CHECK_CATALOG[i].min_prime
+            for r in CHECK_CATALOG[i].reads}
+
+
 def _max_special_index(ids, primes) -> tuple[int, int]:
-    need_b = need_e = -1
     pmax = max(primes) if primes else 0
-    for i in ids:
-        spec = CHECK_CATALOG[i]
-        if pmax >= spec.min_prime:
-            need_b = max(need_b, pmax - 3)
-            if i == "CJ1.1-b":
-                need_b = max(need_b, pmax - 5)
-            need_e = max(need_e, pmax - 3)
-    return need_b, need_e
+    reads = _special_reads(ids, pmax)
+    return (max((pmax - off for t, off in reads if t == "B"), default=-1),
+            max((pmax - off for t, off in reads if t == "E"), default=-1))
+
+
+def _cross_check_specials(ids, primes, cache: SpecialCache) -> None:
+    """Check every special-number residue the checks read against its
+    power-sum route; a mismatch raises InternalInconsistency."""
+    for p in primes:
+        for table, off in sorted(_special_reads(ids, p)):
+            if p - off < 2:
+                continue  # B_0 = E_0 = 1, read only at p = 3, have no such route
+            if table == "B":
+                bernoulli_mod_p_fast(p - off, p, cache)
+            else:
+                euler_mod_p_fast(p, cache)
 
 
 def _compare_pairs(ctx, spec: CheckSpec):
@@ -541,7 +594,6 @@ def _compare_pairs(ctx, spec: CheckSpec):
 
 
 def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
-                   slack: int = DEFAULT_SLACK,
                    with_padic: bool | None = None) -> CheckResult:
     """Evaluate one catalog check at one prime.
 
@@ -564,7 +616,7 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
             note = (note + "; " if note else "") + f"first failing instance {bad}"
         agreement = None
         if with_padic:
-            prec = spec.m + spec.shift + slack
+            prec = spec.m + spec.shift + DEFAULT_SLACK
             pok, plv, prv, _ = _compare_pairs(PadicContext(p, cache, prec), spec)
             agreement = (pok == ok and plv == lv and prv == rv)
         elapsed = (time.perf_counter() - start) * 1000
@@ -591,9 +643,9 @@ def _init_worker(bern_items, euler_items):
 
 
 def _run_prime(args):
-    ids, p, slack, padic_limit = args
-    return [evaluate_check(i, p, _WORKER_CACHE, slack,
-                           with_padic=p <= padic_limit) for i in ids]
+    ids, p, padic_limit = args
+    return [evaluate_check(i, p, _WORKER_CACHE, with_padic=p <= padic_limit)
+            for i in ids]
 
 
 def summarize(results: list[CheckResult]) -> dict:
@@ -617,10 +669,14 @@ def summarize(results: list[CheckResult]) -> dict:
 
 
 def run_suite(ids, primes, cache: SpecialCache | None = None,
-              slack: int = DEFAULT_SLACK,
               padic_limit: int = PADIC_PATH_MAX_PRIME,
               jobs: int = 1) -> tuple[list[CheckResult], dict]:
-    """Evaluate every (id, prime) pair; deterministic (id, p) ordering."""
+    """Evaluate every (id, prime) pair; deterministic (id, p) ordering.
+
+    Every special-number residue the checks read is first cross-checked at
+    every prime; a mismatch raises InternalInconsistency, since no verdict
+    built on it could be trusted.
+    """
     ids = list(ids)
     primes = sorted(primes)
     for i in ids:
@@ -632,17 +688,17 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         cache.ensure_bernoulli(need_b)
     if need_e >= 0:
         cache.ensure_euler(need_e)
+    _cross_check_specials(ids, primes, cache)
 
     if jobs > 1 and len(primes) > 1:
-        tasks = [(ids, p, slack, padic_limit) for p in primes]
+        tasks = [(ids, p, padic_limit) for p in primes]
         with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_init_worker,
                 initargs=(cache.bernoulli, cache.euler)) as pool:
             chunks = list(pool.map(_run_prime, tasks))
         results = [r for chunk in chunks for r in chunk]
     else:
-        results = [evaluate_check(i, p, cache, slack,
-                                  with_padic=p <= padic_limit)
+        results = [evaluate_check(i, p, cache, with_padic=p <= padic_limit)
                    for p in primes for i in ids]
     results.sort(key=lambda r: (r.id, r.p))
     return results, summarize(results)

@@ -46,7 +46,3 @@ class UnknownSeries(CongrlabError):
 
 class DomainError(CongrlabError):
     """Instance index outside an identity's declared domain."""
-
-
-class CorruptCache(CongrlabError):
-    """Cache file failed parsing or re-verification."""

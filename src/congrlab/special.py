@@ -1,25 +1,47 @@
 """Bernoulli numbers, Euler numbers, harmonic numbers and Fermat quotients.
 
-The exact recurrences are the source of truth.  The power-sum route
-(`bernoulli_mod_p_fast`) exists only as an independent cross-check of the
-residues the congruence suite consumes.
+The tables come from the all-integer tangent and secant number triangles
+of Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
+numbers" (arXiv:1108.0286).  The power-sum routes (`bernoulli_mod_p_fast`,
+`euler_mod_p_fast`) exist only as independent cross-checks of the residues
+the congruence suite consumes.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from pathlib import Path
 
 from .arith import Residue, rat_reduce_mod
-from .errors import CorruptCache, InternalInconsistency
+from .errors import InternalInconsistency
 
-CACHE_VERSION = "congrlab-cache-v1"
-_VERIFY_UP_TO = 20  # reloaded entries up to this index are re-derived
+
+def _tangent_numbers(k: int) -> list[int]:
+    """[T_1, ..., T_k] with tan x = sum T_j x^(2j-1)/(2j-1)!, in O(k^2)
+    integer operations (Brent & Harvey, algorithm TangentNumbers)."""
+    t = [0, 1] + [0] * (k - 1)
+    for j in range(2, k + 1):
+        t[j] = (j - 1) * t[j - 1]
+    for i in range(2, k + 1):
+        for j in range(i, k + 1):
+            t[j] = (j - i) * t[j - 1] + (j - i + 2) * t[j]
+    return t[1:k + 1]
+
+
+def _secant_numbers(k: int) -> list[int]:
+    """[S_0, ..., S_k] with sec x = sum S_j x^(2j)/(2j)!, in O(k^2)
+    integer operations (Brent & Harvey, algorithm SecantNumbers)."""
+    s = [1] + [0] * k
+    for j in range(1, k + 1):
+        s[j] = j * s[j - 1]
+    for i in range(1, k + 1):
+        for j in range(i + 1, k + 1):
+            s[j] = (j - i) * s[j - 1] + (j - i + 1) * s[j]
+    return s
 
 
 class SpecialCache:
-    """Append-only table of Bernoulli and Euler numbers.
+    """In-memory tables of Bernoulli and Euler numbers, each a contiguous
+    prefix of indices.
 
     Bernoulli convention: B_1 = -1/2 (only even indices feed any check).
     """
@@ -27,99 +49,28 @@ class SpecialCache:
     def __init__(self):
         self.bernoulli: dict[int, Fraction] = {}
         self.euler: dict[int, int] = {}
-        self.version = CACHE_VERSION
-
-    # -- recurrences ----------------------------------------------------
 
     def ensure_bernoulli(self, n: int) -> None:
-        """Extend the table through index n via sum C(m+1,j) B_j = 0."""
-        start = 0
-        while start in self.bernoulli:
-            start += 1
-        for m in range(start, n + 1):
-            if m == 0:
-                self.bernoulli[0] = Fraction(1)
-                continue
-            if m % 2 == 1 and m > 1:
-                self.bernoulli[m] = Fraction(0)
-                continue
-            acc = Fraction(0)
-            for j in range(0, m):
-                bj = self.bernoulli[j]
-                if bj:
-                    acc += math.comb(m + 1, j) * bj
-            self.bernoulli[m] = -acc / (m + 1)
+        """Hold B_0..B_n; B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
+
+        Growing a held table recomputes the triangle.
+        """
+        if n in self.bernoulli:
+            return
+        table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
+        for k, t in enumerate(_tangent_numbers(n // 2), start=1):
+            four_k = 4 ** k
+            table[2 * k] = Fraction((-1) ** (k - 1) * 2 * k * t,
+                                    four_k * (four_k - 1))
+        self.bernoulli.update(enumerate(table[:n + 1]))
 
     def ensure_euler(self, n: int) -> None:
-        """Extend through index n via sum C(2m,2k) E_2k = 0, E_0 = 1."""
-        self.euler.setdefault(0, 1)
-        start = 0
-        while start in self.euler:
-            start += 2
-        for m in range(start // 2, n // 2 + 1):
-            if m == 0:
-                continue
-            self.euler[2 * m] = -sum(
-                math.comb(2 * m, 2 * k) * self.euler[2 * k] for k in range(m))
-
-    # -- persistence ----------------------------------------------------
-
-    def save(self, path) -> None:
-        lines = [self.version]
-        for n in sorted(self.bernoulli):
-            b = self.bernoulli[n]
-            lines.append(f"B {n} {b.numerator} {b.denominator}")
-        for n in sorted(self.euler):
-            lines.append(f"E {n} {self.euler[n]}")
-        Path(path).write_text("\n".join(lines) + "\n")
-
-    @classmethod
-    def load(cls, path) -> "SpecialCache":
-        """Load and spot-verify a cache file; missing file gives an empty cache."""
-        cache = cls()
-        path = Path(path)
-        if not path.exists():
-            return cache
-        lines = path.read_text().splitlines()
-        if not lines or lines[0] != CACHE_VERSION:
-            raise CorruptCache(f"{path}: line 1: bad or missing version tag")
-        for idx, line in enumerate(lines[1:], start=2):
-            if not line.strip():
-                continue
-            parts = line.split()
-            try:
-                if parts[0] == "B" and len(parts) == 4:
-                    n, num, den = int(parts[1]), int(parts[2]), int(parts[3])
-                    cache.bernoulli[n] = Fraction(num, den)
-                elif parts[0] == "E" and len(parts) == 3:
-                    cache.euler[int(parts[1])] = int(parts[2])
-                else:
-                    raise ValueError
-            except (ValueError, ZeroDivisionError):
-                raise CorruptCache(f"{path}: line {idx}: unparsable record {line!r}")
-        cache._verify(path)
-        return cache
-
-    def _verify(self, path) -> None:
-        fresh = SpecialCache()
-        small_b = [n for n in self.bernoulli if n <= _VERIFY_UP_TO]
-        small_e = [n for n in self.euler if n <= _VERIFY_UP_TO]
-        if small_b:
-            fresh.ensure_bernoulli(max(small_b))
-        if small_e:
-            fresh.ensure_euler(max(small_e))
-        # entries must form contiguous prefixes (the recurrences need all
-        # earlier indices), so any loaded small index is recomputable
-        for n in small_b:
-            if n in fresh.bernoulli and fresh.bernoulli[n] != self.bernoulli[n]:
-                raise CorruptCache(
-                    f"{path}: B {n} = {self.bernoulli[n]} fails the recurrence "
-                    f"(expected {fresh.bernoulli[n]})")
-        for n in small_e:
-            if n in fresh.euler and fresh.euler[n] != self.euler[n]:
-                raise CorruptCache(
-                    f"{path}: E {n} = {self.euler[n]} fails the recurrence "
-                    f"(expected {fresh.euler[n]})")
+        """Hold E_0, E_2, .., E_n (even indices); E_2k = (-1)^k S_k."""
+        m = n // 2
+        if 2 * m in self.euler:
+            return
+        self.euler.update((2 * k, (-1) ** k * s)
+                          for k, s in enumerate(_secant_numbers(m)))
 
 
 _DEFAULT_CACHE = SpecialCache()
@@ -134,7 +85,7 @@ def bernoulli_exact(n: int, cache: SpecialCache | None = None) -> Fraction:
 
 
 def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
-    """Euler number E_n from the secant-expansion recurrence."""
+    """Euler number E_n (sec x = sum (-1)^(n/2) E_n x^n/n!)."""
     cache = cache if cache is not None else _DEFAULT_CACHE
     if n % 2 == 1:
         return 0
@@ -160,7 +111,7 @@ def harmonic_prefix(n: int, order: int = 1) -> list[Fraction]:
 
 def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> Residue:
     """B_m mod p via the power sum T = sum a^m mod p^2, independent of the
-    exact recurrence; the two routes are compared and must agree."""
+    tangent-number table; the two routes are compared and must agree."""
     if m % 2 or not 2 <= m <= p - 3:
         raise ValueError("need even m with 2 <= m <= p-3")
     p2 = p * p
@@ -175,6 +126,20 @@ def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> R
             f"B_{m} mod {p}: power-sum route {fast} != exact route {exact}")
     return Residue(p, 1, fast)
 
+
+def euler_mod_p_fast(p: int, cache: SpecialCache | None = None) -> Residue:
+    """E_{p-3} mod p via sum_{0<a<p, a odd} chi(a) a^(p-3) = E_{p-3}/2 (mod p),
+    chi the nontrivial character mod 4; independent of the secant-number
+    table, and the two routes must agree."""
+    if p < 5:
+        raise ValueError("need p >= 5")
+    half = sum((-1) ** (a // 2) * pow(a, p - 3, p) for a in range(1, p, 2))
+    fast = 2 * half % p
+    exact = euler_exact(p - 3, cache) % p
+    if fast != exact:
+        raise InternalInconsistency(
+            f"E_{p - 3} mod {p}: character-sum route {fast} != exact route {exact}")
+    return Residue(p, 1, fast)
 
 def fermat_quotient_mod(p: int, e: int = 1) -> Residue:
     """q_p(2) = (2^(p-1) - 1)/p, reduced mod p^e."""

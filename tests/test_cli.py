@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -169,6 +168,21 @@ def test_cli_unknown_subcommand_exits_2():
     assert parse_and_run(["frobnicate"]) == 2
 
 
+def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
+    build = SpecialCache.ensure_bernoulli
+
+    def corrupt(cache, n):
+        build(cache, n)
+        cache.bernoulli[4] += 1  # B_{p-3} at p = 7
+
+    monkeypatch.setattr(SpecialCache, "ensure_bernoulli", corrupt)
+    code = parse_and_run(["verify", "--primes", "7:13", "--checks", "T1.1-1.1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "B_4 mod 7" in captured.err
+
+
 def test_cli_identity_markdown(capsys):
     code = parse_and_run(["identity", "--names", "APERY", "--n", "1:50",
                           "--format", "md"])
@@ -188,22 +202,11 @@ def test_cli_series(capsys):
     assert "S-ZETA2" in captured.out and "S-PI3" in captured.out
 
 
-def test_cli_bernoulli_prints_and_persists_cache(tmp_path, capsys):
-    cache_file = tmp_path / "cache.txt"
-    code = parse_and_run(["bernoulli", "--max", "12", "--cache", str(cache_file)])
+def test_cli_bernoulli_prints_and_persists_cache(capsys):
+    code = parse_and_run(["bernoulli", "--max", "12"])
     captured = capsys.readouterr()
     assert code == 0
     assert "B_12 = -691/2730" in captured.out
-    reloaded = SpecialCache.load(cache_file)
-    assert reloaded.bernoulli[12] == -Fraction(691, 2730)
-
-
-def test_cli_cache_env_var(tmp_path, monkeypatch, capsys):
-    cache_file = tmp_path / "env-cache.txt"
-    monkeypatch.setenv("CONGRLAB_CACHE", str(cache_file))
-    assert parse_and_run(["bernoulli", "--max", "4"]) == 0
-    capsys.readouterr()
-    assert cache_file.exists()
 
 
 def test_cli_determinism_across_runs(tmp_path):

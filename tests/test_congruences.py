@@ -9,11 +9,12 @@ import pytest
 from congrlab.arith import PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
 from congrlab.congruences import (
     CHECK_CATALOG,
+    ExactContext,
     check_ids,
     evaluate_check,
     run_suite,
 )
-from congrlab.errors import UnknownCheck
+from congrlab.errors import InternalInconsistency, UnknownCheck
 from congrlab.report import exit_status
 from congrlab.special import SpecialCache, bernoulli_exact
 
@@ -94,6 +95,32 @@ def test_catalog_metadata_sane():
         assert spec.min_prime in (3, 5, 7)
         assert spec.status in ("proven", "conjectural", "exploratory")
         assert spec.shift >= 0
+
+
+class _RecordingContext(ExactContext):
+    """Exact context that records which special numbers a check reads."""
+
+    def __init__(self, p, cache):
+        super().__init__(p, cache)
+        self.reads = set()
+
+    def bern(self, i):
+        self.reads.add(("B", self.p - i))
+        return super().bern(i)
+
+    def euler_num(self, i):
+        self.reads.add(("E", self.p - i))
+        return super().euler_num(i)
+
+
+def test_declared_special_reads_match_evaluation(cache):
+    """Table sizing and the cross-check rely on each check's `reads`."""
+    for spec in CHECK_CATALOG.values():
+        for p in (7, 11):
+            ctx = _RecordingContext(p, cache)
+            for _ in spec.pairs(ctx):
+                pass
+            assert ctx.reads == set(spec.reads), (spec.id, p)
 
 
 # -- proven checks, small primes ---------------------------------------------------
@@ -183,6 +210,15 @@ def test_run_suite_parallel_matches_serial(cache):
     parallel, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=2)
     key = lambda r: (r.id, r.p, r.lhs, r.rhs, r.passed, r.applicable)
     assert [key(r) for r in serial] == [key(r) for r in parallel]
+
+
+def test_corrupt_special_number_raises_instead_of_failing():
+    """A wrong B_{p-3} is an engine fault, never a proven failure."""
+    corrupt = SpecialCache()
+    corrupt.ensure_bernoulli(10)  # the size the run needs, so it is kept
+    corrupt.bernoulli[8] += 1  # B_{p-3} at p = 11
+    with pytest.raises(InternalInconsistency):
+        run_suite(["T1.1-1.1"], [7, 11, 13], corrupt, padic_limit=0)
 
 
 def test_summary_counts(cache):

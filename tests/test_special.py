@@ -1,19 +1,19 @@
 """Bernoulli/Euler/harmonic numbers and Fermat quotients: frozen values,
-classical sanity theorems, the independent mod-p cross-check, and the cache."""
+classical sanity theorems, the defining recurrences, and the independent
+mod-p cross-checks."""
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
 from congrlab.arith import PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
-from congrlab.errors import CorruptCache
 from congrlab.special import (
-    CACHE_VERSION,
     SpecialCache,
     bernoulli_exact,
     bernoulli_mod_p_fast,
     euler_exact,
+    euler_mod_p_fast,
     fermat_quotient_mod,
     harmonic_exact,
     harmonic_prefix,
@@ -88,10 +88,34 @@ def test_euler_odd_indices_vanish():
         assert euler_exact(n) == 0
 
 
+def test_euler_mod_p_fast_agrees_with_exact_up_to_199():
+    for p in sieve_primes(PrimeRange(7, 199)):
+        # the character-sum route raises InternalInconsistency on any mismatch
+        assert euler_mod_p_fast(p).value == euler_exact(p - 3) % p
+
+
+def test_euler_mod_p_fast_domain():
+    with pytest.raises(ValueError):
+        euler_mod_p_fast(3)
+
+
 def test_euler_are_odd_integers_at_even_index():
     for n in range(0, 41, 2):
         assert isinstance(euler_exact(n), int)
         assert euler_exact(n) % 2 == 1
+
+
+# -- defining recurrences -----------------------------------------------------------
+
+
+def test_tables_satisfy_defining_recurrences_to_300():
+    cache = SpecialCache()
+    cache.ensure_bernoulli(300)
+    cache.ensure_euler(600)
+    b, e = cache.bernoulli, cache.euler
+    for m in range(1, 301):
+        assert sum(comb(m + 1, j) * b[j] for j in range(m + 1)) == 0
+        assert sum(comb(2 * m, 2 * k) * e[2 * k] for k in range(m + 1)) == 0
 
 
 # -- harmonic numbers ----------------------------------------------------------
@@ -147,56 +171,16 @@ def test_fermat_quotient_definition():
             assert q == Fraction(2 ** (p - 1) - 1, p) % p ** e
 
 
-# -- cache persistence ------------------------------------------------------------
+# -- table growth ---------------------------------------------------------------------
 
 
-def test_cache_roundtrip(tmp_path):
+def test_cache_extension_resumes_after_load():
     cache = SpecialCache()
-    cache.ensure_bernoulli(30)
+    cache.ensure_bernoulli(10)
+    cache.ensure_euler(10)
+    cache.ensure_bernoulli(20)
     cache.ensure_euler(20)
-    path = tmp_path / "cache.txt"
-    cache.save(path)
-    reloaded = SpecialCache.load(path)
-    assert reloaded.bernoulli == cache.bernoulli
-    assert reloaded.euler == cache.euler
-
-
-def test_cache_missing_file_gives_empty(tmp_path):
-    cache = SpecialCache.load(tmp_path / "nope.txt")
-    assert cache.bernoulli == {} and cache.euler == {}
-
-
-def test_cache_tampered_value_detected(tmp_path):
-    cache = SpecialCache()
-    cache.ensure_bernoulli(10)
-    path = tmp_path / "cache.txt"
-    cache.save(path)
-    text = path.read_text().replace("B 2 1 6", "B 2 1 5")
-    assert "B 2 1 5" in text
-    path.write_text(text)
-    with pytest.raises(CorruptCache):
-        SpecialCache.load(path)
-
-
-def test_cache_bad_version_detected(tmp_path):
-    path = tmp_path / "cache.txt"
-    path.write_text("some-other-tag\nB 0 1 1\n")
-    with pytest.raises(CorruptCache):
-        SpecialCache.load(path)
-
-
-def test_cache_unparsable_line_detected(tmp_path):
-    path = tmp_path / "cache.txt"
-    path.write_text(f"{CACHE_VERSION}\nB 2 one six\n")
-    with pytest.raises(CorruptCache):
-        SpecialCache.load(path)
-
-
-def test_cache_extension_resumes_after_load(tmp_path):
-    cache = SpecialCache()
-    cache.ensure_bernoulli(10)
-    path = tmp_path / "cache.txt"
-    cache.save(path)
-    reloaded = SpecialCache.load(path)
-    reloaded.ensure_bernoulli(20)
-    assert reloaded.bernoulli[20] == Fraction(-174611, 330)
+    assert sorted(cache.bernoulli) == list(range(21))
+    assert sorted(cache.euler) == list(range(0, 21, 2))
+    assert cache.bernoulli[20] == Fraction(-174611, 330)
+    assert cache.euler[20] == 370371188237525
