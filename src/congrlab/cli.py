@@ -38,10 +38,13 @@ def build_parser() -> argparse.ArgumentParser:
                     "catalog for central binomial coefficient sums.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
+    def out(sp):
         sp.add_argument("--out", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
+
+    def common(sp):
+        sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
+        out(sp)
 
     sp = sub.add_parser("verify", help="run congruence checks over a prime range")
     common(sp)
@@ -66,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--tol", type=float, default=None)
 
     sp = sub.add_parser("bernoulli", help="print the even-index Bernoulli numbers")
-    common(sp)
+    out(sp)
     sp.add_argument("--max", type=int, default=30, dest="max_index")
 
     return parser

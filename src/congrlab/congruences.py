@@ -8,10 +8,14 @@ congruence, and is surfaced as such.
 
 from __future__ import annotations
 
+import inspect
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
+from itertools import repeat
+from math import gcd
 
 from .arith import PAdic, binomial_big, rat_reduce_mod, vp_rational
 from .errors import (
@@ -41,13 +45,19 @@ B_P3, B_P5, E_P3 = ("B", 3), ("B", 5), ("E", 3)
 
 
 class ExactContext:
-    """Evaluates expressions over exact rationals."""
+    """Evaluates expressions over exact rationals.
+
+    A context serves one prime, and every check evaluated in it shares its
+    memos: binomials, harmonic tables and the named sums (`_named_sum`).
+    """
 
     def __init__(self, p: int, cache: SpecialCache):
         self.p = p
         self.n = (p - 1) // 2
         self.cache = cache
         self._harmonic: dict[int, list[Fraction]] = {}
+        self._binom: dict[tuple[int, int], object] = {}
+        self.sums: dict[tuple, object] = {}
 
     def frac(self, a, b=1):
         return self._lift(Fraction(a, b))
@@ -56,7 +66,21 @@ class ExactContext:
         return r
 
     def binom(self, n: int, k: int):
-        return self._lift(Fraction(binomial_big(n, k)))
+        value = self._binom.get((n, k))
+        if value is None:
+            value = self._binom[n, k] = self._lift(Fraction(binomial_big(n, k)))
+        return value
+
+    def sum(self, terms):
+        """Add the terms over one common denominator, the lcm of theirs, and
+        reduce once at the end; the value equals sequential addition."""
+        num, den = 0, 1
+        for t in terms:
+            d = t.denominator
+            g = gcd(den, d)
+            num = num * (d // g) + t.numerator * (den // g)
+            den = den // g * d
+        return Fraction(num, den)
 
     def H(self, i: int, m: int = 1):
         table = self._harmonic.get(m)
@@ -97,6 +121,12 @@ class PadicContext(ExactContext):
 
     def _lift(self, r: Fraction):
         return PAdic.from_rational(r, self.p, self.prec)
+
+    def sum(self, terms):
+        total = self.frac(0)
+        for v in terms:
+            total = total + v
+        return total
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:
@@ -151,72 +181,104 @@ def _scalar(fn_lhs, fn_rhs):
 # sum helpers; all sums are written against the context API so the exact
 # and p-adic paths share one description of every statement.
 
-def _sum(ctx, values):
-    total = ctx.frac(0)
-    for v in values:
-        total = total + v
-    return total
+def _named_sum(fn):
+    """Memoize a sum helper on its context, keyed by helper and arguments
+    (defaults filled in), so checks at one prime share each named sum."""
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def memoized(ctx, *args, **kwargs):
+        bound = signature.bind(ctx, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__, *bound.args[1:])
+        value = ctx.sums.get(key)
+        if value is None:
+            value = ctx.sums[key] = fn(ctx, *args, **kwargs)
+        return value
+    return memoized
 
 
+@_named_sum
 def _S_alt_inv_k3(ctx, lo, hi):
     # sum (-1)^k / (k^3 C(2k,k))
-    return _sum(ctx, (ctx.frac((-1) ** k, k ** 3) / ctx.binom(2 * k, k)
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.frac((-1) ** k, k ** 3) / ctx.binom(2 * k, k)
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
 def _S_alt_binom_k2(ctx, lo, hi):
     # sum (-1)^k C(2k,k) / k^2
-    return _sum(ctx, (ctx.frac((-1) ** k, k * k) * ctx.binom(2 * k, k)
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.frac((-1) ** k, k * k) * ctx.binom(2 * k, k)
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
 def _S_central_sq(ctx, lo, hi, kpow):
     # sum C(2k,k)^2 / (k^kpow 16^k)
-    return _sum(ctx, (ctx.binom(2 * k, k) ** 2 * ctx.frac(1, k ** kpow * 16 ** k)
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.binom(2 * k, k) ** 2 * ctx.frac(1, k ** kpow * 16 ** k)
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
 def _S_central_sq_odd(ctx, lo, hi, opow, sign=1):
     # sum C(2k,k)^2 / ((2k+1)^opow (sign*16)^k)
-    return _sum(ctx, (ctx.binom(2 * k, k) ** 2
-                      * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.binom(2 * k, k) ** 2
+                   * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
+def _S_central_sq_shifted(ctx, lo, hi):
+    # sum C(2k,k)^2 / ((2k+p) 16^k)
+    return ctx.sum(ctx.binom(2 * k, k) ** 2 * ctx.frac(1, (2 * k + ctx.p) * 16 ** k)
+                   for k in range(lo, hi + 1))
+
+
+@_named_sum
 def _S_central_odd(ctx, lo, hi, opow, sign=1):
     # sum C(2k,k) / ((2k+1)^opow (sign*16)^k)
-    return _sum(ctx, (ctx.binom(2 * k, k)
-                      * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.binom(2 * k, k)
+                   * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
+def _S_inv_central_odd3(ctx, lo, hi):
+    # sum (-16)^k / ((2k+1)^3 C(2k,k))
+    return ctx.sum(ctx.frac((-16) ** k, (2 * k + 1) ** 3) / ctx.binom(2 * k, k)
+                   for k in range(lo, hi + 1))
+
+
+@_named_sum
 def _S_inv_central_sq(ctx, lo, hi):
     # sum 16^k / (k^3 C(2k,k)^2)
-    return _sum(ctx, (ctx.frac(16 ** k, k ** 3) / ctx.binom(2 * k, k) ** 2
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.frac(16 ** k, k ** 3) / ctx.binom(2 * k, k) ** 2
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
 def _S_quad(ctx, lo, hi, kpow):
     # sum C(2k,k) C(4k,2k) / (k^kpow 64^k)
-    return _sum(ctx, (ctx.binom(2 * k, k) * ctx.binom(4 * k, 2 * k)
-                      * ctx.frac(1, k ** kpow * 64 ** k)
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.binom(2 * k, k) * ctx.binom(4 * k, 2 * k)
+                   * ctx.frac(1, k ** kpow * 64 ** k)
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
 def _S_inv_quad(ctx, lo, hi, half: bool):
     # sum 64^k / (k^3 C(2k,k) C(4k,2k))   [half picks C(4k,k) variant off]
     bin2 = (lambda k: ctx.binom(4 * k, k)) if half else (lambda k: ctx.binom(4 * k, 2 * k))
-    return _sum(ctx, (ctx.frac(64 ** k, k ** 3)
-                      / (ctx.binom(2 * k, k) * bin2(k))
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.frac(64 ** k, k ** 3) / (ctx.binom(2 * k, k) * bin2(k))
+                   for k in range(lo, hi + 1))
 
 
+@_named_sum
 def _S_inv_quad_shifted(ctx, lo, hi, half: bool):
     # sum 64^k / ((2k-1) k^2 C(2k,k) C(4k,2k))
     bin2 = (lambda k: ctx.binom(4 * k, k)) if half else (lambda k: ctx.binom(4 * k, 2 * k))
-    return _sum(ctx, (ctx.frac(64 ** k, (2 * k - 1) * k * k)
-                      / (ctx.binom(2 * k, k) * bin2(k))
-                      for k in range(lo, hi + 1)))
+    return ctx.sum(ctx.frac(64 ** k, (2 * k - 1) * k * k)
+                   / (ctx.binom(2 * k, k) * bin2(k))
+                   for k in range(lo, hi + 1))
 
 
 # -- the catalog ----------------------------------------------------------
@@ -260,9 +322,7 @@ def _catalog() -> dict[str, CheckSpec]:
         shift=1, reads=(B_P3,))
 
     add("C1.1-1.5b", "negated reciprocal odd-cube sum vs -B_{p-3}/4", 1, 7, "proven",
-        _scalar(lambda c: -_sum(c, (c.frac((-16) ** k, (2 * k + 1) ** 3)
-                                    / c.binom(2 * k, k)
-                                    for k in range(0, c.n))),
+        _scalar(lambda c: -_S_inv_central_odd3(c, 0, c.n - 1),
                 lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
@@ -272,9 +332,9 @@ def _catalog() -> dict[str, CheckSpec]:
         shift=2, reads=(B_P3,))
 
     add("T1.2-1.6b", "negated reciprocal odd-cube squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: -_sum(c, (c.frac(16 ** k, (2 * k + 1) ** 3)
-                                    / c.binom(2 * k, k) ** 2
-                                    for k in range(0, c.n))),
+        _scalar(lambda c: -c.sum(c.frac(16 ** k, (2 * k + 1) ** 3)
+                                   / c.binom(2 * k, k) ** 2
+                                   for k in range(0, c.n)),
                 lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
@@ -354,17 +414,13 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("P2.12", "shifted-denominator squared sum vs Fermat quotient", 3, 7, "proven",
-        _scalar(lambda c: _sum(c, (c.binom(2 * k, k) ** 2
-                                   * c.frac(1, (2 * k + c.p) * 16 ** k)
-                                   for k in range(1, c.n + 1))),
+        _scalar(lambda c: _S_central_sq_shifted(c, 1, c.n),
                 lambda c: c.frac(2) * c.qp() + c.frac(c.p) * c.qp() ** 2
                 - c.frac(c.p * c.p) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("P2.13", "shifted-denominator sum vs 1/2,1/4,1/8 splitting", 3, 7, "proven",
-        _scalar(lambda c: _sum(c, (c.binom(2 * k, k) ** 2
-                                   * c.frac(1, (2 * k + c.p) * 16 ** k)
-                                   for k in range(1, c.n + 1))),
+        _scalar(lambda c: _S_central_sq_shifted(c, 1, c.n),
                 lambda c: c.frac(1, 2) * _S_central_sq(c, 1, c.n, 1)
                 - c.frac(c.p, 4) * _S_central_sq(c, 1, c.n, 2)
                 + c.frac(c.p * c.p, 8) * _S_central_sq(c, 1, c.n, 3)))
@@ -406,21 +462,21 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
-        _scalar(lambda c: _sum(c, (c.binom(2 * k, k) * c.frac(1, k)
-                                   for k in range(1, c.p))),
+        _scalar(lambda c: c.sum(c.binom(2 * k, k) * c.frac(1, k)
+                                  for k in range(1, c.p)),
                 lambda c: c.frac(8 * c.p * c.p, 9) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("X-S11c-a", "half central sum /k vs Euler number", 2, 5, "proven",
-        _scalar(lambda c: _sum(c, (c.binom(2 * k, k) * c.frac(1, k)
-                                   for k in range(1, c.n + 1))),
+        _scalar(lambda c: c.sum(c.binom(2 * k, k) * c.frac(1, k)
+                                  for k in range(1, c.n + 1)),
                 lambda c: c.frac((-1) ** ((c.p + 1) // 2) * 8 * c.p, 3)
                 * c.euler_num(c.p - 3)),
         reads=(E_P3,))
 
     add("X-S11c-b", "half reciprocal central sum vs Euler number", 1, 5, "proven",
-        _scalar(lambda c: _sum(c, (c.frac(1, k * k) / c.binom(2 * k, k)
-                                   for k in range(1, c.n + 1))),
+        _scalar(lambda c: c.sum(c.frac(1, k * k) / c.binom(2 * k, k)
+                                  for k in range(1, c.n + 1)),
                 lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler_num(c.p - 3)),
         reads=(E_P3,))
 
@@ -445,8 +501,8 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("X-S11c-16", "full squared central sum /16^k vs Euler number", 3, 5, "proven",
-        _scalar(lambda c: _sum(c, (c.binom(2 * k, k) ** 2 * c.frac(1, 16 ** k)
-                                   for k in range(0, c.p))),
+        _scalar(lambda c: c.sum(c.binom(2 * k, k) ** 2 * c.frac(1, 16 ** k)
+                                  for k in range(0, c.p)),
                 lambda c: c.frac((-1) ** c.n)
                 - c.frac(c.p * c.p) * c.euler_num(c.p - 3)),
         note="summation starts at k=0; the source's k=1 lower bound drops "
@@ -484,9 +540,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("CJ1.1-b", "reciprocal odd-cube sum vs H_{p-1}/p^2 and B_{p-5}", 3, 7,
         "conjectural",
-        _scalar(lambda c: _sum(c, (c.frac((-16) ** k, (2 * k + 1) ** 3)
-                                   / c.binom(2 * k, k)
-                                   for k in range(0, c.n))),
+        _scalar(lambda c: _S_inv_central_odd3(c, 0, c.n - 1),
                 lambda c: c.frac(-3, 4) * c.div_pp(c.H(c.p - 1), 2)
                 - c.frac(47 * c.p * c.p, 400) * c.bern(c.p - 5)),
         shift=2, note="B_{p-5} forces p >= 7", reads=(B_P5,))
@@ -567,17 +621,39 @@ def _max_special_index(ids, primes) -> tuple[int, int]:
             max((pmax - off for t, off in reads if t == "E"), default=-1))
 
 
-def _cross_check_specials(ids, primes, cache: SpecialCache) -> None:
-    """Check every special-number residue the checks read against its
+def _cross_check_specials(ids, p: int, cache: SpecialCache) -> None:
+    """Check every special-number residue the checks read at p against its
     power-sum route; a mismatch raises InternalInconsistency."""
-    for p in primes:
-        for table, off in sorted(_special_reads(ids, p)):
-            if p - off < 2:
-                continue  # B_0 = E_0 = 1, read only at p = 3, have no such route
-            if table == "B":
-                bernoulli_mod_p_fast(p - off, p, cache)
-            else:
-                euler_mod_p_fast(p, cache)
+    for table, off in sorted(_special_reads(ids, p)):
+        if p - off < 2:
+            continue  # B_0 = E_0 = 1, read only at p = 3, have no such route
+        if table == "B":
+            bernoulli_mod_p_fast(p - off, p, cache)
+        else:
+            euler_mod_p_fast(p, cache)
+
+
+class PrimeContexts:
+    """The contexts every check at one prime shares: one exact, and one
+    p-adic per working precision, each with its own memos so the two paths
+    stay independent.
+
+    Built only after the special numbers the checks read at p pass their
+    cross-check, so no verdict at p rests on a bad B or E residue.
+    """
+
+    def __init__(self, ids, p: int, cache: SpecialCache):
+        _cross_check_specials(ids, p, cache)
+        self.p = p
+        self.cache = cache
+        self.exact = ExactContext(p, cache)
+        self._padic: dict[int, PadicContext] = {}
+
+    def padic(self, prec: int) -> PadicContext:
+        ctx = self._padic.get(prec)
+        if ctx is None:
+            ctx = self._padic[prec] = PadicContext(self.p, self.cache, prec)
+        return ctx
 
 
 def _compare_pairs(ctx, spec: CheckSpec):
@@ -594,10 +670,13 @@ def _compare_pairs(ctx, spec: CheckSpec):
 
 
 def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
-                   with_padic: bool | None = None) -> CheckResult:
+                   with_padic: bool | None = None, *,
+                   contexts: PrimeContexts | None = None) -> CheckResult:
     """Evaluate one catalog check at one prime.
 
     `with_padic=None` runs the p-adic path for p <= PADIC_PATH_MAX_PRIME.
+    `contexts` are the shared contexts of p; without them the check gets
+    fresh ones, after the special numbers it reads are cross-checked.
     """
     if check_id not in CHECK_CATALOG:
         raise UnknownCheck(f"unknown check id {check_id!r}")
@@ -605,19 +684,21 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     if p < spec.min_prime:
         return CheckResult(check_id, p, spec.m, None, None, None, spec.status,
                            applicable=False, note=f"inapplicable: needs p >= {spec.min_prime}")
-    cache = cache if cache is not None else SpecialCache()
+    if contexts is None:
+        contexts = PrimeContexts([check_id], p,
+                                 cache if cache is not None else SpecialCache())
     if with_padic is None:
         with_padic = p <= PADIC_PATH_MAX_PRIME
     start = time.perf_counter()
     note = spec.note
     try:
-        ok, lv, rv, bad = _compare_pairs(ExactContext(p, cache), spec)
+        ok, lv, rv, bad = _compare_pairs(contexts.exact, spec)
         if bad is not None:
             note = (note + "; " if note else "") + f"first failing instance {bad}"
         agreement = None
         if with_padic:
             prec = spec.m + spec.shift + DEFAULT_SLACK
-            pok, plv, prv, _ = _compare_pairs(PadicContext(p, cache, prec), spec)
+            pok, plv, prv, _ = _compare_pairs(contexts.padic(prec), spec)
             agreement = (pok == ok and plv == lv and prv == rv)
         elapsed = (time.perf_counter() - start) * 1000
         return CheckResult(check_id, p, spec.m, lv, rv, ok, spec.status,
@@ -642,9 +723,16 @@ def _init_worker(bern_items, euler_items):
     _WORKER_CACHE.euler.update(euler_items)
 
 
-def _run_prime(args):
-    ids, p, padic_limit = args
-    return [evaluate_check(i, p, _WORKER_CACHE, with_padic=p <= padic_limit)
+def _run_prime(ids, p: int, padic_limit: int,
+               cache: SpecialCache | None = None) -> list[CheckResult]:
+    """Evaluate every check at one prime on one set of shared contexts.
+
+    In a pool worker `cache` is None and the worker's tables are read.
+    """
+    cache = cache if cache is not None else _WORKER_CACHE
+    contexts = PrimeContexts(ids, p, cache)
+    return [evaluate_check(i, p, cache, with_padic=p <= padic_limit,
+                           contexts=contexts)
             for i in ids]
 
 
@@ -673,9 +761,11 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
               jobs: int = 1) -> tuple[list[CheckResult], dict]:
     """Evaluate every (id, prime) pair; deterministic (id, p) ordering.
 
-    Every special-number residue the checks read is first cross-checked at
-    every prime; a mismatch raises InternalInconsistency, since no verdict
-    built on it could be trusted.
+    The checks at one prime share one exact context and one p-adic context
+    per working precision.  Every special-number residue the checks read at
+    a prime is cross-checked before any check there is evaluated; a mismatch
+    raises InternalInconsistency, since no verdict built on it could be
+    trusted.
     """
     ids = list(ids)
     primes = sorted(primes)
@@ -688,17 +778,15 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         cache.ensure_bernoulli(need_b)
     if need_e >= 0:
         cache.ensure_euler(need_e)
-    _cross_check_specials(ids, primes, cache)
 
     if jobs > 1 and len(primes) > 1:
-        tasks = [(ids, p, padic_limit) for p in primes]
         with ProcessPoolExecutor(
                 max_workers=jobs, initializer=_init_worker,
                 initargs=(cache.bernoulli, cache.euler)) as pool:
-            chunks = list(pool.map(_run_prime, tasks))
-        results = [r for chunk in chunks for r in chunk]
+            chunks = list(pool.map(_run_prime, repeat(ids), primes,
+                                   repeat(padic_limit)))
     else:
-        results = [evaluate_check(i, p, cache, with_padic=p <= padic_limit)
-                   for p in primes for i in ids]
+        chunks = [_run_prime(ids, p, padic_limit, cache) for p in primes]
+    results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.id, r.p))
     return results, summarize(results)

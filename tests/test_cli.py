@@ -209,6 +209,11 @@ def test_cli_bernoulli_prints_and_persists_cache(capsys):
     assert "B_12 = -691/2730" in captured.out
 
 
+def test_cli_bernoulli_rejects_format():
+    """`bernoulli` prints plain lines only, so a report format is a usage error."""
+    assert parse_and_run(["bernoulli", "--max", "4", "--format", "json"]) == 2
+
+
 def test_cli_determinism_across_runs(tmp_path):
     texts = []
     for i in range(2):

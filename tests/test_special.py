@@ -3,10 +3,11 @@ classical sanity theorems, the defining recurrences, and the independent
 mod-p cross-checks."""
 
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, log2
 
 import pytest
 
+from congrlab import special
 from congrlab.arith import PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
 from congrlab.special import (
     SpecialCache,
@@ -184,3 +185,35 @@ def test_cache_extension_resumes_after_load():
     assert sorted(cache.euler) == list(range(0, 21, 2))
     assert cache.bernoulli[20] == Fraction(-174611, 330)
     assert cache.euler[20] == 370371188237525
+
+
+def test_growing_a_table_prime_by_prime_builds_log_many_triangles(monkeypatch):
+    """Each growth rebuilds the triangle, so a held table at least doubles."""
+    builds = {"_tangent_numbers": 0, "_secant_numbers": 0}
+    for name in builds:
+        def counted(k, build=getattr(special, name), name=name):
+            builds[name] += 1
+            return build(k)
+        monkeypatch.setattr(special, name, counted)
+    cache = SpecialCache()
+    primes = sieve_primes(PrimeRange(7, 503))
+    for p in primes:
+        bernoulli_exact(p - 3, cache)
+        euler_exact(p - 3, cache)
+    n = primes[-1] - 3
+    assert 2 <= builds["_tangent_numbers"] <= log2(n)
+    assert 2 <= builds["_secant_numbers"] <= log2(n)
+
+    monkeypatch.undo()
+    fresh = SpecialCache()
+    fresh.ensure_bernoulli(n)
+    fresh.ensure_euler(n)
+    assert all(cache.bernoulli[i] == fresh.bernoulli[i] for i in range(n + 1))
+    assert all(cache.euler[i] == fresh.euler[i] for i in range(0, n + 1, 2))
+
+
+def test_fresh_table_is_built_to_the_size_asked():
+    cache = SpecialCache()
+    cache.ensure_bernoulli(100)
+    cache.ensure_euler(100)
+    assert max(cache.bernoulli) == 100 and max(cache.euler) == 100
