@@ -6,7 +6,6 @@ from .arith import (
     PrimeRange,
     Residue,
     binomial_big,
-    mod_inverse,
     rat_reduce_mod,
     sieve_primes,
     vp_binomial,
@@ -35,7 +34,6 @@ from .special import (
     bernoulli_mod_p_fast,
     euler_exact,
     euler_mod_p_fast,
-    fermat_quotient_mod,
     harmonic_exact,
 )
 

@@ -13,7 +13,6 @@ from fractions import Fraction
 from .errors import (
     DivisionByZeroMarker,
     NegativeValuation,
-    NotAUnit,
     PrecisionExhausted,
 )
 
@@ -36,6 +35,18 @@ def vp_rational(r, p: int) -> int:
     return vp_int(r.numerator, p) - vp_int(r.denominator, p)
 
 
+def exact_sum(terms) -> Fraction:
+    """Add rationals over one common denominator, the lcm of theirs, and
+    reduce once at the end; the value equals sequential addition."""
+    num, den = 0, 1
+    for t in terms:
+        d = t.denominator
+        g = math.gcd(den, d)
+        num = num * (d // g) + t.numerator * (den // g)
+        den = den // g * d
+    return Fraction(num, den)
+
+
 @dataclass(frozen=True)
 class Residue:
     """An element of Z/p^e, kept with its modulus."""
@@ -47,21 +58,6 @@ class Residue:
     def __post_init__(self):
         if not 0 <= self.value < self.p ** self.e:
             raise ValueError(f"residue {self.value} out of range for {self.p}^{self.e}")
-
-    @property
-    def modulus(self) -> int:
-        return self.p ** self.e
-
-    def __int__(self) -> int:
-        return self.value
-
-
-def mod_inverse(a: int, p: int, e: int = 1) -> Residue:
-    """Inverse of a modulo p^e; raises NotAUnit when p | a."""
-    if a % p == 0:
-        raise NotAUnit(f"{a} is not a unit mod {p}^{e}")
-    m = p ** e
-    return Residue(p, e, pow(a, -1, m))
 
 
 def rat_reduce_mod(r, p: int, e: int) -> Residue:

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import repeat
-from math import gcd
 
-from .arith import PAdic, binomial_big, rat_reduce_mod, vp_rational
+from .arith import PAdic, binomial_big, exact_sum, rat_reduce_mod, vp_rational
 from .errors import (
     CongrlabError,
     NegativeValuation,
@@ -72,15 +71,7 @@ class ExactContext:
         return value
 
     def sum(self, terms):
-        """Add the terms over one common denominator, the lcm of theirs, and
-        reduce once at the end; the value equals sequential addition."""
-        num, den = 0, 1
-        for t in terms:
-            d = t.denominator
-            g = gcd(den, d)
-            num = num * (d // g) + t.numerator * (den // g)
-            den = den // g * d
-        return Fraction(num, den)
+        return exact_sum(terms)
 
     def H(self, i: int, m: int = 1):
         table = self._harmonic.get(m)

@@ -5,10 +5,6 @@ class CongrlabError(Exception):
     """Base class for all engine errors."""
 
 
-class NotAUnit(CongrlabError):
-    """Inversion was requested for a residue divisible by p."""
-
-
 class NegativeValuation(CongrlabError):
     """A rational with p in its denominator cannot be reduced mod p^e."""
 

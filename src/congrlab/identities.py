@@ -1,23 +1,32 @@
 """Exact verification of the finite binomial-sum identities and their
 recurrence certificates.
 
-Every identity is evaluated by fresh summation over exact rationals at each
-instance n; a recurrence certificate plus verified base cases then proves
-the identity for every n the suite visited.
+Every identity is evaluated by summation over exact rationals at each
+instance n; a recurrence certificate, checked on both sides, plus verified
+base cases then proves the identity for every n the suite visited.  Within
+one run each side is summed once per n, and the certificates read those
+values.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from itertools import accumulate
 from math import comb
+from operator import mul
 
+from .arith import exact_sum
 from .errors import DomainError, UnknownIdentity
 from .special import harmonic_exact
 
 
 @dataclass
 class IdentityCase:
+    """One instance; `passed` means lhs == rhs and every certificate
+    residual at n is 0."""
+
     name: str
     n: int
     lhs: Fraction
@@ -27,13 +36,9 @@ class IdentityCase:
     note: str = ""
 
 
-def _H(n: int, m: int = 1) -> Fraction:
-    return harmonic_exact(n, m)
-
-
 def _odd_recip_sum(n: int) -> Fraction:
     """sum_{k=0}^{n-1} 1/(2k+1)."""
-    return sum((Fraction(1, 2 * k + 1) for k in range(n)), Fraction(0))
+    return exact_sum(Fraction(1, 2 * k + 1) for k in range(n))
 
 
 # -- identity catalog ---------------------------------------------------
@@ -41,32 +46,31 @@ def _odd_recip_sum(n: int) -> Fraction:
 
 
 def _apery_lhs(n):
-    return sum(Fraction((-1) ** k, k ** 3 * comb(n, k) * comb(n + k, k))
-               for k in range(1, n + 1))
+    return exact_sum(Fraction((-1) ** k, k ** 3 * comb(n, k) * comb(n + k, k))
+                     for k in range(1, n + 1))
 
 
 def _apery_rhs(n):
-    return 5 * sum(Fraction((-1) ** k, k ** 3 * comb(2 * k, k))
-                   for k in range(1, n + 1)) + 2 * _H(n, 3)
+    return 5 * exact_sum(Fraction((-1) ** k, k ** 3 * comb(2 * k, k))
+                         for k in range(1, n + 1)) + 2 * harmonic_exact(n, 3)
 
 
 def _sigma_lhs(n):
-    total = Fraction(0)
-    hdiff = Fraction(0)  # H(n+k) - H(n-k), built incrementally
-    for k in range(1, n + 1):
-        hdiff += Fraction(1, n + k) + Fraction(1, n - k + 1)
-        total += comb(n, k) * comb(n + k, k) * Fraction((-1) ** k, k) * hdiff
-    return total
+    # H(n+k) - H(n-k), built incrementally
+    hdiffs = accumulate(Fraction(1, n + k) + Fraction(1, n - k + 1)
+                        for k in range(1, n + 1))
+    return exact_sum(comb(n, k) * comb(n + k, k) * Fraction((-1) ** k, k) * hdiff
+                     for k, hdiff in enumerate(hdiffs, start=1))
 
 
 def _sigma_rhs(n):
-    return Fraction(5, 2) * sum(Fraction((-1) ** k * comb(2 * k, k), k * k)
-                                for k in range(1, n + 1)) + 2 * _H(n, 2)
+    return Fraction(5, 2) * exact_sum(Fraction((-1) ** k * comb(2 * k, k), k * k)
+                                      for k in range(1, n + 1)) + 2 * harmonic_exact(n, 2)
 
 
 def _shift_lhs(n):
-    return sum(Fraction(comb(2 * k, k) ** 2, (2 * (n + k) + 1) * 16 ** k)
-               for k in range(0, n + 1))
+    return exact_sum(Fraction(comb(2 * k, k) ** 2, (2 * (n + k) + 1) * 16 ** k)
+                     for k in range(0, n + 1))
 
 
 def _shift_rhs(n):
@@ -74,8 +78,8 @@ def _shift_rhs(n):
 
 
 def _luke_lhs(n):
-    return sum(Fraction(comb(2 * k, k) ** 2, (n - k) * 16 ** k)
-               for k in range(0, n))
+    return exact_sum(Fraction(comb(2 * k, k) ** 2, (n - k) * 16 ** k)
+                     for k in range(0, n))
 
 
 def _luke_rhs(n):
@@ -83,8 +87,8 @@ def _luke_rhs(n):
 
 
 def _oddsq_lhs(n):
-    return sum(Fraction((-1) ** k, (2 * k + 1) ** 2) * comb(n, k) * comb(n + k, k)
-               for k in range(0, n + 1))
+    return exact_sum(Fraction((-1) ** k, (2 * k + 1) ** 2) * comb(n, k) * comb(n + k, k)
+                     for k in range(0, n + 1))
 
 
 def _oddsq_rhs(n):
@@ -92,8 +96,8 @@ def _oddsq_rhs(n):
 
 
 def _tele1_lhs(n):
-    return sum(Fraction(comb(2 * k, k) ** 2, (2 * k - 1) * 16 ** k)
-               for k in range(0, n + 1))
+    return exact_sum(Fraction(comb(2 * k, k) ** 2, (2 * k - 1) * 16 ** k)
+                     for k in range(0, n + 1))
 
 
 def _tele1_rhs(n):
@@ -101,8 +105,8 @@ def _tele1_rhs(n):
 
 
 def _glaisher4_lhs(n):
-    return sum(Fraction((1 - 4 * k) * comb(2 * k, k) ** 4,
-                        (2 * k - 1) ** 4 * 256 ** k) for k in range(0, n + 1))
+    return exact_sum(Fraction((1 - 4 * k) * comb(2 * k, k) ** 4,
+                              (2 * k - 1) ** 4 * 256 ** k) for k in range(0, n + 1))
 
 
 def _glaisher4_rhs(n):
@@ -111,13 +115,11 @@ def _glaisher4_rhs(n):
 
 def _bbag_lhs(n):
     n4 = n ** 4
-    total = Fraction(0)
-    prod = Fraction(1)  # running prod_{j<k} (n^4 - j^4)/(4n^4 + j^4)
-    for k in range(1, n + 1):
-        assert 4 * n4 + k ** 4 > 0
-        total += comb(2 * k, k) * Fraction(k * k, 4 * n4 + k ** 4) * prod
-        prod *= Fraction(n4 - k ** 4, 4 * n4 + k ** 4)
-    return total
+    # running prod_{j<k} (n^4 - j^4)/(4n^4 + j^4)
+    prods = accumulate((Fraction(n4 - j ** 4, 4 * n4 + j ** 4) for j in range(1, n)),
+                       mul, initial=Fraction(1))
+    return exact_sum(comb(2 * k, k) * Fraction(k * k, 4 * n4 + k ** 4) * prod
+                     for k, prod in enumerate(prods, start=1))
 
 
 def _bbag_rhs(n):
@@ -125,12 +127,12 @@ def _bbag_rhs(n):
 
 
 def _prodinger_lhs(n):
-    return sum(comb(n, k) * comb(n + k, k) * Fraction((-1) ** k, k)
-               for k in range(1, n + 1))
+    return exact_sum(comb(n, k) * comb(n + k, k) * Fraction((-1) ** k, k)
+                     for k in range(1, n + 1))
 
 
 def _prodinger_rhs(n):
-    return -2 * _H(n)
+    return -2 * harmonic_exact(n)
 
 
 IDENTITY_CATALOG = {
@@ -175,34 +177,49 @@ def _recurrence_residual(rec_name: str, n: int, seq) -> Fraction:
     raise UnknownIdentity(f"unknown recurrence {rec_name!r}")
 
 
-def check_recurrence(name: str, n: int, side: str = "lhs") -> Fraction:
-    """Residual of a recurrence certificate at n, on one side of its identity."""
+def _sides(name: str):
+    """The identity's (lhs, rhs), each memoized for the life of the pair, so
+    a run sums each side once per n and its certificate reads those values."""
+    _, lhs, rhs = IDENTITY_CATALOG[name]
+    return cache(lhs), cache(rhs)
+
+
+def check_recurrence(name: str, n: int, side: str = "lhs", *, sides=None) -> Fraction:
+    """Residual of a recurrence certificate at n, on one side of its identity.
+
+    `sides` are a run's memoized sides of that identity (`_sides`); fresh
+    ones are built when it is omitted.
+    """
     if name not in RECURRENCES:
         raise UnknownIdentity(f"unknown recurrence {name!r}")
     ident, start = RECURRENCES[name]
     if n < start:
         raise DomainError(f"{name} needs n >= {start}")
-    _, lhs, rhs = IDENTITY_CATALOG[ident]
-    seq = lhs if side == "lhs" else rhs
-    return _recurrence_residual(name, n, seq)
+    lhs, rhs = sides if sides is not None else _sides(ident)
+    return _recurrence_residual(name, n, lhs if side == "lhs" else rhs)
 
 
 _IDENTITY_TO_REC = {ident: rec for rec, (ident, _) in RECURRENCES.items()}
 
 
-def evaluate_identity(name: str, n: int) -> IdentityCase:
+def evaluate_identity(name: str, n: int, *, sides=None) -> IdentityCase:
+    """Both sides at n and, for a certified identity, the certificate's
+    residual on each side; `recurrence_residual` is the first nonzero one
+    (lhs first), or 0."""
     if name not in IDENTITY_CATALOG:
         raise UnknownIdentity(f"unknown identity {name!r}")
-    start, lhs_fn, rhs_fn = IDENTITY_CATALOG[name]
+    start = IDENTITY_CATALOG[name][0]
     if n < start:
         raise DomainError(f"{name} is declared for n >= {start}, got {n}")
-    lhs = lhs_fn(n)
-    rhs = rhs_fn(n)
+    if sides is None:
+        sides = _sides(name)
+    lhs, rhs = (side(n) for side in sides)
     residual = Fraction(0)
     rec = _IDENTITY_TO_REC.get(name)
     if rec is not None and n >= RECURRENCES[rec][1]:
-        residual = check_recurrence(rec, n, side="lhs")
-    return IdentityCase(name, n, lhs, rhs, lhs == rhs, residual)
+        residuals = [check_recurrence(rec, n, side, sides=sides) for side in ("lhs", "rhs")]
+        residual = next((r for r in residuals if r != 0), residual)
+    return IdentityCase(name, n, lhs, rhs, lhs == rhs and residual == 0, residual)
 
 
 def run_identity_suite(names=None, n_range=range(1, 51)) -> list[IdentityCase]:
@@ -214,11 +231,12 @@ def run_identity_suite(names=None, n_range=range(1, 51)) -> list[IdentityCase]:
         if name not in IDENTITY_CATALOG:
             raise UnknownIdentity(f"unknown identity {name!r}")
         start = IDENTITY_CATALOG[name][0]
+        sides = _sides(name)
         for n in n_range:
             if n < start:
                 continue
             try:
-                cases.append(evaluate_identity(name, n))
+                cases.append(evaluate_identity(name, n, sides=sides))
             except Exception as exc:  # pragma: no cover - defensive
                 cases.append(IdentityCase(name, n, Fraction(0), Fraction(0),
                                           False, note=f"error: {exc}"))

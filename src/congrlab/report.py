@@ -14,6 +14,11 @@ COLUMNS = ["id", "p", "n", "modulus", "lhs", "rhs", "pass", "status", "note",
            "elapsed_ms"]
 
 
+def _passed(result) -> bool:
+    """The verdict of an identity case or a series report."""
+    return bool(result.passed if isinstance(result, IdentityCase) else result.converged)
+
+
 def _to_row(result, include_elapsed: bool) -> dict:
     if isinstance(result, CheckResult):
         row = {
@@ -38,7 +43,7 @@ def _to_row(result, include_elapsed: bool) -> dict:
             "modulus": "exact",
             "lhs": str(result.lhs),
             "rhs": str(result.rhs),
-            "pass": bool(result.passed and result.recurrence_residual == 0),
+            "pass": _passed(result),
             "status": "identity",
             "note": result.note,
         }
@@ -50,7 +55,7 @@ def _to_row(result, include_elapsed: bool) -> dict:
             "modulus": f"tol {result.tolerance:g}",
             "lhs": repr(result.partial),
             "rhs": repr(result.target),
-            "pass": bool(result.converged),
+            "pass": _passed(result),
             "status": "series",
             "note": f"error {result.error:.3e}",
         }
@@ -66,8 +71,7 @@ def _summary(results) -> dict:
     if checks:
         return summarize(checks)
     total = len(results)
-    passed = sum(1 for r in results
-                 if _to_row(r, False)["pass"])
+    passed = sum(map(_passed, results))
     return {"total": total, "passed": passed, "failed": total - passed,
             "inapplicable": 0, "path_disagreements": 0, "by_status": {}}
 
@@ -127,10 +131,7 @@ def exit_status(results) -> int:
                 return 1
             if r.applicable and r.status == "proven" and not r.passed:
                 return 1
-        elif isinstance(r, IdentityCase):
-            if not r.passed or r.recurrence_residual != 0:
-                return 1
-        elif isinstance(r, SeriesReport):
-            if not r.converged:
+        elif isinstance(r, (IdentityCase, SeriesReport)):
+            if not _passed(r):
                 return 1
     return 0

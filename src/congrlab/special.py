@@ -1,4 +1,4 @@
-"""Bernoulli numbers, Euler numbers, harmonic numbers and Fermat quotients.
+"""Bernoulli numbers, Euler numbers and harmonic numbers.
 
 The tables come from the all-integer tangent and secant number triangles
 of Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
@@ -105,7 +105,7 @@ def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
 
 def harmonic_exact(n: int, order: int = 1) -> Fraction:
     """H_n^(m) = sum_{0<k<=n} 1/k^m, exactly."""
-    return sum((Fraction(1, k ** order) for k in range(1, n + 1)), Fraction(0))
+    return harmonic_prefix(n, order)[n]
 
 
 def harmonic_prefix(n: int, order: int = 1) -> list[Fraction]:
@@ -149,11 +149,3 @@ def euler_mod_p_fast(p: int, cache: SpecialCache | None = None) -> Residue:
         raise InternalInconsistency(
             f"E_{p - 3} mod {p}: character-sum route {fast} != exact route {exact}")
     return Residue(p, 1, fast)
-
-def fermat_quotient_mod(p: int, e: int = 1) -> Residue:
-    """q_p(2) = (2^(p-1) - 1)/p, reduced mod p^e."""
-    if p < 3:
-        raise ValueError("p must be an odd prime")
-    t = (pow(2, p - 1, p ** (e + 1)) - 1) % p ** (e + 1)
-    assert t % p == 0, "Fermat's little theorem violated"
-    return Residue(p, e, (t // p) % p ** e)

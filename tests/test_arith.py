@@ -13,7 +13,6 @@ from congrlab.arith import (
     PrimeRange,
     Residue,
     binomial_big,
-    mod_inverse,
     rat_reduce_mod,
     sieve_primes,
     vp_binomial,
@@ -23,7 +22,6 @@ from congrlab.arith import (
 from congrlab.errors import (
     DivisionByZeroMarker,
     NegativeValuation,
-    NotAUnit,
     PrecisionExhausted,
 )
 
@@ -47,23 +45,7 @@ def test_vp_rational_examples():
     assert vp_rational(Fraction(6, 5), 5) == -1
 
 
-# -- residues and modular inverses ----------------------------------------
-
-
-def test_mod_inverse_examples():
-    assert mod_inverse(3, 7).value == 5
-    assert mod_inverse(2, 5, 2).value == 13
-    with pytest.raises(NotAUnit):
-        mod_inverse(5, 5, 2)
-
-
-@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 4), st.integers(1, 10 ** 6))
-def test_mod_inverse_involution(p, e, a):
-    if a % p == 0:
-        a += 1
-    inv = mod_inverse(a, p, e)
-    assert mod_inverse(inv.value, p, e).value == a % p ** e
-    assert a * inv.value % p ** e == 1
+# -- residues -------------------------------------------------------------
 
 
 def test_rat_reduce_mod_examples():
@@ -77,8 +59,6 @@ def test_rat_reduce_mod_examples():
 def test_residue_range_checked():
     with pytest.raises(ValueError):
         Residue(7, 1, 7)
-    assert Residue(7, 2, 48).modulus == 49
-    assert int(Residue(7, 2, 48)) == 48
 
 
 # -- truncated p-adic numbers ----------------------------------------------

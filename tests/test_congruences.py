@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from congrlab import congruences
-from congrlab.arith import PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
+from congrlab.arith import PrimeRange, exact_sum, rat_reduce_mod, sieve_primes, vp_rational
 from congrlab.congruences import (
     CHECK_CATALOG,
     ExactContext,
@@ -255,6 +255,7 @@ def test_common_denominator_sum_equals_sequential_addition(terms):
     expected = Fraction(0)
     for t in terms:
         expected += t
+    assert exact_sum(iter(terms)) == expected
     assert ExactContext(7, SpecialCache()).sum(iter(terms)) == expected
 
 

@@ -1,10 +1,13 @@
 """Finite binomial-sum identities: frozen instances, domain handling,
-recurrence certificates on both sides, and the induction meta-check."""
+recurrence certificates on both sides, the induction meta-check, and one
+evaluation per side and n in a run."""
 
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from congrlab import identities
 from congrlab.errors import DomainError, UnknownIdentity
 from congrlab.identities import (
     IDENTITY_CATALOG,
@@ -13,6 +16,7 @@ from congrlab.identities import (
     evaluate_identity,
     run_identity_suite,
 )
+from congrlab.report import exit_status
 from congrlab.special import harmonic_exact
 
 
@@ -138,3 +142,58 @@ def test_bbag_inner_denominators_positive():
     for n in range(1, 31):
         for k in range(1, n + 1):
             assert 4 * n ** 4 + k ** 4 > 0
+
+
+# -- one evaluation per side and n ---------------------------------------------------
+
+
+def test_suite_sums_each_side_once_per_n(monkeypatch):
+    """ODDSQ's certificate reads n, n+1 and n+2 on both sides; the suite sums
+    each side once per distinct n and the certificate reads those values."""
+    start, lhs, rhs = IDENTITY_CATALOG["ODDSQ"]
+    calls = {"lhs": Counter(), "rhs": Counter()}
+
+    def counted(side, fn):
+        def wrapper(n):
+            calls[side][n] += 1
+            return fn(n)
+        return wrapper
+
+    monkeypatch.setitem(IDENTITY_CATALOG, "ODDSQ",
+                        (start, counted("lhs", lhs), counted("rhs", rhs)))
+    cases = run_identity_suite(["ODDSQ"], range(1, 21))
+    assert len(cases) == 20 and all(c.passed for c in cases)
+    assert calls["lhs"] == calls["rhs"] == Counter(range(1, 23))
+
+
+def test_suite_checks_the_certificate_on_the_rhs(monkeypatch):
+    """An rhs that equals the lhs up to n = 10 and breaks the recurrence
+    beyond it fails at n = 10, where the certificate reads n + 1."""
+    start, lhs, rhs = IDENTITY_CATALOG["SIGMA"]
+    monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA",
+                        (start, lhs, lambda n: rhs(n) + (n > 10)))
+    cases = run_identity_suite(["SIGMA"], range(1, 11))
+    assert [c.n for c in cases if not c.passed] == [10]
+    assert cases[-1].lhs == cases[-1].rhs and cases[-1].recurrence_residual != 0
+    assert exit_status(cases) == 1
+
+
+def test_suite_reaches_the_names_the_benchmark_tracer_wraps(monkeypatch):
+    """bench/tracer.py wraps evaluate_identity and check_recurrence in
+    congrlab.identities and reads 0 for a name that is gone or bypassed, so
+    a run must call both through the module."""
+    calls = Counter()
+
+    def counted(name):
+        fn = getattr(identities, name)
+        assert callable(fn)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("evaluate_identity", "check_recurrence"):
+        monkeypatch.setattr(identities, name, counted(name))
+    run_identity_suite(["SIGMA"], range(1, 4))
+    assert calls == {"evaluate_identity": 3, "check_recurrence": 6}

@@ -1,6 +1,5 @@
-"""Bernoulli/Euler/harmonic numbers and Fermat quotients: frozen values,
-classical sanity theorems, the defining recurrences, and the independent
-mod-p cross-checks."""
+"""Bernoulli/Euler/harmonic numbers: frozen values, classical sanity
+theorems, the defining recurrences, and the independent mod-p cross-checks."""
 
 from fractions import Fraction
 from math import comb, gcd, log2
@@ -15,7 +14,6 @@ from congrlab.special import (
     bernoulli_mod_p_fast,
     euler_exact,
     euler_mod_p_fast,
-    fermat_quotient_mod,
     harmonic_exact,
     harmonic_prefix,
 )
@@ -152,24 +150,6 @@ def test_harmonic_numerators_reduced():
     for n in range(1, 60):
         h = harmonic_exact(n, 1)
         assert gcd(h.numerator, h.denominator) == 1 and h.denominator >= 1
-
-
-# -- Fermat quotients -----------------------------------------------------------
-
-
-def test_fermat_quotient_frozen_values():
-    assert fermat_quotient_mod(5, 1).value == 3
-    assert fermat_quotient_mod(7, 1).value == 2  # (64-1)/7 = 9 = 2 mod 7
-    assert fermat_quotient_mod(3, 2).value == 1
-    with pytest.raises(ValueError):
-        fermat_quotient_mod(2)
-
-
-def test_fermat_quotient_definition():
-    for p in sieve_primes(PrimeRange(3, 97)):
-        for e in (1, 2):
-            q = fermat_quotient_mod(p, e).value
-            assert q == Fraction(2 ** (p - 1) - 1, p) % p ** e
 
 
 # -- table growth ---------------------------------------------------------------------
