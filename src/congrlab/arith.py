@@ -73,14 +73,14 @@ class PAdic:
     """Truncated p-adic number p^val * unit + O(p^(val+prec)).
 
     A value that cancels below the working precision is kept as a zero
-    marker carrying only the lower bound on its valuation (`unit is None`);
-    exact zero has an infinite bound (`val is None`).  No digit is ever
-    fabricated after cancelation.
+    marker (`unit is None`) whose `val` is a finite lower bound on its
+    valuation.  No digit is ever fabricated after cancelation.  Both
+    operands of an operator must be PAdics of the same prime.
     """
 
     __slots__ = ("p", "val", "unit", "prec")
 
-    def __init__(self, p: int, val, unit, prec: int):
+    def __init__(self, p: int, val: int, unit, prec: int):
         self.p = p
         self.val = val
         self.unit = unit
@@ -89,7 +89,7 @@ class PAdic:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zero_marker(cls, p: int, bound=None) -> "PAdic":
+    def zero_marker(cls, p: int, bound: int) -> "PAdic":
         return cls(p, bound, None, 0)
 
     @classmethod
@@ -109,31 +109,22 @@ class PAdic:
     def is_zero_marker(self) -> bool:
         return self.unit is None
 
-    def _abs_prec(self):
+    def _abs_prec(self) -> int:
         """Absolute precision: the value is known mod p^(this)."""
-        if self.unit is None:
-            return math.inf if self.val is None else self.val
-        return self.val + self.prec
+        return self.val if self.unit is None else self.val + self.prec
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other) -> "PAdic":
-        if isinstance(other, PAdic):
-            if other.p != self.p:
-                raise ValueError("mixed primes in p-adic arithmetic")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return PAdic.from_rational(other, self.p, max(self.prec, 1))
-        return NotImplemented
+    def _check(self, other) -> None:
+        if not isinstance(other, PAdic):
+            raise TypeError(f"p-adic operand must be a PAdic, not {type(other).__name__}")
+        if other.p != self.p:
+            raise ValueError("mixed primes in p-adic arithmetic")
 
     def __add__(self, other) -> "PAdic":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        self._check(other)
         p = self.p
         abs_prec = min(self._abs_prec(), other._abs_prec())
-        if abs_prec is math.inf:
-            return PAdic.zero_marker(p)
         operands = [x for x in (self, other) if x.unit is not None]
         if not operands:
             return PAdic.zero_marker(p, abs_prec)
@@ -141,52 +132,27 @@ class PAdic:
         digits = abs_prec - base
         if digits <= 0:
             return PAdic.zero_marker(p, abs_prec)
-        m = p ** digits
-        total = sum(p ** (x.val - base) * x.unit for x in operands) % m
+        total = sum(p ** (x.val - base) * x.unit for x in operands) % p ** digits
         if total == 0:
             return PAdic.zero_marker(p, abs_prec)
         t = vp_int(total, p)
-        val = base + t
-        prec = abs_prec - val
-        if prec <= 0:
-            return PAdic.zero_marker(p, abs_prec)
-        return PAdic(p, val, (total // p ** t) % p ** prec, prec)
-
-    __radd__ = __add__
+        return PAdic(p, base + t, total // p ** t, digits - t)
 
     def __neg__(self) -> "PAdic":
         if self.unit is None:
             return self
         return PAdic(self.p, self.val, (-self.unit) % self.p ** self.prec, self.prec)
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __sub__(self, other) -> "PAdic":
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other) -> "PAdic":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        p = self.p
+        self._check(other)
+        val = self.val + other.val
         if self.unit is None or other.unit is None:
-            if self.val is None or (other.unit is None and other.val is None):
-                return PAdic.zero_marker(p)
-            if self.unit is None and other.unit is None:
-                return PAdic.zero_marker(p, self.val + other.val)
-            marker, x = (self, other) if self.unit is None else (other, self)
-            if marker.val is None:
-                return PAdic.zero_marker(p)
-            return PAdic.zero_marker(p, marker.val + x.val)
+            return PAdic.zero_marker(self.p, val)
         prec = min(self.prec, other.prec)
-        return PAdic(p, self.val + other.val,
-                     self.unit * other.unit % p ** prec, prec)
-
-    __rmul__ = __mul__
+        return PAdic(self.p, val, self.unit * other.unit % self.p ** prec, prec)
 
     def inv(self) -> "PAdic":
         if self.unit is None:
@@ -194,19 +160,14 @@ class PAdic:
         return PAdic(self.p, -self.val, pow(self.unit, -1, self.p ** self.prec),
                      self.prec)
 
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+    def __truediv__(self, other) -> "PAdic":
+        self._check(other)
         return self * other.inv()
-
-    def __rtruediv__(self, other):
-        return self.inv() * other
 
     def __pow__(self, k: int) -> "PAdic":
         if k < 0:
-            return self.inv() ** (-k)
-        result = PAdic.from_rational(1, self.p, self.prec if self.prec else 1)
+            raise ValueError("p-adic powers take exponents >= 0")
+        result = PAdic.from_rational(1, self.p, max(self.prec, 1))
         base = self
         while k:
             if k & 1:
@@ -219,16 +180,12 @@ class PAdic:
 
     def shift(self, s: int) -> "PAdic":
         """Divide by p^s (valuation shift)."""
-        if self.unit is None:
-            if self.val is None:
-                return self
-            return PAdic.zero_marker(self.p, self.val - s)
         return PAdic(self.p, self.val - s, self.unit, self.prec)
 
     def residue(self, e: int) -> Residue:
         """Extract the value mod p^e; only significant digits are reported."""
         if self.unit is None:
-            if self.val is None or self.val >= e:
+            if self.val >= e:
                 return Residue(self.p, e, 0)
             raise PrecisionExhausted(
                 f"zero marker only guarantees valuation >= {self.val}, need {e}")
@@ -242,8 +199,7 @@ class PAdic:
 
     def __repr__(self):
         if self.unit is None:
-            bound = "inf" if self.val is None else self.val
-            return f"PAdic(p={self.p}, O(p^{bound}))"
+            return f"PAdic(p={self.p}, O(p^{self.val}))"
         return (f"PAdic(p={self.p}, {self.p}^{self.val}*{self.unit} "
                 f"+ O(p^{self.val + self.prec}))")
 

@@ -31,6 +31,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than `least`."""
+    def count(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"{value} is below {least}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congrlab",
@@ -54,7 +64,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of ids, or all/proven/conjectural/exploratory")
     sp.add_argument("--padic-limit", type=int, default=PADIC_PATH_MAX_PRIME,
                     help="run the p-adic second path for primes up to this")
-    sp.add_argument("--jobs", type=int, default=1)
+    sp.add_argument("--jobs", type=_at_least(1), default=1,
+                    help="worker processes, at most one per prime")
 
     sp = sub.add_parser("identity", help="verify exact identities")
     common(sp)
@@ -70,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("bernoulli", help="print the even-index Bernoulli numbers")
     out(sp)
-    sp.add_argument("--max", type=int, default=30, dest="max_index")
+    sp.add_argument("--max", type=_at_least(0), default=30, dest="max_index")
 
     return parser
 

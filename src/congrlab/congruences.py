@@ -8,7 +8,6 @@ congruence, and is surfaced as such.
 
 from __future__ import annotations
 
-import inspect
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -104,20 +103,14 @@ class ExactContext:
 
 
 class PadicContext(ExactContext):
-    """Evaluates the same expressions over truncated p-adic numbers."""
-
-    def __init__(self, p: int, cache: SpecialCache, prec: int):
-        super().__init__(p, cache)
-        self.prec = prec
+    """Evaluates the same expressions over truncated p-adic numbers, each
+    rational lifted at the working precision PADIC_PREC."""
 
     def _lift(self, r: Fraction):
-        return PAdic.from_rational(r, self.p, self.prec)
+        return PAdic.from_rational(r, self.p, PADIC_PREC)
 
     def sum(self, terms):
-        total = self.frac(0)
-        for v in terms:
-            total = total + v
-        return total
+        return sum(terms, self.frac(0))
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:
@@ -173,18 +166,16 @@ def _scalar(fn_lhs, fn_rhs):
 # and p-adic paths share one description of every statement.
 
 def _named_sum(fn):
-    """Memoize a sum helper on its context, keyed by helper and arguments
-    (defaults filled in), so checks at one prime share each named sum."""
-    signature = inspect.signature(fn)
+    """Memoize a sum helper on its context, keyed by helper and arguments,
+    so checks at one prime share each named sum.  Helpers take positional
+    arguments only and have no defaults, so one sum has one key."""
 
     @wraps(fn)
-    def memoized(ctx, *args, **kwargs):
-        bound = signature.bind(ctx, *args, **kwargs)
-        bound.apply_defaults()
-        key = (fn.__name__, *bound.args[1:])
+    def memoized(ctx, *args):
+        key = (fn.__name__, *args)
         value = ctx.sums.get(key)
         if value is None:
-            value = ctx.sums[key] = fn(ctx, *args, **kwargs)
+            value = ctx.sums[key] = fn(ctx, *args)
         return value
     return memoized
 
@@ -211,7 +202,7 @@ def _S_central_sq(ctx, lo, hi, kpow):
 
 
 @_named_sum
-def _S_central_sq_odd(ctx, lo, hi, opow, sign=1):
+def _S_central_sq_odd(ctx, lo, hi, opow, sign):
     # sum C(2k,k)^2 / ((2k+1)^opow (sign*16)^k)
     return ctx.sum(ctx.binom(2 * k, k) ** 2
                    * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
@@ -226,7 +217,7 @@ def _S_central_sq_shifted(ctx, lo, hi):
 
 
 @_named_sum
-def _S_central_odd(ctx, lo, hi, opow, sign=1):
+def _S_central_odd(ctx, lo, hi, opow, sign):
     # sum C(2k,k) / ((2k+1)^opow (sign*16)^k)
     return ctx.sum(ctx.binom(2 * k, k)
                    * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
@@ -308,7 +299,7 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("C1.1-1.5a", "(1/p) upper-half odd sum vs -B_{p-3}/4", 1, 7, "proven",
-        _scalar(lambda c: c.div_pp(_S_central_odd(c, c.n + 1, c.p - 1, 2, sign=-1), 1),
+        _scalar(lambda c: c.div_pp(_S_central_odd(c, c.n + 1, c.p - 1, 2, -1), 1),
                 lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
         shift=1, reads=(B_P3,))
 
@@ -318,7 +309,7 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("T1.2-1.6a", "(1/p^2) upper-half odd squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: c.div_pp(_S_central_sq_odd(c, c.n + 1, c.p - 1, 1), 2),
+        _scalar(lambda c: c.div_pp(_S_central_sq_odd(c, c.n + 1, c.p - 1, 1, 1), 2),
                 lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
         shift=2, reads=(B_P3,))
 
@@ -330,7 +321,7 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
-        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 1),
+        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 1, 1),
                 lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
                 + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)),
         reads=(B_P3,))
@@ -440,13 +431,13 @@ def _catalog() -> dict[str, CheckSpec]:
         _scalar(lambda c: c.H(c.p - 1, 3), lambda c: c.frac(0)))
 
     add("L3.2-3.3", "odd-cube squared sum vs Fermat quotient cube", 1, 5, "proven",
-        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 3),
+        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 3, 1),
                 lambda c: c.frac(-4, 3) * c.qp() ** 3
                 - c.frac(1, 6) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("L3.3-3.4", "odd-square squared sum vs Fermat quotient square", 2, 5, "proven",
-        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 2),
+        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 2, 1),
                 lambda c: c.frac(-2) * c.qp() ** 2
                 + c.frac(2 * c.p, 3) * c.qp() ** 3
                 - c.frac(c.p, 6) * c.bern(c.p - 3)),
@@ -505,22 +496,22 @@ def _catalog() -> dict[str, CheckSpec]:
                 lambda c: c.frac(-2) * c.H(c.n)))
 
     add("X-S11b-a", "lower odd central sum = 0 mod p^2", 2, 5, "proven",
-        _scalar(lambda c: _S_central_odd(c, 0, c.n - 1, 1),
+        _scalar(lambda c: _S_central_odd(c, 0, c.n - 1, 1, 1),
                 lambda c: c.frac(0)))
 
     add("X-S11b-b", "upper odd central sum vs (p/3) E_{p-3}", 2, 5, "proven",
-        _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 1),
+        _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 1, 1),
                 lambda c: c.frac(c.p, 3) * c.euler_num(c.p - 3)),
         reads=(E_P3,))
 
     add("X-T3", "lower odd-square alternating sum vs H_{p-1}/(5p)", 3, 7, "proven",
-        _scalar(lambda c: _S_central_odd(c, 0, c.n - 1, 2, sign=-1),
+        _scalar(lambda c: _S_central_odd(c, 0, c.n - 1, 2, -1),
                 lambda c: c.frac(1, 5) * c.div_pp(c.H(c.p - 1), 1)),
         shift=1, note="Wolstenholme guarantees the shift")
 
     add("X-S11b-c", "upper odd-square alternating sum vs -(p/4) B_{p-3}", 2, 7,
         "conjectural",
-        _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 2, sign=-1),
+        _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 2, -1),
                 lambda c: c.frac(-c.p, 4) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
@@ -555,24 +546,24 @@ def _catalog() -> dict[str, CheckSpec]:
                   "factor p on the sum; verified empirically")
 
     add("CJ1.2-c", "p * reciprocal quartic sum vs 32 E_{p-3}", 1, 3, "conjectural",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, half=False),
+        _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, False),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
         shift=1, note=_cj12_note, reads=(E_P3,))
 
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
         "conjectural",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, half=False),
+        _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, False),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
         shift=1, note=_cj12_note + "; fails at p=3, so min prime 5", reads=(E_P3,))
 
     add("CJ1.2-c-lit", "literal C(4k,k) reading of CJ1.2-c", 1, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, half=True),
+        _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, True),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
         shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
 
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, half=True),
+        _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, True),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
         shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
@@ -581,6 +572,10 @@ def _catalog() -> dict[str, CheckSpec]:
 
 
 CHECK_CATALOG = _catalog()
+
+# One working precision serves every check: the deepest modulus plus explicit
+# 1/p^s shift in the catalog, padded with DEFAULT_SLACK digits.
+PADIC_PREC = max(s.m + s.shift for s in CHECK_CATALOG.values()) + DEFAULT_SLACK
 
 
 def check_ids(selector: str = "all") -> list[str]:
@@ -624,27 +619,16 @@ def _cross_check_specials(ids, p: int, cache: SpecialCache) -> None:
             euler_mod_p_fast(p, cache)
 
 
-class PrimeContexts:
-    """The contexts every check at one prime shares: one exact, and one
-    p-adic per working precision, each with its own memos so the two paths
-    stay independent.
+def _prime_contexts(ids, p: int,
+                    cache: SpecialCache) -> tuple[ExactContext, PadicContext]:
+    """The exact and the p-adic context every check at p shares, each with
+    its own memos so the two paths stay independent.
 
     Built only after the special numbers the checks read at p pass their
     cross-check, so no verdict at p rests on a bad B or E residue.
     """
-
-    def __init__(self, ids, p: int, cache: SpecialCache):
-        _cross_check_specials(ids, p, cache)
-        self.p = p
-        self.cache = cache
-        self.exact = ExactContext(p, cache)
-        self._padic: dict[int, PadicContext] = {}
-
-    def padic(self, prec: int) -> PadicContext:
-        ctx = self._padic.get(prec)
-        if ctx is None:
-            ctx = self._padic[prec] = PadicContext(self.p, self.cache, prec)
-        return ctx
+    _cross_check_specials(ids, p, cache)
+    return ExactContext(p, cache), PadicContext(p, cache)
 
 
 def _compare_pairs(ctx, spec: CheckSpec):
@@ -662,12 +646,13 @@ def _compare_pairs(ctx, spec: CheckSpec):
 
 def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
                    with_padic: bool | None = None, *,
-                   contexts: PrimeContexts | None = None) -> CheckResult:
+                   contexts: tuple | None = None) -> CheckResult:
     """Evaluate one catalog check at one prime.
 
     `with_padic=None` runs the p-adic path for p <= PADIC_PATH_MAX_PRIME.
-    `contexts` are the shared contexts of p; without them the check gets
-    fresh ones, after the special numbers it reads are cross-checked.
+    `contexts` are the shared (exact, p-adic) contexts of p; without them
+    the check gets fresh ones, after the special numbers it reads are
+    cross-checked.
     """
     if check_id not in CHECK_CATALOG:
         raise UnknownCheck(f"unknown check id {check_id!r}")
@@ -676,20 +661,20 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
         return CheckResult(check_id, p, spec.m, None, None, None, spec.status,
                            applicable=False, note=f"inapplicable: needs p >= {spec.min_prime}")
     if contexts is None:
-        contexts = PrimeContexts([check_id], p,
-                                 cache if cache is not None else SpecialCache())
+        contexts = _prime_contexts([check_id], p,
+                                   cache if cache is not None else SpecialCache())
+    exact, padic = contexts
     if with_padic is None:
         with_padic = p <= PADIC_PATH_MAX_PRIME
     start = time.perf_counter()
     note = spec.note
     try:
-        ok, lv, rv, bad = _compare_pairs(contexts.exact, spec)
+        ok, lv, rv, bad = _compare_pairs(exact, spec)
         if bad is not None:
             note = (note + "; " if note else "") + f"first failing instance {bad}"
         agreement = None
         if with_padic:
-            prec = spec.m + spec.shift + DEFAULT_SLACK
-            pok, plv, prv, _ = _compare_pairs(contexts.padic(prec), spec)
+            pok, plv, prv, _ = _compare_pairs(padic, spec)
             agreement = (pok == ok and plv == lv and prv == rv)
         elapsed = (time.perf_counter() - start) * 1000
         return CheckResult(check_id, p, spec.m, lv, rv, ok, spec.status,
@@ -721,7 +706,7 @@ def _run_prime(ids, p: int, padic_limit: int,
     In a pool worker `cache` is None and the worker's tables are read.
     """
     cache = cache if cache is not None else _WORKER_CACHE
-    contexts = PrimeContexts(ids, p, cache)
+    contexts = _prime_contexts(ids, p, cache)
     return [evaluate_check(i, p, cache, with_padic=p <= padic_limit,
                            contexts=contexts)
             for i in ids]
@@ -752,11 +737,11 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
               jobs: int = 1) -> tuple[list[CheckResult], dict]:
     """Evaluate every (id, prime) pair; deterministic (id, p) ordering.
 
-    The checks at one prime share one exact context and one p-adic context
-    per working precision.  Every special-number residue the checks read at
-    a prime is cross-checked before any check there is evaluated; a mismatch
-    raises InternalInconsistency, since no verdict built on it could be
-    trusted.
+    The checks at one prime share one exact and one p-adic context.  A
+    pool starts at most one worker per prime.  Every special-number residue
+    the checks read at a prime is cross-checked before any check there is
+    evaluated; a mismatch raises InternalInconsistency, since no verdict
+    built on it could be trusted.
     """
     ids = list(ids)
     primes = sorted(primes)
@@ -772,7 +757,7 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
 
     if jobs > 1 and len(primes) > 1:
         with ProcessPoolExecutor(
-                max_workers=jobs, initializer=_init_worker,
+                max_workers=min(jobs, len(primes)), initializer=_init_worker,
                 initargs=(cache.bernoulli, cache.euler)) as pool:
             chunks = list(pool.map(_run_prime, repeat(ids), primes,
                                    repeat(padic_limit)))

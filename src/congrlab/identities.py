@@ -223,7 +223,8 @@ def evaluate_identity(name: str, n: int, *, sides=None) -> IdentityCase:
 
 
 def run_identity_suite(names=None, n_range=range(1, 51)) -> list[IdentityCase]:
-    """Evaluate every (name, n) pair; per-case errors become failed cases."""
+    """Evaluate every (name, n) pair; an error in a case is an engine fault
+    and propagates, never a failed case."""
     if names is None:
         names = list(IDENTITY_CATALOG)
     cases = []
@@ -235,9 +236,5 @@ def run_identity_suite(names=None, n_range=range(1, 51)) -> list[IdentityCase]:
         for n in n_range:
             if n < start:
                 continue
-            try:
-                cases.append(evaluate_identity(name, n, sides=sides))
-            except Exception as exc:  # pragma: no cover - defensive
-                cases.append(IdentityCase(name, n, Fraction(0), Fraction(0),
-                                          False, note=f"error: {exc}"))
+            cases.append(evaluate_identity(name, n, sides=sides))
     return cases

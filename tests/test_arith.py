@@ -69,7 +69,7 @@ def test_padic_from_rat_examples():
     assert (x.val, x.unit) == (2, 33)  # 3 * 33 = 99 = 1 mod 49
 
     z = PAdic.from_rational(0, 7, 3)
-    assert z.is_zero_marker and (z.val is None or z.val >= 3)
+    assert z.is_zero_marker and z.val == 3  # zero is known only mod p^prec
 
     y = PAdic.from_rational(Fraction(1, 7), 7, 2)
     assert (y.val, y.unit) == (-1, 1)
@@ -81,7 +81,7 @@ def test_padic_add_exact_cancelation_gives_marker():
     b = PAdic.from_rational(7 ** 3 - 1, p, 3)
     s = a + b
     assert s.is_zero_marker
-    assert s.val is not None and s.val >= 3  # only a valuation bound survives
+    assert s.val >= 3  # only a valuation bound survives
 
 
 def test_padic_mul_example():
@@ -104,6 +104,28 @@ def test_padic_marker_refuses_inversion_and_deep_residues():
     assert m.residue(2).value == 0
     with pytest.raises(PrecisionExhausted):
         m.residue(3)  # only valuation >= 2 is guaranteed
+
+
+def test_padic_marker_arithmetic_keeps_a_finite_bound():
+    m = PAdic.zero_marker(7, 2)
+    x = PAdic.from_rational(49 * 5, 7, 3)
+    for prod in (m * x, x * m, m * m):
+        assert prod.is_zero_marker and prod.val == 4  # the two bounds add
+    shifted = m.shift(1)
+    assert shifted.is_zero_marker and shifted.val == 1
+    assert -m is m
+
+
+def test_padic_operands_must_be_padics_of_one_prime():
+    x = PAdic.from_rational(1, 7, 3)
+    for op in (lambda: x + 1, lambda: 1 + x, lambda: x - 1, lambda: x * Fraction(1, 2),
+               lambda: x / 2, lambda: 2 / x):
+        with pytest.raises(TypeError):
+            op()  # an int is not lifted at a guessed precision
+    with pytest.raises(ValueError):
+        x + PAdic.from_rational(1, 5, 3)
+    with pytest.raises(ValueError):
+        x ** -1
 
 
 def test_padic_residue_errors():

@@ -214,6 +214,17 @@ def test_cli_bernoulli_rejects_format():
     assert parse_and_run(["bernoulli", "--max", "4", "--format", "json"]) == 2
 
 
+def test_cli_bernoulli_rejects_negative_max(capsys):
+    assert parse_and_run(["bernoulli", "--max", "-4"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_cli_jobs_below_one_exits_2(capsys):
+    for jobs in ("0", "-3"):
+        assert parse_and_run(["verify", "--primes", "7:11", "--jobs", jobs]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_cli_determinism_across_runs(tmp_path):
     texts = []
     for i in range(2):

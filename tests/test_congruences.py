@@ -216,6 +216,51 @@ def test_run_suite_parallel_matches_serial(cache):
     assert [key(r) for r in serial] == [key(r) for r in parallel]
 
 
+def test_pool_starts_at_most_one_worker_per_prime(monkeypatch, cache):
+    """A pool forks all its workers at the first submit, so --jobs 5000 over
+    two primes must ask for two.  The stand-in pool starts no process."""
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers, initializer, initargs):
+            sizes.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(congruences, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(congruences, "_WORKER_CACHE", None)
+    ids = ["T1.1-1.1", "T1.2-1.7"]
+    pooled, _ = run_suite(ids, [7, 11], cache, padic_limit=0, jobs=5000)
+    serial, _ = run_suite(ids, [7, 11], cache, padic_limit=0, jobs=1)
+    assert sizes == [2]
+    row = lambda r: dataclasses.replace(r, elapsed_ms=0.0)
+    assert [row(r) for r in pooled] == [row(r) for r in serial]
+
+
+def test_each_prime_builds_one_padic_context(monkeypatch, cache):
+    """Every check at a prime runs at the one working precision PADIC_PREC."""
+    built = []
+
+    class CountingPadicContext(congruences.PadicContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self.p)
+
+    monkeypatch.setattr(congruences, "PadicContext", CountingPadicContext)
+    results, summary = run_suite(check_ids("all"), [61], cache, padic_limit=61)
+    assert built == [61]
+    assert summary["path_disagreements"] == 0
+    assert all(r.path_agreement for r in results)
+
+
 def test_corrupt_special_number_raises_instead_of_failing():
     """A wrong B_{p-3} is an engine fault, never a proven failure."""
     corrupt = SpecialCache()

@@ -197,3 +197,18 @@ def test_suite_reaches_the_names_the_benchmark_tracer_wraps(monkeypatch):
         monkeypatch.setattr(identities, name, counted(name))
     run_identity_suite(["SIGMA"], range(1, 4))
     assert calls == {"evaluate_identity": 3, "check_recurrence": 6}
+
+
+def test_suite_raises_on_an_engine_fault(monkeypatch):
+    """An error inside a side is an engine fault; a failed row would read as a
+    counterexample to the identity."""
+    start, lhs, rhs = IDENTITY_CATALOG["SIGMA"]
+
+    def broken(n):
+        if n == 3:
+            raise ZeroDivisionError("injected")
+        return lhs(n)
+
+    monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA", (start, broken, rhs))
+    with pytest.raises(ZeroDivisionError):
+        run_identity_suite(["SIGMA"], range(1, 6))
