@@ -41,6 +41,21 @@ def _at_least(least: int):
     return count
 
 
+def _selected(items: list, what: str) -> list:
+    """The items a selection names; selecting nothing is a usage error."""
+    if not items:
+        raise ValueError(f"{what} selects nothing")
+    return items
+
+
+def _names(text: str) -> list | None:
+    """A --names selection: None for all, else the listed names."""
+    if text == "all":
+        return None
+    return _selected([s.strip() for s in text.split(",") if s.strip()],
+                     f"--names {text!r}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="congrlab",
@@ -95,21 +110,18 @@ def parse_and_run(argv=None) -> int:
 
     try:
         if args.subcommand == "verify":
-            ids = check_ids(args.checks)
-            primes = sieve_primes(PrimeRange(*args.primes))
+            ids = _selected(check_ids(args.checks), f"--checks {args.checks!r}")
+            primes = _selected(sieve_primes(PrimeRange(*args.primes)),
+                               "--primes {}:{}".format(*args.primes))
             results, _ = run_suite(ids, primes, padic_limit=args.padic_limit,
                                    jobs=args.jobs)
             status = exit_status(results)
         elif args.subcommand == "identity":
-            names = (None if args.names == "all"
-                     else [s.strip() for s in args.names.split(",") if s.strip()])
             lo, hi = args.n
-            results = run_identity_suite(names, range(lo, hi + 1))
+            results = run_identity_suite(_names(args.names), range(lo, hi + 1))
             status = exit_status(results)
         elif args.subcommand == "series":
-            names = (None if args.names == "all"
-                     else [s.strip() for s in args.names.split(",") if s.strip()])
-            results = run_series_suite(names, args.terms, args.tol)
+            results = run_series_suite(_names(args.names), args.terms, args.tol)
             status = exit_status(results)
         else:  # bernoulli
             cache = SpecialCache()
@@ -134,6 +146,10 @@ def parse_and_run(argv=None) -> int:
 
     except (CongrlabError, ValueError, OSError) as exc:
         print(f"congrlab: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # an engine fault, never a verdict
+        print(f"congrlab: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

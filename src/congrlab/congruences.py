@@ -12,12 +12,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import wraps
 from itertools import repeat
+from math import comb
 
 from .arith import PAdic, binomial_big, exact_sum, rat_reduce_mod, vp_rational
 from .errors import (
     CongrlabError,
+    InternalInconsistency,
     NegativeValuation,
     UnknownCheck,
     ValuationViolation,
@@ -46,7 +47,7 @@ class ExactContext:
     """Evaluates expressions over exact rationals.
 
     A context serves one prime, and every check evaluated in it shares its
-    memos: binomials, harmonic tables and the named sums (`_named_sum`).
+    memos: binomials, harmonic tables and the row sums of `SUMS` (`S`).
     """
 
     def __init__(self, p: int, cache: SpecialCache):
@@ -71,6 +72,30 @@ class ExactContext:
 
     def sum(self, terms):
         return exact_sum(terms)
+
+    def S(self, name: str, lo: int, hi: int):
+        """Sum row `name` of SUMS over lo <= k <= hi: lift the first term,
+        then step by the row's ratio, each step lifted as one rational."""
+        value = self.sums.get((name, lo, hi))
+        if value is None:
+            value = self.sums[name, lo, hi] = self.sum(self._row_terms(name, lo, hi))
+        return value
+
+    def _row_terms(self, name: str, lo: int, hi: int):
+        term, ratio = SUMS[name]
+        t = self._lift(term(self.p, lo))
+        yield t
+        for k in range(lo, hi):
+            t = t * self.frac(*ratio(self.p, k))
+            yield t
+        self._guard_row(name, hi, t)
+
+    def _guard_row(self, name: str, k: int, t) -> None:
+        """Both paths step by the same ratio, so a wrong ratio would agree
+        with itself; the closed form of the last term catches it."""
+        if t != SUMS[name][0](self.p, k):
+            raise InternalInconsistency(
+                f"p={self.p}: sum row {name!r} misses its closed form at k={k}")
 
     def H(self, i: int, m: int = 1):
         table = self._harmonic.get(m)
@@ -111,6 +136,9 @@ class PadicContext(ExactContext):
 
     def sum(self, terms):
         return sum(terms, self.frac(0))
+
+    def _guard_row(self, name: str, k: int, t) -> None:
+        pass  # the exact path guards every row
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:
@@ -162,105 +190,62 @@ def _scalar(fn_lhs, fn_rhs):
     return pairs
 
 
-# sum helpers; all sums are written against the context API so the exact
-# and p-adic paths share one description of every statement.
-
-def _named_sum(fn):
-    """Memoize a sum helper on its context, keyed by helper and arguments,
-    so checks at one prime share each named sum.  Helpers take positional
-    arguments only and have no defaults, so one sum has one key."""
-
-    @wraps(fn)
-    def memoized(ctx, *args):
-        key = (fn.__name__, *args)
-        value = ctx.sums.get(key)
-        if value is None:
-            value = ctx.sums[key] = fn(ctx, *args)
-        return value
-    return memoized
+# The sums of the catalog, one row each.  Every summand t_k is a
+# hypergeometric term: `term(p, k)` is its closed form and `ratio(p, k)` the
+# integer pair (num, den) with t_{k+1} = t_k * num / den.  Both paths read a
+# row through `ExactContext.S`.  Rows ending in `_lit` take the literal
+# C(4k,k) reading of C(4k,2k).
 
 
-@_named_sum
-def _S_alt_inv_k3(ctx, lo, hi):
-    # sum (-1)^k / (k^3 C(2k,k))
-    return ctx.sum(ctx.frac((-1) ** k, k ** 3) / ctx.binom(2 * k, k)
-                   for k in range(lo, hi + 1))
+def _c(k):
+    return comb(2 * k, k)
 
 
-@_named_sum
-def _S_alt_binom_k2(ctx, lo, hi):
-    # sum (-1)^k C(2k,k) / k^2
-    return ctx.sum(ctx.frac((-1) ** k, k * k) * ctx.binom(2 * k, k)
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_central_sq(ctx, lo, hi, kpow):
-    # sum C(2k,k)^2 / (k^kpow 16^k)
-    return ctx.sum(ctx.binom(2 * k, k) ** 2 * ctx.frac(1, k ** kpow * 16 ** k)
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_central_sq_odd(ctx, lo, hi, opow, sign):
-    # sum C(2k,k)^2 / ((2k+1)^opow (sign*16)^k)
-    return ctx.sum(ctx.binom(2 * k, k) ** 2
-                   * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_central_sq_shifted(ctx, lo, hi):
-    # sum C(2k,k)^2 / ((2k+p) 16^k)
-    return ctx.sum(ctx.binom(2 * k, k) ** 2 * ctx.frac(1, (2 * k + ctx.p) * 16 ** k)
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_central_odd(ctx, lo, hi, opow, sign):
-    # sum C(2k,k) / ((2k+1)^opow (sign*16)^k)
-    return ctx.sum(ctx.binom(2 * k, k)
-                   * ctx.frac(1, (2 * k + 1) ** opow * (sign * 16) ** k)
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_inv_central_odd3(ctx, lo, hi):
-    # sum (-16)^k / ((2k+1)^3 C(2k,k))
-    return ctx.sum(ctx.frac((-16) ** k, (2 * k + 1) ** 3) / ctx.binom(2 * k, k)
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_inv_central_sq(ctx, lo, hi):
-    # sum 16^k / (k^3 C(2k,k)^2)
-    return ctx.sum(ctx.frac(16 ** k, k ** 3) / ctx.binom(2 * k, k) ** 2
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_quad(ctx, lo, hi, kpow):
-    # sum C(2k,k) C(4k,2k) / (k^kpow 64^k)
-    return ctx.sum(ctx.binom(2 * k, k) * ctx.binom(4 * k, 2 * k)
-                   * ctx.frac(1, k ** kpow * 64 ** k)
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_inv_quad(ctx, lo, hi, half: bool):
-    # sum 64^k / (k^3 C(2k,k) C(4k,2k))   [half picks C(4k,k) variant off]
-    bin2 = (lambda k: ctx.binom(4 * k, k)) if half else (lambda k: ctx.binom(4 * k, 2 * k))
-    return ctx.sum(ctx.frac(64 ** k, k ** 3) / (ctx.binom(2 * k, k) * bin2(k))
-                   for k in range(lo, hi + 1))
-
-
-@_named_sum
-def _S_inv_quad_shifted(ctx, lo, hi, half: bool):
-    # sum 64^k / ((2k-1) k^2 C(2k,k) C(4k,2k))
-    bin2 = (lambda k: ctx.binom(4 * k, k)) if half else (lambda k: ctx.binom(4 * k, 2 * k))
-    return ctx.sum(ctx.frac(64 ** k, (2 * k - 1) * k * k)
-                   / (ctx.binom(2 * k, k) * bin2(k))
-                   for k in range(lo, hi + 1))
+SUMS = {
+    "alt_inv_k3": (lambda p, k: Fraction((-1) ** k, k ** 3 * _c(k)),
+                   lambda p, k: (-k ** 3, 2 * (2 * k + 1) * (k + 1) ** 2)),
+    "alt_k2": (lambda p, k: Fraction((-1) ** k * _c(k), k * k),
+               lambda p, k: (-2 * (2 * k + 1) * k * k, (k + 1) ** 3)),
+    **{f"sq_k{j}": (lambda p, k, j=j: Fraction(_c(k) ** 2, k ** j * 16 ** k),
+                    lambda p, k, j=j: ((2 * k + 1) ** 2 * k ** j,
+                                       4 * (k + 1) ** (j + 2)))
+       for j in range(4)},
+    **{f"sq_odd{o}": (lambda p, k, o=o: Fraction(_c(k) ** 2, (2 * k + 1) ** o * 16 ** k),
+                      lambda p, k, o=o: ((2 * k + 1) ** (o + 2),
+                                         4 * (k + 1) ** 2 * (2 * k + 3) ** o))
+       for o in (1, 2, 3)},
+    "sq_shifted": (lambda p, k: Fraction(_c(k) ** 2, (2 * k + p) * 16 ** k),
+                   lambda p, k: ((2 * k + 1) ** 2 * (2 * k + p),
+                                 4 * (k + 1) ** 2 * (2 * k + p + 2))),
+    "odd1": (lambda p, k: Fraction(_c(k), (2 * k + 1) * 16 ** k),
+             lambda p, k: ((2 * k + 1) ** 2, 8 * (k + 1) * (2 * k + 3))),
+    "odd2_alt": (lambda p, k: Fraction(_c(k), (2 * k + 1) ** 2 * (-16) ** k),
+                 lambda p, k: ((2 * k + 1) ** 3, -8 * (k + 1) * (2 * k + 3) ** 2)),
+    "inv_odd3_alt": (lambda p, k: Fraction((-16) ** k, (2 * k + 1) ** 3 * _c(k)),
+                     lambda p, k: (-8 * (2 * k + 1) ** 2 * (k + 1), (2 * k + 3) ** 3)),
+    "inv_sq_k3": (lambda p, k: Fraction(16 ** k, k ** 3 * _c(k) ** 2),
+                  lambda p, k: (4 * k ** 3, (k + 1) * (2 * k + 1) ** 2)),
+    "inv_sq_odd3": (lambda p, k: Fraction(16 ** k, (2 * k + 1) ** 3 * _c(k) ** 2),
+                    lambda p, k: (4 * (2 * k + 1) * (k + 1) ** 2, (2 * k + 3) ** 3)),
+    "k1": (lambda p, k: Fraction(_c(k), k),
+           lambda p, k: (2 * (2 * k + 1) * k, (k + 1) ** 2)),
+    "inv_k2": (lambda p, k: Fraction(1, k * k * _c(k)),
+               lambda p, k: (k * k, 2 * (2 * k + 1) * (k + 1))),
+    "quad": (lambda p, k: Fraction(_c(k) * comb(4 * k, 2 * k), k * 64 ** k),
+             lambda p, k: ((4 * k + 1) * (4 * k + 3) * k, 16 * (k + 1) ** 3)),
+    "inv_quad": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, 2 * k)),
+                 lambda p, k: (16 * k ** 3, (k + 1) * (4 * k + 1) * (4 * k + 3))),
+    "inv_quad_lit": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, k)),
+                     lambda p, k: (12 * k ** 3 * (3 * k + 1) * (3 * k + 2),
+                                   (k + 1) * (2 * k + 1) ** 2 * (4 * k + 1) * (4 * k + 3))),
+    "inv_quad_shifted": (
+        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, 2 * k)),
+        lambda p, k: (16 * (2 * k - 1) * k * k, (2 * k + 1) * (4 * k + 1) * (4 * k + 3))),
+    "inv_quad_shifted_lit": (
+        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, k)),
+        lambda p, k: (12 * (2 * k - 1) * k * k * (3 * k + 1) * (3 * k + 2),
+                      (2 * k + 1) ** 3 * (4 * k + 1) * (4 * k + 3))),
+}
 
 
 # -- the catalog ----------------------------------------------------------
@@ -273,55 +258,53 @@ def _catalog() -> dict[str, CheckSpec]:
         C[id] = CheckSpec(id, desc, m, minp, status, pairs, shift, note, reads)
 
     add("T1.1-1.1", "alternating inverse central sum vs -2 B_{p-3}", 1, 7, "proven",
-        _scalar(lambda c: _S_alt_inv_k3(c, 1, c.n),
+        _scalar(lambda c: c.S("alt_inv_k3", 1, c.n),
                 lambda c: c.frac(-2) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("T1.1-1.2", "alternating central sum vs (56/15) p B_{p-3}", 2, 7, "proven",
-        _scalar(lambda c: _S_alt_binom_k2(c, 1, c.n),
+        _scalar(lambda c: c.S("alt_k2", 1, c.n),
                 lambda c: c.frac(56 * c.p, 15) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("T1.1-1.3", "half-range squared central sum vs harmonic + B_{p-3}", 3, 7, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.n, 1),
+        _scalar(lambda c: c.S("sq_k1", 1, c.n),
                 lambda c: c.frac(-2) * c.H(c.n)
                 - c.frac(7 * c.p * c.p, 2) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("T1.1-1.4a", "(-4/p^2) upper-half squared central sum vs -14 B_{p-3}", 1, 7, "proven",
-        _scalar(lambda c: c.frac(-4) * c.div_pp(_S_central_sq(c, c.n + 1, c.p - 1, 1), 2),
+        _scalar(lambda c: c.frac(-4) * c.div_pp(c.S("sq_k1", c.n + 1, c.p - 1), 2),
                 lambda c: c.frac(-14) * c.bern(c.p - 3)),
         shift=2, reads=(B_P3,))
 
     add("T1.1-1.4b", "reciprocal squared central sum vs -14 B_{p-3}", 1, 7, "proven",
-        _scalar(lambda c: _S_inv_central_sq(c, 1, c.n),
+        _scalar(lambda c: c.S("inv_sq_k3", 1, c.n),
                 lambda c: c.frac(-14) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("C1.1-1.5a", "(1/p) upper-half odd sum vs -B_{p-3}/4", 1, 7, "proven",
-        _scalar(lambda c: c.div_pp(_S_central_odd(c, c.n + 1, c.p - 1, 2, -1), 1),
+        _scalar(lambda c: c.div_pp(c.S("odd2_alt", c.n + 1, c.p - 1), 1),
                 lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
         shift=1, reads=(B_P3,))
 
     add("C1.1-1.5b", "negated reciprocal odd-cube sum vs -B_{p-3}/4", 1, 7, "proven",
-        _scalar(lambda c: -_S_inv_central_odd3(c, 0, c.n - 1),
+        _scalar(lambda c: -c.S("inv_odd3_alt", 0, c.n - 1),
                 lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("T1.2-1.6a", "(1/p^2) upper-half odd squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: c.div_pp(_S_central_sq_odd(c, c.n + 1, c.p - 1, 1, 1), 2),
+        _scalar(lambda c: c.div_pp(c.S("sq_odd1", c.n + 1, c.p - 1), 2),
                 lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
         shift=2, reads=(B_P3,))
 
     add("T1.2-1.6b", "negated reciprocal odd-cube squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: -c.sum(c.frac(16 ** k, (2 * k + 1) ** 3)
-                                   / c.binom(2 * k, k) ** 2
-                                   for k in range(0, c.n)),
+        _scalar(lambda c: -c.S("inv_sq_odd3", 0, c.n - 1),
                 lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
-        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 1, 1),
+        _scalar(lambda c: c.S("sq_odd1", 0, c.n - 1),
                 lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
                 + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)),
         reads=(B_P3,))
@@ -368,51 +351,51 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("L2.4a", "full squared central sum /k^2 vs -2 H^2", 2, 5, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.p - 1, 2),
+        _scalar(lambda c: c.S("sq_k2", 1, c.p - 1),
                 lambda c: c.frac(-2) * c.H(c.n) ** 2))
 
     add("L2.4b", "full squared central sum /k^3 vs harmonic cubes", 1, 5, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.p - 1, 3),
+        _scalar(lambda c: c.S("sq_k3", 1, c.p - 1),
                 lambda c: c.frac(-4, 3) * c.H(c.n) ** 3
                 - c.frac(2, 3) * c.H(c.n, 3)))
 
     add("P2.9", "full alternating central sum vs -(4/15) p B_{p-3}", 2, 7, "proven",
-        _scalar(lambda c: _S_alt_binom_k2(c, 1, c.p - 1),
+        _scalar(lambda c: c.S("alt_k2", 1, c.p - 1),
                 lambda c: c.frac(-4 * c.p, 15) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("P2.10", "half-range bridge congruence", 3, 7, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.n, 1) + c.frac(2) * c.H(c.n),
-                lambda c: c.frac(-5 * c.p, 8) * _S_alt_binom_k2(c, 1, c.n)
+        _scalar(lambda c: c.S("sq_k1", 1, c.n) + c.frac(2) * c.H(c.n),
+                lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.n)
                 - c.frac(7 * c.p * c.p, 6) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("P2.11", "full-range bridge congruence", 3, 7, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.p - 1, 1) + c.frac(2) * c.H(c.n),
-                lambda c: c.frac(-5 * c.p, 8) * _S_alt_binom_k2(c, 1, c.p - 1)
+        _scalar(lambda c: c.S("sq_k1", 1, c.p - 1) + c.frac(2) * c.H(c.n),
+                lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.p - 1)
                 - c.frac(c.p * c.p, 6) * c.bern(c.p - 3)),
         note="source prints C(2k,k)/(k16^k); the surrounding argument requires "
              "the square, which is what is checked",
         reads=(B_P3,))
 
     add("P2.12", "shifted-denominator squared sum vs Fermat quotient", 3, 7, "proven",
-        _scalar(lambda c: _S_central_sq_shifted(c, 1, c.n),
+        _scalar(lambda c: c.S("sq_shifted", 1, c.n),
                 lambda c: c.frac(2) * c.qp() + c.frac(c.p) * c.qp() ** 2
                 - c.frac(c.p * c.p) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("P2.13", "shifted-denominator sum vs 1/2,1/4,1/8 splitting", 3, 7, "proven",
-        _scalar(lambda c: _S_central_sq_shifted(c, 1, c.n),
-                lambda c: c.frac(1, 2) * _S_central_sq(c, 1, c.n, 1)
-                - c.frac(c.p, 4) * _S_central_sq(c, 1, c.n, 2)
-                + c.frac(c.p * c.p, 8) * _S_central_sq(c, 1, c.n, 3)))
+        _scalar(lambda c: c.S("sq_shifted", 1, c.n),
+                lambda c: c.frac(1, 2) * c.S("sq_k1", 1, c.n)
+                - c.frac(c.p, 4) * c.S("sq_k2", 1, c.n)
+                + c.frac(c.p * c.p, 8) * c.S("sq_k3", 1, c.n)))
 
     add("P2.14", "half squared central sum /k^2 vs Fermat quotient", 2, 7, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.n, 2),
+        _scalar(lambda c: c.S("sq_k2", 1, c.n),
                 lambda c: c.frac(-8) * c.qp() ** 2 + c.frac(8 * c.p) * c.qp() ** 3))
 
     add("P2.15", "half squared central sum /k^3 vs Fermat quotient", 1, 7, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.n, 3),
+        _scalar(lambda c: c.S("sq_k3", 1, c.n),
                 lambda c: c.frac(32, 3) * c.qp() ** 3
                 + c.frac(4, 3) * c.bern(c.p - 3)),
         reads=(B_P3,))
@@ -431,44 +414,41 @@ def _catalog() -> dict[str, CheckSpec]:
         _scalar(lambda c: c.H(c.p - 1, 3), lambda c: c.frac(0)))
 
     add("L3.2-3.3", "odd-cube squared sum vs Fermat quotient cube", 1, 5, "proven",
-        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 3, 1),
+        _scalar(lambda c: c.S("sq_odd3", 0, c.n - 1),
                 lambda c: c.frac(-4, 3) * c.qp() ** 3
                 - c.frac(1, 6) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("L3.3-3.4", "odd-square squared sum vs Fermat quotient square", 2, 5, "proven",
-        _scalar(lambda c: _S_central_sq_odd(c, 0, c.n - 1, 2, 1),
+        _scalar(lambda c: c.S("sq_odd2", 0, c.n - 1),
                 lambda c: c.frac(-2) * c.qp() ** 2
                 + c.frac(2 * c.p, 3) * c.qp() ** 3
                 - c.frac(c.p, 6) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
-        _scalar(lambda c: c.sum(c.binom(2 * k, k) * c.frac(1, k)
-                                  for k in range(1, c.p)),
+        _scalar(lambda c: c.S("k1", 1, c.p - 1),
                 lambda c: c.frac(8 * c.p * c.p, 9) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("X-S11c-a", "half central sum /k vs Euler number", 2, 5, "proven",
-        _scalar(lambda c: c.sum(c.binom(2 * k, k) * c.frac(1, k)
-                                  for k in range(1, c.n + 1)),
+        _scalar(lambda c: c.S("k1", 1, c.n),
                 lambda c: c.frac((-1) ** ((c.p + 1) // 2) * 8 * c.p, 3)
                 * c.euler_num(c.p - 3)),
         reads=(E_P3,))
 
     add("X-S11c-b", "half reciprocal central sum vs Euler number", 1, 5, "proven",
-        _scalar(lambda c: c.sum(c.frac(1, k * k) / c.binom(2 * k, k)
-                                  for k in range(1, c.n + 1)),
+        _scalar(lambda c: c.S("inv_k2", 1, c.n),
                 lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler_num(c.p - 3)),
         reads=(E_P3,))
 
     add("X-T1-a", "full alternating inverse sum vs -(2/5) H_{p-1}/p^2", 3, 7, "proven",
-        _scalar(lambda c: _S_alt_inv_k3(c, 1, c.p - 1),
+        _scalar(lambda c: c.S("alt_inv_k3", 1, c.p - 1),
                 lambda c: c.frac(-2, 5) * c.div_pp(c.H(c.p - 1), 2)),
         shift=2, note="Wolstenholme guarantees the shift")
 
     add("X-T1-b", "full alternating central sum vs (4/5) H_{p-1}/p", 3, 7, "proven",
-        _scalar(lambda c: _S_alt_binom_k2(c, 1, c.p - 1),
+        _scalar(lambda c: c.S("alt_k2", 1, c.p - 1),
                 lambda c: c.frac(4, 5) * c.div_pp(c.H(c.p - 1), 1)),
         shift=1, note="Wolstenholme guarantees the shift")
 
@@ -483,8 +463,7 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(B_P3,))
 
     add("X-S11c-16", "full squared central sum /16^k vs Euler number", 3, 5, "proven",
-        _scalar(lambda c: c.sum(c.binom(2 * k, k) ** 2 * c.frac(1, 16 ** k)
-                                  for k in range(0, c.p)),
+        _scalar(lambda c: c.S("sq_k0", 0, c.p - 1),
                 lambda c: c.frac((-1) ** c.n)
                 - c.frac(c.p * c.p) * c.euler_num(c.p - 3)),
         note="summation starts at k=0; the source's k=1 lower bound drops "
@@ -492,51 +471,51 @@ def _catalog() -> dict[str, CheckSpec]:
         reads=(E_P3,))
 
     add("X-T2", "full squared central sum /(k 16^k) vs -2 H_{(p-1)/2}", 3, 5, "proven",
-        _scalar(lambda c: _S_central_sq(c, 1, c.p - 1, 1),
+        _scalar(lambda c: c.S("sq_k1", 1, c.p - 1),
                 lambda c: c.frac(-2) * c.H(c.n)))
 
     add("X-S11b-a", "lower odd central sum = 0 mod p^2", 2, 5, "proven",
-        _scalar(lambda c: _S_central_odd(c, 0, c.n - 1, 1, 1),
+        _scalar(lambda c: c.S("odd1", 0, c.n - 1),
                 lambda c: c.frac(0)))
 
     add("X-S11b-b", "upper odd central sum vs (p/3) E_{p-3}", 2, 5, "proven",
-        _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 1, 1),
+        _scalar(lambda c: c.S("odd1", c.n + 1, c.p - 1),
                 lambda c: c.frac(c.p, 3) * c.euler_num(c.p - 3)),
         reads=(E_P3,))
 
     add("X-T3", "lower odd-square alternating sum vs H_{p-1}/(5p)", 3, 7, "proven",
-        _scalar(lambda c: _S_central_odd(c, 0, c.n - 1, 2, -1),
+        _scalar(lambda c: c.S("odd2_alt", 0, c.n - 1),
                 lambda c: c.frac(1, 5) * c.div_pp(c.H(c.p - 1), 1)),
         shift=1, note="Wolstenholme guarantees the shift")
 
     add("X-S11b-c", "upper odd-square alternating sum vs -(p/4) B_{p-3}", 2, 7,
         "conjectural",
-        _scalar(lambda c: _S_central_odd(c, c.n + 1, c.p - 1, 2, -1),
+        _scalar(lambda c: c.S("odd2_alt", c.n + 1, c.p - 1),
                 lambda c: c.frac(-c.p, 4) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("CJ1.1-a", "upper squared central sum vs -(21/2) H_{p-1}", 4, 7,
         "conjectural",
-        _scalar(lambda c: _S_central_sq(c, c.n + 1, c.p - 1, 1),
+        _scalar(lambda c: c.S("sq_k1", c.n + 1, c.p - 1),
                 lambda c: c.frac(-21, 2) * c.H(c.p - 1)))
 
     add("CJ1.1-b", "reciprocal odd-cube sum vs H_{p-1}/p^2 and B_{p-5}", 3, 7,
         "conjectural",
-        _scalar(lambda c: _S_inv_central_odd3(c, 0, c.n - 1),
+        _scalar(lambda c: c.S("inv_odd3_alt", 0, c.n - 1),
                 lambda c: c.frac(-3, 4) * c.div_pp(c.H(c.p - 1), 2)
                 - c.frac(47 * c.p * c.p, 400) * c.bern(c.p - 5)),
         shift=2, note="B_{p-5} forces p >= 7", reads=(B_P5,))
 
     add("CJ1.2-a", "full quartic-binomial sum vs -3H + (7/4) p^2 B_{p-3}", 3, 3,
         "conjectural",
-        _scalar(lambda c: _S_quad(c, 1, c.p - 1, 1),
+        _scalar(lambda c: c.S("quad", 1, c.p - 1),
                 lambda c: c.frac(-3) * c.H(c.n)
                 + c.frac(7 * c.p * c.p, 4) * c.bern(c.p - 3)),
         reads=(B_P3,))
 
     add("CJ1.2-b", "half quartic-binomial sum vs -3H + Euler number", 2, 3,
         "conjectural",
-        _scalar(lambda c: _S_quad(c, 1, c.n, 1),
+        _scalar(lambda c: c.S("quad", 1, c.n),
                 lambda c: c.frac(-3) * c.H(c.n)
                 + c.frac((-1) ** ((c.p + 1) // 2) * 2 * c.p)
                 * c.euler_num(c.p - 3)),
@@ -546,24 +525,24 @@ def _catalog() -> dict[str, CheckSpec]:
                   "factor p on the sum; verified empirically")
 
     add("CJ1.2-c", "p * reciprocal quartic sum vs 32 E_{p-3}", 1, 3, "conjectural",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, False),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad", 1, c.n),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
         shift=1, note=_cj12_note, reads=(E_P3,))
 
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
         "conjectural",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, False),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted", 1, c.n),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
         shift=1, note=_cj12_note + "; fails at p=3, so min prime 5", reads=(E_P3,))
 
     add("CJ1.2-c-lit", "literal C(4k,k) reading of CJ1.2-c", 1, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad(c, 1, c.n, True),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_lit", 1, c.n),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
         shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
 
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * _S_inv_quad_shifted(c, 1, c.n, True),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted_lit", 1, c.n),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
         shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
@@ -680,6 +659,8 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
         return CheckResult(check_id, p, spec.m, lv, rv, ok, spec.status,
                            applicable=True, path_agreement=agreement,
                            elapsed_ms=elapsed, note=note)
+    except InternalInconsistency:
+        raise  # an engine fault, never a verdict
     except CongrlabError as exc:
         elapsed = (time.perf_counter() - start) * 1000
         return CheckResult(check_id, p, spec.m, None, None, False, spec.status,

@@ -25,7 +25,9 @@ class ValuationViolation(CongrlabError):
 
 
 class InternalInconsistency(CongrlabError):
-    """Two independent computation paths disagreed."""
+    """A value missed its independent route: a special-number residue its
+    power sum, or a sum row's ratio its closed form.  An engine fault, not a
+    verdict; two paths that disagree give a row with path_agreement False."""
 
 
 class UnknownIdentity(CongrlabError):

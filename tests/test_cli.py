@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from congrlab.cli import parse_and_run
 from congrlab.congruences import CheckResult, evaluate_check
-from congrlab.identities import evaluate_identity
+from congrlab.identities import IDENTITY_CATALOG, evaluate_identity
 from congrlab.report import emit_report, exit_status, sort_results
 from congrlab.series import evaluate_series
 from congrlab.special import SpecialCache
@@ -181,6 +181,38 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert "B_4 mod 7" in captured.err
+
+
+def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):
+    """An error outside the engine's own types is a fault, not a verdict:
+    exit 1 would read as a counterexample."""
+    start, lhs, rhs = IDENTITY_CATALOG["SIGMA"]
+
+    def broken(n):
+        if n == 3:
+            raise ZeroDivisionError("injected")
+        return lhs(n)
+
+    monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA", (start, broken, rhs))
+    code = parse_and_run(["identity", "--names", "SIGMA", "--n", "1:5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "congrlab: internal error: ZeroDivisionError: injected\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--checks", ","],
+    ["verify", "--primes", "24:28"],
+    ["identity", "--names", ","],
+    ["series", "--names", " , "],
+])
+def test_cli_empty_selection_exits_2(argv, capsys):
+    """A selection of nothing would verify nothing and exit 0."""
+    assert parse_and_run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "selects nothing" in captured.err
 
 
 def test_cli_identity_markdown(capsys):

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from congrlab import congruences
 from congrlab.arith import PrimeRange, exact_sum, rat_reduce_mod, sieve_primes, vp_rational
+from congrlab.cli import parse_and_run
 from congrlab.congruences import (
     CHECK_CATALOG,
+    SUMS,
     ExactContext,
     check_ids,
     evaluate_check,
@@ -102,11 +104,18 @@ def test_catalog_metadata_sane():
 
 
 class _RecordingContext(ExactContext):
-    """Exact context that records which special numbers a check reads."""
+    """Exact context that records which special numbers a check reads, and
+    the widest range over which it reads each sum row."""
 
     def __init__(self, p, cache):
         super().__init__(p, cache)
         self.reads = set()
+        self.ranges = {}
+
+    def S(self, name, lo, hi):
+        a, b = self.ranges.get(name, (lo, hi))
+        self.ranges[name] = (min(a, lo), max(b, hi))
+        return super().S(name, lo, hi)
 
     def bern(self, i):
         self.reads.add(("B", self.p - i))
@@ -125,6 +134,42 @@ def test_declared_special_reads_match_evaluation(cache):
             for _ in spec.pairs(ctx):
                 pass
             assert ctx.reads == set(spec.reads), (spec.id, p)
+
+
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
+def test_every_row_ratio_steps_to_the_next_closed_form_term(p, cache):
+    """The exact path's guard compares only the last term of a sum with its
+    closed form; here every step of every range the catalog reads must."""
+    ctx = _RecordingContext(p, cache)
+    for spec in CHECK_CATALOG.values():
+        if p >= spec.min_prime:
+            spec.pairs(ctx)
+    if p >= 7:
+        assert set(ctx.ranges) == set(SUMS)  # every row is read
+    for name, (lo, hi) in ctx.ranges.items():
+        term, ratio = SUMS[name]
+        for k in range(lo, hi):
+            num, den = ratio(p, k)
+            assert Fraction(num, den) * term(p, k) == term(p, k + 1), (name, p, k)
+
+
+def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
+    """Both paths step by the same ratio and would agree on a wrong one; the
+    exact path's guard turns it into InternalInconsistency, not a verdict."""
+    term, ratio = SUMS["k1"]
+
+    def wrong(p, k):
+        num, den = ratio(p, k)
+        return num + 1, den
+
+    monkeypatch.setitem(SUMS, "k1", (term, wrong))
+    with pytest.raises(InternalInconsistency, match="k1"):
+        evaluate_check("X-ST", 11, cache, with_padic=True)
+    code = parse_and_run(["verify", "--primes", "7:13", "--checks", "X-ST"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'k1'" in captured.err
 
 
 # -- proven checks, small primes ---------------------------------------------------
