@@ -6,11 +6,11 @@ import argparse
 import sys
 
 from .arith import PrimeRange, sieve_primes
-from .congruences import PADIC_PATH_MAX_PRIME, check_ids, run_suite
+from .congruences import CHECK_CATALOG, PADIC_PATH_MAX_PRIME, check_ids, run_suite
 from .errors import CongrlabError
-from .identities import IDENTITY_CATALOG, run_identity_suite
+from .identities import run_identity_suite
 from .report import emit_report, exit_status
-from .series import SERIES_CATALOG, run_series_suite
+from .series import run_series_suite
 from .special import SpecialCache, bernoulli_exact
 
 EXIT_OK = 0
@@ -31,14 +31,14 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _at_least(least: int):
-    """An argparse type: an integer no smaller than `least`."""
-    def count(text: str) -> int:
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"{value} is below {least}")
+def _at_least(least, kind=int):
+    """An argparse type: a `kind` no smaller than `least`; nan is refused."""
+    def at_least(text: str):
+        value = kind(text)
+        if not value >= least:
+            raise argparse.ArgumentTypeError(f"{value} is not at least {least}")
         return value
-    return count
+    return at_least
 
 
 def _selected(items: list, what: str) -> list:
@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.add_argument("--names", default="all")
     sp.add_argument("--terms", type=int, default=None)
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=_at_least(0.0, float), default=None)
 
     sp = sub.add_parser("bernoulli", help="print the even-index Bernoulli numbers")
     out(sp)
@@ -110,9 +110,11 @@ def parse_and_run(argv=None) -> int:
 
     try:
         if args.subcommand == "verify":
-            ids = _selected(check_ids(args.checks), f"--checks {args.checks!r}")
-            primes = _selected(sieve_primes(PrimeRange(*args.primes)),
-                               "--primes {}:{}".format(*args.primes))
+            ids = check_ids(args.checks)
+            primes = sieve_primes(PrimeRange(*args.primes))
+            _selected([(i, p) for i in ids for p in primes
+                       if p >= CHECK_CATALOG[i].min_prime],
+                      "--checks {!r} at --primes {}:{}".format(args.checks, *args.primes))
             results, _ = run_suite(ids, primes, padic_limit=args.padic_limit,
                                    jobs=args.jobs)
             status = exit_status(results)

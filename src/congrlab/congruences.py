@@ -13,7 +13,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import comb
 
 from .arith import PAdic, binomial_big, exact_sum, rat_reduce_mod, vp_rational
 from .errors import (
@@ -31,8 +30,8 @@ from .special import (
     euler_mod_p_fast,
     harmonic_prefix,
 )
+from .sums import SUMS, row_terms  # SUMS stays importable from here
 
-DEFAULT_SLACK = 4  # extra working p-adic digits
 PADIC_PATH_MAX_PRIME = 61
 
 # The special numbers a check reads, as (table, p - index).  Table sizing and
@@ -49,6 +48,8 @@ class ExactContext:
     A context serves one prime, and every check evaluated in it shares its
     memos: binomials, harmonic tables and the row sums of `SUMS` (`S`).
     """
+
+    guard_rows = True
 
     def __init__(self, p: int, cache: SpecialCache):
         self.p = p
@@ -74,28 +75,14 @@ class ExactContext:
         return exact_sum(terms)
 
     def S(self, name: str, lo: int, hi: int):
-        """Sum row `name` of SUMS over lo <= k <= hi: lift the first term,
-        then step by the row's ratio, each step lifted as one rational."""
+        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized.  Both
+        paths step by the same ratio, so a wrong ratio would agree with
+        itself; the exact path guards every row against its closed form."""
         value = self.sums.get((name, lo, hi))
         if value is None:
-            value = self.sums[name, lo, hi] = self.sum(self._row_terms(name, lo, hi))
+            value = self.sums[name, lo, hi] = self.sum(
+                row_terms(name, self.p, lo, hi, self._lift, self.guard_rows))
         return value
-
-    def _row_terms(self, name: str, lo: int, hi: int):
-        term, ratio = SUMS[name]
-        t = self._lift(term(self.p, lo))
-        yield t
-        for k in range(lo, hi):
-            t = t * self.frac(*ratio(self.p, k))
-            yield t
-        self._guard_row(name, hi, t)
-
-    def _guard_row(self, name: str, k: int, t) -> None:
-        """Both paths step by the same ratio, so a wrong ratio would agree
-        with itself; the closed form of the last term catches it."""
-        if t != SUMS[name][0](self.p, k):
-            raise InternalInconsistency(
-                f"p={self.p}: sum row {name!r} misses its closed form at k={k}")
 
     def H(self, i: int, m: int = 1):
         table = self._harmonic.get(m)
@@ -131,14 +118,13 @@ class PadicContext(ExactContext):
     """Evaluates the same expressions over truncated p-adic numbers, each
     rational lifted at the working precision PADIC_PREC."""
 
+    guard_rows = False  # the exact path guards every row
+
     def _lift(self, r: Fraction):
         return PAdic.from_rational(r, self.p, PADIC_PREC)
 
     def sum(self, terms):
         return sum(terms, self.frac(0))
-
-    def _guard_row(self, name: str, k: int, t) -> None:
-        pass  # the exact path guards every row
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:
@@ -188,64 +174,6 @@ def _scalar(fn_lhs, fn_rhs):
     def pairs(ctx):
         return [(None, fn_lhs(ctx), fn_rhs(ctx))]
     return pairs
-
-
-# The sums of the catalog, one row each.  Every summand t_k is a
-# hypergeometric term: `term(p, k)` is its closed form and `ratio(p, k)` the
-# integer pair (num, den) with t_{k+1} = t_k * num / den.  Both paths read a
-# row through `ExactContext.S`.  Rows ending in `_lit` take the literal
-# C(4k,k) reading of C(4k,2k).
-
-
-def _c(k):
-    return comb(2 * k, k)
-
-
-SUMS = {
-    "alt_inv_k3": (lambda p, k: Fraction((-1) ** k, k ** 3 * _c(k)),
-                   lambda p, k: (-k ** 3, 2 * (2 * k + 1) * (k + 1) ** 2)),
-    "alt_k2": (lambda p, k: Fraction((-1) ** k * _c(k), k * k),
-               lambda p, k: (-2 * (2 * k + 1) * k * k, (k + 1) ** 3)),
-    **{f"sq_k{j}": (lambda p, k, j=j: Fraction(_c(k) ** 2, k ** j * 16 ** k),
-                    lambda p, k, j=j: ((2 * k + 1) ** 2 * k ** j,
-                                       4 * (k + 1) ** (j + 2)))
-       for j in range(4)},
-    **{f"sq_odd{o}": (lambda p, k, o=o: Fraction(_c(k) ** 2, (2 * k + 1) ** o * 16 ** k),
-                      lambda p, k, o=o: ((2 * k + 1) ** (o + 2),
-                                         4 * (k + 1) ** 2 * (2 * k + 3) ** o))
-       for o in (1, 2, 3)},
-    "sq_shifted": (lambda p, k: Fraction(_c(k) ** 2, (2 * k + p) * 16 ** k),
-                   lambda p, k: ((2 * k + 1) ** 2 * (2 * k + p),
-                                 4 * (k + 1) ** 2 * (2 * k + p + 2))),
-    "odd1": (lambda p, k: Fraction(_c(k), (2 * k + 1) * 16 ** k),
-             lambda p, k: ((2 * k + 1) ** 2, 8 * (k + 1) * (2 * k + 3))),
-    "odd2_alt": (lambda p, k: Fraction(_c(k), (2 * k + 1) ** 2 * (-16) ** k),
-                 lambda p, k: ((2 * k + 1) ** 3, -8 * (k + 1) * (2 * k + 3) ** 2)),
-    "inv_odd3_alt": (lambda p, k: Fraction((-16) ** k, (2 * k + 1) ** 3 * _c(k)),
-                     lambda p, k: (-8 * (2 * k + 1) ** 2 * (k + 1), (2 * k + 3) ** 3)),
-    "inv_sq_k3": (lambda p, k: Fraction(16 ** k, k ** 3 * _c(k) ** 2),
-                  lambda p, k: (4 * k ** 3, (k + 1) * (2 * k + 1) ** 2)),
-    "inv_sq_odd3": (lambda p, k: Fraction(16 ** k, (2 * k + 1) ** 3 * _c(k) ** 2),
-                    lambda p, k: (4 * (2 * k + 1) * (k + 1) ** 2, (2 * k + 3) ** 3)),
-    "k1": (lambda p, k: Fraction(_c(k), k),
-           lambda p, k: (2 * (2 * k + 1) * k, (k + 1) ** 2)),
-    "inv_k2": (lambda p, k: Fraction(1, k * k * _c(k)),
-               lambda p, k: (k * k, 2 * (2 * k + 1) * (k + 1))),
-    "quad": (lambda p, k: Fraction(_c(k) * comb(4 * k, 2 * k), k * 64 ** k),
-             lambda p, k: ((4 * k + 1) * (4 * k + 3) * k, 16 * (k + 1) ** 3)),
-    "inv_quad": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, 2 * k)),
-                 lambda p, k: (16 * k ** 3, (k + 1) * (4 * k + 1) * (4 * k + 3))),
-    "inv_quad_lit": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, k)),
-                     lambda p, k: (12 * k ** 3 * (3 * k + 1) * (3 * k + 2),
-                                   (k + 1) * (2 * k + 1) ** 2 * (4 * k + 1) * (4 * k + 3))),
-    "inv_quad_shifted": (
-        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, 2 * k)),
-        lambda p, k: (16 * (2 * k - 1) * k * k, (2 * k + 1) * (4 * k + 1) * (4 * k + 3))),
-    "inv_quad_shifted_lit": (
-        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, k)),
-        lambda p, k: (12 * (2 * k - 1) * k * k * (3 * k + 1) * (3 * k + 2),
-                      (2 * k + 1) ** 3 * (4 * k + 1) * (4 * k + 3))),
-}
 
 
 # -- the catalog ----------------------------------------------------------
@@ -553,8 +481,10 @@ def _catalog() -> dict[str, CheckSpec]:
 CHECK_CATALOG = _catalog()
 
 # One working precision serves every check: the deepest modulus plus explicit
-# 1/p^s shift in the catalog, padded with DEFAULT_SLACK digits.
-PADIC_PREC = max(s.m + s.shift for s in CHECK_CATALOG.values()) + DEFAULT_SLACK
+# 1/p^s shift in the catalog, with no padding.  A zero marker never invents a
+# digit, so too low a precision raises on the p-adic path, and evaluate_check
+# turns that into an engine fault, never a verdict.
+PADIC_PREC = max(s.m + s.shift for s in CHECK_CATALOG.values())
 
 
 def check_ids(selector: str = "all") -> list[str]:
@@ -649,25 +579,26 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     note = spec.note
     try:
         ok, lv, rv, bad = _compare_pairs(exact, spec)
-        if bad is not None:
-            note = (note + "; " if note else "") + f"first failing instance {bad}"
-        agreement = None
-        if with_padic:
-            pok, plv, prv, _ = _compare_pairs(padic, spec)
-            agreement = (pok == ok and plv == lv and prv == rv)
-        elapsed = (time.perf_counter() - start) * 1000
-        return CheckResult(check_id, p, spec.m, lv, rv, ok, spec.status,
-                           applicable=True, path_agreement=agreement,
-                           elapsed_ms=elapsed, note=note)
-    except InternalInconsistency:
-        raise  # an engine fault, never a verdict
-    except CongrlabError as exc:
-        elapsed = (time.perf_counter() - start) * 1000
+    except ValuationViolation as exc:  # the statement itself fails at p
         return CheckResult(check_id, p, spec.m, None, None, False, spec.status,
-                           applicable=True, path_agreement=None,
-                           elapsed_ms=elapsed,
+                           applicable=True,
+                           elapsed_ms=(time.perf_counter() - start) * 1000,
                            note=(note + "; " if note else "")
                            + f"{type(exc).__name__}: {exc}")
+    if bad is not None:
+        note = (note + "; " if note else "") + f"first failing instance {bad}"
+    agreement = None
+    if with_padic:
+        try:
+            pok, plv, prv, _ = _compare_pairs(padic, spec)
+        except CongrlabError as exc:  # an engine fault, never a verdict
+            raise InternalInconsistency(
+                f"p={p}: {check_id} on the p-adic path: "
+                f"{type(exc).__name__}: {exc}") from exc
+        agreement = (pok == ok and plv == lv and prv == rv)
+    return CheckResult(check_id, p, spec.m, lv, rv, ok, spec.status,
+                       applicable=True, path_agreement=agreement,
+                       elapsed_ms=(time.perf_counter() - start) * 1000, note=note)
 
 
 _WORKER_CACHE: SpecialCache | None = None

@@ -25,9 +25,10 @@ class ValuationViolation(CongrlabError):
 
 
 class InternalInconsistency(CongrlabError):
-    """A value missed its independent route: a special-number residue its
-    power sum, or a sum row's ratio its closed form.  An engine fault, not a
-    verdict; two paths that disagree give a row with path_agreement False."""
+    """A value missed its independent route (a special-number residue its
+    power sum, a sum row's ratio its closed form), or the p-adic path raised.
+    An engine fault, not a verdict; two paths that disagree give a row with
+    path_agreement False."""
 
 
 class UnknownIdentity(CongrlabError):

@@ -2,10 +2,10 @@
 recurrence certificates.
 
 Every identity is evaluated by summation over exact rationals at each
-instance n; a recurrence certificate, checked on both sides, plus verified
-base cases then proves the identity for every n the suite visited.  Within
-one run each side is summed once per n, and the certificates read those
-values.
+instance n; every sum over k but SIGMA's lhs is a row of `sums.SUMS`.  A
+recurrence certificate, checked on both sides, plus verified base cases then
+proves the identity for every n the suite visited.  Within one run each side
+is summed once per n, and the certificates read those values.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from fractions import Fraction
 from functools import cache
 from itertools import accumulate
 from math import comb
-from operator import mul
 
 from .arith import exact_sum
 from .errors import DomainError, UnknownIdentity
 from .special import harmonic_exact
+from .sums import row_terms
 
 
 @dataclass
@@ -36,115 +36,44 @@ class IdentityCase:
     note: str = ""
 
 
-def _odd_recip_sum(n: int) -> Fraction:
-    """sum_{k=0}^{n-1} 1/(2k+1)."""
-    return exact_sum(Fraction(1, 2 * k + 1) for k in range(n))
-
-
-# -- identity catalog ---------------------------------------------------
-# Each entry: (domain start, lhs(n), rhs(n)).
-
-
-def _apery_lhs(n):
-    return exact_sum(Fraction((-1) ** k, k ** 3 * comb(n, k) * comb(n + k, k))
-                     for k in range(1, n + 1))
-
-
-def _apery_rhs(n):
-    return 5 * exact_sum(Fraction((-1) ** k, k ** 3 * comb(2 * k, k))
-                         for k in range(1, n + 1)) + 2 * harmonic_exact(n, 3)
+def _row(name: str, n: int, lo: int, hi: int) -> Fraction:
+    """Row `name` of SUMS at a = n, summed exactly over lo <= k <= hi; its
+    last term is guarded against the closed form."""
+    return exact_sum(row_terms(name, n, lo, hi, lambda r: r, True))
 
 
 def _sigma_lhs(n):
-    # H(n+k) - H(n-k), built incrementally
+    # H(n+k) - H(n-k), built incrementally; not hypergeometric, so no row
     hdiffs = accumulate(Fraction(1, n + k) + Fraction(1, n - k + 1)
                         for k in range(1, n + 1))
     return exact_sum(comb(n, k) * comb(n + k, k) * Fraction((-1) ** k, k) * hdiff
                      for k, hdiff in enumerate(hdiffs, start=1))
 
 
-def _sigma_rhs(n):
-    return Fraction(5, 2) * exact_sum(Fraction((-1) ** k * comb(2 * k, k), k * k)
-                                      for k in range(1, n + 1)) + 2 * harmonic_exact(n, 2)
-
-
-def _shift_lhs(n):
-    return exact_sum(Fraction(comb(2 * k, k) ** 2, (2 * (n + k) + 1) * 16 ** k)
-                     for k in range(0, n + 1))
-
-
-def _shift_rhs(n):
-    return Fraction(comb(2 * n, n) ** 2, 16 ** n) * _odd_recip_sum(2 * n + 1)
-
-
-def _luke_lhs(n):
-    return exact_sum(Fraction(comb(2 * k, k) ** 2, (n - k) * 16 ** k)
-                     for k in range(0, n))
-
-
-def _luke_rhs(n):
-    return Fraction(comb(2 * n, n) ** 2, 4 ** (2 * n - 1)) * _odd_recip_sum(n)
-
-
-def _oddsq_lhs(n):
-    return exact_sum(Fraction((-1) ** k, (2 * k + 1) ** 2) * comb(n, k) * comb(n + k, k)
-                     for k in range(0, n + 1))
-
-
-def _oddsq_rhs(n):
-    return Fraction(1, (2 * n + 1) ** 2) + Fraction(2, 2 * n + 1) * _odd_recip_sum(n)
-
-
-def _tele1_lhs(n):
-    return exact_sum(Fraction(comb(2 * k, k) ** 2, (2 * k - 1) * 16 ** k)
-                     for k in range(0, n + 1))
-
-
-def _tele1_rhs(n):
-    return Fraction(-(2 * n + 1) * comb(2 * n, n) ** 2, 16 ** n)
-
-
-def _glaisher4_lhs(n):
-    return exact_sum(Fraction((1 - 4 * k) * comb(2 * k, k) ** 4,
-                              (2 * k - 1) ** 4 * 256 ** k) for k in range(0, n + 1))
-
-
-def _glaisher4_rhs(n):
-    return Fraction((8 * n * n + 4 * n + 1) * comb(2 * n, n) ** 4, 256 ** n)
-
-
-def _bbag_lhs(n):
-    n4 = n ** 4
-    # running prod_{j<k} (n^4 - j^4)/(4n^4 + j^4)
-    prods = accumulate((Fraction(n4 - j ** 4, 4 * n4 + j ** 4) for j in range(1, n)),
-                       mul, initial=Fraction(1))
-    return exact_sum(comb(2 * k, k) * Fraction(k * k, 4 * n4 + k ** 4) * prod
-                     for k, prod in enumerate(prods, start=1))
-
-
-def _bbag_rhs(n):
-    return Fraction(2, 5 * n * n)
-
-
-def _prodinger_lhs(n):
-    return exact_sum(comb(n, k) * comb(n + k, k) * Fraction((-1) ** k, k)
-                     for k in range(1, n + 1))
-
-
-def _prodinger_rhs(n):
-    return -2 * harmonic_exact(n)
+# -- identity catalog ---------------------------------------------------
+# Each entry: (domain start, lhs(n), rhs(n)).  Every sum over k but SIGMA's
+# lhs is a row of SUMS; the right sides' leading factors are closed forms.
 
 
 IDENTITY_CATALOG = {
-    "APERY": (1, _apery_lhs, _apery_rhs),
-    "SIGMA": (1, _sigma_lhs, _sigma_rhs),
-    "SHIFT": (0, _shift_lhs, _shift_rhs),
-    "LUKE": (1, _luke_lhs, _luke_rhs),
-    "ODDSQ": (1, _oddsq_lhs, _oddsq_rhs),
-    "TELE1": (0, _tele1_lhs, _tele1_rhs),
-    "GLAISHER4": (0, _glaisher4_lhs, _glaisher4_rhs),
-    "BBAG": (1, _bbag_lhs, _bbag_rhs),
-    "PRODINGER": (1, _prodinger_lhs, _prodinger_rhs),
+    "APERY": (1, lambda n: _row("apery", n, 1, n),
+              lambda n: 5 * _row("alt_inv_k3", n, 1, n) + 2 * harmonic_exact(n, 3)),
+    "SIGMA": (1, _sigma_lhs,
+              lambda n: Fraction(5, 2) * _row("alt_k2", n, 1, n) + 2 * harmonic_exact(n, 2)),
+    "SHIFT": (0, lambda n: _row("sq_shifted", 2 * n + 1, 0, n),
+              lambda n: Fraction(comb(2 * n, n) ** 2, 16 ** n) * _row("odd_recip", n, 0, 2 * n)),
+    "LUKE": (1, lambda n: _row("luke", n, 0, n - 1),
+             lambda n: Fraction(comb(2 * n, n) ** 2, 4 ** (2 * n - 1))
+             * _row("odd_recip", n, 0, n - 1)),
+    "ODDSQ": (1, lambda n: _row("oddsq", n, 0, n),
+              lambda n: Fraction(1, (2 * n + 1) ** 2)
+              + Fraction(2, 2 * n + 1) * _row("odd_recip", n, 0, n - 1)),
+    "TELE1": (0, lambda n: _row("sq_shifted", -1, 0, n),
+              lambda n: Fraction(-(2 * n + 1) * comb(2 * n, n) ** 2, 16 ** n)),
+    "GLAISHER4": (0, lambda n: _row("glaisher4", n, 0, n),
+                  lambda n: Fraction((8 * n * n + 4 * n + 1) * comb(2 * n, n) ** 4, 256 ** n)),
+    "BBAG": (1, lambda n: _row("bbag", n, 1, n), lambda n: Fraction(2, 5 * n * n)),
+    "PRODINGER": (1, lambda n: _row("prodinger", n, 1, n), lambda n: -2 * harmonic_exact(n)),
 }
 
 

@@ -1,0 +1,112 @@
+"""The binomial sums of both catalogs, one row each, and the one routine
+that steps a row.
+
+Every summand t_k is a hypergeometric term in k with one parameter a: the
+prime p for a congruence, the index n for an identity.  `term(a, k)` is its
+closed form and `ratio(a, k)` the integer pair (num, den) with
+t_{k+1} = t_k * num / den.  Rows ending in `_lit` take the literal C(4k,k)
+reading of C(4k,2k).
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, prod
+
+from .errors import InternalInconsistency
+
+
+def _c(k):
+    return comb(2 * k, k)
+
+
+def _b(n, k):
+    return comb(n, k) * comb(n + k, k)
+
+
+SUMS = {
+    # -- the congruence catalog's rows (a = p); APERY, SIGMA, SHIFT and TELE1
+    #    read some of them too --
+    "alt_inv_k3": (lambda p, k: Fraction((-1) ** k, k ** 3 * _c(k)),
+                   lambda p, k: (-k ** 3, 2 * (2 * k + 1) * (k + 1) ** 2)),
+    "alt_k2": (lambda p, k: Fraction((-1) ** k * _c(k), k * k),
+               lambda p, k: (-2 * (2 * k + 1) * k * k, (k + 1) ** 3)),
+    **{f"sq_k{j}": (lambda p, k, j=j: Fraction(_c(k) ** 2, k ** j * 16 ** k),
+                    lambda p, k, j=j: ((2 * k + 1) ** 2 * k ** j,
+                                       4 * (k + 1) ** (j + 2)))
+       for j in range(4)},
+    **{f"sq_odd{o}": (lambda p, k, o=o: Fraction(_c(k) ** 2, (2 * k + 1) ** o * 16 ** k),
+                      lambda p, k, o=o: ((2 * k + 1) ** (o + 2),
+                                         4 * (k + 1) ** 2 * (2 * k + 3) ** o))
+       for o in (1, 2, 3)},
+    "sq_shifted": (lambda p, k: Fraction(_c(k) ** 2, (2 * k + p) * 16 ** k),
+                   lambda p, k: ((2 * k + 1) ** 2 * (2 * k + p),
+                                 4 * (k + 1) ** 2 * (2 * k + p + 2))),
+    "odd1": (lambda p, k: Fraction(_c(k), (2 * k + 1) * 16 ** k),
+             lambda p, k: ((2 * k + 1) ** 2, 8 * (k + 1) * (2 * k + 3))),
+    "odd2_alt": (lambda p, k: Fraction(_c(k), (2 * k + 1) ** 2 * (-16) ** k),
+                 lambda p, k: ((2 * k + 1) ** 3, -8 * (k + 1) * (2 * k + 3) ** 2)),
+    "inv_odd3_alt": (lambda p, k: Fraction((-16) ** k, (2 * k + 1) ** 3 * _c(k)),
+                     lambda p, k: (-8 * (2 * k + 1) ** 2 * (k + 1), (2 * k + 3) ** 3)),
+    "inv_sq_k3": (lambda p, k: Fraction(16 ** k, k ** 3 * _c(k) ** 2),
+                  lambda p, k: (4 * k ** 3, (k + 1) * (2 * k + 1) ** 2)),
+    "inv_sq_odd3": (lambda p, k: Fraction(16 ** k, (2 * k + 1) ** 3 * _c(k) ** 2),
+                    lambda p, k: (4 * (2 * k + 1) * (k + 1) ** 2, (2 * k + 3) ** 3)),
+    "k1": (lambda p, k: Fraction(_c(k), k),
+           lambda p, k: (2 * (2 * k + 1) * k, (k + 1) ** 2)),
+    "inv_k2": (lambda p, k: Fraction(1, k * k * _c(k)),
+               lambda p, k: (k * k, 2 * (2 * k + 1) * (k + 1))),
+    "quad": (lambda p, k: Fraction(_c(k) * comb(4 * k, 2 * k), k * 64 ** k),
+             lambda p, k: ((4 * k + 1) * (4 * k + 3) * k, 16 * (k + 1) ** 3)),
+    "inv_quad": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, 2 * k)),
+                 lambda p, k: (16 * k ** 3, (k + 1) * (4 * k + 1) * (4 * k + 3))),
+    "inv_quad_lit": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, k)),
+                     lambda p, k: (12 * k ** 3 * (3 * k + 1) * (3 * k + 2),
+                                   (k + 1) * (2 * k + 1) ** 2 * (4 * k + 1) * (4 * k + 3))),
+    "inv_quad_shifted": (
+        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, 2 * k)),
+        lambda p, k: (16 * (2 * k - 1) * k * k, (2 * k + 1) * (4 * k + 1) * (4 * k + 3))),
+    "inv_quad_shifted_lit": (
+        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, k)),
+        lambda p, k: (12 * (2 * k - 1) * k * k * (3 * k + 1) * (3 * k + 2),
+                      (2 * k + 1) ** 3 * (4 * k + 1) * (4 * k + 3))),
+    # -- read by the identity catalog only (a = n) --
+    "odd_recip": (lambda n, k: Fraction(1, 2 * k + 1),
+                  lambda n, k: (2 * k + 1, 2 * k + 3)),
+    "apery": (lambda n, k: Fraction((-1) ** k, k ** 3 * _b(n, k)),
+              lambda n, k: (-k ** 3, (k + 1) * (n - k) * (n + k + 1))),
+    "oddsq": (lambda n, k: Fraction((-1) ** k * _b(n, k), (2 * k + 1) ** 2),
+              lambda n, k: (-(n - k) * (n + k + 1) * (2 * k + 1) ** 2,
+                            (k + 1) ** 2 * (2 * k + 3) ** 2)),
+    "prodinger": (lambda n, k: Fraction((-1) ** k * _b(n, k), k),
+                  lambda n, k: (-(n - k) * (n + k + 1) * k, (k + 1) ** 3)),
+    "luke": (lambda n, k: Fraction(_c(k) ** 2, (n - k) * 16 ** k),
+             lambda n, k: ((2 * k + 1) ** 2 * (n - k), 4 * (k + 1) ** 2 * (n - k - 1))),
+    "glaisher4": (lambda n, k: Fraction((1 - 4 * k) * _c(k) ** 4, (2 * k - 1) ** 4 * 256 ** k),
+                  lambda n, k: ((4 * k + 3) * (2 * k - 1) ** 4,
+                                16 * (4 * k - 1) * (k + 1) ** 4)),
+    # C(2k,k) k^2/(4n^4 + k^4) * prod_{0<j<k} (n^4 - j^4)/(4n^4 + j^4)
+    "bbag": (lambda n, k: Fraction(_c(k) * k * k * prod(n ** 4 - j ** 4 for j in range(1, k)),
+                                   prod(4 * n ** 4 + j ** 4 for j in range(1, k + 1))),
+             lambda n, k: (2 * (2 * k + 1) * (k + 1) * (n ** 4 - k ** 4),
+                           k * k * (4 * n ** 4 + (k + 1) ** 4))),
+}
+
+
+def row_terms(name: str, a: int, lo: int, hi: int, lift, guard: bool):
+    """The terms t_lo..t_hi of row `name` of SUMS at parameter a.
+
+    `lift` maps a `Fraction` into the caller's arithmetic.  The first term
+    is its lifted closed form and each next one a step by the lifted ratio.
+    With `guard`, the last term must equal its closed form, which catches a
+    wrong ratio; a miss raises InternalInconsistency.
+    """
+    term, ratio = SUMS[name]
+    t = lift(term(a, lo))
+    yield t
+    for k in range(lo, hi):
+        t = t * lift(Fraction(*ratio(a, k)))
+        yield t
+    if guard and t != term(a, hi):
+        raise InternalInconsistency(
+            f"sum row {name!r} at a={a} misses its closed form at k={hi}")

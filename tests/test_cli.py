@@ -206,9 +206,11 @@ def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):
     ["verify", "--primes", "24:28"],
     ["identity", "--names", ","],
     ["series", "--names", " , "],
+    ["verify", "--primes", "2:3"],
 ])
 def test_cli_empty_selection_exits_2(argv, capsys):
-    """A selection of nothing would verify nothing and exit 0."""
+    """A selection of nothing, or of primes where no selected check applies,
+    would verify nothing and exit 0."""
     assert parse_and_run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -232,6 +234,14 @@ def test_cli_series(capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "S-ZETA2" in captured.out and "S-PI3" in captured.out
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_cli_series_tolerance_below_zero_exits_2(tol, capsys):
+    """A negative tolerance would fail every series and exit 1, the
+    counterexample status."""
+    assert parse_and_run(["series", "--names", "S-ZETA2", "--tol", tol]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_bernoulli_prints_and_persists_cache(capsys):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from congrlab import congruences
+from congrlab import congruences, identities
 from congrlab.arith import PrimeRange, exact_sum, rat_reduce_mod, sieve_primes, vp_rational
 from congrlab.cli import parse_and_run
 from congrlab.congruences import (
@@ -21,6 +21,7 @@ from congrlab.congruences import (
     run_suite,
 )
 from congrlab.errors import InternalInconsistency, UnknownCheck
+from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
 from congrlab.special import SpecialCache, bernoulli_exact
 
@@ -136,21 +137,79 @@ def test_declared_special_reads_match_evaluation(cache):
             assert ctx.reads == set(spec.reads), (spec.id, p)
 
 
+def _identity_row_reads(monkeypatch, n_range) -> set:
+    """(name, a, lo, hi) of every row the identity suite reads over n_range."""
+    reads = set()
+    row_terms = identities.row_terms
+
+    def recording(name, a, lo, hi, lift, guard):
+        reads.add((name, a, lo, hi))
+        return row_terms(name, a, lo, hi, lift, guard)
+
+    monkeypatch.setattr(identities, "row_terms", recording)
+    run_identity_suite(None, n_range)
+    return reads
+
+
+def _assert_steps(name, a, lo, hi):
+    term, ratio = SUMS[name]
+    for k in range(lo, hi):
+        num, den = ratio(a, k)
+        assert Fraction(num, den) * term(a, k) == term(a, k + 1), (name, a, k)
+
+
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
-def test_every_row_ratio_steps_to_the_next_closed_form_term(p, cache):
+def test_every_row_ratio_steps_to_the_next_closed_form_term(p, cache, monkeypatch):
     """The exact path's guard compares only the last term of a sum with its
     closed form; here every step of every range the catalog reads must."""
     ctx = _RecordingContext(p, cache)
     for spec in CHECK_CATALOG.values():
         if p >= spec.min_prime:
             spec.pairs(ctx)
-    if p >= 7:
-        assert set(ctx.ranges) == set(SUMS)  # every row is read
+    if p >= 7:  # every row is read by the congruence or the identity catalog
+        identity_rows = {name for name, *_ in _identity_row_reads(monkeypatch, range(3))}
+        assert set(ctx.ranges) | identity_rows == set(SUMS)
     for name, (lo, hi) in ctx.ranges.items():
-        term, ratio = SUMS[name]
-        for k in range(lo, hi):
-            num, den = ratio(p, k)
-            assert Fraction(num, den) * term(p, k) == term(p, k + 1), (name, p, k)
+        _assert_steps(name, p, lo, hi)
+
+
+def test_every_identity_row_ratio_steps_to_the_next_closed_form_term(monkeypatch):
+    """The same for every row range the identity suite reads, for n from
+    each identity's start to 60."""
+    for read in _identity_row_reads(monkeypatch, range(61)):
+        _assert_steps(*read)
+
+
+def test_wrong_identity_row_ratio_is_an_engine_fault(monkeypatch, capsys):
+    """A row that only an identity reads is guarded too: a wrong ratio exits
+    2 with no rows, never a failed identity."""
+    term, ratio = SUMS["prodinger"]
+
+    def wrong(n, k):
+        num, den = ratio(n, k)
+        return num + 1, den
+
+    monkeypatch.setitem(SUMS, "prodinger", (term, wrong))
+    code = parse_and_run(["identity", "--names", "PRODINGER", "--n", "1:5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "'prodinger'" in captured.err
+
+
+def test_padic_path_error_is_an_engine_fault(monkeypatch, cache, capsys):
+    """Too low a working precision raises on the p-adic path.  The exact
+    path passes, so that is an engine fault, never a proven failure."""
+    monkeypatch.setattr(congruences, "PADIC_PREC", 2)
+    assert evaluate_check("T1.1-1.4a", 11, cache, with_padic=False).passed
+    with pytest.raises(InternalInconsistency, match="PrecisionExhausted"):
+        evaluate_check("T1.1-1.4a", 11, cache, with_padic=True)
+    code = parse_and_run(["verify", "--primes", "11:11", "--checks", "T1.1-1.4a",
+                          "--padic-limit", "11"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "p-adic path" in captured.err
 
 
 def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
