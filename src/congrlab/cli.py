@@ -120,7 +120,8 @@ def parse_and_run(argv=None) -> int:
             status = exit_status(results)
         elif args.subcommand == "identity":
             lo, hi = args.n
-            results = run_identity_suite(_names(args.names), range(lo, hi + 1))
+            results = _selected(run_identity_suite(_names(args.names), range(lo, hi + 1)),
+                                f"--names {args.names!r} at --n {lo}:{hi}")
             status = exit_status(results)
         elif args.subcommand == "series":
             results = run_series_suite(_names(args.names), args.terms, args.tol)

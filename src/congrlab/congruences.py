@@ -3,7 +3,8 @@
 Every check is evaluated once over exact rationals (ground truth) and,
 for small primes, once over valuation-aware truncated p-adics; the two
 residues must coincide.  A disagreement is an engine bug, not a failing
-congruence, and is surfaced as such.
+congruence, and is surfaced as such.  Each Bernoulli or Euler number is
+checked against an independent route where a context first reads it.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ from .sums import SUMS, row_terms  # SUMS stays importable from here
 
 PADIC_PATH_MAX_PRIME = 61
 
-# The special numbers a check reads, as (table, p - index).  Table sizing and
-# the per-prime cross-check of the residues both come from these declarations.
-B_P3, B_P5, E_P3 = ("B", 3), ("B", 5), ("E", 3)
-
 
 # -- evaluation contexts -------------------------------------------------
 
@@ -46,7 +43,8 @@ class ExactContext:
     """Evaluates expressions over exact rationals.
 
     A context serves one prime, and every check evaluated in it shares its
-    memos: binomials, harmonic tables and the row sums of `SUMS` (`S`).
+    memos: binomials, harmonic tables, special numbers and the row sums of
+    `SUMS` (`S`).
     """
 
     guard_rows = True
@@ -57,6 +55,7 @@ class ExactContext:
         self.cache = cache
         self._harmonic: dict[int, list[Fraction]] = {}
         self._binom: dict[tuple[int, int], object] = {}
+        self._special: dict[tuple[str, int], object] = {}
         self.sums: dict[tuple, object] = {}
 
     def frac(self, a, b=1):
@@ -81,7 +80,7 @@ class ExactContext:
         value = self.sums.get((name, lo, hi))
         if value is None:
             value = self.sums[name, lo, hi] = self.sum(
-                row_terms(name, self.p, lo, hi, self._lift, self.guard_rows))
+                row_terms(name, self.p, lo, hi, self.frac, self.guard_rows))
         return value
 
     def H(self, i: int, m: int = 1):
@@ -91,10 +90,26 @@ class ExactContext:
         return self._lift(table[i])
 
     def bern(self, i: int):
-        return self._lift(bernoulli_exact(i, self.cache))
+        """B_i, memoized.  On the first read its residue is checked against
+        the power-sum route; a mismatch raises InternalInconsistency."""
+        value = self._special.get(("B", i))
+        if value is None:
+            if i >= 2:  # B_0, read only at p = 3, has no such route
+                bernoulli_mod_p_fast(i, self.p, self.cache)
+            value = self._special["B", i] = self._lift(bernoulli_exact(i, self.cache))
+        return value
 
     def euler_num(self, i: int):
-        return self._lift(Fraction(euler_exact(i, self.cache)))
+        """E_i, memoized and checked on the first read as `bern` is, against
+        the character-sum route, which covers E_{p-3} only."""
+        value = self._special.get(("E", i))
+        if value is None:
+            if i >= 2:  # E_0, read only at p = 3, has no such route
+                if i != self.p - 3:
+                    raise ValueError(f"no second route for E_{i} mod {self.p}")
+                euler_mod_p_fast(self.p, self.cache)
+            value = self._special["E", i] = self._lift(Fraction(euler_exact(i, self.cache)))
+        return value
 
     def qp(self):
         """Fermat quotient q_p(2) as an exact integer."""
@@ -152,7 +167,6 @@ class CheckSpec:
     pairs: callable             # ctx -> [(label, lhs_value, rhs_value)]
     shift: int = 0              # extra working precision for explicit 1/p^s
     note: str = ""
-    reads: tuple = ()           # special numbers read: B_P3, B_P5, E_P3
 
 
 @dataclass
@@ -182,60 +196,53 @@ def _scalar(fn_lhs, fn_rhs):
 def _catalog() -> dict[str, CheckSpec]:
     C: dict[str, CheckSpec] = {}
 
-    def add(id, desc, m, minp, status, pairs, shift=0, note="", reads=()):
-        C[id] = CheckSpec(id, desc, m, minp, status, pairs, shift, note, reads)
+    def add(id, desc, m, minp, status, pairs, shift=0, note=""):
+        C[id] = CheckSpec(id, desc, m, minp, status, pairs, shift, note)
 
     add("T1.1-1.1", "alternating inverse central sum vs -2 B_{p-3}", 1, 7, "proven",
         _scalar(lambda c: c.S("alt_inv_k3", 1, c.n),
-                lambda c: c.frac(-2) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-2) * c.bern(c.p - 3)))
 
     add("T1.1-1.2", "alternating central sum vs (56/15) p B_{p-3}", 2, 7, "proven",
         _scalar(lambda c: c.S("alt_k2", 1, c.n),
-                lambda c: c.frac(56 * c.p, 15) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(56 * c.p, 15) * c.bern(c.p - 3)))
 
     add("T1.1-1.3", "half-range squared central sum vs harmonic + B_{p-3}", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_k1", 1, c.n),
                 lambda c: c.frac(-2) * c.H(c.n)
-                - c.frac(7 * c.p * c.p, 2) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                - c.frac(7 * c.p * c.p, 2) * c.bern(c.p - 3)))
 
     add("T1.1-1.4a", "(-4/p^2) upper-half squared central sum vs -14 B_{p-3}", 1, 7, "proven",
         _scalar(lambda c: c.frac(-4) * c.div_pp(c.S("sq_k1", c.n + 1, c.p - 1), 2),
                 lambda c: c.frac(-14) * c.bern(c.p - 3)),
-        shift=2, reads=(B_P3,))
+        shift=2)
 
     add("T1.1-1.4b", "reciprocal squared central sum vs -14 B_{p-3}", 1, 7, "proven",
         _scalar(lambda c: c.S("inv_sq_k3", 1, c.n),
-                lambda c: c.frac(-14) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-14) * c.bern(c.p - 3)))
 
     add("C1.1-1.5a", "(1/p) upper-half odd sum vs -B_{p-3}/4", 1, 7, "proven",
         _scalar(lambda c: c.div_pp(c.S("odd2_alt", c.n + 1, c.p - 1), 1),
                 lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
-        shift=1, reads=(B_P3,))
+        shift=1)
 
     add("C1.1-1.5b", "negated reciprocal odd-cube sum vs -B_{p-3}/4", 1, 7, "proven",
         _scalar(lambda c: -c.S("inv_odd3_alt", 0, c.n - 1),
-                lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-1, 4) * c.bern(c.p - 3)))
 
     add("T1.2-1.6a", "(1/p^2) upper-half odd squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
         _scalar(lambda c: c.div_pp(c.S("sq_odd1", c.n + 1, c.p - 1), 2),
                 lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
-        shift=2, reads=(B_P3,))
+        shift=2)
 
     add("T1.2-1.6b", "negated reciprocal odd-cube squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
         _scalar(lambda c: -c.S("inv_sq_odd3", 0, c.n - 1),
-                lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-7, 4) * c.bern(c.p - 3)))
 
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
         _scalar(lambda c: c.S("sq_odd1", 0, c.n - 1),
                 lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
-                + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)))
 
     def l21a_pairs(c):
         # sign is (-1)^(floor(2k/p) - 1)
@@ -258,25 +265,21 @@ def _catalog() -> dict[str, CheckSpec]:
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
         _scalar(lambda c: c.frac((-1) ** c.n) * c.binom(c.p - 1, c.n),
                 lambda c: c.frac(4 ** (c.p - 1))
-                + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)))
 
     add("L2.2-2.4", "refined Lehmer congruence for H_{(p-1)/2}", 3, 5, "proven",
         _scalar(lambda c: c.H(c.n),
                 lambda c: c.frac(-2) * c.qp() + c.frac(c.p) * c.qp() ** 2
                 - c.frac(c.p * c.p) * (c.frac(2, 3) * c.qp() ** 3
-                                       + c.frac(7, 12) * c.bern(c.p - 3))),
-        reads=(B_P3,))
+                                       + c.frac(7, 12) * c.bern(c.p - 3))))
 
     add("L2.2-2.5a", "H_{(p-1)/2}^(2) vs (7/3) p B_{p-3}", 2, 5, "proven",
         _scalar(lambda c: c.H(c.n, 2),
-                lambda c: c.frac(7 * c.p, 3) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(7 * c.p, 3) * c.bern(c.p - 3)))
 
     add("L2.2-2.5b", "H_{(p-1)/2}^(3) vs -2 B_{p-3}", 1, 5, "proven",
         _scalar(lambda c: c.H(c.n, 3),
-                lambda c: c.frac(-2) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-2) * c.bern(c.p - 3)))
 
     add("L2.4a", "full squared central sum /k^2 vs -2 H^2", 2, 5, "proven",
         _scalar(lambda c: c.S("sq_k2", 1, c.p - 1),
@@ -289,28 +292,24 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("P2.9", "full alternating central sum vs -(4/15) p B_{p-3}", 2, 7, "proven",
         _scalar(lambda c: c.S("alt_k2", 1, c.p - 1),
-                lambda c: c.frac(-4 * c.p, 15) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-4 * c.p, 15) * c.bern(c.p - 3)))
 
     add("P2.10", "half-range bridge congruence", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_k1", 1, c.n) + c.frac(2) * c.H(c.n),
                 lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.n)
-                - c.frac(7 * c.p * c.p, 6) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                - c.frac(7 * c.p * c.p, 6) * c.bern(c.p - 3)))
 
     add("P2.11", "full-range bridge congruence", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_k1", 1, c.p - 1) + c.frac(2) * c.H(c.n),
                 lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.p - 1)
                 - c.frac(c.p * c.p, 6) * c.bern(c.p - 3)),
         note="source prints C(2k,k)/(k16^k); the surrounding argument requires "
-             "the square, which is what is checked",
-        reads=(B_P3,))
+             "the square, which is what is checked")
 
     add("P2.12", "shifted-denominator squared sum vs Fermat quotient", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_shifted", 1, c.n),
                 lambda c: c.frac(2) * c.qp() + c.frac(c.p) * c.qp() ** 2
-                - c.frac(c.p * c.p) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                - c.frac(c.p * c.p) * c.bern(c.p - 3)))
 
     add("P2.13", "shifted-denominator sum vs 1/2,1/4,1/8 splitting", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_shifted", 1, c.n),
@@ -325,8 +324,7 @@ def _catalog() -> dict[str, CheckSpec]:
     add("P2.15", "half squared central sum /k^3 vs Fermat quotient", 1, 7, "proven",
         _scalar(lambda c: c.S("sq_k3", 1, c.n),
                 lambda c: c.frac(32, 3) * c.qp() ** 3
-                + c.frac(4, 3) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                + c.frac(4, 3) * c.bern(c.p - 3)))
 
     def ps11c_pairs(c):
         return [(f"k={k}",
@@ -344,31 +342,26 @@ def _catalog() -> dict[str, CheckSpec]:
     add("L3.2-3.3", "odd-cube squared sum vs Fermat quotient cube", 1, 5, "proven",
         _scalar(lambda c: c.S("sq_odd3", 0, c.n - 1),
                 lambda c: c.frac(-4, 3) * c.qp() ** 3
-                - c.frac(1, 6) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                - c.frac(1, 6) * c.bern(c.p - 3)))
 
     add("L3.3-3.4", "odd-square squared sum vs Fermat quotient square", 2, 5, "proven",
         _scalar(lambda c: c.S("sq_odd2", 0, c.n - 1),
                 lambda c: c.frac(-2) * c.qp() ** 2
                 + c.frac(2 * c.p, 3) * c.qp() ** 3
-                - c.frac(c.p, 6) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                - c.frac(c.p, 6) * c.bern(c.p - 3)))
 
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
         _scalar(lambda c: c.S("k1", 1, c.p - 1),
-                lambda c: c.frac(8 * c.p * c.p, 9) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(8 * c.p * c.p, 9) * c.bern(c.p - 3)))
 
     add("X-S11c-a", "half central sum /k vs Euler number", 2, 5, "proven",
         _scalar(lambda c: c.S("k1", 1, c.n),
                 lambda c: c.frac((-1) ** ((c.p + 1) // 2) * 8 * c.p, 3)
-                * c.euler_num(c.p - 3)),
-        reads=(E_P3,))
+                * c.euler_num(c.p - 3)))
 
     add("X-S11c-b", "half reciprocal central sum vs Euler number", 1, 5, "proven",
         _scalar(lambda c: c.S("inv_k2", 1, c.n),
-                lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler_num(c.p - 3)),
-        reads=(E_P3,))
+                lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler_num(c.p - 3)))
 
     add("X-T1-a", "full alternating inverse sum vs -(2/5) H_{p-1}/p^2", 3, 7, "proven",
         _scalar(lambda c: c.S("alt_inv_k3", 1, c.p - 1),
@@ -382,21 +375,18 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-G1-a", "Glaisher: H_{p-1} vs -(p^2/3) B_{p-3}", 3, 5, "proven",
         _scalar(lambda c: c.H(c.p - 1),
-                lambda c: c.frac(-c.p * c.p, 3) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-c.p * c.p, 3) * c.bern(c.p - 3)))
 
     add("X-G1-b", "Glaisher: H_{p-1}^(2) vs (2/3) p B_{p-3}", 2, 5, "proven",
         _scalar(lambda c: c.H(c.p - 1, 2),
-                lambda c: c.frac(2 * c.p, 3) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(2 * c.p, 3) * c.bern(c.p - 3)))
 
     add("X-S11c-16", "full squared central sum /16^k vs Euler number", 3, 5, "proven",
         _scalar(lambda c: c.S("sq_k0", 0, c.p - 1),
                 lambda c: c.frac((-1) ** c.n)
                 - c.frac(c.p * c.p) * c.euler_num(c.p - 3)),
         note="summation starts at k=0; the source's k=1 lower bound drops "
-             "the unit term and fails at every prime",
-        reads=(E_P3,))
+             "the unit term and fails at every prime")
 
     add("X-T2", "full squared central sum /(k 16^k) vs -2 H_{(p-1)/2}", 3, 5, "proven",
         _scalar(lambda c: c.S("sq_k1", 1, c.p - 1),
@@ -408,8 +398,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-S11b-b", "upper odd central sum vs (p/3) E_{p-3}", 2, 5, "proven",
         _scalar(lambda c: c.S("odd1", c.n + 1, c.p - 1),
-                lambda c: c.frac(c.p, 3) * c.euler_num(c.p - 3)),
-        reads=(E_P3,))
+                lambda c: c.frac(c.p, 3) * c.euler_num(c.p - 3)))
 
     add("X-T3", "lower odd-square alternating sum vs H_{p-1}/(5p)", 3, 7, "proven",
         _scalar(lambda c: c.S("odd2_alt", 0, c.n - 1),
@@ -419,8 +408,7 @@ def _catalog() -> dict[str, CheckSpec]:
     add("X-S11b-c", "upper odd-square alternating sum vs -(p/4) B_{p-3}", 2, 7,
         "conjectural",
         _scalar(lambda c: c.S("odd2_alt", c.n + 1, c.p - 1),
-                lambda c: c.frac(-c.p, 4) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                lambda c: c.frac(-c.p, 4) * c.bern(c.p - 3)))
 
     add("CJ1.1-a", "upper squared central sum vs -(21/2) H_{p-1}", 4, 7,
         "conjectural",
@@ -432,22 +420,20 @@ def _catalog() -> dict[str, CheckSpec]:
         _scalar(lambda c: c.S("inv_odd3_alt", 0, c.n - 1),
                 lambda c: c.frac(-3, 4) * c.div_pp(c.H(c.p - 1), 2)
                 - c.frac(47 * c.p * c.p, 400) * c.bern(c.p - 5)),
-        shift=2, note="B_{p-5} forces p >= 7", reads=(B_P5,))
+        shift=2, note="B_{p-5} forces p >= 7")
 
     add("CJ1.2-a", "full quartic-binomial sum vs -3H + (7/4) p^2 B_{p-3}", 3, 3,
         "conjectural",
         _scalar(lambda c: c.S("quad", 1, c.p - 1),
                 lambda c: c.frac(-3) * c.H(c.n)
-                + c.frac(7 * c.p * c.p, 4) * c.bern(c.p - 3)),
-        reads=(B_P3,))
+                + c.frac(7 * c.p * c.p, 4) * c.bern(c.p - 3)))
 
     add("CJ1.2-b", "half quartic-binomial sum vs -3H + Euler number", 2, 3,
         "conjectural",
         _scalar(lambda c: c.S("quad", 1, c.n),
                 lambda c: c.frac(-3) * c.H(c.n)
                 + c.frac((-1) ** ((c.p + 1) // 2) * 2 * c.p)
-                * c.euler_num(c.p - 3)),
-        reads=(E_P3,))
+                * c.euler_num(c.p - 3)))
 
     _cj12_note = ("the garbled leading token in the source resolves to a "
                   "factor p on the sum; verified empirically")
@@ -455,25 +441,25 @@ def _catalog() -> dict[str, CheckSpec]:
     add("CJ1.2-c", "p * reciprocal quartic sum vs 32 E_{p-3}", 1, 3, "conjectural",
         _scalar(lambda c: c.frac(c.p) * c.S("inv_quad", 1, c.n),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
-        shift=1, note=_cj12_note, reads=(E_P3,))
+        shift=1, note=_cj12_note)
 
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
         "conjectural",
         _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted", 1, c.n),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
-        shift=1, note=_cj12_note + "; fails at p=3, so min prime 5", reads=(E_P3,))
+        shift=1, note=_cj12_note + "; fails at p=3, so min prime 5")
 
     add("CJ1.2-c-lit", "literal C(4k,k) reading of CJ1.2-c", 1, 3, "exploratory",
         _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_lit", 1, c.n),
                 lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
-        shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
+        shift=1, note="reported for the conjectural hunt, never asserted")
 
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
         _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted_lit", 1, c.n),
                 lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
-        shift=1, note="reported for the conjectural hunt, never asserted", reads=(E_P3,))
+        shift=1, note="reported for the conjectural hunt, never asserted")
 
     return C
 
@@ -503,43 +489,6 @@ def check_ids(selector: str = "all") -> list[str]:
 # -- evaluation ------------------------------------------------------------
 
 
-def _special_reads(ids, p: int) -> set:
-    """The (table, p - index) pairs that the checks applicable at p read."""
-    return {r for i in ids if p >= CHECK_CATALOG[i].min_prime
-            for r in CHECK_CATALOG[i].reads}
-
-
-def _max_special_index(ids, primes) -> tuple[int, int]:
-    pmax = max(primes) if primes else 0
-    reads = _special_reads(ids, pmax)
-    return (max((pmax - off for t, off in reads if t == "B"), default=-1),
-            max((pmax - off for t, off in reads if t == "E"), default=-1))
-
-
-def _cross_check_specials(ids, p: int, cache: SpecialCache) -> None:
-    """Check every special-number residue the checks read at p against its
-    power-sum route; a mismatch raises InternalInconsistency."""
-    for table, off in sorted(_special_reads(ids, p)):
-        if p - off < 2:
-            continue  # B_0 = E_0 = 1, read only at p = 3, have no such route
-        if table == "B":
-            bernoulli_mod_p_fast(p - off, p, cache)
-        else:
-            euler_mod_p_fast(p, cache)
-
-
-def _prime_contexts(ids, p: int,
-                    cache: SpecialCache) -> tuple[ExactContext, PadicContext]:
-    """The exact and the p-adic context every check at p shares, each with
-    its own memos so the two paths stay independent.
-
-    Built only after the special numbers the checks read at p pass their
-    cross-check, so no verdict at p rests on a bad B or E residue.
-    """
-    _cross_check_specials(ids, p, cache)
-    return ExactContext(p, cache), PadicContext(p, cache)
-
-
 def _compare_pairs(ctx, spec: CheckSpec):
     """Evaluate all lhs/rhs pairs of a check in one context."""
     lhs_res = rhs_res = None
@@ -560,8 +509,8 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
 
     `with_padic=None` runs the p-adic path for p <= PADIC_PATH_MAX_PRIME.
     `contexts` are the shared (exact, p-adic) contexts of p; without them
-    the check gets fresh ones, after the special numbers it reads are
-    cross-checked.
+    the check gets fresh ones.  Either way every special number it reads is
+    cross-checked on its first read in a context.
     """
     if check_id not in CHECK_CATALOG:
         raise UnknownCheck(f"unknown check id {check_id!r}")
@@ -570,8 +519,8 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
         return CheckResult(check_id, p, spec.m, None, None, None, spec.status,
                            applicable=False, note=f"inapplicable: needs p >= {spec.min_prime}")
     if contexts is None:
-        contexts = _prime_contexts([check_id], p,
-                                   cache if cache is not None else SpecialCache())
+        cache = cache if cache is not None else SpecialCache()
+        contexts = ExactContext(p, cache), PadicContext(p, cache)
     exact, padic = contexts
     if with_padic is None:
         with_padic = p <= PADIC_PATH_MAX_PRIME
@@ -618,7 +567,7 @@ def _run_prime(ids, p: int, padic_limit: int,
     In a pool worker `cache` is None and the worker's tables are read.
     """
     cache = cache if cache is not None else _WORKER_CACHE
-    contexts = _prime_contexts(ids, p, cache)
+    contexts = ExactContext(p, cache), PadicContext(p, cache)
     return [evaluate_check(i, p, cache, with_padic=p <= padic_limit,
                            contexts=contexts)
             for i in ids]
@@ -651,9 +600,10 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
 
     The checks at one prime share one exact and one p-adic context.  A
     pool starts at most one worker per prime.  Every special-number residue
-    the checks read at a prime is cross-checked before any check there is
-    evaluated; a mismatch raises InternalInconsistency, since no verdict
-    built on it could be trusted.
+    a context reads is cross-checked on its first read; a mismatch raises
+    InternalInconsistency, since no verdict built on it could be trusted.
+    Both tables are sized once, before any prime, to B_{p-3} and E_{p-3}
+    of the largest prime: grown on demand, a held table would double.
     """
     ids = list(ids)
     primes = sorted(primes)
@@ -661,11 +611,9 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         if i not in CHECK_CATALOG:
             raise UnknownCheck(f"unknown check id {i!r}")
     cache = cache if cache is not None else SpecialCache()
-    need_b, need_e = _max_special_index(ids, primes)
-    if need_b >= 0:
-        cache.ensure_bernoulli(need_b)
-    if need_e >= 0:
-        cache.ensure_euler(need_e)
+    if primes and primes[-1] >= 3:
+        cache.ensure_bernoulli(primes[-1] - 3)
+        cache.ensure_euler(primes[-1] - 3)
 
     if jobs > 1 and len(primes) > 1:
         with ProcessPoolExecutor(

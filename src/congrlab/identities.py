@@ -39,7 +39,7 @@ class IdentityCase:
 def _row(name: str, n: int, lo: int, hi: int) -> Fraction:
     """Row `name` of SUMS at a = n, summed exactly over lo <= k <= hi; its
     last term is guarded against the closed form."""
-    return exact_sum(row_terms(name, n, lo, hi, lambda r: r, True))
+    return exact_sum(row_terms(name, n, lo, hi, Fraction, True))
 
 
 def _sigma_lhs(n):

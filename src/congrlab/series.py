@@ -1,17 +1,19 @@
 """Double-precision sanity checks of the motivating infinite series.
 
-Central binomial ratios are built multiplicatively term to term.  The
-closed-form targets use fixed decimal literals for pi, log 2, zeta(3) and
+Each series sums a row of `sums.SUMS` in floats: its first term is the
+closed form, rounded once, and each next term a step by the row's ratio.
+The closed-form targets use fixed decimal literals for pi, log 2, zeta(3) and
 Catalan's constant; the test suite cross-checks each literal against two
 independent classical series.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from operator import truediv
 
 from .errors import UnknownSeries
+from .sums import row_terms
 
 PI = 3.14159265358979323846
 LOG2 = 0.69314718055994530942
@@ -30,106 +32,35 @@ class SeriesReport:
     converged: bool
 
 
-def _ratio_advance(r: float, k: int) -> float:
-    """C(2k,k)/4^k -> C(2(k+1),k+1)/4^(k+1)."""
-    return r * (2 * k + 1) / (2 * (k + 1))
-
-
-def _terms_zeta2(count):
-    # 1/(k^2 C(2k,k)), k >= 1
-    c = 1.0  # C(2k,k)
-    for k in range(1, count + 1):
-        c = c * 2 * (2 * k - 1) / k
-        yield 1.0 / (k * k * c)
-
-
-def _terms_apery3(count):
-    c = 1.0
-    for k in range(1, count + 1):
-        c = c * 2 * (2 * k - 1) / k
-        yield (-1) ** k / (k ** 3 * c)
-
-
-def _terms_log2g(count):
-    # C(2k,k)^2/(k 16^k), k >= 1
-    r = 1.0
-    for k in range(1, count + 1):
-        r = _ratio_advance(r, k - 1)
-        yield r * r / k
-
-
-def _terms_pi3(count):
-    # C(2k,k)/((2k+1) 16^k), k >= 0
-    r = 1.0  # C(2k,k)/4^k
-    q = 1.0  # 4^-k
-    for k in range(count):
-        yield r * q / (2 * k + 1)
-        r = _ratio_advance(r, k)
-        q *= 0.25
-
-
-def _terms_pi2_10(count):
-    r = 1.0
-    q = 1.0
-    for k in range(count):
-        yield r * q / (2 * k + 1) ** 2 * (-1) ** k
-        r = _ratio_advance(r, k)
-        q *= 0.25
-
-
-def _terms_4g(count):
-    r = 1.0
-    for k in range(count):
-        yield r * r / (2 * k + 1)
-        r = _ratio_advance(r, k)
-
-
-def _terms_72z3(count):
-    # 16^k/((2k+1)^3 C(2k,k)^2), k >= 0
-    r = 1.0
-    for k in range(count):
-        yield 1.0 / (r * r * (2 * k + 1) ** 3)
-        r = _ratio_advance(r, k)
-
-
-def _terms_neg2pi(count):
-    r = 1.0
-    for k in range(count):
-        yield r * r / (2 * k - 1)
-        r = _ratio_advance(r, k)
-
-
-def _terms_neg8pi2(count):
-    r = 1.0
-    for k in range(count):
-        yield (4 * k - 1) * r ** 4 / (2 * k - 1) ** 4
-        r = _ratio_advance(r, k)
-
-
 @dataclass(frozen=True)
 class SeriesSpec:
     name: str
-    terms_fn: callable
+    row: str          # the row of sums.SUMS whose terms are summed
+    a: int            # the row's parameter; only sq_shifted reads it here
+    lo: int           # the first k
     target: float
     default_terms: int
     tolerance: float
     mode: str  # direct | avg (Cesaro pair average) | tail2 (c/k^2 tail estimate)
+    sign: int = 1     # the series sums sign * t_k
 
 
-SERIES_CATALOG = {
-    "S-ZETA2": SeriesSpec("S-ZETA2", _terms_zeta2, PI * PI / 18, 200, 1e-12, "direct"),
-    "S-APERY3": SeriesSpec("S-APERY3", _terms_apery3, -0.4 * ZETA3, 200, 1e-12, "avg"),
-    "S-LOG2G": SeriesSpec("S-LOG2G", _terms_log2g, 4 * LOG2 - 8 * CATALAN / PI,
-                          100_000, 1e-6, "tail2"),
-    "S-PI3": SeriesSpec("S-PI3", _terms_pi3, PI / 3, 200, 1e-12, "direct"),
-    "S-PI2-10": SeriesSpec("S-PI2-10", _terms_pi2_10, PI * PI / 10, 200, 1e-12, "avg"),
-    "S-4G": SeriesSpec("S-4G", _terms_4g, 4 * CATALAN / PI, 100_000, 1e-6, "tail2"),
-    "S-72Z3": SeriesSpec("S-72Z3", _terms_72z3, 3.5 * ZETA3 - CATALAN * PI,
-                         100_000, 1e-6, "tail2"),
-    "S-NEG2PI": SeriesSpec("S-NEG2PI", _terms_neg2pi, -2 / PI, 100_000, 1e-6, "tail2"),
-    "S-NEG8PI2": SeriesSpec("S-NEG8PI2", _terms_neg8pi2, -8 / (PI * PI),
-                            10_000, 1e-10, "direct"),
-}
+SERIES_CATALOG = {s.name: s for s in (
+    SeriesSpec("S-ZETA2", "inv_k2", 0, 1, PI * PI / 18, 200, 1e-12, "direct"),
+    SeriesSpec("S-APERY3", "alt_inv_k3", 0, 1, -0.4 * ZETA3, 200, 1e-12, "avg"),
+    SeriesSpec("S-LOG2G", "sq_k1", 0, 1, 4 * LOG2 - 8 * CATALAN / PI,
+               100_000, 1e-6, "tail2"),
+    SeriesSpec("S-PI3", "odd1", 0, 0, PI / 3, 200, 1e-12, "direct"),
+    SeriesSpec("S-PI2-10", "odd2_alt", 0, 0, PI * PI / 10, 200, 1e-12, "avg"),
+    SeriesSpec("S-4G", "sq_odd1", 0, 0, 4 * CATALAN / PI, 100_000, 1e-6, "tail2"),
+    SeriesSpec("S-72Z3", "inv_sq_odd3", 0, 0, 3.5 * ZETA3 - CATALAN * PI,
+               100_000, 1e-6, "tail2"),
+    # C(2k,k)^2/((2k-1) 16^k): TELE1's row
+    SeriesSpec("S-NEG2PI", "sq_shifted", -1, 0, -2 / PI, 100_000, 1e-6, "tail2"),
+    # (4k-1) C(2k,k)^4/((2k-1)^4 256^k), the negated GLAISHER4 summand
+    SeriesSpec("S-NEG8PI2", "glaisher4", 0, 0, -8 / (PI * PI), 10_000, 1e-10, "direct",
+               sign=-1),
+)}
 
 
 def evaluate_series(name: str, terms: int | None = None,
@@ -142,25 +73,21 @@ def evaluate_series(name: str, terms: int | None = None,
         raise ValueError("terms must be >= 1")
     tolerance = tol if tol is not None else spec.tolerance
 
-    total = 0.0
-    prev = 0.0
-    last_term = 0.0
-    k_last = 0
-    for k, term in enumerate(spec.terms_fn(count), start=1):
+    total = prev = 0.0
+    for term in row_terms(spec.row, spec.a, spec.lo, spec.lo + count - 1, truediv, False):
         prev = total
         total += term
-        last_term = term
-        k_last = k
 
     partial = total
     if spec.mode == "avg" and count > 1:
         partial = 0.5 * (total + prev)
     elif spec.mode == "tail2" and count > 2:
-        # terms decay like c/k^2; estimate c from the last term and append
-        # the psi'(K+1) tail so the truncation error drops to ~c/K^2
-        c = last_term * k_last * k_last
-        x = k_last + 1.0
+        # terms decay like c/K^2 at the K-th; estimate c from the last term and
+        # append the psi'(K+1) tail so the truncation error drops to ~c/K^2
+        c = term * count * count
+        x = count + 1.0
         partial = total + c * (1.0 / x + 1.0 / (2 * x * x) + 1.0 / (6 * x ** 3))
+    partial *= spec.sign  # exact: the same as negating every term
 
     error = abs(partial - spec.target)
     return SeriesReport(name, count, partial, spec.target, error, tolerance,

@@ -1,11 +1,11 @@
-"""The binomial sums of both catalogs, one row each, and the one routine
-that steps a row.
+"""The binomial sums of all three catalogs, one row each, and the one
+routine that steps a row.
 
 Every summand t_k is a hypergeometric term in k with one parameter a: the
-prime p for a congruence, the index n for an identity.  `term(a, k)` is its
-closed form and `ratio(a, k)` the integer pair (num, den) with
-t_{k+1} = t_k * num / den.  Rows ending in `_lit` take the literal C(4k,k)
-reading of C(4k,2k).
+prime p for a congruence, the index n for an identity, a constant for a
+float series.  `term(a, k)` is its closed form and `ratio(a, k)` the integer
+pair (num, den) with t_{k+1} = t_k * num / den.  Rows ending in `_lit` take
+the literal C(4k,k) reading of C(4k,2k).
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ def _b(n, k):
 
 
 SUMS = {
-    # -- the congruence catalog's rows (a = p); APERY, SIGMA, SHIFT and TELE1
-    #    read some of them too --
+    # -- the congruence catalog's rows (a = p); APERY, SIGMA, SHIFT, TELE1 and
+    #    the float series read some of them too --
     "alt_inv_k3": (lambda p, k: Fraction((-1) ** k, k ** 3 * _c(k)),
                    lambda p, k: (-k ** 3, 2 * (2 * k + 1) * (k + 1) ** 2)),
     "alt_k2": (lambda p, k: Fraction((-1) ** k * _c(k), k * k),
@@ -93,19 +93,20 @@ SUMS = {
 }
 
 
-def row_terms(name: str, a: int, lo: int, hi: int, lift, guard: bool):
+def row_terms(name: str, a: int, lo: int, hi: int, frac, guard: bool):
     """The terms t_lo..t_hi of row `name` of SUMS at parameter a.
 
-    `lift` maps a `Fraction` into the caller's arithmetic.  The first term
-    is its lifted closed form and each next one a step by the lifted ratio.
-    With `guard`, the last term must equal its closed form, which catches a
-    wrong ratio; a miss raises InternalInconsistency.
+    `frac(num, den)` builds the quotient of two integers in the caller's
+    arithmetic.  The first term is its closed form and each next one a step
+    by the ratio.  With `guard`, the last term must equal its closed form,
+    which catches a wrong ratio; a miss raises InternalInconsistency.
     """
     term, ratio = SUMS[name]
-    t = lift(term(a, lo))
+    first = term(a, lo)
+    t = frac(first.numerator, first.denominator)
     yield t
     for k in range(lo, hi):
-        t = t * lift(Fraction(*ratio(a, k)))
+        t = t * frac(*ratio(a, k))
         yield t
     if guard and t != term(a, hi):
         raise InternalInconsistency(

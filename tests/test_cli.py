@@ -207,10 +207,12 @@ def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):
     ["identity", "--names", ","],
     ["series", "--names", " , "],
     ["verify", "--primes", "2:3"],
+    ["identity", "--names", "APERY", "--n=-3:0"],
 ])
 def test_cli_empty_selection_exits_2(argv, capsys):
-    """A selection of nothing, or of primes where no selected check applies,
-    would verify nothing and exit 0."""
+    """A selection of nothing, of primes where no selected check applies, or
+    of n below every selected identity's start would verify nothing and
+    exit 0."""
     assert parse_and_run(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

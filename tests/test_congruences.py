@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from congrlab import congruences, identities
+from congrlab import congruences, identities, special
 from congrlab.arith import PrimeRange, exact_sum, rat_reduce_mod, sieve_primes, vp_rational
 from congrlab.cli import parse_and_run
 from congrlab.congruences import (
@@ -105,12 +105,11 @@ def test_catalog_metadata_sane():
 
 
 class _RecordingContext(ExactContext):
-    """Exact context that records which special numbers a check reads, and
-    the widest range over which it reads each sum row."""
+    """Exact context that records the widest range over which a check reads
+    each sum row."""
 
     def __init__(self, p, cache):
         super().__init__(p, cache)
-        self.reads = set()
         self.ranges = {}
 
     def S(self, name, lo, hi):
@@ -118,33 +117,15 @@ class _RecordingContext(ExactContext):
         self.ranges[name] = (min(a, lo), max(b, hi))
         return super().S(name, lo, hi)
 
-    def bern(self, i):
-        self.reads.add(("B", self.p - i))
-        return super().bern(i)
-
-    def euler_num(self, i):
-        self.reads.add(("E", self.p - i))
-        return super().euler_num(i)
-
-
-def test_declared_special_reads_match_evaluation(cache):
-    """Table sizing and the cross-check rely on each check's `reads`."""
-    for spec in CHECK_CATALOG.values():
-        for p in (7, 11):
-            ctx = _RecordingContext(p, cache)
-            for _ in spec.pairs(ctx):
-                pass
-            assert ctx.reads == set(spec.reads), (spec.id, p)
-
 
 def _identity_row_reads(monkeypatch, n_range) -> set:
     """(name, a, lo, hi) of every row the identity suite reads over n_range."""
     reads = set()
     row_terms = identities.row_terms
 
-    def recording(name, a, lo, hi, lift, guard):
+    def recording(name, a, lo, hi, frac, guard):
         reads.add((name, a, lo, hi))
-        return row_terms(name, a, lo, hi, lift, guard)
+        return row_terms(name, a, lo, hi, frac, guard)
 
     monkeypatch.setattr(identities, "row_terms", recording)
     run_identity_suite(None, n_range)
@@ -365,13 +346,42 @@ def test_each_prime_builds_one_padic_context(monkeypatch, cache):
     assert all(r.path_agreement for r in results)
 
 
-def test_corrupt_special_number_raises_instead_of_failing():
-    """A wrong B_{p-3} is an engine fault, never a proven failure."""
+@pytest.mark.parametrize("table, index", [("bernoulli", 10), ("bernoulli", 8),
+                                          ("euler", 10)],
+                         ids=["B_p-3", "B_p-5", "E_p-3"])
+def test_corrupt_special_number_raises_instead_of_failing(table, index):
+    """A wrong B_{p-3}, B_{p-5} or E_{p-3} at p = 13 is an engine fault,
+    never a failed check: every residue is cross-checked where it is read."""
     corrupt = SpecialCache()
-    corrupt.ensure_bernoulli(10)  # the size the run needs, so it is kept
-    corrupt.bernoulli[8] += 1  # B_{p-3} at p = 11
+    corrupt.ensure_bernoulli(10)  # the sizes the run needs, so they are kept
+    corrupt.ensure_euler(10)
+    getattr(corrupt, table)[index] += 1
     with pytest.raises(InternalInconsistency):
-        run_suite(["T1.1-1.1"], [7, 11, 13], corrupt, padic_limit=0)
+        run_suite(check_ids("all"), [13], corrupt, padic_limit=0)
+
+
+def test_euler_number_without_a_second_route_is_refused():
+    """The character-sum route covers E_{p-3} only; no other E index above
+    E_0 is read unchecked."""
+    ctx = ExactContext(13, SpecialCache())
+    assert ctx.euler_num(0) == 1 and ctx.euler_num(10) == -50521
+    with pytest.raises(ValueError, match="E_8"):
+        ctx.euler_num(8)
+
+
+def test_tables_are_sized_once_for_the_largest_prime(monkeypatch):
+    """Grown on demand, a held table would double: the large-prime run would
+    build B and E to index 1988, not 1010."""
+    built = []
+    for name in ("_tangent_numbers", "_secant_numbers"):
+        triangle = getattr(special, name)
+        monkeypatch.setattr(special, name,
+                            lambda k, name=name, triangle=triangle:
+                            built.append((name, k)) or triangle(k))
+    cache = SpecialCache()
+    run_suite(check_ids("proven"), [997, 1009, 1013], cache)
+    assert built == [("_tangent_numbers", 505), ("_secant_numbers", 505)]
+    assert max(cache.bernoulli) == max(cache.euler) == 1010
 
 
 def test_direct_evaluation_cross_checks_special_numbers():
