@@ -5,7 +5,6 @@ from .arith import (
     PAdic,
     PrimeRange,
     Residue,
-    binomial_big,
     rat_reduce_mod,
     sieve_primes,
     vp_binomial,

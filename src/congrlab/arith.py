@@ -10,11 +10,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    DivisionByZeroMarker,
-    NegativeValuation,
-    PrecisionExhausted,
-)
+from .errors import NegativeValuation, PrecisionExhausted
 
 
 def vp_int(a: int, p: int) -> int:
@@ -154,16 +150,6 @@ class PAdic:
         prec = min(self.prec, other.prec)
         return PAdic(self.p, val, self.unit * other.unit % self.p ** prec, prec)
 
-    def inv(self) -> "PAdic":
-        if self.unit is None:
-            raise DivisionByZeroMarker("cannot invert a p-adic zero marker")
-        return PAdic(self.p, -self.val, pow(self.unit, -1, self.p ** self.prec),
-                     self.prec)
-
-    def __truediv__(self, other) -> "PAdic":
-        self._check(other)
-        return self * other.inv()
-
     def __pow__(self, k: int) -> "PAdic":
         if k < 0:
             raise ValueError("p-adic powers take exponents >= 0")
@@ -204,16 +190,7 @@ class PAdic:
                 f"+ O(p^{self.val + self.prec}))")
 
 
-# -- binomial coefficients and primes ----------------------------------
-
-
-def binomial_big(n: int, k: int) -> int:
-    """Exact binomial coefficient; 0 outside [0, n]."""
-    if n < 0:
-        raise ValueError("binomial_big requires n >= 0")
-    if k < 0 or k > n:
-        return 0
-    return math.comb(n, k)
+# -- binomial valuations and primes ------------------------------------
 
 
 def _digit_sum(n: int, p: int) -> int:

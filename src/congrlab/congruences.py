@@ -14,8 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import comb
 
-from .arith import PAdic, binomial_big, exact_sum, rat_reduce_mod, vp_rational
+from .arith import PAdic, exact_sum, rat_reduce_mod, vp_rational
 from .errors import (
     CongrlabError,
     InternalInconsistency,
@@ -31,7 +32,7 @@ from .special import (
     euler_mod_p_fast,
     harmonic_prefix,
 )
-from .sums import SUMS, row_terms  # SUMS stays importable from here
+from .sums import row_terms
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -43,8 +44,9 @@ class ExactContext:
     """Evaluates expressions over exact rationals.
 
     A context serves one prime, and every check evaluated in it shares its
-    memos: binomials, harmonic tables, special numbers and the row sums of
-    `SUMS` (`S`).
+    memos: harmonic tables, special numbers and the row sums of `SUMS`
+    (`S`).  Every binomial term comes from a row: summed by `S`, or read
+    per k through `terms`.
     """
 
     guard_rows = True
@@ -54,7 +56,6 @@ class ExactContext:
         self.n = (p - 1) // 2
         self.cache = cache
         self._harmonic: dict[int, list[Fraction]] = {}
-        self._binom: dict[tuple[int, int], object] = {}
         self._special: dict[tuple[str, int], object] = {}
         self.sums: dict[tuple, object] = {}
 
@@ -64,29 +65,29 @@ class ExactContext:
     def _lift(self, r: Fraction):
         return r
 
-    def binom(self, n: int, k: int):
-        value = self._binom.get((n, k))
-        if value is None:
-            value = self._binom[n, k] = self._lift(Fraction(binomial_big(n, k)))
-        return value
-
     def sum(self, terms):
         return exact_sum(terms)
 
-    def S(self, name: str, lo: int, hi: int):
-        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized.  Both
+    def terms(self, name: str, a: int, lo: int, hi: int) -> list:
+        """The terms t_lo..t_hi of row `name` of SUMS at parameter a.  Both
         paths step by the same ratio, so a wrong ratio would agree with
-        itself; the exact path guards every row against its closed form."""
+        itself; the exact path guards every row against its closed form.
+        A list, not a generator: a zip that stops early would skip the
+        guard, which runs after the last term."""
+        return list(row_terms(name, a, lo, hi, self.frac, self.guard_rows))
+
+    def S(self, name: str, lo: int, hi: int):
+        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
         value = self.sums.get((name, lo, hi))
         if value is None:
-            value = self.sums[name, lo, hi] = self.sum(
-                row_terms(name, self.p, lo, hi, self.frac, self.guard_rows))
+            value = self.sums[name, lo, hi] = self.sum(self.terms(name, self.p, lo, hi))
         return value
 
     def H(self, i: int, m: int = 1):
+        """H_i^(m) for 0 <= i <= p - 1, the largest index a check reads."""
         table = self._harmonic.get(m)
-        if table is None or len(table) <= i:
-            self._harmonic[m] = table = harmonic_prefix(self.p + 1, m)
+        if table is None:
+            self._harmonic[m] = table = harmonic_prefix(self.p - 1, m)
         return self._lift(table[i])
 
     def bern(self, i: int):
@@ -246,24 +247,21 @@ def _catalog() -> dict[str, CheckSpec]:
 
     def l21a_pairs(c):
         # sign is (-1)^(floor(2k/p) - 1)
-        return [(f"k={k}",
-                 c.frac(k) * c.binom(2 * k, k) * c.binom(2 * (c.p - k), c.p - k),
-                 c.frac((1 if (2 * k // c.p) % 2 else -1) * 2 * c.p))
-                for k in range(1, c.p)]
+        return [(f"k={k}", t, c.frac((1 if (2 * k // c.p) % 2 else -1) * 2 * c.p))
+                for k, t in enumerate(c.terms("l21a", c.p, 1, c.p - 1), start=1)]
 
     add("L2.1a", "k C(2k,k) C(2(p-k),p-k) = +-2p, per k", 2, 5, "proven", l21a_pairs)
 
     def l21b_pairs(c):
-        return [(f"k={k}",
-                 c.binom(c.n, k) * c.binom(c.n + k, k),
-                 c.binom(2 * k, k) ** 2 * c.frac(1, (-16) ** k))
-                for k in range(0, c.n + 1)]
+        return [(f"k={k}", b, c.frac((-1) ** k) * s)
+                for k, (b, s) in enumerate(zip(c.terms("b", c.n, 0, c.n),
+                                               c.terms("sq_k0", c.p, 0, c.n)))]
 
     add("L2.1b", "C(n,k) C(n+k,k) = C(2k,k)^2/(-16)^k, per k", 2, 5, "proven", l21b_pairs,
         note="checked for k in [0,n] where C(n,k) is meaningful")
 
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
-        _scalar(lambda c: c.frac((-1) ** c.n) * c.binom(c.p - 1, c.n),
+        _scalar(lambda c: c.frac((-1) ** c.n * comb(c.p - 1, c.n)),
                 lambda c: c.frac(4 ** (c.p - 1))
                 + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)))
 
@@ -328,10 +326,11 @@ def _catalog() -> dict[str, CheckSpec]:
 
     def ps11c_pairs(c):
         return [(f"k={k}",
-                 c.binom(c.n, k) * c.binom(c.n + k, k) * c.frac((-1) ** k)
+                 c.frac((-1) ** k) * b
                  * (c.frac(1) - c.frac(c.p, 4) * (c.H(c.n + k) - c.H(c.n - k))),
-                 c.binom(2 * k, k) ** 2 * c.frac(1, 16 ** k))
-                for k in range(1, c.n + 1)]
+                 s)
+                for k, (b, s) in enumerate(zip(c.terms("b", c.n, 1, c.n),
+                                               c.terms("sq_k0", c.p, 1, c.n)), start=1)]
 
     add("PS11c-3.2", "per-k refinement of the (-16)^k transform", 4, 5, "proven",
         ps11c_pairs)

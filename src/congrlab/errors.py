@@ -13,10 +13,6 @@ class PrecisionExhausted(CongrlabError):
     """A requested p-adic digit is not significant at the working precision."""
 
 
-class DivisionByZeroMarker(CongrlabError):
-    """Inversion of a p-adic zero marker."""
-
-
 class ValuationViolation(CongrlabError):
     """A divisibility that the theory guarantees failed to hold.
 

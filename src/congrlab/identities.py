@@ -2,7 +2,7 @@
 recurrence certificates.
 
 Every identity is evaluated by summation over exact rationals at each
-instance n; every sum over k but SIGMA's lhs is a row of `sums.SUMS`.  A
+instance n; every sum over k steps a row of `sums.SUMS`.  A
 recurrence certificate, checked on both sides, plus verified base cases then
 proves the identity for every n the suite visited.  Within one run each side
 is summed once per n, and the certificates read those values.
@@ -43,16 +43,17 @@ def _row(name: str, n: int, lo: int, hi: int) -> Fraction:
 
 
 def _sigma_lhs(n):
-    # H(n+k) - H(n-k), built incrementally; not hypergeometric, so no row
+    # prodinger row times H(n+k) - H(n-k), which is not hypergeometric; the
+    # row goes first in the zip, so its guard runs
     hdiffs = accumulate(Fraction(1, n + k) + Fraction(1, n - k + 1)
                         for k in range(1, n + 1))
-    return exact_sum(comb(n, k) * comb(n + k, k) * Fraction((-1) ** k, k) * hdiff
-                     for k, hdiff in enumerate(hdiffs, start=1))
+    return exact_sum(t * h for t, h in zip(row_terms("prodinger", n, 1, n, Fraction, True),
+                                           hdiffs, strict=True))
 
 
 # -- identity catalog ---------------------------------------------------
-# Each entry: (domain start, lhs(n), rhs(n)).  Every sum over k but SIGMA's
-# lhs is a row of SUMS; the right sides' leading factors are closed forms.
+# Each entry: (domain start, lhs(n), rhs(n)).  Every sum over k steps a row of
+# SUMS; the right sides' leading factors are closed forms.
 
 
 IDENTITY_CATALOG = {

@@ -1,7 +1,8 @@
-"""The binomial sums of all three catalogs, one row each, and the one
-routine that steps a row.
+"""The binomial sums and per-k terms of all three catalogs, one row each,
+and the one routine that steps a row.
 
-Every summand t_k is a hypergeometric term in k with one parameter a: the
+A row is summed over k or, for a per-k check, read term by term.  Every
+summand t_k is a hypergeometric term in k with one parameter a: the
 prime p for a congruence, the index n for an identity, a constant for a
 float series.  `term(a, k)` is its closed form and `ratio(a, k)` the integer
 pair (num, den) with t_{k+1} = t_k * num / den.  Rows ending in `_lit` take
@@ -70,6 +71,10 @@ SUMS = {
         lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, k)),
         lambda p, k: (12 * (2 * k - 1) * k * k * (3 * k + 1) * (3 * k + 2),
                       (2 * k + 1) ** 3 * (4 * k + 1) * (4 * k + 3))),
+    "l21a": (lambda p, k: k * _c(k) * _c(p - k),
+             lambda p, k: ((2 * k + 1) * (p - k), k * (2 * p - 2 * k - 1))),
+    # read at a = n = (p-1)/2
+    "b": (_b, lambda n, k: ((n - k) * (n + k + 1), (k + 1) ** 2)),
     # -- read by the identity catalog only (a = n) --
     "odd_recip": (lambda n, k: Fraction(1, 2 * k + 1),
                   lambda n, k: (2 * k + 1, 2 * k + 3)),

@@ -12,18 +12,13 @@ from congrlab.arith import (
     PAdic,
     PrimeRange,
     Residue,
-    binomial_big,
     rat_reduce_mod,
     sieve_primes,
     vp_binomial,
     vp_int,
     vp_rational,
 )
-from congrlab.errors import (
-    DivisionByZeroMarker,
-    NegativeValuation,
-    PrecisionExhausted,
-)
+from congrlab.errors import NegativeValuation, PrecisionExhausted
 
 SMALL_PRIMES = [5, 7, 11, 13]
 
@@ -91,16 +86,8 @@ def test_padic_mul_example():
     assert (c.val, c.unit) == (2, 6)
 
 
-def test_padic_inv_example():
-    x = PAdic(7, 2, 33, 2)
-    y = x.inv()
-    assert (y.val, y.unit) == (-2, 3)  # 33 * 3 = 99 = 1 mod 49
-
-
 def test_padic_marker_refuses_inversion_and_deep_residues():
     m = PAdic.zero_marker(7, 2)
-    with pytest.raises(DivisionByZeroMarker):
-        m.inv()
     assert m.residue(2).value == 0
     with pytest.raises(PrecisionExhausted):
         m.residue(3)  # only valuation >= 2 is guaranteed
@@ -180,23 +167,7 @@ def test_padic_sum_with_negation_never_fabricates_digits(p, r):
         assert s.val == x._abs_prec()  # bound equals the lost absolute precision
 
 
-# -- binomial coefficients --------------------------------------------------
-
-
-def test_binomial_big_examples():
-    assert binomial_big(4, 2) == 6
-    assert binomial_big(0, 0) == 1
-    assert binomial_big(8, 4) == 70
-    assert binomial_big(5, -1) == 0
-    assert binomial_big(5, 6) == 0
-    with pytest.raises(ValueError):
-        binomial_big(-1, 0)
-
-
-def test_binomial_pascal_rule_up_to_200():
-    for n in range(1, 201):
-        for k in range(0, n + 1):
-            assert binomial_big(n, k) == binomial_big(n - 1, k - 1) + binomial_big(n - 1, k)
+# -- binomial valuations ---------------------------------------------------
 
 
 def test_vp_binomial_examples():

@@ -14,7 +14,6 @@ from congrlab.arith import PrimeRange, exact_sum, rat_reduce_mod, sieve_primes, 
 from congrlab.cli import parse_and_run
 from congrlab.congruences import (
     CHECK_CATALOG,
-    SUMS,
     ExactContext,
     check_ids,
     evaluate_check,
@@ -24,6 +23,7 @@ from congrlab.errors import InternalInconsistency, UnknownCheck
 from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
 from congrlab.special import SpecialCache, bernoulli_exact
+from congrlab.sums import SUMS
 
 
 @pytest.fixture(scope="module")
@@ -105,17 +105,16 @@ def test_catalog_metadata_sane():
 
 
 class _RecordingContext(ExactContext):
-    """Exact context that records the widest range over which a check reads
-    each sum row."""
+    """Exact context that records (name, a, lo, hi) of every row a check
+    steps, summed or read per k."""
 
     def __init__(self, p, cache):
         super().__init__(p, cache)
-        self.ranges = {}
+        self.reads = set()
 
-    def S(self, name, lo, hi):
-        a, b = self.ranges.get(name, (lo, hi))
-        self.ranges[name] = (min(a, lo), max(b, hi))
-        return super().S(name, lo, hi)
+    def terms(self, name, a, lo, hi):
+        self.reads.add((name, a, lo, hi))
+        return super().terms(name, a, lo, hi)
 
 
 def _identity_row_reads(monkeypatch, n_range) -> set:
@@ -148,10 +147,10 @@ def test_every_row_ratio_steps_to_the_next_closed_form_term(p, cache, monkeypatc
         if p >= spec.min_prime:
             spec.pairs(ctx)
     if p >= 7:  # every row is read by the congruence or the identity catalog
-        identity_rows = {name for name, *_ in _identity_row_reads(monkeypatch, range(3))}
-        assert set(ctx.ranges) | identity_rows == set(SUMS)
-    for name, (lo, hi) in ctx.ranges.items():
-        _assert_steps(name, p, lo, hi)
+        rows = {name for name, *_ in ctx.reads | _identity_row_reads(monkeypatch, range(3))}
+        assert rows == set(SUMS)
+    for read in ctx.reads:
+        _assert_steps(*read)
 
 
 def test_every_identity_row_ratio_steps_to_the_next_closed_form_term(monkeypatch):
@@ -162,8 +161,9 @@ def test_every_identity_row_ratio_steps_to_the_next_closed_form_term(monkeypatch
 
 
 def test_wrong_identity_row_ratio_is_an_engine_fault(monkeypatch, capsys):
-    """A row that only an identity reads is guarded too: a wrong ratio exits
-    2 with no rows, never a failed identity."""
+    """A row that only an identity reads is guarded too, summed (PRODINGER)
+    or weighted per k (SIGMA's lhs): a wrong ratio exits 2 with no rows,
+    never a failed identity."""
     term, ratio = SUMS["prodinger"]
 
     def wrong(n, k):
@@ -171,11 +171,12 @@ def test_wrong_identity_row_ratio_is_an_engine_fault(monkeypatch, capsys):
         return num + 1, den
 
     monkeypatch.setitem(SUMS, "prodinger", (term, wrong))
-    code = parse_and_run(["identity", "--names", "PRODINGER", "--n", "1:5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "'prodinger'" in captured.err
+    for identity in ("PRODINGER", "SIGMA"):
+        code = parse_and_run(["identity", "--names", identity, "--n", "1:5"])
+        captured = capsys.readouterr()
+        assert code == 2, identity
+        assert captured.out == "", identity
+        assert "'prodinger'" in captured.err, identity
 
 
 def test_padic_path_error_is_an_engine_fault(monkeypatch, cache, capsys):
@@ -195,21 +196,25 @@ def test_padic_path_error_is_an_engine_fault(monkeypatch, cache, capsys):
 
 def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
     """Both paths step by the same ratio and would agree on a wrong one; the
-    exact path's guard turns it into InternalInconsistency, not a verdict."""
-    term, ratio = SUMS["k1"]
+    exact path's guard turns it into InternalInconsistency, not a verdict,
+    for a summed row (k1) and for the rows that checks read per k."""
+    for row, check_id in (("k1", "X-ST"), ("l21a", "L2.1a"), ("b", "L2.1b"),
+                          ("sq_k0", "PS11c-3.2")):
+        term, ratio = SUMS[row]
 
-    def wrong(p, k):
-        num, den = ratio(p, k)
-        return num + 1, den
+        def wrong(p, k, ratio=ratio):
+            num, den = ratio(p, k)
+            return num + 1, den
 
-    monkeypatch.setitem(SUMS, "k1", (term, wrong))
-    with pytest.raises(InternalInconsistency, match="k1"):
-        evaluate_check("X-ST", 11, cache, with_padic=True)
-    code = parse_and_run(["verify", "--primes", "7:13", "--checks", "X-ST"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "'k1'" in captured.err
+        with monkeypatch.context() as patch:
+            patch.setitem(SUMS, row, (term, wrong))
+            with pytest.raises(InternalInconsistency, match=f"'{row}'"):
+                evaluate_check(check_id, 11, cache, with_padic=True)
+            code = parse_and_run(["verify", "--primes", "7:13", "--checks", check_id])
+        captured = capsys.readouterr()
+        assert code == 2, row
+        assert captured.out == "", row
+        assert f"'{row}'" in captured.err, row
 
 
 # -- proven checks, small primes ---------------------------------------------------
@@ -419,7 +424,7 @@ def test_common_denominator_sum_equals_sequential_addition(terms):
 
 
 @pytest.mark.parametrize("name", ["evaluate_check", "_compare_pairs", "harmonic_prefix",
-                                  "binomial_big", "rat_reduce_mod", "PadicContext"])
+                                  "rat_reduce_mod", "PadicContext"])
 def test_names_the_benchmark_tracer_wraps_resolve(name):
     """bench/tracer.py wraps these names in congrlab.congruences and reads 0
     for a name that is gone, so a rename must fail here."""
