@@ -89,14 +89,20 @@ class PAdic:
         return cls(p, bound, None, 0)
 
     @classmethod
-    def from_rational(cls, r, p: int, prec: int) -> "PAdic":
-        r = Fraction(r)
+    def from_rational(cls, r, p: int, prec: int, den: int = 1) -> "PAdic":
+        """The rational r/den at precision prec.  An integer pair (r, den)
+        is lifted as it is, without reducing it to a Fraction first."""
+        if den == 0:
+            raise ZeroDivisionError(f"p-adic lift of {r}/0")
+        if not isinstance(r, int):
+            r = Fraction(r)
+            r, den = r.numerator, r.denominator * den
         if r == 0:
             return cls.zero_marker(p, prec)
-        vn = vp_int(r.numerator, p)
-        vd = vp_int(r.denominator, p)
+        vn = vp_int(r, p)
+        vd = vp_int(den, p)
         m = p ** prec
-        unit = (r.numerator // p ** vn) * pow(r.denominator // p ** vd, -1, m) % m
+        unit = (r // p ** vn) * pow(den // p ** vd, -1, m) % m
         return cls(p, vn - vd, unit, prec)
 
     # -- predicates ----------------------------------------------------

@@ -16,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import comb
 
-from .arith import PAdic, exact_sum, rat_reduce_mod, vp_rational
+from .arith import PAdic, rat_reduce_mod, vp_rational
 from .errors import (
     CongrlabError,
     InternalInconsistency,
@@ -32,7 +32,7 @@ from .special import (
     euler_mod_p_fast,
     harmonic_prefix,
 )
-from .sums import row_terms
+from .sums import row_sum, row_terms
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -46,7 +46,8 @@ class ExactContext:
     A context serves one prime, and every check evaluated in it shares its
     memos: harmonic tables, special numbers and the row sums of `SUMS`
     (`S`).  Every binomial term comes from a row: summed by `S`, or read
-    per k through `terms`.
+    per k through `terms`.  The exact context sums a row with `row_sum`,
+    which guards it against its closed form.
     """
 
     guard_rows = True
@@ -65,9 +66,6 @@ class ExactContext:
     def _lift(self, r: Fraction):
         return r
 
-    def sum(self, terms):
-        return exact_sum(terms)
-
     def terms(self, name: str, a: int, lo: int, hi: int) -> list:
         """The terms t_lo..t_hi of row `name` of SUMS at parameter a.  Both
         paths step by the same ratio, so a wrong ratio would agree with
@@ -80,8 +78,11 @@ class ExactContext:
         """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
         value = self.sums.get((name, lo, hi))
         if value is None:
-            value = self.sums[name, lo, hi] = self.sum(self.terms(name, self.p, lo, hi))
+            value = self.sums[name, lo, hi] = self._row_sum(name, lo, hi)
         return value
+
+    def _row_sum(self, name: str, lo: int, hi: int):
+        return row_sum(name, self.p, lo, hi)
 
     def H(self, i: int, m: int = 1):
         """H_i^(m) for 0 <= i <= p - 1, the largest index a check reads."""
@@ -132,15 +133,20 @@ class ExactContext:
 
 class PadicContext(ExactContext):
     """Evaluates the same expressions over truncated p-adic numbers, each
-    rational lifted at the working precision PADIC_PREC."""
+    rational lifted at the working precision PADIC_PREC.  A row is summed
+    by stepping its lifted terms and adding them one by one, independently
+    of the exact path's binary splitting."""
 
     guard_rows = False  # the exact path guards every row
+
+    def frac(self, a, b=1):
+        return PAdic.from_rational(a, self.p, PADIC_PREC, b)
 
     def _lift(self, r: Fraction):
         return PAdic.from_rational(r, self.p, PADIC_PREC)
 
-    def sum(self, terms):
-        return sum(terms, self.frac(0))
+    def _row_sum(self, name: str, lo: int, hi: int):
+        return sum(self.terms(name, self.p, lo, hi), self.frac(0))
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:

@@ -2,7 +2,8 @@
 recurrence certificates.
 
 Every identity is evaluated by summation over exact rationals at each
-instance n; every sum over k steps a row of `sums.SUMS`.  A
+instance n; every sum over k is a row of `sums.SUMS`, summed by binary
+splitting (`row_sum`) or, for SIGMA's weighted lhs, stepped term by term.  A
 recurrence certificate, checked on both sides, plus verified base cases then
 proves the identity for every n the suite visited.  Within one run each side
 is summed once per n, and the certificates read those values.
@@ -19,7 +20,7 @@ from math import comb
 from .arith import exact_sum
 from .errors import DomainError, UnknownIdentity
 from .special import harmonic_exact
-from .sums import row_terms
+from .sums import row_sum, row_terms
 
 
 @dataclass
@@ -36,12 +37,6 @@ class IdentityCase:
     note: str = ""
 
 
-def _row(name: str, n: int, lo: int, hi: int) -> Fraction:
-    """Row `name` of SUMS at a = n, summed exactly over lo <= k <= hi; its
-    last term is guarded against the closed form."""
-    return exact_sum(row_terms(name, n, lo, hi, Fraction, True))
-
-
 def _sigma_lhs(n):
     # prodinger row times H(n+k) - H(n-k), which is not hypergeometric; the
     # row goes first in the zip, so its guard runs
@@ -52,29 +47,30 @@ def _sigma_lhs(n):
 
 
 # -- identity catalog ---------------------------------------------------
-# Each entry: (domain start, lhs(n), rhs(n)).  Every sum over k steps a row of
+# Each entry: (domain start, lhs(n), rhs(n)).  Every sum over k is a row of
 # SUMS; the right sides' leading factors are closed forms.
 
 
 IDENTITY_CATALOG = {
-    "APERY": (1, lambda n: _row("apery", n, 1, n),
-              lambda n: 5 * _row("alt_inv_k3", n, 1, n) + 2 * harmonic_exact(n, 3)),
+    "APERY": (1, lambda n: row_sum("apery", n, 1, n),
+              lambda n: 5 * row_sum("alt_inv_k3", n, 1, n) + 2 * harmonic_exact(n, 3)),
     "SIGMA": (1, _sigma_lhs,
-              lambda n: Fraction(5, 2) * _row("alt_k2", n, 1, n) + 2 * harmonic_exact(n, 2)),
-    "SHIFT": (0, lambda n: _row("sq_shifted", 2 * n + 1, 0, n),
-              lambda n: Fraction(comb(2 * n, n) ** 2, 16 ** n) * _row("odd_recip", n, 0, 2 * n)),
-    "LUKE": (1, lambda n: _row("luke", n, 0, n - 1),
+              lambda n: Fraction(5, 2) * row_sum("alt_k2", n, 1, n) + 2 * harmonic_exact(n, 2)),
+    "SHIFT": (0, lambda n: row_sum("sq_shifted", 2 * n + 1, 0, n),
+              lambda n: Fraction(comb(2 * n, n) ** 2, 16 ** n)
+              * row_sum("odd_recip", n, 0, 2 * n)),
+    "LUKE": (1, lambda n: row_sum("luke", n, 0, n - 1),
              lambda n: Fraction(comb(2 * n, n) ** 2, 4 ** (2 * n - 1))
-             * _row("odd_recip", n, 0, n - 1)),
-    "ODDSQ": (1, lambda n: _row("oddsq", n, 0, n),
+             * row_sum("odd_recip", n, 0, n - 1)),
+    "ODDSQ": (1, lambda n: row_sum("oddsq", n, 0, n),
               lambda n: Fraction(1, (2 * n + 1) ** 2)
-              + Fraction(2, 2 * n + 1) * _row("odd_recip", n, 0, n - 1)),
-    "TELE1": (0, lambda n: _row("sq_shifted", -1, 0, n),
+              + Fraction(2, 2 * n + 1) * row_sum("odd_recip", n, 0, n - 1)),
+    "TELE1": (0, lambda n: row_sum("sq_shifted", -1, 0, n),
               lambda n: Fraction(-(2 * n + 1) * comb(2 * n, n) ** 2, 16 ** n)),
-    "GLAISHER4": (0, lambda n: _row("glaisher4", n, 0, n),
+    "GLAISHER4": (0, lambda n: row_sum("glaisher4", n, 0, n),
                   lambda n: Fraction((8 * n * n + 4 * n + 1) * comb(2 * n, n) ** 4, 256 ** n)),
-    "BBAG": (1, lambda n: _row("bbag", n, 1, n), lambda n: Fraction(2, 5 * n * n)),
-    "PRODINGER": (1, lambda n: _row("prodinger", n, 1, n), lambda n: -2 * harmonic_exact(n)),
+    "BBAG": (1, lambda n: row_sum("bbag", n, 1, n), lambda n: Fraction(2, 5 * n * n)),
+    "PRODINGER": (1, lambda n: row_sum("prodinger", n, 1, n), lambda n: -2 * harmonic_exact(n)),
 }
 
 

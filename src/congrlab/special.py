@@ -10,6 +10,7 @@ the congruence suite consumes.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .arith import Residue, rat_reduce_mod
 from .errors import InternalInconsistency
@@ -104,8 +105,10 @@ def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
 
 
 def harmonic_exact(n: int, order: int = 1) -> Fraction:
-    """H_n^(m) = sum_{0<k<=n} 1/k^m, exactly."""
-    return harmonic_prefix(n, order)[n]
+    """H_n^(m) = sum_{0<k<=n} 1/k^m, exactly: over L = lcm(1..n)^m every
+    summand is the integer L/k^m, so one reduction builds the sum."""
+    L = lcm(*range(1, n + 1)) ** order
+    return Fraction(sum(L // k ** order for k in range(1, n + 1)), L)
 
 
 def harmonic_prefix(n: int, order: int = 1) -> list[Fraction]:

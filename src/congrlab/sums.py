@@ -1,5 +1,5 @@
 """The binomial sums and per-k terms of all three catalogs, one row each,
-and the one routine that steps a row.
+the routine that steps a row and the one that sums it exactly.
 
 A row is summed over k or, for a per-k check, read term by term.  Every
 summand t_k is a hypergeometric term in k with one parameter a: the
@@ -7,6 +7,11 @@ prime p for a congruence, the index n for an identity, a constant for a
 float series.  `term(a, k)` is its closed form and `ratio(a, k)` the integer
 pair (num, den) with t_{k+1} = t_k * num / den.  Rows ending in `_lit` take
 the literal C(4k,k) reading of C(4k,2k).
+
+`row_terms` steps a row term by term in the caller's arithmetic.  `row_sum`
+sums it exactly by binary splitting over the integer ratio pairs (Haible &
+Papanikolaou, "Fast multiprecision evaluation of series of rational
+numbers", 1998), with one `Fraction` reduction per sum.
 """
 
 from __future__ import annotations
@@ -116,3 +121,40 @@ def row_terms(name: str, a: int, lo: int, hi: int, frac, guard: bool):
     if guard and t != term(a, hi):
         raise InternalInconsistency(
             f"sum row {name!r} at a={a} misses its closed form at k={hi}")
+
+
+def _split(ratio, a: int, lo: int, hi: int) -> tuple[int, int, int]:
+    """Integers (P, Q, T) over the steps lo <= k < hi, hi > lo, with
+    P/Q = prod_k r_k and T/Q = sum_j prod_{lo<=k<=j} r_k, r_k = ratio(a, k)."""
+    if hi - lo == 1:
+        num, den = ratio(a, lo)
+        return num, den, num
+    mid = (lo + hi) // 2
+    p1, q1, t1 = _split(ratio, a, lo, mid)
+    p2, q2, t2 = _split(ratio, a, mid, hi)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def row_sum(name: str, a: int, lo: int, hi: int) -> Fraction:
+    """The exact sum t_lo + ... + t_hi of row `name` of SUMS at parameter a.
+
+    Binary splitting turns the steps into integers P, Q, T with
+    t_hi = t_lo * P/Q and the sum t_lo * (Q + T)/Q, reduced once.  The
+    last term must equal its closed form, t_lo * P == t_hi * Q, as with a
+    guarded `row_terms`; a miss raises InternalInconsistency.  A zero ratio
+    denominator makes Q = 0: it misses the guard or, past a zero step,
+    raises ZeroDivisionError, an engine fault either way.
+    """
+    if hi < lo:
+        raise ValueError(f"sum row {name!r} over the empty range {lo}..{hi}")
+    term, ratio = SUMS[name]
+    first = term(a, lo)
+    if hi == lo:
+        return Fraction(first)
+    P, Q, T = _split(ratio, a, lo, hi)
+    last = term(a, hi)
+    fn, fd = first.numerator, first.denominator
+    if fn * P * last.denominator != last.numerator * Q * fd:
+        raise InternalInconsistency(
+            f"sum row {name!r} at a={a} misses its closed form at k={hi}")
+    return Fraction(fn * (Q + T), fd * Q)

@@ -167,6 +167,26 @@ def test_padic_sum_with_negation_never_fabricates_digits(p, r):
         assert s.val == x._abs_prec()  # bound equals the lost absolute precision
 
 
+@given(st.sampled_from(SMALL_PRIMES), st.integers(-10 ** 6, 10 ** 6),
+       st.integers(-10 ** 4, 10 ** 4).filter(bool), st.integers(0, 3), st.integers(0, 3))
+def test_pair_lift_equals_the_lift_of_the_reduced_fraction(p, a, b, i, j):
+    """Lifting the integer pair (a, b) as it is gives the PAdic of a/b,
+    whatever factors of p and signs the pair shares."""
+    a, b = a * p ** i, b * p ** j
+    x = PAdic.from_rational(a, p, 4, b)
+    y = PAdic.from_rational(Fraction(a, b), p, 4)
+    assert (x.val, x.unit, x.prec) == (y.val, y.unit, y.prec)
+
+
+def test_pair_lift_examples():
+    x = PAdic.from_rational(-98, 7, 3, -21)  # 14/3: shared 7, negative b
+    assert (x.val, x.unit) == (1, 2 * pow(3, -1, 7 ** 3) % 7 ** 3)
+    assert PAdic.from_rational(Fraction(1, 2), 7, 3, 7).val == -1
+    assert PAdic.from_rational(0, 7, 3, 5).is_zero_marker
+    with pytest.raises(ZeroDivisionError):
+        PAdic.from_rational(1, 7, 3, 0)
+
+
 # -- binomial valuations ---------------------------------------------------
 
 

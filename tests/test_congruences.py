@@ -23,7 +23,7 @@ from congrlab.errors import InternalInconsistency, UnknownCheck
 from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
 from congrlab.special import SpecialCache, bernoulli_exact
-from congrlab.sums import SUMS
+from congrlab.sums import SUMS, row_sum, row_terms
 
 
 @pytest.fixture(scope="module")
@@ -104,52 +104,58 @@ def test_catalog_metadata_sane():
         assert spec.shift >= 0
 
 
-class _RecordingContext(ExactContext):
-    """Exact context that records (name, a, lo, hi) of every row a check
-    steps, summed or read per k."""
+def _record_row_reads(monkeypatch, module) -> set:
+    """Make `module` record (name, a, lo, hi) of every row it reads, summed
+    by `row_sum` or stepped by `row_terms`; returns the set it fills."""
+    reads = set()
 
-    def __init__(self, p, cache):
-        super().__init__(p, cache)
-        self.reads = set()
+    def recording(fn):
+        def read(name, a, lo, hi, *args):
+            reads.add((name, a, lo, hi))
+            return fn(name, a, lo, hi, *args)
+        return read
 
-    def terms(self, name, a, lo, hi):
-        self.reads.add((name, a, lo, hi))
-        return super().terms(name, a, lo, hi)
+    for name in ("row_sum", "row_terms"):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    return reads
 
 
 def _identity_row_reads(monkeypatch, n_range) -> set:
     """(name, a, lo, hi) of every row the identity suite reads over n_range."""
-    reads = set()
-    row_terms = identities.row_terms
-
-    def recording(name, a, lo, hi, frac, guard):
-        reads.add((name, a, lo, hi))
-        return row_terms(name, a, lo, hi, frac, guard)
-
-    monkeypatch.setattr(identities, "row_terms", recording)
-    run_identity_suite(None, n_range)
+    with monkeypatch.context() as patch:
+        reads = _record_row_reads(patch, identities)
+        run_identity_suite(None, n_range)
+    assert reads
     return reads
 
 
 def _assert_steps(name, a, lo, hi):
+    """Every step of the range lands on the next closed-form term, and
+    binary splitting sums the range as stepping and adding its terms does."""
     term, ratio = SUMS[name]
     for k in range(lo, hi):
         num, den = ratio(a, k)
         assert Fraction(num, den) * term(a, k) == term(a, k + 1), (name, a, k)
+    stepped = exact_sum(row_terms(name, a, lo, hi, Fraction, True))
+    assert row_sum(name, a, lo, hi) == stepped, (name, a, lo, hi)
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
 def test_every_row_ratio_steps_to_the_next_closed_form_term(p, cache, monkeypatch):
     """The exact path's guard compares only the last term of a sum with its
-    closed form; here every step of every range the catalog reads must."""
-    ctx = _RecordingContext(p, cache)
-    for spec in CHECK_CATALOG.values():
-        if p >= spec.min_prime:
-            spec.pairs(ctx)
+    closed form; here every step of every range the catalog reads must, and
+    each range's `row_sum` must equal its stepped terms added."""
+    with monkeypatch.context() as patch:
+        reads = _record_row_reads(patch, congruences)
+        ctx = ExactContext(p, cache)
+        for spec in CHECK_CATALOG.values():
+            if p >= spec.min_prime:
+                spec.pairs(ctx)
+    assert reads
     if p >= 7:  # every row is read by the congruence or the identity catalog
-        rows = {name for name, *_ in ctx.reads | _identity_row_reads(monkeypatch, range(3))}
+        rows = {name for name, *_ in reads | _identity_row_reads(monkeypatch, range(3))}
         assert rows == set(SUMS)
-    for read in ctx.reads:
+    for read in reads:
         _assert_steps(*read)
 
 
@@ -158,6 +164,32 @@ def test_every_identity_row_ratio_steps_to_the_next_closed_form_term(monkeypatch
     each identity's start to 60."""
     for read in _identity_row_reads(monkeypatch, range(61)):
         _assert_steps(*read)
+
+
+@pytest.mark.parametrize("read", [("k1", 13, 4, 4), ("b", 5, 0, 9), ("b", 5, 3, 7),
+                                  ("odd2_alt", 13, 0, 12), ("odd2_alt", 13, 7, 12)])
+def test_row_sum_over_edge_ranges(read):
+    """Ranges the catalogs never read: one term, steps past a zero term
+    (`b` at k = n), and ratios with negative denominators (`odd2_alt`)."""
+    _assert_steps(*read)
+
+
+def test_row_sum_guards_every_step(monkeypatch):
+    """A wrong ratio at any one step, or a zero ratio denominator, raises;
+    so does a range that ends before it starts."""
+    term, ratio = SUMS["sq_k1"]
+    for bad_k in range(1, 12):
+        for tamper in (lambda num, den: (num + 1, den), lambda num, den: (num, 0)):
+            def wrong(p, k, bad_k=bad_k, tamper=tamper):
+                num, den = ratio(p, k)
+                return tamper(num, den) if k == bad_k else (num, den)
+
+            with monkeypatch.context() as patch:
+                patch.setitem(SUMS, "sq_k1", (term, wrong))
+                with pytest.raises(InternalInconsistency, match="'sq_k1'"):
+                    row_sum("sq_k1", 13, 1, 12)
+    with pytest.raises(ValueError):
+        row_sum("sq_k1", 13, 5, 4)
 
 
 def test_wrong_identity_row_ratio_is_an_engine_fault(monkeypatch, capsys):
@@ -420,7 +452,6 @@ def test_common_denominator_sum_equals_sequential_addition(terms):
     for t in terms:
         expected += t
     assert exact_sum(iter(terms)) == expected
-    assert ExactContext(7, SpecialCache()).sum(iter(terms)) == expected
 
 
 @pytest.mark.parametrize("name", ["evaluate_check", "_compare_pairs", "harmonic_prefix",

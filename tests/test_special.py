@@ -136,9 +136,10 @@ def test_harmonic_telescopes():
 
 
 def test_harmonic_prefix_matches_pointwise():
-    pre = harmonic_prefix(50, 2)
-    for n in range(51):
-        assert pre[n] == harmonic_exact(n, 2)
+    for m in (1, 2, 3):
+        pre = harmonic_prefix(50, m)
+        for n in range(51):
+            assert pre[n] == harmonic_exact(n, m)
 
 
 def test_wolstenholme():
