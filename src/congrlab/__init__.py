@@ -1,5 +1,5 @@
 """congrlab: exact verification of p-adic congruences for central binomial
-coefficient sums, with two independent evaluation paths that must agree."""
+coefficient sums, with two evaluation paths that must agree."""
 
 from .arith import (
     PAdic,
@@ -7,7 +7,6 @@ from .arith import (
     Residue,
     rat_reduce_mod,
     sieve_primes,
-    vp_binomial,
     vp_rational,
 )
 from .congruences import (

@@ -196,22 +196,7 @@ class PAdic:
                 f"+ O(p^{self.val + self.prec}))")
 
 
-# -- binomial valuations and primes ------------------------------------
-
-
-def _digit_sum(n: int, p: int) -> int:
-    s = 0
-    while n:
-        s += n % p
-        n //= p
-    return s
-
-
-def vp_binomial(n: int, k: int, p: int) -> int:
-    """v_p(C(n,k)) by Kummer's theorem: carries adding k and n-k base p."""
-    if not 0 <= k <= n:
-        raise ValueError("vp_binomial requires 0 <= k <= n")
-    return (_digit_sum(k, p) + _digit_sum(n - k, p) - _digit_sum(n, p)) // (p - 1)
+# -- primes ------------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,8 @@ from .special import (
     bernoulli_mod_p_fast,
     euler_exact,
     euler_mod_p_fast,
-    harmonic_prefix,
+    harmonic_exact,
+    harmonic_gaps,
 )
 from .sums import row_sum, row_terms
 
@@ -44,10 +45,11 @@ class ExactContext:
     """Evaluates expressions over exact rationals.
 
     A context serves one prime, and every check evaluated in it shares its
-    memos: harmonic tables, special numbers and the row sums of `SUMS`
-    (`S`).  Every binomial term comes from a row: summed by `S`, or read
+    one memo: the row sums of `SUMS` (`S`), harmonic numbers and special
+    numbers.  Every binomial term comes from a row: summed by `S`, or read
     per k through `terms`.  The exact context sums a row with `row_sum`,
-    which guards it against its closed form.
+    which guards it against its closed form.  Every value a check reads is
+    built through `frac`, so the p-adic context lifts it there.
     """
 
     guard_rows = True
@@ -56,15 +58,16 @@ class ExactContext:
         self.p = p
         self.n = (p - 1) // 2
         self.cache = cache
-        self._harmonic: dict[int, list[Fraction]] = {}
-        self._special: dict[tuple[str, int], object] = {}
-        self.sums: dict[tuple, object] = {}
+        self.memo: dict[tuple, object] = {}
+
+    def _memo(self, key: tuple, build):
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = build()
+        return value
 
     def frac(self, a, b=1):
-        return self._lift(Fraction(a, b))
-
-    def _lift(self, r: Fraction):
-        return r
+        return Fraction(a, b)
 
     def terms(self, name: str, a: int, lo: int, hi: int) -> list:
         """The terms t_lo..t_hi of row `name` of SUMS at parameter a.  Both
@@ -76,46 +79,38 @@ class ExactContext:
 
     def S(self, name: str, lo: int, hi: int):
         """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
-        value = self.sums.get((name, lo, hi))
-        if value is None:
-            value = self.sums[name, lo, hi] = self._row_sum(name, lo, hi)
-        return value
+        return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
 
     def _row_sum(self, name: str, lo: int, hi: int):
         return row_sum(name, self.p, lo, hi)
 
     def H(self, i: int, m: int = 1):
-        """H_i^(m) for 0 <= i <= p - 1, the largest index a check reads."""
-        table = self._harmonic.get(m)
-        if table is None:
-            self._harmonic[m] = table = harmonic_prefix(self.p - 1, m)
-        return self._lift(table[i])
+        """H_i^(m), memoized; checks read it at i = (p-1)/2 and p-1 only."""
+        return self._memo(("H", i, m), lambda: self.frac(harmonic_exact(i, m)))
 
     def bern(self, i: int):
         """B_i, memoized.  On the first read its residue is checked against
         the power-sum route; a mismatch raises InternalInconsistency."""
-        value = self._special.get(("B", i))
-        if value is None:
+        def build():
             if i >= 2:  # B_0, read only at p = 3, has no such route
                 bernoulli_mod_p_fast(i, self.p, self.cache)
-            value = self._special["B", i] = self._lift(bernoulli_exact(i, self.cache))
-        return value
+            return self.frac(bernoulli_exact(i, self.cache))
+        return self._memo(("B", i), build)
 
     def euler_num(self, i: int):
         """E_i, memoized and checked on the first read as `bern` is, against
         the character-sum route, which covers E_{p-3} only."""
-        value = self._special.get(("E", i))
-        if value is None:
+        def build():
             if i >= 2:  # E_0, read only at p = 3, has no such route
                 if i != self.p - 3:
                     raise ValueError(f"no second route for E_{i} mod {self.p}")
                 euler_mod_p_fast(self.p, self.cache)
-            value = self._special["E", i] = self._lift(Fraction(euler_exact(i, self.cache)))
-        return value
+            return self.frac(euler_exact(i, self.cache))
+        return self._memo(("E", i), build)
 
     def qp(self):
         """Fermat quotient q_p(2) as an exact integer."""
-        return self._lift(Fraction(pow(2, self.p - 1) - 1, self.p))
+        return self.frac(pow(2, self.p - 1) - 1, self.p)
 
     def div_pp(self, x, s: int):
         """Divide by p^s after asserting the guaranteed valuation."""
@@ -133,17 +128,15 @@ class ExactContext:
 
 class PadicContext(ExactContext):
     """Evaluates the same expressions over truncated p-adic numbers, each
-    rational lifted at the working precision PADIC_PREC.  A row is summed
-    by stepping its lifted terms and adding them one by one, independently
-    of the exact path's binary splitting."""
+    rational lifted by `frac` at the working precision PADIC_PREC.  A row is
+    summed by stepping its lifted terms and adding them one by one,
+    independently of the exact path's binary splitting; PS11c-3.2's
+    harmonic gaps are stepped in p-adics too."""
 
     guard_rows = False  # the exact path guards every row
 
     def frac(self, a, b=1):
         return PAdic.from_rational(a, self.p, PADIC_PREC, b)
-
-    def _lift(self, r: Fraction):
-        return PAdic.from_rational(r, self.p, PADIC_PREC)
 
     def _row_sum(self, name: str, lo: int, hi: int):
         return sum(self.terms(name, self.p, lo, hi), self.frac(0))
@@ -331,12 +324,12 @@ def _catalog() -> dict[str, CheckSpec]:
                 + c.frac(4, 3) * c.bern(c.p - 3)))
 
     def ps11c_pairs(c):
-        return [(f"k={k}",
-                 c.frac((-1) ** k) * b
-                 * (c.frac(1) - c.frac(c.p, 4) * (c.H(c.n + k) - c.H(c.n - k))),
-                 s)
-                for k, (b, s) in enumerate(zip(c.terms("b", c.n, 1, c.n),
-                                               c.terms("sq_k0", c.p, 1, c.n)), start=1)]
+        # h = H(n+k) - H(n-k); both paths step it in their own arithmetic
+        return [(f"k={k}", c.frac((-1) ** k) * b * (c.frac(1) - c.frac(c.p, 4) * h), s)
+                for k, (b, s, h) in enumerate(zip(c.terms("b", c.n, 1, c.n),
+                                                  c.terms("sq_k0", c.p, 1, c.n),
+                                                  harmonic_gaps(c.n, c.n, c.frac),
+                                                  strict=True), start=1)]
 
     add("PS11c-3.2", "per-k refinement of the (-16)^k transform", 4, 5, "proven",
         ps11c_pairs)

@@ -14,12 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate
 from math import comb
 
 from .arith import exact_sum
 from .errors import DomainError, UnknownIdentity
-from .special import harmonic_exact
+from .special import harmonic_exact, harmonic_gaps
 from .sums import row_sum, row_terms
 
 
@@ -40,10 +39,8 @@ class IdentityCase:
 def _sigma_lhs(n):
     # prodinger row times H(n+k) - H(n-k), which is not hypergeometric; the
     # row goes first in the zip, so its guard runs
-    hdiffs = accumulate(Fraction(1, n + k) + Fraction(1, n - k + 1)
-                        for k in range(1, n + 1))
     return exact_sum(t * h for t, h in zip(row_terms("prodinger", n, 1, n, Fraction, True),
-                                           hdiffs, strict=True))
+                                           harmonic_gaps(n, n, Fraction), strict=True))
 
 
 # -- identity catalog ---------------------------------------------------

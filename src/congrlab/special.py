@@ -10,6 +10,7 @@ the congruence suite consumes.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 from .arith import Residue, rat_reduce_mod
@@ -111,14 +112,15 @@ def harmonic_exact(n: int, order: int = 1) -> Fraction:
     return Fraction(sum(L // k ** order for k in range(1, n + 1)), L)
 
 
-def harmonic_prefix(n: int, order: int = 1) -> list[Fraction]:
-    """[H_0^(m), ..., H_n^(m)] in one pass."""
-    out = [Fraction(0)]
-    acc = Fraction(0)
-    for k in range(1, n + 1):
-        acc += Fraction(1, k ** order)
-        out.append(acc)
-    return out
+def harmonic_gaps(n: int, hi: int, frac):
+    """The gaps H(n+k) - H(n-k), k = 1..hi <= n, in the caller's arithmetic.
+
+    `frac(num, den)` builds a quotient of integers.  Each gap adds
+    1/(n+k) + 1/(n-k+1) = (2n+1)/((n+k)(n-k+1)) to the last; at
+    n = (p-1)/2 that step is p over a unit, so a p-adic caller needs no
+    exact harmonic number.
+    """
+    return accumulate(frac(2 * n + 1, (n + k) * (n - k + 1)) for k in range(1, hi + 1))
 
 
 def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> Residue:

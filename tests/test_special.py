@@ -7,7 +7,7 @@ from math import comb, gcd, log2
 import pytest
 
 from congrlab import special
-from congrlab.arith import PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
+from congrlab.arith import PAdic, PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
 from congrlab.special import (
     SpecialCache,
     bernoulli_exact,
@@ -15,7 +15,7 @@ from congrlab.special import (
     euler_exact,
     euler_mod_p_fast,
     harmonic_exact,
-    harmonic_prefix,
+    harmonic_gaps,
 )
 
 
@@ -135,11 +135,25 @@ def test_harmonic_telescopes():
         prev = h
 
 
-def test_harmonic_prefix_matches_pointwise():
-    for m in (1, 2, 3):
-        pre = harmonic_prefix(50, m)
-        for n in range(51):
-            assert pre[n] == harmonic_exact(n, m)
+def _gap(n, k):
+    return harmonic_exact(n + k) - harmonic_exact(n - k)
+
+
+def test_harmonic_gaps_match_exact_differences():
+    for n in range(1, 61):
+        assert list(harmonic_gaps(n, n, Fraction)) == [_gap(n, k) for k in range(1, n + 1)]
+    assert list(harmonic_gaps(9, 4, Fraction)) == [_gap(9, k) for k in range(1, 5)]
+    assert list(harmonic_gaps(9, 0, Fraction)) == []
+
+
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 61)))
+def test_padic_harmonic_gaps_match_exact_residues(p):
+    """At n = (p-1)/2 every step is p over a unit, so p-adic gaps need no
+    exact harmonic number; their residues mod p^4 are the exact ones."""
+    n = (p - 1) // 2
+    gaps = harmonic_gaps(n, n, lambda a, b: PAdic.from_rational(a, p, 4, b))
+    for k, gap in enumerate(gaps, start=1):
+        assert gap.residue(4) == rat_reduce_mod(_gap(n, k), p, 4)
 
 
 def test_wolstenholme():
