@@ -105,6 +105,38 @@ class PAdic:
         unit = (r // p ** vn) * pow(den // p ** vd, -1, m) % m
         return cls(p, vn - vd, unit, prec)
 
+    @classmethod
+    def from_residue(cls, value: int, p: int, e: int) -> "PAdic":
+        """A value known only mod p^e, at absolute precision e: its
+        valuation v, its unit and e - v relative digits, so no digit past
+        p^e is invented.  A zero residue is a zero marker of bound e."""
+        value %= p ** e
+        if value == 0:
+            return cls.zero_marker(p, e)
+        v = vp_int(value, p)
+        return cls(p, v, value // p ** v, e - v)
+
+    @classmethod
+    def sum_terms(cls, p: int, vals, units, prec: int) -> "PAdic":
+        """The sum of the terms p^v_k * u_k, each unit u_k known mod p^prec,
+        as adding them one by one to the zero marker O(p^prec) gives it.
+
+        That start caps the sum's absolute precision at
+        A = min(0, min v_k) + prec, even where the terms hold more digits.
+        So a sum of p-integral terms is known mod p^prec, like every other
+        value of the p-adic path, and a check that reads past the working
+        precision raises PrecisionExhausted.
+        """
+        base = min(vals)
+        bound = min(0, base) + prec
+        digits = bound - base
+        if digits <= 0:
+            return cls.zero_marker(p, bound)
+        powers = [p ** i for i in range(digits)]
+        total = sum(u * powers[v - base] for v, u in zip(vals, units)
+                    if v - base < digits)
+        return cls.from_residue(total, p, digits).shift(-base)
+
     # -- predicates ----------------------------------------------------
 
     @property

@@ -3,8 +3,10 @@
 Every check is evaluated once over exact rationals (ground truth) and,
 for small primes, once over valuation-aware truncated p-adics; the two
 residues must coincide.  A disagreement is an engine bug, not a failing
-congruence, and is surfaced as such.  Each Bernoulli or Euler number is
-checked against an independent route where a context first reads it.
+congruence, and is surfaced as such.  The p-adic path reads nothing the
+exact path builds: it steps the rows of `SUMS` itself and takes B, E and H
+from routes that read no table.  The exact path checks each Bernoulli or
+Euler number it reads against that route.
 """
 
 from __future__ import annotations
@@ -27,13 +29,16 @@ from .errors import (
 from .special import (
     SpecialCache,
     bernoulli_exact,
+    bernoulli_mod_p,
     bernoulli_mod_p_fast,
     euler_exact,
+    euler_mod_p,
     euler_mod_p_fast,
     harmonic_exact,
     harmonic_gaps,
+    harmonic_mod,
 )
-from .sums import row_sum, row_terms
+from .sums import row_padic, row_sum, row_terms
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -41,23 +46,21 @@ PADIC_PATH_MAX_PRIME = 61
 # -- evaluation contexts -------------------------------------------------
 
 
-class ExactContext:
-    """Evaluates expressions over exact rationals.
+class Context:
+    """The interface a check reads, at one prime: `frac`, `S`, `terms`, `H`,
+    `bern`, `euler_num`, `qp`, `div_pp` and `residue`.
 
     A context serves one prime, and every check evaluated in it shares its
-    one memo: the row sums of `SUMS` (`S`), harmonic numbers and special
-    numbers.  Every binomial term comes from a row: summed by `S`, or read
-    per k through `terms`.  The exact context sums a row with `row_sum`,
-    which guards it against its closed form.  Every value a check reads is
-    built through `frac`, so the p-adic context lifts it there.
+    one memo: row sums of `SUMS`, harmonic numbers and special numbers.
+    Every binomial term comes from a row: summed by `S`, or read per k
+    through `terms`.  The two contexts share this interface and the rows'
+    closed forms and ratios, which the exact path guards; each builds every
+    value a check reads in its own arithmetic.
     """
 
-    guard_rows = True
-
-    def __init__(self, p: int, cache: SpecialCache):
+    def __init__(self, p: int):
         self.p = p
         self.n = (p - 1) // 2
-        self.cache = cache
         self.memo: dict[tuple, object] = {}
 
     def _memo(self, key: tuple, build):
@@ -65,6 +68,23 @@ class ExactContext:
         if value is None:
             value = self.memo[key] = build()
         return value
+
+    def S(self, name: str, lo: int, hi: int):
+        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
+        return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
+
+
+class ExactContext(Context):
+    """Evaluates expressions over exact rationals: the ground truth.
+
+    It sums a row with `row_sum` and steps one with a guarded `row_terms`,
+    so every row it reads is checked against its closed form.  It reads
+    B and E from the tables of `cache` and H from `harmonic_exact`.
+    """
+
+    def __init__(self, p: int, cache: SpecialCache):
+        super().__init__(p)
+        self.cache = cache
 
     def frac(self, a, b=1):
         return Fraction(a, b)
@@ -75,26 +95,23 @@ class ExactContext:
         itself; the exact path guards every row against its closed form.
         A list, not a generator: a zip that stops early would skip the
         guard, which runs after the last term."""
-        return list(row_terms(name, a, lo, hi, self.frac, self.guard_rows))
-
-    def S(self, name: str, lo: int, hi: int):
-        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
-        return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
+        return list(row_terms(name, a, lo, hi, self.frac, True))
 
     def _row_sum(self, name: str, lo: int, hi: int):
         return row_sum(name, self.p, lo, hi)
 
     def H(self, i: int, m: int = 1):
         """H_i^(m), memoized; checks read it at i = (p-1)/2 and p-1 only."""
-        return self._memo(("H", i, m), lambda: self.frac(harmonic_exact(i, m)))
+        return self._memo(("H", i, m), lambda: harmonic_exact(i, m))
 
     def bern(self, i: int):
         """B_i, memoized.  On the first read its residue is checked against
-        the power-sum route; a mismatch raises InternalInconsistency."""
+        the power-sum route; a mismatch raises InternalInconsistency, an
+        engine fault, never a path disagreement."""
         def build():
             if i >= 2:  # B_0, read only at p = 3, has no such route
                 bernoulli_mod_p_fast(i, self.p, self.cache)
-            return self.frac(bernoulli_exact(i, self.cache))
+            return bernoulli_exact(i, self.cache)
         return self._memo(("B", i), build)
 
     def euler_num(self, i: int):
@@ -102,15 +119,14 @@ class ExactContext:
         the character-sum route, which covers E_{p-3} only."""
         def build():
             if i >= 2:  # E_0, read only at p = 3, has no such route
-                if i != self.p - 3:
-                    raise ValueError(f"no second route for E_{i} mod {self.p}")
+                _require_euler_route(i, self.p)
                 euler_mod_p_fast(self.p, self.cache)
-            return self.frac(euler_exact(i, self.cache))
+            return Fraction(euler_exact(i, self.cache))
         return self._memo(("E", i), build)
 
     def qp(self):
         """Fermat quotient q_p(2) as an exact integer."""
-        return self.frac(pow(2, self.p - 1) - 1, self.p)
+        return Fraction(pow(2, self.p - 1) - 1, self.p)
 
     def div_pp(self, x, s: int):
         """Divide by p^s after asserting the guaranteed valuation."""
@@ -126,20 +142,63 @@ class ExactContext:
             raise ValuationViolation(str(exc)) from exc
 
 
-class PadicContext(ExactContext):
-    """Evaluates the same expressions over truncated p-adic numbers, each
-    rational lifted by `frac` at the working precision PADIC_PREC.  A row is
-    summed by stepping its lifted terms and adding them one by one,
-    independently of the exact path's binary splitting; PS11c-3.2's
-    harmonic gaps are stepped in p-adics too."""
+class PadicContext(Context):
+    """Evaluates the same expressions over truncated p-adic numbers at the
+    working precision PADIC_PREC, reading nothing the exact path builds.
 
-    guard_rows = False  # the exact path guards every row
+    - A rational constant of a statement is lifted by `frac`.
+    - A row is stepped as integers by `row_padic`, one inverse per row, and
+      `S` adds its (valuation, unit) pairs; its precision is capped as
+      `PAdic.sum_terms` says, as sequential addition would cap it.
+    - H_i^(m) is `harmonic_mod` mod p^PADIC_PREC, and q_p(2) comes from
+      2^(p-1) mod p^(PADIC_PREC+1).
+    - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
+      and character-sum routes, and never from a table.  Every check
+      multiplies them by a coefficient of valuation at least m - 1, so mod p
+      is enough; were it not, the precision tracking would raise
+      PrecisionExhausted, an engine fault.
+
+    A value known mod p^e enters at absolute precision e
+    (`PAdic.from_residue`), so no digit is invented.
+    """
 
     def frac(self, a, b=1):
         return PAdic.from_rational(a, self.p, PADIC_PREC, b)
 
+    def _digits(self, name: str, a: int, lo: int, hi: int):
+        return row_padic(name, a, lo, hi, self.p, PADIC_PREC)
+
+    def terms(self, name: str, a: int, lo: int, hi: int) -> list:
+        p = self.p
+        vals, units = self._digits(name, a, lo, hi)
+        return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
+
     def _row_sum(self, name: str, lo: int, hi: int):
-        return sum(self.terms(name, self.p, lo, hi), self.frac(0))
+        return PAdic.sum_terms(self.p, *self._digits(name, self.p, lo, hi), PADIC_PREC)
+
+    def H(self, i: int, m: int = 1):
+        return self._memo(("H", i, m), lambda: PAdic.from_residue(
+            harmonic_mod(i, m, self.p, PADIC_PREC), self.p, PADIC_PREC))
+
+    def bern(self, i: int):
+        def build():
+            if i == 0:  # B_0 = 1, read only at p = 3
+                return self.frac(1)
+            return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
+        return self._memo(("B", i), build)
+
+    def euler_num(self, i: int):
+        def build():
+            if i == 0:  # E_0 = 1, read only at p = 3
+                return self.frac(1)
+            _require_euler_route(i, self.p)
+            return PAdic.from_residue(euler_mod_p(self.p), self.p, 1)
+        return self._memo(("E", i), build)
+
+    def qp(self):
+        p = self.p
+        q = (pow(2, p - 1, p ** (PADIC_PREC + 1)) - 1) // p
+        return PAdic.from_residue(q, p, PADIC_PREC)
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:
@@ -152,6 +211,11 @@ class PadicContext(ExactContext):
             return x.residue(e).value
         except NegativeValuation as exc:
             raise ValuationViolation(str(exc)) from exc
+
+
+def _require_euler_route(i: int, p: int) -> None:
+    if i != p - 3:
+        raise ValueError(f"no second route for E_{i} mod {p}")
 
 
 # -- check specifications -------------------------------------------------
@@ -518,7 +582,7 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
                            applicable=False, note=f"inapplicable: needs p >= {spec.min_prime}")
     if contexts is None:
         cache = cache if cache is not None else SpecialCache()
-        contexts = ExactContext(p, cache), PadicContext(p, cache)
+        contexts = ExactContext(p, cache), PadicContext(p)
     exact, padic = contexts
     if with_padic is None:
         with_padic = p <= PADIC_PATH_MAX_PRIME
@@ -565,7 +629,7 @@ def _run_prime(ids, p: int, padic_limit: int,
     In a pool worker `cache` is None and the worker's tables are read.
     """
     cache = cache if cache is not None else _WORKER_CACHE
-    contexts = ExactContext(p, cache), PadicContext(p, cache)
+    contexts = ExactContext(p, cache), PadicContext(p)
     return [evaluate_check(i, p, cache, with_padic=p <= padic_limit,
                            contexts=contexts)
             for i in ids]

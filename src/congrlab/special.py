@@ -2,9 +2,12 @@
 
 The tables come from the all-integer tangent and secant number triangles
 of Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
-numbers" (arXiv:1108.0286).  The power-sum routes (`bernoulli_mod_p_fast`,
-`euler_mod_p_fast`) exist only as independent cross-checks of the residues
-the congruence suite consumes.
+numbers" (arXiv:1108.0286).  The residues the congruence suite consumes
+also have routes that read no table: `bernoulli_mod_p` (a power sum),
+`euler_mod_p` (a character sum) and `harmonic_mod`.  The p-adic path reads
+only these; the exact path reads the tables and the exact harmonic numbers,
+and compares each B/E residue with its route (`bernoulli_mod_p_fast`,
+`euler_mod_p_fast`).
 """
 
 from __future__ import annotations
@@ -123,9 +126,26 @@ def harmonic_gaps(n: int, hi: int, frac):
     return accumulate(frac(2 * n + 1, (n + k) * (n - k + 1)) for k in range(1, hi + 1))
 
 
-def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> Residue:
-    """B_m mod p via the power sum T = sum a^m mod p^2, independent of the
-    tangent-number table; the two routes are compared and must agree."""
+def harmonic_mod(n: int, order: int, p: int, e: int) -> int:
+    """H_n^(m) mod p^e for n < p, with no exact harmonic number.
+
+    Every 1/k^m is a unit, so the sum is kept as one fraction num/den of
+    residues, each step a/b + 1/c = (ac + b)/(bc), and inverted once.
+    """
+    if not 0 <= n < p:
+        raise ValueError(f"need 0 <= n < p, got n={n}, p={p}")
+    mod = p ** e
+    num, den = 0, 1
+    for k in range(1, n + 1):
+        c = pow(k, order, mod)
+        num = (num * c + den) % mod
+        den = den * c % mod
+    return num * pow(den, -1, mod) % mod
+
+
+def bernoulli_mod_p(m: int, p: int) -> int:
+    """B_m mod p by the power-sum route, with no table: for even m with
+    2 <= m <= p-3, T = sum_{0<a<p} a^m is p B_m mod p^2."""
     if m % 2 or not 2 <= m <= p - 3:
         raise ValueError("need even m with 2 <= m <= p-3")
     p2 = p * p
@@ -133,7 +153,23 @@ def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> R
     if total % p:
         raise InternalInconsistency(
             f"power sum for B_{m} mod {p} is not divisible by {p}")
-    fast = (total // p) % p
+    return total // p
+
+
+def euler_mod_p(p: int) -> int:
+    """E_{p-3} mod p by the character-sum route, with no table:
+    sum_{0<a<p, a odd} chi(a) a^(p-3) = E_{p-3}/2 (mod p), chi the
+    nontrivial character mod 4."""
+    if p < 5:
+        raise ValueError("need p >= 5")
+    half = sum((-1) ** (a // 2) * pow(a, p - 3, p) for a in range(1, p, 2))
+    return 2 * half % p
+
+
+def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> Residue:
+    """B_m mod p by the power-sum route, compared with the tangent-number
+    table; the two routes must agree."""
+    fast = bernoulli_mod_p(m, p)
     exact = rat_reduce_mod(bernoulli_exact(m, cache), p, 1).value
     if fast != exact:
         raise InternalInconsistency(
@@ -142,13 +178,9 @@ def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> R
 
 
 def euler_mod_p_fast(p: int, cache: SpecialCache | None = None) -> Residue:
-    """E_{p-3} mod p via sum_{0<a<p, a odd} chi(a) a^(p-3) = E_{p-3}/2 (mod p),
-    chi the nontrivial character mod 4; independent of the secant-number
-    table, and the two routes must agree."""
-    if p < 5:
-        raise ValueError("need p >= 5")
-    half = sum((-1) ** (a // 2) * pow(a, p - 3, p) for a in range(1, p, 2))
-    fast = 2 * half % p
+    """E_{p-3} mod p by the character-sum route, compared with the
+    secant-number table; the two routes must agree."""
+    fast = euler_mod_p(p)
     exact = euler_exact(p - 3, cache) % p
     if fast != exact:
         raise InternalInconsistency(

@@ -1,5 +1,6 @@
 """The binomial sums and per-k terms of all three catalogs, one row each,
-the routine that steps a row and the one that sums it exactly.
+and the routines that step a row, sum it exactly, or step it as p-adic
+digits.
 
 A row is summed over k or, for a per-k check, read term by term.  Every
 summand t_k is a hypergeometric term in k with one parameter a: the
@@ -11,7 +12,11 @@ the literal C(4k,k) reading of C(4k,2k).
 `row_terms` steps a row term by term in the caller's arithmetic.  `row_sum`
 sums it exactly by binary splitting over the integer ratio pairs (Haible &
 Papanikolaou, "Fast multiprecision evaluation of series of rational
-numbers", 1998), with one `Fraction` reduction per sum.
+numbers", 1998), with one `Fraction` reduction per sum.  `row_padic` steps
+it as integer (valuation, unit mod p^prec) pairs with one modular inverse
+per row, for the p-adic path.  The closed forms and the ratios are all the
+two congruence paths share; the exact path guards every row it reads, so a
+wrong ratio is an engine fault rather than a value both paths agree on.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, prod
 
+from .arith import vp_int
 from .errors import InternalInconsistency
 
 
@@ -158,3 +164,55 @@ def row_sum(name: str, a: int, lo: int, hi: int) -> Fraction:
         raise InternalInconsistency(
             f"sum row {name!r} at a={a} misses its closed form at k={hi}")
     return Fraction(fn * (Q + T), fd * Q)
+
+
+def _strip(x: int, p: int) -> tuple[int, int]:
+    """(v, x / p^v) with v = v_p(x); vp_int raises ValueError on x = 0."""
+    if x % p:
+        return 0, x
+    v = vp_int(x, p)
+    return v, x // p ** v
+
+
+def row_padic(name: str, a: int, lo: int, hi: int, p: int, prec: int):
+    """The terms t_lo..t_hi of row `name` of SUMS at parameter a as p-adic
+    digits: the lists of v_k and of u_k mod p^prec, t_k = p^v_k * u_k with
+    u_k a unit.
+
+    The first term is its closed form.  Each step strips p from the ratio's
+    two integers with `vp_int`, which raises ValueError on 0, so a zero step
+    is an engine fault and never an endless loop, and adds the difference
+    of their valuations to v.  The unit numerators go into a running prefix
+    product; the unit denominators are kept, so the row needs one inverse,
+    of the product of them all (Montgomery, Math. Comp. 48, 1987): walking
+    back from it, multiplying by each step's denominator gives the inverse
+    of the product up to the step before.  Nothing is guarded here; the
+    exact path guards every row it reads.
+    """
+    if hi < lo:
+        raise ValueError(f"sum row {name!r} over the empty range {lo}..{hi}")
+    term, ratio = SUMS[name]
+    mod = p ** prec
+    first = term(a, lo)
+    e, num = _strip(first.numerator, p)
+    f, den = _strip(first.denominator, p)
+    v = e - f
+    top, bottom = num % mod, den % mod
+    vals, tops, dens = [v], [top], [bottom]
+    for k in range(lo, hi):
+        num, den = ratio(a, k)
+        e, num = _strip(num, p)
+        f, den = _strip(den, p)
+        v += e - f
+        den %= mod
+        top = top * num % mod
+        bottom = bottom * den % mod
+        vals.append(v)
+        tops.append(top)
+        dens.append(den)
+    inv = pow(bottom, -1, mod)
+    units = [0] * len(vals)
+    for i in range(len(vals) - 1, -1, -1):
+        units[i] = tops[i] * inv % mod
+        inv = inv * dens[i] % mod
+    return vals, units

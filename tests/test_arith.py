@@ -185,6 +185,37 @@ def test_pair_lift_examples():
         PAdic.from_rational(1, 7, 3, 0)
 
 
+def test_residue_lift_keeps_its_absolute_precision():
+    """A value known mod p^e enters with e - v relative digits, never more."""
+    x = PAdic.from_residue(98, 7, 3)  # 2 * 7^2 mod 7^3
+    assert (x.val, x.unit, x.prec, x._abs_prec()) == (2, 2, 1, 3)
+    y = PAdic.from_residue(-1, 7, 2)
+    assert (y.val, y.unit, y.prec) == (0, 48, 2)
+    for zero in (0, 343):
+        z = PAdic.from_residue(zero, 7, 3)
+        assert z.is_zero_marker and z.val == 3
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 6),
+       st.lists(st.tuples(st.integers(-3, 8), st.integers(1, 10 ** 6)), min_size=1,
+                max_size=12))
+def test_sum_of_terms_equals_adding_them_to_a_zero_marker(p, prec, terms):
+    """sum_terms keeps the precision of sequential addition from O(p^prec),
+    min(0, min v_k) + prec, and its value, digit for digit."""
+    mod = p ** prec
+    terms = [(v, u % mod) for v, u in terms if u % p]
+    if not terms:
+        return
+    expected = PAdic.zero_marker(p, prec)
+    for v, u in terms:
+        expected = expected + PAdic(p, v, u, prec)
+    vals, units = zip(*terms)
+    got = PAdic.sum_terms(p, vals, units, prec)
+    assert (got.val, got.unit, got.prec) == (expected.val, expected.unit, expected.prec)
+    assert got._abs_prec() == min(0, min(vals)) + prec
+
+
 # -- primes ------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@
 agreement, equivalence chains, valuation guarantees and suite determinism."""
 
 import dataclasses
+import signal
 from fractions import Fraction
 from math import comb
 
@@ -15,6 +16,7 @@ from congrlab.cli import parse_and_run
 from congrlab.congruences import (
     CHECK_CATALOG,
     ExactContext,
+    PadicContext,
     check_ids,
     evaluate_check,
     run_suite,
@@ -23,7 +25,7 @@ from congrlab.errors import InternalInconsistency, UnknownCheck
 from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
 from congrlab.special import SpecialCache, bernoulli_exact
-from congrlab.sums import SUMS, row_sum, row_terms
+from congrlab.sums import SUMS, row_padic, row_sum, row_terms
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +131,18 @@ def _identity_row_reads(monkeypatch, n_range) -> set:
     return reads
 
 
+def _catalog_row_reads(p, cache, monkeypatch) -> set:
+    """(name, a, lo, hi) of every row the congruence catalog reads at p."""
+    with monkeypatch.context() as patch:
+        reads = _record_row_reads(patch, congruences)
+        ctx = ExactContext(p, cache)
+        for spec in CHECK_CATALOG.values():
+            if p >= spec.min_prime:
+                spec.pairs(ctx)
+    assert reads
+    return reads
+
+
 def _assert_steps(name, a, lo, hi):
     """Every step of the range lands on the next closed-form term, and
     binary splitting sums the range as stepping and adding its terms does."""
@@ -145,13 +159,7 @@ def test_every_row_ratio_steps_to_the_next_closed_form_term(p, cache, monkeypatc
     """The exact path's guard compares only the last term of a sum with its
     closed form; here every step of every range the catalog reads must, and
     each range's `row_sum` must equal its stepped terms added."""
-    with monkeypatch.context() as patch:
-        reads = _record_row_reads(patch, congruences)
-        ctx = ExactContext(p, cache)
-        for spec in CHECK_CATALOG.values():
-            if p >= spec.min_prime:
-                spec.pairs(ctx)
-    assert reads
+    reads = _catalog_row_reads(p, cache, monkeypatch)
     if p >= 7:  # every row is read by the congruence or the identity catalog
         rows = {name for name, *_ in reads | _identity_row_reads(monkeypatch, range(3))}
         assert rows == set(SUMS)
@@ -190,6 +198,107 @@ def test_row_sum_guards_every_step(monkeypatch):
                     row_sum("sq_k1", 13, 1, 12)
     with pytest.raises(ValueError):
         row_sum("sq_k1", 13, 5, 4)
+
+
+def _agrees(x, r, p) -> bool:
+    """The PAdic x is the rational r to x's absolute precision."""
+    if x.is_zero_marker:
+        return r == 0 or vp_rational(r, p) >= x.val
+    return (r != 0 and vp_rational(r, p) == x.val
+            and rat_reduce_mod(r / Fraction(p) ** x.val, p, x.prec).value == x.unit)
+
+
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
+def test_padic_rows_match_the_exact_rows(p, cache, monkeypatch):
+    """At every range the catalog reads, each p-adic term is the exact term
+    to PADIC_PREC digits, and the p-adic sum is the exact sum known mod
+    p^(min(0, min v_k) + PADIC_PREC), the precision of adding the terms one
+    by one to O(p^PADIC_PREC)."""
+    prec = congruences.PADIC_PREC
+    padic = PadicContext(p)
+    for name, a, lo, hi in _catalog_row_reads(p, cache, monkeypatch):
+        exact = list(row_terms(name, a, lo, hi, Fraction, True))
+        terms = padic.terms(name, a, lo, hi)
+        assert len(terms) == len(exact) == hi - lo + 1
+        for x, r in zip(terms, exact):
+            assert x.prec == prec and _agrees(x, r, p), (name, a, lo, hi)
+        if a == p:
+            total = padic.S(name, lo, hi)
+            assert total._abs_prec() == min(0, min(x.val for x in terms)) + prec
+            assert _agrees(total, row_sum(name, p, lo, hi), p), (name, lo, hi)
+
+
+@pytest.mark.parametrize("side", [0, 1], ids=["numerator", "denominator"])
+def test_padic_row_raises_on_a_zero_step(side, monkeypatch):
+    """Stripping p from a zero ratio integer would never end; vp_int raises
+    instead, so a zero step is an engine fault on the p-adic path."""
+    term, ratio = SUMS["sq_k1"]
+
+    def zero_at_5(p, k):
+        pair = list(ratio(p, k))
+        if k == 5:
+            pair[side] = 0
+        return tuple(pair)
+
+    def hung(*args):
+        raise TimeoutError("row_padic did not return")
+
+    monkeypatch.setitem(SUMS, "sq_k1", (term, zero_at_5))
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(5)
+    try:
+        with pytest.raises(ValueError, match="valuation of 0"):
+            row_padic("sq_k1", 13, 1, 12, 13, 5)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class _UnreadableTable(dict):
+    def _refuse(self, *args):
+        raise AssertionError("a special-number table was read")
+
+    __getitem__ = __contains__ = __iter__ = __len__ = get = _refuse
+
+
+def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
+    """With every exact special number, harmonic number, row sum and table
+    made to raise, the p-adic path gives each check at 3..61 the residues
+    the exact path gives it."""
+    primes = sieve_primes(PrimeRange(3, 61))
+    specs = [s for s in CHECK_CATALOG.values()]
+    expected = {(s.id, p): congruences._compare_pairs(ExactContext(p, cache), s)
+                for p in primes for s in specs if p >= s.min_prime}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the p-adic path read the exact path")
+
+    for module in (congruences, special):
+        for name in ("bernoulli_exact", "euler_exact", "harmonic_exact"):
+            monkeypatch.setattr(module, name, refuse)
+    for name in ("row_sum", "row_terms"):
+        monkeypatch.setattr(congruences, name, refuse)
+    unreadable = SpecialCache()
+    unreadable.bernoulli = unreadable.euler = _UnreadableTable()
+    monkeypatch.setattr(special, "_DEFAULT_CACHE", unreadable)
+    assert not issubclass(PadicContext, ExactContext)
+    for p in primes:
+        ctx = PadicContext(p)
+        for s in specs:
+            if p >= s.min_prime:
+                assert congruences._compare_pairs(ctx, s) == expected[s.id, p], (s.id, p)
+
+
+def test_padic_special_numbers_are_known_mod_p_only():
+    """16843 divides B_16840, so the p-adic B_{p-3} at 16843 is a zero
+    marker of bound 1, not a zero known to PADIC_PREC digits; a nonzero
+    residue, B_10 or E_10 at 13, has absolute precision 1."""
+    zero = PadicContext(16843).bern(16840)
+    assert zero.is_zero_marker and zero.val == 1
+    ctx = PadicContext(13)
+    for x, exact in ((ctx.bern(10), bernoulli_exact(10)), (ctx.euler_num(10), -50521)):
+        assert (x.val, x.prec) == (0, 1)
+        assert x.unit == rat_reduce_mod(exact, 13, 1).value
 
 
 def test_wrong_identity_row_ratio_is_an_engine_fault(monkeypatch, capsys):
@@ -404,6 +513,8 @@ def test_euler_number_without_a_second_route_is_refused():
     assert ctx.euler_num(0) == 1 and ctx.euler_num(10) == -50521
     with pytest.raises(ValueError, match="E_8"):
         ctx.euler_num(8)
+    with pytest.raises(ValueError, match="E_8"):
+        PadicContext(13).euler_num(8)
 
 
 def test_tables_are_sized_once_for_the_largest_prime(monkeypatch):

@@ -11,11 +11,14 @@ from congrlab.arith import PAdic, PrimeRange, rat_reduce_mod, sieve_primes, vp_r
 from congrlab.special import (
     SpecialCache,
     bernoulli_exact,
+    bernoulli_mod_p,
     bernoulli_mod_p_fast,
     euler_exact,
+    euler_mod_p,
     euler_mod_p_fast,
     harmonic_exact,
     harmonic_gaps,
+    harmonic_mod,
 )
 
 
@@ -69,6 +72,22 @@ def test_bernoulli_mod_p_fast_domain():
         bernoulli_mod_p_fast(3, 11)
     with pytest.raises(ValueError):
         bernoulli_mod_p_fast(10, 11)
+
+
+def test_routes_read_no_table(monkeypatch):
+    """The pure routes give the residues of the tables without reading them."""
+    expected = {p: ([rat_reduce_mod(bernoulli_exact(m), p, 1).value
+                     for m in range(2, p - 2, 2)], euler_exact(p - 3) % p)
+                for p in sieve_primes(PrimeRange(5, 61))}
+
+    def refuse(*args):
+        raise AssertionError("a route read a table")
+
+    for name in ("bernoulli_exact", "euler_exact"):
+        monkeypatch.setattr(special, name, refuse)
+    for p, (bern, euler) in expected.items():
+        assert [bernoulli_mod_p(m, p) for m in range(2, p - 2, 2)] == bern
+        assert euler_mod_p(p) == euler
 
 
 # -- Euler numbers ------------------------------------------------------------
@@ -154,6 +173,18 @@ def test_padic_harmonic_gaps_match_exact_residues(p):
     gaps = harmonic_gaps(n, n, lambda a, b: PAdic.from_rational(a, p, 4, b))
     for k, gap in enumerate(gaps, start=1):
         assert gap.residue(4) == rat_reduce_mod(_gap(n, k), p, 4)
+
+
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
+def test_harmonic_residues_match_exact_ones(p):
+    """H_n^(m) mod p^5 with one inverse equals the exact H_n^(m) reduced,
+    for every n < p and orders 1-3."""
+    for m in (1, 2, 3):
+        for n in range(p):
+            exact = rat_reduce_mod(harmonic_exact(n, m), p, 5).value
+            assert harmonic_mod(n, m, p, 5) == exact, (n, m)
+    with pytest.raises(ValueError):
+        harmonic_mod(p, 1, p, 5)
 
 
 def test_wolstenholme():
