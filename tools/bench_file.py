@@ -1,11 +1,11 @@
 """Write one BENCH_<name>.json from bench/run.py result lines and path timings.
 
-    python3 tools/bench_file.py --parent DIR --change DIR --pairs 10 --out BENCH_12.json
+    python3 tools/bench_file.py --parent DIR --change DIR --out BENCH_12.json
 
 DIR is a source checkout (make the parent's with `git archive`).  For each
 workload of BENCHMARK.json the script runs `bench/run.py` in both checkouts
-for the `run_seconds` BENCHMARK.json sets, in pairs that alternate which side
-runs first, and keeps every result line.
+for the `run_seconds` BENCHMARK.json sets, in PAIRS pairs that alternate which
+side runs first, and keeps every result line.
 Then, in one process per checkout, it times the exact and the p-adic path
 (`_compare_pairs` of every check, tables excluded) over whole prime ranges
 at --jobs 1, and fits each path's cost-vs-p exponent over single primes,
@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from tracer import cost_exponent  # noqa: E402
 
+PAIRS = 10  # fewer alternating pairs than this cannot back a claimed gain
 RANGES = ("3:251", "7:499")
 EXPONENT_PRIMES = (251, 503, 1009, 2003)
 EXPONENT_REPEATS = 3  # the seconds at each prime are the median of this many runs
@@ -100,7 +101,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -110,10 +110,10 @@ def main() -> int:
     workloads = {}
     for name in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
                 runs[side].append(result_line(trees[side], name, seconds))
-            print(f"# {name} pair {i + 1}/{args.pairs}", file=sys.stderr, flush=True)
+            print(f"# {name} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
         workloads[name] = workload_record(runs, spec)
 
     paths = {rng: {side: {k: sum(v.values()) for k, v in path_seconds(tree, rng).items()}
@@ -129,7 +129,7 @@ def main() -> int:
 
     args.out.write_text(json.dumps({
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
-        "settings": {"pairs": args.pairs, "seconds": seconds,
+        "settings": {"pairs": PAIRS, "seconds": seconds,
                      "order": "parent first in odd pairs, change first in even pairs",
                      "quartiles": "statistics.quantiles(n=4), exclusive method"},
         "workloads": workloads,
