@@ -49,10 +49,11 @@ def _selected(items: list, what: str) -> list:
 
 
 def _names(text: str) -> list | None:
-    """A --names selection: None for all, else the listed names."""
+    """A --names selection: None for all, else the listed names, each once
+    and in the order it first appears."""
     if text == "all":
         return None
-    return _selected([s.strip() for s in text.split(",") if s.strip()],
+    return _selected(list(dict.fromkeys(s.strip() for s in text.split(",") if s.strip())),
                      f"--names {text!r}")
 
 

@@ -4,9 +4,9 @@ Every check is evaluated once over exact rationals (ground truth) and,
 for small primes, once over valuation-aware truncated p-adics; the two
 residues must coincide.  A disagreement is an engine bug, not a failing
 congruence, and is surfaced as such.  The p-adic path reads nothing the
-exact path builds: it steps the rows of `SUMS` itself and takes B, E and H
-from routes that read no table.  The exact path checks each Bernoulli or
-Euler number it reads against that route.
+exact path builds: it steps the rows of `SUMS` itself, harmonic numbers
+included, and takes B and E mod p from routes that read no table.  The exact
+path checks each Bernoulli or Euler number it reads against that route.
 """
 
 from __future__ import annotations
@@ -34,9 +34,7 @@ from .special import (
     euler_exact,
     euler_mod_p,
     euler_mod_p_fast,
-    harmonic_exact,
     harmonic_gaps,
-    harmonic_mod,
 )
 from .sums import row_padic, row_sum, row_terms
 
@@ -47,11 +45,12 @@ PADIC_PATH_MAX_PRIME = 61
 
 
 class Context:
-    """The interface a check reads, at one prime: `frac`, `S`, `terms`, `H`,
-    `bern`, `euler_num`, `qp`, `div_pp` and `residue`.
+    """The interface a check reads, at one prime: `frac`, `S`, `terms`,
+    `bern`, `euler_num`, `div_pp` and `residue`.
 
     A context serves one prime, and every check evaluated in it shares its
-    one memo: row sums of `SUMS`, harmonic numbers and special numbers.
+    one memo: row sums of `SUMS`, harmonic numbers among them, and special
+    numbers.
     Every binomial term comes from a row: summed by `S`, or read per k
     through `terms`.  The two contexts share this interface and the rows'
     closed forms and ratios, which the exact path guards; each builds every
@@ -79,7 +78,7 @@ class ExactContext(Context):
 
     It sums a row with `row_sum` and steps one with a guarded `row_terms`,
     so every row it reads is checked against its closed form.  It reads
-    B and E from the tables of `cache` and H from `harmonic_exact`.
+    B and E from the tables of `cache`.
     """
 
     def __init__(self, p: int, cache: SpecialCache):
@@ -99,10 +98,6 @@ class ExactContext(Context):
 
     def _row_sum(self, name: str, lo: int, hi: int):
         return row_sum(name, self.p, lo, hi)
-
-    def H(self, i: int, m: int = 1):
-        """H_i^(m), memoized; checks read it at i = (p-1)/2 and p-1 only."""
-        return self._memo(("H", i, m), lambda: harmonic_exact(i, m))
 
     def bern(self, i: int):
         """B_i, memoized.  On the first read its residue is checked against
@@ -124,10 +119,6 @@ class ExactContext(Context):
             return Fraction(euler_exact(i, self.cache))
         return self._memo(("E", i), build)
 
-    def qp(self):
-        """Fermat quotient q_p(2) as an exact integer."""
-        return Fraction(pow(2, self.p - 1) - 1, self.p)
-
     def div_pp(self, x, s: int):
         """Divide by p^s after asserting the guaranteed valuation."""
         if x != 0 and vp_rational(x, self.p) < s:
@@ -146,12 +137,12 @@ class PadicContext(Context):
     """Evaluates the same expressions over truncated p-adic numbers at the
     working precision PADIC_PREC, reading nothing the exact path builds.
 
-    - A rational constant of a statement is lifted by `frac`.
-    - A row is stepped as integers by `row_padic`, one inverse per row, and
-      `S` adds its (valuation, unit) pairs; its precision is capped as
-      `PAdic.sum_terms` says, as sequential addition would cap it.
-    - H_i^(m) is `harmonic_mod` mod p^PADIC_PREC, and q_p(2) comes from
-      2^(p-1) mod p^(PADIC_PREC+1).
+    - A rational constant of a statement, q_p(2) among them, is lifted by
+      `frac`.
+    - A row, H_n^(m) among them, is stepped as integers by `row_padic`, one
+      inverse per row, and `S` adds its (valuation, unit) pairs; its
+      precision is capped as `PAdic.sum_terms` says, as sequential addition
+      would cap it.
     - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
       and character-sum routes, and never from a table.  Every check
       multiplies them by a coefficient of valuation at least m - 1, so mod p
@@ -176,10 +167,6 @@ class PadicContext(Context):
     def _row_sum(self, name: str, lo: int, hi: int):
         return PAdic.sum_terms(self.p, *self._digits(name, self.p, lo, hi), PADIC_PREC)
 
-    def H(self, i: int, m: int = 1):
-        return self._memo(("H", i, m), lambda: PAdic.from_residue(
-            harmonic_mod(i, m, self.p, PADIC_PREC), self.p, PADIC_PREC))
-
     def bern(self, i: int):
         def build():
             if i == 0:  # B_0 = 1, read only at p = 3
@@ -194,11 +181,6 @@ class PadicContext(Context):
             _require_euler_route(i, self.p)
             return PAdic.from_residue(euler_mod_p(self.p), self.p, 1)
         return self._memo(("E", i), build)
-
-    def qp(self):
-        p = self.p
-        q = (pow(2, p - 1, p ** (PADIC_PREC + 1)) - 1) // p
-        return PAdic.from_residue(q, p, PADIC_PREC)
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:
@@ -248,6 +230,12 @@ class CheckResult:
     note: str = ""
 
 
+def _qp(c):
+    """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p: a statement constant,
+    lifted by `frac` as L2.2-2.3's (-1)^n C(p-1, n) is."""
+    return c.frac(pow(2, c.p - 1) - 1, c.p)
+
+
 def _scalar(fn_lhs, fn_rhs):
     def pairs(ctx):
         return [(None, fn_lhs(ctx), fn_rhs(ctx))]
@@ -273,7 +261,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("T1.1-1.3", "half-range squared central sum vs harmonic + B_{p-3}", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_k1", 1, c.n),
-                lambda c: c.frac(-2) * c.H(c.n)
+                lambda c: c.frac(-2) * c.S("h1", 1, c.n)
                 - c.frac(7 * c.p * c.p, 2) * c.bern(c.p - 3)))
 
     add("T1.1-1.4a", "(-4/p^2) upper-half squared central sum vs -14 B_{p-3}", 1, 7, "proven",
@@ -305,18 +293,19 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
         _scalar(lambda c: c.S("sq_odd1", 0, c.n - 1),
-                lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
+                lambda c: c.frac(-2) * _qp(c) - c.frac(c.p) * _qp(c) ** 2
                 + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)))
 
     def l21a_pairs(c):
         # sign is (-1)^(floor(2k/p) - 1)
-        return [(f"k={k}", t, c.frac((1 if (2 * k // c.p) % 2 else -1) * 2 * c.p))
+        two_p = c.frac(2 * c.p)
+        return [(f"k={k}", t, two_p if (2 * k // c.p) % 2 else -two_p)
                 for k, t in enumerate(c.terms("l21a", c.p, 1, c.p - 1), start=1)]
 
     add("L2.1a", "k C(2k,k) C(2(p-k),p-k) = +-2p, per k", 2, 5, "proven", l21a_pairs)
 
     def l21b_pairs(c):
-        return [(f"k={k}", b, c.frac((-1) ** k) * s)
+        return [(f"k={k}", b, -s if k % 2 else s)
                 for k, (b, s) in enumerate(zip(c.terms("b", c.n, 0, c.n),
                                                c.terms("sq_k0", c.p, 0, c.n)))]
 
@@ -329,39 +318,39 @@ def _catalog() -> dict[str, CheckSpec]:
                 + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)))
 
     add("L2.2-2.4", "refined Lehmer congruence for H_{(p-1)/2}", 3, 5, "proven",
-        _scalar(lambda c: c.H(c.n),
-                lambda c: c.frac(-2) * c.qp() + c.frac(c.p) * c.qp() ** 2
-                - c.frac(c.p * c.p) * (c.frac(2, 3) * c.qp() ** 3
+        _scalar(lambda c: c.S("h1", 1, c.n),
+                lambda c: c.frac(-2) * _qp(c) + c.frac(c.p) * _qp(c) ** 2
+                - c.frac(c.p * c.p) * (c.frac(2, 3) * _qp(c) ** 3
                                        + c.frac(7, 12) * c.bern(c.p - 3))))
 
     add("L2.2-2.5a", "H_{(p-1)/2}^(2) vs (7/3) p B_{p-3}", 2, 5, "proven",
-        _scalar(lambda c: c.H(c.n, 2),
+        _scalar(lambda c: c.S("h2", 1, c.n),
                 lambda c: c.frac(7 * c.p, 3) * c.bern(c.p - 3)))
 
     add("L2.2-2.5b", "H_{(p-1)/2}^(3) vs -2 B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: c.H(c.n, 3),
+        _scalar(lambda c: c.S("h3", 1, c.n),
                 lambda c: c.frac(-2) * c.bern(c.p - 3)))
 
     add("L2.4a", "full squared central sum /k^2 vs -2 H^2", 2, 5, "proven",
         _scalar(lambda c: c.S("sq_k2", 1, c.p - 1),
-                lambda c: c.frac(-2) * c.H(c.n) ** 2))
+                lambda c: c.frac(-2) * c.S("h1", 1, c.n) ** 2))
 
     add("L2.4b", "full squared central sum /k^3 vs harmonic cubes", 1, 5, "proven",
         _scalar(lambda c: c.S("sq_k3", 1, c.p - 1),
-                lambda c: c.frac(-4, 3) * c.H(c.n) ** 3
-                - c.frac(2, 3) * c.H(c.n, 3)))
+                lambda c: c.frac(-4, 3) * c.S("h1", 1, c.n) ** 3
+                - c.frac(2, 3) * c.S("h3", 1, c.n)))
 
     add("P2.9", "full alternating central sum vs -(4/15) p B_{p-3}", 2, 7, "proven",
         _scalar(lambda c: c.S("alt_k2", 1, c.p - 1),
                 lambda c: c.frac(-4 * c.p, 15) * c.bern(c.p - 3)))
 
     add("P2.10", "half-range bridge congruence", 3, 7, "proven",
-        _scalar(lambda c: c.S("sq_k1", 1, c.n) + c.frac(2) * c.H(c.n),
+        _scalar(lambda c: c.S("sq_k1", 1, c.n) + c.frac(2) * c.S("h1", 1, c.n),
                 lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.n)
                 - c.frac(7 * c.p * c.p, 6) * c.bern(c.p - 3)))
 
     add("P2.11", "full-range bridge congruence", 3, 7, "proven",
-        _scalar(lambda c: c.S("sq_k1", 1, c.p - 1) + c.frac(2) * c.H(c.n),
+        _scalar(lambda c: c.S("sq_k1", 1, c.p - 1) + c.frac(2) * c.S("h1", 1, c.n),
                 lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.p - 1)
                 - c.frac(c.p * c.p, 6) * c.bern(c.p - 3)),
         note="source prints C(2k,k)/(k16^k); the surrounding argument requires "
@@ -369,7 +358,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("P2.12", "shifted-denominator squared sum vs Fermat quotient", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_shifted", 1, c.n),
-                lambda c: c.frac(2) * c.qp() + c.frac(c.p) * c.qp() ** 2
+                lambda c: c.frac(2) * _qp(c) + c.frac(c.p) * _qp(c) ** 2
                 - c.frac(c.p * c.p) * c.bern(c.p - 3)))
 
     add("P2.13", "shifted-denominator sum vs 1/2,1/4,1/8 splitting", 3, 7, "proven",
@@ -380,36 +369,40 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("P2.14", "half squared central sum /k^2 vs Fermat quotient", 2, 7, "proven",
         _scalar(lambda c: c.S("sq_k2", 1, c.n),
-                lambda c: c.frac(-8) * c.qp() ** 2 + c.frac(8 * c.p) * c.qp() ** 3))
+                lambda c: c.frac(-8) * _qp(c) ** 2 + c.frac(8 * c.p) * _qp(c) ** 3))
 
     add("P2.15", "half squared central sum /k^3 vs Fermat quotient", 1, 7, "proven",
         _scalar(lambda c: c.S("sq_k3", 1, c.n),
-                lambda c: c.frac(32, 3) * c.qp() ** 3
+                lambda c: c.frac(32, 3) * _qp(c) ** 3
                 + c.frac(4, 3) * c.bern(c.p - 3)))
 
     def ps11c_pairs(c):
         # h = H(n+k) - H(n-k); both paths step it in their own arithmetic
-        return [(f"k={k}", c.frac((-1) ** k) * b * (c.frac(1) - c.frac(c.p, 4) * h), s)
-                for k, (b, s, h) in enumerate(zip(c.terms("b", c.n, 1, c.n),
-                                                  c.terms("sq_k0", c.p, 1, c.n),
-                                                  harmonic_gaps(c.n, c.n, c.frac),
-                                                  strict=True), start=1)]
+        one, quarter_p = c.frac(1), c.frac(c.p, 4)
+        pairs = []
+        for k, (b, s, h) in enumerate(zip(c.terms("b", c.n, 1, c.n),
+                                          c.terms("sq_k0", c.p, 1, c.n),
+                                          harmonic_gaps(c.n, c.frac),
+                                          strict=True), start=1):
+            lhs = b * (one - quarter_p * h)
+            pairs.append((f"k={k}", -lhs if k % 2 else lhs, s))
+        return pairs
 
     add("PS11c-3.2", "per-k refinement of the (-16)^k transform", 4, 5, "proven",
         ps11c_pairs)
 
     add("PH3", "H_{p-1}^(3) = 0 mod p", 1, 5, "proven",
-        _scalar(lambda c: c.H(c.p - 1, 3), lambda c: c.frac(0)))
+        _scalar(lambda c: c.S("h3", 1, c.p - 1), lambda c: c.frac(0)))
 
     add("L3.2-3.3", "odd-cube squared sum vs Fermat quotient cube", 1, 5, "proven",
         _scalar(lambda c: c.S("sq_odd3", 0, c.n - 1),
-                lambda c: c.frac(-4, 3) * c.qp() ** 3
+                lambda c: c.frac(-4, 3) * _qp(c) ** 3
                 - c.frac(1, 6) * c.bern(c.p - 3)))
 
     add("L3.3-3.4", "odd-square squared sum vs Fermat quotient square", 2, 5, "proven",
         _scalar(lambda c: c.S("sq_odd2", 0, c.n - 1),
-                lambda c: c.frac(-2) * c.qp() ** 2
-                + c.frac(2 * c.p, 3) * c.qp() ** 3
+                lambda c: c.frac(-2) * _qp(c) ** 2
+                + c.frac(2 * c.p, 3) * _qp(c) ** 3
                 - c.frac(c.p, 6) * c.bern(c.p - 3)))
 
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
@@ -427,20 +420,20 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-T1-a", "full alternating inverse sum vs -(2/5) H_{p-1}/p^2", 3, 7, "proven",
         _scalar(lambda c: c.S("alt_inv_k3", 1, c.p - 1),
-                lambda c: c.frac(-2, 5) * c.div_pp(c.H(c.p - 1), 2)),
+                lambda c: c.frac(-2, 5) * c.div_pp(c.S("h1", 1, c.p - 1), 2)),
         shift=2, note="Wolstenholme guarantees the shift")
 
     add("X-T1-b", "full alternating central sum vs (4/5) H_{p-1}/p", 3, 7, "proven",
         _scalar(lambda c: c.S("alt_k2", 1, c.p - 1),
-                lambda c: c.frac(4, 5) * c.div_pp(c.H(c.p - 1), 1)),
+                lambda c: c.frac(4, 5) * c.div_pp(c.S("h1", 1, c.p - 1), 1)),
         shift=1, note="Wolstenholme guarantees the shift")
 
     add("X-G1-a", "Glaisher: H_{p-1} vs -(p^2/3) B_{p-3}", 3, 5, "proven",
-        _scalar(lambda c: c.H(c.p - 1),
+        _scalar(lambda c: c.S("h1", 1, c.p - 1),
                 lambda c: c.frac(-c.p * c.p, 3) * c.bern(c.p - 3)))
 
     add("X-G1-b", "Glaisher: H_{p-1}^(2) vs (2/3) p B_{p-3}", 2, 5, "proven",
-        _scalar(lambda c: c.H(c.p - 1, 2),
+        _scalar(lambda c: c.S("h2", 1, c.p - 1),
                 lambda c: c.frac(2 * c.p, 3) * c.bern(c.p - 3)))
 
     add("X-S11c-16", "full squared central sum /16^k vs Euler number", 3, 5, "proven",
@@ -452,7 +445,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-T2", "full squared central sum /(k 16^k) vs -2 H_{(p-1)/2}", 3, 5, "proven",
         _scalar(lambda c: c.S("sq_k1", 1, c.p - 1),
-                lambda c: c.frac(-2) * c.H(c.n)))
+                lambda c: c.frac(-2) * c.S("h1", 1, c.n)))
 
     add("X-S11b-a", "lower odd central sum = 0 mod p^2", 2, 5, "proven",
         _scalar(lambda c: c.S("odd1", 0, c.n - 1),
@@ -464,7 +457,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-T3", "lower odd-square alternating sum vs H_{p-1}/(5p)", 3, 7, "proven",
         _scalar(lambda c: c.S("odd2_alt", 0, c.n - 1),
-                lambda c: c.frac(1, 5) * c.div_pp(c.H(c.p - 1), 1)),
+                lambda c: c.frac(1, 5) * c.div_pp(c.S("h1", 1, c.p - 1), 1)),
         shift=1, note="Wolstenholme guarantees the shift")
 
     add("X-S11b-c", "upper odd-square alternating sum vs -(p/4) B_{p-3}", 2, 7,
@@ -475,25 +468,25 @@ def _catalog() -> dict[str, CheckSpec]:
     add("CJ1.1-a", "upper squared central sum vs -(21/2) H_{p-1}", 4, 7,
         "conjectural",
         _scalar(lambda c: c.S("sq_k1", c.n + 1, c.p - 1),
-                lambda c: c.frac(-21, 2) * c.H(c.p - 1)))
+                lambda c: c.frac(-21, 2) * c.S("h1", 1, c.p - 1)))
 
     add("CJ1.1-b", "reciprocal odd-cube sum vs H_{p-1}/p^2 and B_{p-5}", 3, 7,
         "conjectural",
         _scalar(lambda c: c.S("inv_odd3_alt", 0, c.n - 1),
-                lambda c: c.frac(-3, 4) * c.div_pp(c.H(c.p - 1), 2)
+                lambda c: c.frac(-3, 4) * c.div_pp(c.S("h1", 1, c.p - 1), 2)
                 - c.frac(47 * c.p * c.p, 400) * c.bern(c.p - 5)),
         shift=2, note="B_{p-5} forces p >= 7")
 
     add("CJ1.2-a", "full quartic-binomial sum vs -3H + (7/4) p^2 B_{p-3}", 3, 3,
         "conjectural",
         _scalar(lambda c: c.S("quad", 1, c.p - 1),
-                lambda c: c.frac(-3) * c.H(c.n)
+                lambda c: c.frac(-3) * c.S("h1", 1, c.n)
                 + c.frac(7 * c.p * c.p, 4) * c.bern(c.p - 3)))
 
     add("CJ1.2-b", "half quartic-binomial sum vs -3H + Euler number", 2, 3,
         "conjectural",
         _scalar(lambda c: c.S("quad", 1, c.n),
-                lambda c: c.frac(-3) * c.H(c.n)
+                lambda c: c.frac(-3) * c.S("h1", 1, c.n)
                 + c.frac((-1) ** ((c.p + 1) // 2) * 2 * c.p)
                 * c.euler_num(c.p - 3)))
 
@@ -508,7 +501,7 @@ def _catalog() -> dict[str, CheckSpec]:
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
         "conjectural",
         _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted", 1, c.n),
-                lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
+                lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * _qp(c)
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
         shift=1, note=_cj12_note + "; fails at p=3, so min prime 5")
 
@@ -519,7 +512,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
         _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted_lit", 1, c.n),
-                lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
+                lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * _qp(c)
                                         + c.frac(c.p) * c.euler_num(c.p - 3))),
         shift=1, note="reported for the conjectural hunt, never asserted")
 
@@ -536,12 +529,13 @@ PADIC_PREC = max(s.m + s.shift for s in CHECK_CATALOG.values())
 
 
 def check_ids(selector: str = "all") -> list[str]:
-    """Resolve a selector (all/proven/conjectural or comma list) to ids."""
+    """Resolve a selector (all/proven/conjectural or comma list) to ids;
+    a repeated id is kept once, where it first appears."""
     if selector == "all":
         return list(CHECK_CATALOG)
     if selector in ("proven", "conjectural", "exploratory"):
         return [i for i, s in CHECK_CATALOG.items() if s.status == selector]
-    ids = [s.strip() for s in selector.split(",") if s.strip()]
+    ids = list(dict.fromkeys(s.strip() for s in selector.split(",") if s.strip()))
     for i in ids:
         if i not in CHECK_CATALOG:
             raise UnknownCheck(f"unknown check id {i!r}")

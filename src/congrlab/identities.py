@@ -40,7 +40,7 @@ def _sigma_lhs(n):
     # prodinger row times H(n+k) - H(n-k), which is not hypergeometric; the
     # row goes first in the zip, so its guard runs
     return exact_sum(t * h for t, h in zip(row_terms("prodinger", n, 1, n, Fraction, True),
-                                           harmonic_gaps(n, n, Fraction), strict=True))
+                                           harmonic_gaps(n, Fraction), strict=True))
 
 
 # -- identity catalog ---------------------------------------------------

@@ -3,21 +3,21 @@
 The tables come from the all-integer tangent and secant number triangles
 of Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
 numbers" (arXiv:1108.0286).  The residues the congruence suite consumes
-also have routes that read no table: `bernoulli_mod_p` (a power sum),
-`euler_mod_p` (a character sum) and `harmonic_mod`.  The p-adic path reads
-only these; the exact path reads the tables and the exact harmonic numbers,
-and compares each B/E residue with its route (`bernoulli_mod_p_fast`,
-`euler_mod_p_fast`).
+also have routes that read no table: `bernoulli_mod_p` (a power sum) and
+`euler_mod_p` (a character sum).  The p-adic path reads only these; the
+exact path reads the tables and compares each residue with its route
+(`bernoulli_mod_p_fast`, `euler_mod_p_fast`).  A harmonic number is a row
+of `sums.SUMS`, which each path steps in its own arithmetic.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
 
 from .arith import Residue, rat_reduce_mod
 from .errors import InternalInconsistency
+from .sums import SUMS, row_sum
 
 
 def _tangent_numbers(k: int) -> list[int]:
@@ -109,38 +109,23 @@ def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
 
 
 def harmonic_exact(n: int, order: int = 1) -> Fraction:
-    """H_n^(m) = sum_{0<k<=n} 1/k^m, exactly: over L = lcm(1..n)^m every
-    summand is the integer L/k^m, so one reduction builds the sum."""
-    L = lcm(*range(1, n + 1)) ** order
-    return Fraction(sum(L // k ** order for k in range(1, n + 1)), L)
+    """H_n^(m) = sum_{0<k<=n} 1/k^m, exactly: row h{m} of SUMS summed by
+    binary splitting, and 0 at n = 0."""
+    name = f"h{order}"
+    if name not in SUMS:
+        raise ValueError(f"no harmonic row of order {order}")
+    return row_sum(name, 0, 1, n) if n else Fraction(0)
 
 
-def harmonic_gaps(n: int, hi: int, frac):
-    """The gaps H(n+k) - H(n-k), k = 1..hi <= n, in the caller's arithmetic.
+def harmonic_gaps(n: int, frac):
+    """The gaps H(n+k) - H(n-k), k = 1..n, in the caller's arithmetic.
 
     `frac(num, den)` builds a quotient of integers.  Each gap adds
     1/(n+k) + 1/(n-k+1) = (2n+1)/((n+k)(n-k+1)) to the last; at
     n = (p-1)/2 that step is p over a unit, so a p-adic caller needs no
     exact harmonic number.
     """
-    return accumulate(frac(2 * n + 1, (n + k) * (n - k + 1)) for k in range(1, hi + 1))
-
-
-def harmonic_mod(n: int, order: int, p: int, e: int) -> int:
-    """H_n^(m) mod p^e for n < p, with no exact harmonic number.
-
-    Every 1/k^m is a unit, so the sum is kept as one fraction num/den of
-    residues, each step a/b + 1/c = (ac + b)/(bc), and inverted once.
-    """
-    if not 0 <= n < p:
-        raise ValueError(f"need 0 <= n < p, got n={n}, p={p}")
-    mod = p ** e
-    num, den = 0, 1
-    for k in range(1, n + 1):
-        c = pow(k, order, mod)
-        num = (num * c + den) % mod
-        den = den * c % mod
-    return num * pow(den, -1, mod) % mod
+    return accumulate(frac(2 * n + 1, (n + k) * (n - k + 1)) for k in range(1, n + 1))
 
 
 def bernoulli_mod_p(m: int, p: int) -> int:

@@ -1,6 +1,6 @@
-"""The binomial sums and per-k terms of all three catalogs, one row each,
-and the routines that step a row, sum it exactly, or step it as p-adic
-digits.
+"""The binomial sums, per-k terms and harmonic numbers of all three
+catalogs, one row each, and the routines that step a row, sum it exactly,
+or step it as p-adic digits.
 
 A row is summed over k or, for a per-k check, read term by term.  Every
 summand t_k is a hypergeometric term in k with one parameter a: the
@@ -86,6 +86,10 @@ SUMS = {
              lambda p, k: ((2 * k + 1) * (p - k), k * (2 * p - 2 * k - 1))),
     # read at a = n = (p-1)/2
     "b": (_b, lambda n, k: ((n - k) * (n + k + 1), (k + 1) ** 2)),
+    # H_n^(m), read by both catalogs (any a)
+    **{f"h{m}": (lambda a, k, m=m: Fraction(1, k ** m),
+                 lambda a, k, m=m: (k ** m, (k + 1) ** m))
+       for m in (1, 2, 3)},
     # -- read by the identity catalog only (a = n) --
     "odd_recip": (lambda n, k: Fraction(1, 2 * k + 1),
                   lambda n, k: (2 * k + 1, 2 * k + 3)),

@@ -219,6 +219,19 @@ def test_cli_empty_selection_exits_2(argv, capsys):
     assert "selects nothing" in captured.err
 
 
+@pytest.mark.parametrize("argv, total", [
+    (["verify", "--checks", "T1.1-1.1,T1.1-1.1", "--primes", "7:11"], 2),
+    (["identity", "--names", "SIGMA,SIGMA", "--n", "1:3"], 3),
+    (["series", "--names", "S-ZETA2,S-ZETA2"], 1),
+])
+def test_cli_repeated_name_yields_one_row_each(argv, total, capsys):
+    """A name listed twice is evaluated and reported once per p or n."""
+    assert parse_and_run(argv) == 0
+    rows = json.loads(capsys.readouterr().out)
+    keys = [(row["id"], row["p"], row["n"]) for row in rows[:-1]]
+    assert len(set(keys)) == len(keys) == rows[-1]["summary"]["total"] == total
+
+
 def test_cli_identity_markdown(capsys):
     code = parse_and_run(["identity", "--names", "APERY", "--n", "1:50",
                           "--format", "md"])

@@ -273,9 +273,10 @@ def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the p-adic path read the exact path")
 
-    for module in (congruences, special):
-        for name in ("bernoulli_exact", "euler_exact", "harmonic_exact"):
-            monkeypatch.setattr(module, name, refuse)
+    for name in ("bernoulli_exact", "euler_exact", "harmonic_exact"):
+        monkeypatch.setattr(special, name, refuse)
+    for name in ("bernoulli_exact", "euler_exact"):
+        monkeypatch.setattr(congruences, name, refuse)
     for name in ("row_sum", "row_terms"):
         monkeypatch.setattr(congruences, name, refuse)
     unreadable = SpecialCache()
@@ -287,6 +288,25 @@ def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
         for s in specs:
             if p >= s.min_prime:
                 assert congruences._compare_pairs(ctx, s) == expected[s.id, p], (s.id, p)
+
+
+def test_fermat_quotient_checks_at_the_wieferich_prime(monkeypatch):
+    """2^1092 = 1 mod 1093^2, so q_p(2) = 0 mod p at p = 1093.  The nine
+    checks that read q_p(2) agree on both paths there, and P2.14 reads
+    0 = 0."""
+    p = 1093
+    assert pow(2, p - 1, p * p) == 1
+    qp, reads = congruences._qp, []
+    monkeypatch.setattr(congruences, "_qp", lambda c: reads.append(c) or qp(c))
+    contexts = ExactContext(p, SpecialCache()), PadicContext(p)
+    for check_id in ("T1.2-1.7", "L2.2-2.4", "P2.12", "P2.14", "P2.15", "L3.2-3.3",
+                     "L3.3-3.4", "CJ1.2-d", "CJ1.2-d-lit"):
+        reads.clear()
+        result = evaluate_check(check_id, p, with_padic=True, contexts=contexts)
+        assert {type(c) for c in reads} == {ExactContext, PadicContext}, check_id
+        assert result.path_agreement, check_id
+        if check_id == "P2.14":
+            assert (result.lhs, result.rhs, result.passed) == (0, 0, True)
 
 
 def test_padic_special_numbers_are_known_mod_p_only():

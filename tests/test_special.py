@@ -2,7 +2,7 @@
 theorems, the defining recurrences, and the independent mod-p cross-checks."""
 
 from fractions import Fraction
-from math import comb, gcd, log2
+from math import comb, gcd, lcm, log2
 
 import pytest
 
@@ -18,8 +18,8 @@ from congrlab.special import (
     euler_mod_p_fast,
     harmonic_exact,
     harmonic_gaps,
-    harmonic_mod,
 )
+from congrlab.sums import row_padic, row_sum
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -145,6 +145,19 @@ def test_harmonic_frozen_values():
     assert harmonic_exact(2, 2) == Fraction(5, 4)
 
 
+def test_harmonic_exact_matches_the_lcm_formula():
+    """Over L = lcm(1..n)^m every 1/k^m is the integer L/k^m, so one
+    reduction gives H_n^(m): an oracle for the rows h1-h3, which have no
+    other order."""
+    for m in (1, 2, 3):
+        for n in range(201):
+            L = lcm(*range(1, n + 1)) ** m
+            assert harmonic_exact(n, m) == Fraction(sum(L // k ** m for k in range(1, n + 1)), L)
+    for m in (0, 4):
+        with pytest.raises(ValueError):
+            harmonic_exact(5, m)
+
+
 def test_harmonic_telescopes():
     prev = Fraction(0)
     for n in range(1, 501):
@@ -160,9 +173,8 @@ def _gap(n, k):
 
 def test_harmonic_gaps_match_exact_differences():
     for n in range(1, 61):
-        assert list(harmonic_gaps(n, n, Fraction)) == [_gap(n, k) for k in range(1, n + 1)]
-    assert list(harmonic_gaps(9, 4, Fraction)) == [_gap(9, k) for k in range(1, 5)]
-    assert list(harmonic_gaps(9, 0, Fraction)) == []
+        assert list(harmonic_gaps(n, Fraction)) == [_gap(n, k) for k in range(1, n + 1)]
+    assert list(harmonic_gaps(0, Fraction)) == []
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 61)))
@@ -170,21 +182,20 @@ def test_padic_harmonic_gaps_match_exact_residues(p):
     """At n = (p-1)/2 every step is p over a unit, so p-adic gaps need no
     exact harmonic number; their residues mod p^4 are the exact ones."""
     n = (p - 1) // 2
-    gaps = harmonic_gaps(n, n, lambda a, b: PAdic.from_rational(a, p, 4, b))
+    gaps = harmonic_gaps(n, lambda a, b: PAdic.from_rational(a, p, 4, b))
     for k, gap in enumerate(gaps, start=1):
         assert gap.residue(4) == rat_reduce_mod(_gap(n, k), p, 4)
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
 def test_harmonic_residues_match_exact_ones(p):
-    """H_n^(m) mod p^5 with one inverse equals the exact H_n^(m) reduced,
-    for every n < p and orders 1-3."""
+    """Rows h1-h3 stepped as p-adic digits and added by `PAdic.sum_terms`
+    give the residue mod p^5 of the exact row sum, for every 0 < n < p."""
     for m in (1, 2, 3):
-        for n in range(p):
-            exact = rat_reduce_mod(harmonic_exact(n, m), p, 5).value
-            assert harmonic_mod(n, m, p, 5) == exact, (n, m)
-    with pytest.raises(ValueError):
-        harmonic_mod(p, 1, p, 5)
+        for n in range(1, p):
+            exact = rat_reduce_mod(row_sum(f"h{m}", 0, 1, n), p, 5)
+            padic = PAdic.sum_terms(p, *row_padic(f"h{m}", 0, 1, n, p, 5), 5)
+            assert padic.residue(5) == exact, (n, m)
 
 
 def test_wolstenholme():
