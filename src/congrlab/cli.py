@@ -8,6 +8,7 @@ import sys
 from .arith import PrimeRange, sieve_primes
 from .congruences import CHECK_CATALOG, PADIC_PATH_MAX_PRIME, check_ids, run_suite
 from .errors import CongrlabError
+from .fanout import available_cpus
 from .identities import run_identity_suite
 from .report import emit_report, exit_status
 from .series import run_series_suite
@@ -72,6 +73,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", choices=["json", "csv", "md"], default="json")
         out(sp)
 
+    def jobs(sp, per):
+        sp.add_argument("--jobs", type=_at_least(1), default=available_cpus(),
+                        help=f"worker processes, at most one per {per} "
+                             "(default: the CPUs this process may use)")
+
     sp = sub.add_parser("verify", help="run congruence checks over a prime range")
     common(sp)
     sp.add_argument("--primes", type=_parse_range, default=(7, 499),
@@ -80,14 +86,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma list of ids, or all/proven/conjectural/exploratory")
     sp.add_argument("--padic-limit", type=int, default=PADIC_PATH_MAX_PRIME,
                     help="run the p-adic second path for primes up to this")
-    sp.add_argument("--jobs", type=_at_least(1), default=1,
-                    help="worker processes, at most one per prime")
+    jobs(sp, "prime")
 
     sp = sub.add_parser("identity", help="verify exact identities")
     common(sp)
     sp.add_argument("--names", default="all",
                     help="comma list of identity names, or all")
     sp.add_argument("--n", type=_parse_range, default=(1, 50), metavar="LO:HI")
+    jobs(sp, "identity")
 
     sp = sub.add_parser("series", help="floating sanity checks of the series")
     common(sp)
@@ -121,7 +127,8 @@ def parse_and_run(argv=None) -> int:
             status = exit_status(results)
         elif args.subcommand == "identity":
             lo, hi = args.n
-            results = _selected(run_identity_suite(_names(args.names), range(lo, hi + 1)),
+            results = _selected(run_identity_suite(_names(args.names), range(lo, hi + 1),
+                                                   args.jobs),
                                 f"--names {args.names!r} at --n {lo}:{hi}")
             status = exit_status(results)
         elif args.subcommand == "series":

@@ -12,10 +12,9 @@ path checks each Bernoulli or Euler number it reads against that route.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from functools import partial
 from math import comb
 
 from .arith import PAdic, rat_reduce_mod, vp_rational
@@ -26,6 +25,7 @@ from .errors import (
     UnknownCheck,
     ValuationViolation,
 )
+from .fanout import fan_out
 from .special import (
     SpecialCache,
     bernoulli_exact,
@@ -606,25 +606,19 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
                        elapsed_ms=(time.perf_counter() - start) * 1000, note=note)
 
 
-_WORKER_CACHE: SpecialCache | None = None
+_TABLES: SpecialCache | None = None  # the tables _run_prime reads, set by _use_tables
 
 
-def _init_worker(bern_items, euler_items):
-    global _WORKER_CACHE
-    _WORKER_CACHE = SpecialCache()
-    _WORKER_CACHE.bernoulli.update(bern_items)
-    _WORKER_CACHE.euler.update(euler_items)
+def _use_tables(cache: SpecialCache) -> None:
+    global _TABLES
+    _TABLES = cache
 
 
-def _run_prime(ids, p: int, padic_limit: int,
-               cache: SpecialCache | None = None) -> list[CheckResult]:
-    """Evaluate every check at one prime on one set of shared contexts.
-
-    In a pool worker `cache` is None and the worker's tables are read.
-    """
-    cache = cache if cache is not None else _WORKER_CACHE
-    contexts = ExactContext(p, cache), PadicContext(p)
-    return [evaluate_check(i, p, cache, with_padic=p <= padic_limit,
+def _run_prime(ids, padic_limit: int, p: int) -> list[CheckResult]:
+    """Evaluate every check at one prime on one set of shared contexts,
+    reading the tables `_use_tables` gave this process."""
+    contexts = ExactContext(p, _TABLES), PadicContext(p)
+    return [evaluate_check(i, p, _TABLES, with_padic=p <= padic_limit,
                            contexts=contexts)
             for i in ids]
 
@@ -654,10 +648,11 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
               jobs: int = 1) -> tuple[list[CheckResult], dict]:
     """Evaluate every (id, prime) pair; deterministic (id, p) ordering.
 
-    The checks at one prime share one exact and one p-adic context.  A
-    pool starts at most one worker per prime.  Every special-number residue
-    a context reads is cross-checked on its first read; a mismatch raises
-    InternalInconsistency, since no verdict built on it could be trusted.
+    The checks at one prime share one exact and one p-adic context, and
+    `jobs` worker processes take one prime per task (`fan_out`).  Every
+    special-number residue a context reads is cross-checked on its first
+    read; a mismatch raises InternalInconsistency, since no verdict built
+    on it could be trusted.
     Both tables are sized once, before any prime, to B_{p-3} and E_{p-3}
     of the largest prime: grown on demand, a held table would double.
     """
@@ -671,14 +666,8 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         cache.ensure_bernoulli(primes[-1] - 3)
         cache.ensure_euler(primes[-1] - 3)
 
-    if jobs > 1 and len(primes) > 1:
-        with ProcessPoolExecutor(
-                max_workers=min(jobs, len(primes)), initializer=_init_worker,
-                initargs=(cache.bernoulli, cache.euler)) as pool:
-            chunks = list(pool.map(_run_prime, repeat(ids), primes,
-                                   repeat(padic_limit)))
-    else:
-        chunks = [_run_prime(ids, p, padic_limit, cache) for p in primes]
+    chunks = fan_out(partial(_run_prime, ids, padic_limit), primes, jobs,
+                     initializer=_use_tables, initargs=(cache,))
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.id, r.p))
     return results, summarize(results)

@@ -1,0 +1,41 @@
+"""Spread independent tasks over worker processes.
+
+Both batch suites go through `fan_out`: `run_suite` with one task per
+prime, `run_identity_suite` with one per identity.  The tasks are
+independent, so the results equal those of the plain loop.
+"""
+
+from __future__ import annotations
+
+import os
+from concurrent.futures import ProcessPoolExecutor
+
+
+def available_cpus() -> int:
+    """The CPUs this process may run on: its affinity set, or the machine's
+    count where the platform has no affinity call."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fan_out(fn, items, jobs: int, initializer=None, initargs=()) -> list:
+    """`[fn(item) for item in items]`, over `min(jobs, len(items))` processes.
+
+    Each process runs `initializer(*initargs)` before its first task.  With
+    one worker or one item no process starts: this process is set up the
+    same way and runs the plain loop.  A pool starts all its workers at the
+    first task, so it is never larger than the number of items.
+
+    Workers start by the platform's default method, fork on Linux, which
+    shares the parent's tables without pickling them; spawn would import
+    the package again and unpickle the tables in every worker.
+    """
+    workers = min(jobs, len(items))
+    if workers <= 1:
+        if initializer is not None:
+            initializer(*initargs)
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
+                             initargs=initargs) as pool:
+        return list(pool.map(fn, items))

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from math import comb
 
 from .arith import exact_sum
 from .errors import DomainError, UnknownIdentity
+from .fanout import fan_out
 from .special import harmonic_exact, harmonic_gaps
 from .sums import row_sum, row_terms
 
@@ -145,19 +146,19 @@ def evaluate_identity(name: str, n: int, *, sides=None) -> IdentityCase:
     return IdentityCase(name, n, lhs, rhs, lhs == rhs and residual == 0, residual)
 
 
-def run_identity_suite(names=None, n_range=range(1, 51)) -> list[IdentityCase]:
-    """Evaluate every (name, n) pair; an error in a case is an engine fault
-    and propagates, never a failed case."""
-    if names is None:
-        names = list(IDENTITY_CATALOG)
-    cases = []
+def _run_identity(name: str, n_range) -> list[IdentityCase]:
+    start = IDENTITY_CATALOG[name][0]
+    sides = _sides(name)
+    return [evaluate_identity(name, n, sides=sides) for n in n_range if n >= start]
+
+
+def run_identity_suite(names=None, n_range=range(1, 51), jobs: int = 1) -> list[IdentityCase]:
+    """Evaluate every (name, n) pair, with `jobs` worker processes taking one
+    identity per task (`fan_out`); an error in a case is an engine fault and
+    propagates, never a failed case."""
+    names = list(IDENTITY_CATALOG) if names is None else list(names)
     for name in names:
         if name not in IDENTITY_CATALOG:
             raise UnknownIdentity(f"unknown identity {name!r}")
-        start = IDENTITY_CATALOG[name][0]
-        sides = _sides(name)
-        for n in n_range:
-            if n < start:
-                continue
-            cases.append(evaluate_identity(name, n, sides=sides))
-    return cases
+    chunks = fan_out(partial(_run_identity, n_range=n_range), names, jobs)
+    return [case for chunk in chunks for case in chunk]

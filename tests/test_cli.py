@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from congrlab.cli import parse_and_run
 from congrlab.congruences import CheckResult, evaluate_check
+from congrlab.fanout import available_cpus
 from congrlab.identities import IDENTITY_CATALOG, evaluate_identity
 from congrlab.report import emit_report, exit_status, sort_results
 from congrlab.series import evaluate_series
@@ -176,11 +178,13 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
         cache.bernoulli[4] += 1  # B_{p-3} at p = 7
 
     monkeypatch.setattr(SpecialCache, "ensure_bernoulli", corrupt)
-    code = parse_and_run(["verify", "--primes", "7:13", "--checks", "T1.1-1.1"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert "B_4 mod 7" in captured.err
+    for jobs in ("1", "2"):  # in this process, and raised in a pool worker
+        code = parse_and_run(["verify", "--primes", "7:13", "--checks", "T1.1-1.1",
+                              "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "B_4 mod 7" in captured.err
 
 
 def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):
@@ -194,11 +198,13 @@ def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):
         return lhs(n)
 
     monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA", (start, broken, rhs))
-    code = parse_and_run(["identity", "--names", "SIGMA", "--n", "1:5"])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert captured.err == "congrlab: internal error: ZeroDivisionError: injected\n"
+    # one name runs in this process; two start a pool, whose worker raises
+    for jobs, names in (("1", "SIGMA"), ("2", "SIGMA,APERY")):
+        code = parse_and_run(["identity", "--names", names, "--n", "1:5", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "congrlab: internal error: ZeroDivisionError: injected\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -279,7 +285,33 @@ def test_cli_bernoulli_rejects_negative_max(capsys):
 def test_cli_jobs_below_one_exits_2(capsys):
     for jobs in ("0", "-3"):
         assert parse_and_run(["verify", "--primes", "7:11", "--jobs", jobs]) == 2
+        assert parse_and_run(["identity", "--n", "1:3", "--jobs", jobs]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--primes", "7:31", "--checks", "T1.1-1.1"],
+    ["identity", "--names", "APERY,TELE1,BBAG", "--n", "1:5"],
+])
+def test_cli_jobs_default_to_the_cpus_this_process_may_use(argv, monkeypatch, inline_pool,
+                                                          capsys):
+    """One allowed CPU runs the plain loop; three ask a pool for three
+    workers."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert parse_and_run(argv) == 0
+    assert inline_pool == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert parse_and_run(argv) == 0
+    assert inline_pool == [3]
+    capsys.readouterr()
+
+
+def test_available_cpus_without_an_affinity_call(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert available_cpus() == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert available_cpus() == 1
 
 
 def test_cli_determinism_across_runs(tmp_path):

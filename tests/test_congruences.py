@@ -467,33 +467,18 @@ def test_run_suite_parallel_matches_serial(cache):
     assert [key(r) for r in serial] == [key(r) for r in parallel]
 
 
-def test_pool_starts_at_most_one_worker_per_prime(monkeypatch, cache):
+def test_pool_starts_at_most_one_worker_per_prime(inline_pool, cache):
     """A pool forks all its workers at the first submit, so --jobs 5000 over
-    two primes must ask for two.  The stand-in pool starts no process."""
-    sizes = []
-
-    class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
-            sizes.append(max_workers)
-            initializer(*initargs)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(congruences, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(congruences, "_WORKER_CACHE", None)
+    two primes, or over two identities, must ask for two."""
     ids = ["T1.1-1.1", "T1.2-1.7"]
     pooled, _ = run_suite(ids, [7, 11], cache, padic_limit=0, jobs=5000)
     serial, _ = run_suite(ids, [7, 11], cache, padic_limit=0, jobs=1)
-    assert sizes == [2]
     row = lambda r: dataclasses.replace(r, elapsed_ms=0.0)
     assert [row(r) for r in pooled] == [row(r) for r in serial]
+    names = ["APERY", "TELE1"]
+    assert (run_identity_suite(names, range(0, 6), jobs=5000)
+            == run_identity_suite(names, range(0, 6), jobs=1))
+    assert inline_pool == [2, 2]
 
 
 def test_each_prime_builds_one_padic_context(monkeypatch, cache):

@@ -133,6 +133,12 @@ def test_suite_single_case():
     assert len(cases) == 1 and cases[0].passed
 
 
+def test_suite_over_a_pool_matches_the_serial_suite():
+    """Each identity is one task of the pool; the cases are the serial ones,
+    in the same order."""
+    assert run_identity_suite(None, range(0, 41), jobs=2) == run_identity_suite(None, range(0, 41))
+
+
 def test_suite_skips_below_domain():
     cases = run_identity_suite(["APERY"], range(0, 3))
     assert [c.n for c in cases] == [1, 2]

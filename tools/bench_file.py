@@ -107,6 +107,12 @@ def main() -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
 
+    # Where the environment sets PYTHONDONTWRITEBYTECODE, a tree with no
+    # __pycache__ compiles its sources in every run: compile both first.
+    for tree in trees.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")],
+                       check=True)
+
     workloads = {}
     for name in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
