@@ -1,12 +1,14 @@
 """Declarative catalog of the p-adic congruences and a two-path evaluator.
 
-Every check is evaluated once over exact rationals (ground truth) and,
-for small primes, once over valuation-aware truncated p-adics; the two
-residues must coincide.  A disagreement is an engine bug, not a failing
-congruence, and is surfaced as such.  The p-adic path reads nothing the
-exact path builds: it steps the rows of `SUMS` itself, harmonic numbers
-included, and takes B and E mod p from routes that read no table.  The exact
-path checks each Bernoulli or Euler number it reads against that route.
+Every check is evaluated once over exact rationals (ground truth) and, for
+primes up to `padic_limit`, once over valuation-aware truncated p-adics; the
+two residues must coincide.  A disagreement is an engine bug, not a failing
+congruence, and is surfaced as such.  The base `Context` decides what a
+check reads at a prime, through one memo; each path only computes it.  The
+p-adic path reads nothing the exact path builds: it steps the rows of `SUMS`
+itself, harmonic numbers included, and takes B and E mod p from routes that
+read no table.  The exact path checks each Bernoulli or Euler number it
+reads against that route.
 """
 
 from __future__ import annotations
@@ -48,13 +50,14 @@ class Context:
     """The interface a check reads, at one prime: `frac`, `S`, `terms`,
     `bern`, `euler_num`, `div_pp` and `residue`.
 
-    A context serves one prime, and every check evaluated in it shares its
-    one memo: row sums of `SUMS`, harmonic numbers among them, and special
-    numbers.
-    Every binomial term comes from a row: summed by `S`, or read per k
-    through `terms`.  The two contexts share this interface and the rows'
-    closed forms and ratios, which the exact path guards; each builds every
-    value a check reads in its own arithmetic.
+    The base owns every read.  One memo, shared by every check evaluated at
+    the prime, holds the row sums of `SUMS` (harmonic numbers among them),
+    the per-k rows, the special numbers and q_p(2); a row sum is read in
+    halves; and the base decides which B and E indices exist.  A context
+    supplies only its arithmetic: `frac`, `_row_sum`, `_terms`, its source
+    of B and E (`_bern`, `_euler`), `div_pp` and `residue`.  The two
+    contexts share the rows' closed forms and ratios, which the exact path
+    guards; each builds every value a check reads in its own arithmetic.
     """
 
     def __init__(self, p: int):
@@ -69,8 +72,32 @@ class Context:
         return value
 
     def S(self, name: str, lo: int, hi: int):
-        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
-        return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
+        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized.  A range
+        with lo <= n < hi is the sum of its halves lo..n and n+1..hi, each
+        read through the memo and guarded on its own, so no k of a row is
+        summed twice at one prime."""
+        def build():
+            if lo <= self.n < hi:
+                return self.S(name, lo, self.n) + self.S(name, self.n + 1, hi)
+            return self._row_sum(name, lo, hi)
+        return self._memo(("S", name, lo, hi), build)
+
+    def terms(self, name: str, a: int, lo: int, hi: int) -> list:
+        """The terms t_lo..t_hi of row `name` of SUMS at parameter a,
+        memoized.  A list, not a generator: a zip that stops early would
+        skip the exact path's guard, which runs after the last term."""
+        return self._memo(("T", name, a, lo, hi), lambda: self._terms(name, a, lo, hi))
+
+    def bern(self, i: int):
+        """B_i, memoized.  B_0 = 1 is read only at p = 3."""
+        return self._memo(("B", i), lambda: self._bern(i) if i else self.frac(1))
+
+    def euler_num(self, i: int):
+        """E_i, memoized, for the two indices a check reads: E_{p-3}, the one
+        the character-sum route covers, and E_0 = 1, read only at p = 3."""
+        if i not in (0, self.p - 3):
+            raise ValueError(f"no second route for E_{i} mod {self.p}")
+        return self._memo(("E", i), lambda: self._euler() if i else self.frac(1))
 
 
 class ExactContext(Context):
@@ -78,7 +105,7 @@ class ExactContext(Context):
 
     It sums a row with `row_sum` and steps one with a guarded `row_terms`,
     so every row it reads is checked against its closed form.  It reads
-    B and E from the tables of `cache`.
+    B and E from the tables of `cache`, each checked on its first read.
     """
 
     def __init__(self, p: int, cache: SpecialCache):
@@ -88,36 +115,23 @@ class ExactContext(Context):
     def frac(self, a, b=1):
         return Fraction(a, b)
 
-    def terms(self, name: str, a: int, lo: int, hi: int) -> list:
-        """The terms t_lo..t_hi of row `name` of SUMS at parameter a.  Both
-        paths step by the same ratio, so a wrong ratio would agree with
-        itself; the exact path guards every row against its closed form.
-        A list, not a generator: a zip that stops early would skip the
-        guard, which runs after the last term."""
+    def _terms(self, name: str, a: int, lo: int, hi: int) -> list:
+        # both paths step by the same ratio, so a wrong one would agree with
+        # itself; the guard checks the last term against its closed form
         return list(row_terms(name, a, lo, hi, self.frac, True))
 
     def _row_sum(self, name: str, lo: int, hi: int):
         return row_sum(name, self.p, lo, hi)
 
-    def bern(self, i: int):
-        """B_i, memoized.  On the first read its residue is checked against
-        the power-sum route; a mismatch raises InternalInconsistency, an
-        engine fault, never a path disagreement."""
-        def build():
-            if i >= 2:  # B_0, read only at p = 3, has no such route
-                bernoulli_mod_p_fast(i, self.p, self.cache)
-            return bernoulli_exact(i, self.cache)
-        return self._memo(("B", i), build)
+    def _bern(self, i: int):
+        # a residue that misses the power-sum route raises InternalInconsistency,
+        # an engine fault, never a path disagreement
+        bernoulli_mod_p_fast(i, self.p, self.cache)
+        return bernoulli_exact(i, self.cache)
 
-    def euler_num(self, i: int):
-        """E_i, memoized and checked on the first read as `bern` is, against
-        the character-sum route, which covers E_{p-3} only."""
-        def build():
-            if i >= 2:  # E_0, read only at p = 3, has no such route
-                _require_euler_route(i, self.p)
-                euler_mod_p_fast(self.p, self.cache)
-            return Fraction(euler_exact(i, self.cache))
-        return self._memo(("E", i), build)
+    def _euler(self):
+        euler_mod_p_fast(self.p, self.cache)  # against the character-sum route
+        return Fraction(euler_exact(self.p - 3, self.cache))
 
     def div_pp(self, x, s: int):
         """Divide by p^s after asserting the guaranteed valuation."""
@@ -127,10 +141,7 @@ class ExactContext(Context):
         return x / Fraction(self.p ** s)
 
     def residue(self, x, e: int) -> int:
-        try:
-            return rat_reduce_mod(x, self.p, e).value
-        except NegativeValuation as exc:
-            raise ValuationViolation(str(exc)) from exc
+        return rat_reduce_mod(x, self.p, e).value
 
 
 class PadicContext(Context):
@@ -140,9 +151,9 @@ class PadicContext(Context):
     - A rational constant of a statement, q_p(2) among them, is lifted by
       `frac`.
     - A row, H_n^(m) among them, is stepped as integers by `row_padic`, one
-      inverse per row, and `S` adds its (valuation, unit) pairs; its
-      precision is capped as `PAdic.sum_terms` says, as sequential addition
-      would cap it.
+      inverse per row; a sum adds its (valuation, unit) pairs with
+      `PAdic.sum_terms`, whose precision cap is the one sequential addition
+      would give, and the two halves of a range add to that same cap.
     - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
       and character-sum routes, and never from a table.  Every check
       multiplies them by a coefficient of valuation at least m - 1, so mod p
@@ -156,31 +167,20 @@ class PadicContext(Context):
     def frac(self, a, b=1):
         return PAdic.from_rational(a, self.p, PADIC_PREC, b)
 
-    def _digits(self, name: str, a: int, lo: int, hi: int):
-        return row_padic(name, a, lo, hi, self.p, PADIC_PREC)
-
-    def terms(self, name: str, a: int, lo: int, hi: int) -> list:
+    def _terms(self, name: str, a: int, lo: int, hi: int) -> list:
         p = self.p
-        vals, units = self._digits(name, a, lo, hi)
+        vals, units = row_padic(name, a, lo, hi, p, PADIC_PREC)
         return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
 
     def _row_sum(self, name: str, lo: int, hi: int):
-        return PAdic.sum_terms(self.p, *self._digits(name, self.p, lo, hi), PADIC_PREC)
+        p = self.p
+        return PAdic.sum_terms(p, *row_padic(name, p, lo, hi, p, PADIC_PREC), PADIC_PREC)
 
-    def bern(self, i: int):
-        def build():
-            if i == 0:  # B_0 = 1, read only at p = 3
-                return self.frac(1)
-            return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
-        return self._memo(("B", i), build)
+    def _bern(self, i: int):
+        return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
 
-    def euler_num(self, i: int):
-        def build():
-            if i == 0:  # E_0 = 1, read only at p = 3
-                return self.frac(1)
-            _require_euler_route(i, self.p)
-            return PAdic.from_residue(euler_mod_p(self.p), self.p, 1)
-        return self._memo(("E", i), build)
+    def _euler(self):
+        return PAdic.from_residue(euler_mod_p(self.p), self.p, 1)
 
     def div_pp(self, x, s: int):
         if not x.is_zero_marker and x.val < s:
@@ -189,15 +189,7 @@ class PadicContext(Context):
         return x.shift(s)
 
     def residue(self, x, e: int) -> int:
-        try:
-            return x.residue(e).value
-        except NegativeValuation as exc:
-            raise ValuationViolation(str(exc)) from exc
-
-
-def _require_euler_route(i: int, p: int) -> None:
-    if i != p - 3:
-        raise ValueError(f"no second route for E_{i} mod {p}")
+        return x.residue(e).value
 
 
 # -- check specifications -------------------------------------------------
@@ -232,8 +224,8 @@ class CheckResult:
 
 def _qp(c):
     """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p: a statement constant,
-    lifted by `frac` as L2.2-2.3's (-1)^n C(p-1, n) is."""
-    return c.frac(pow(2, c.p - 1) - 1, c.p)
+    lifted by `frac` as L2.2-2.3's (-1)^n C(p-1, n) is, once per context."""
+    return c._memo(("qp",), lambda: c.frac(pow(2, c.p - 1) - 1, c.p))
 
 
 def _scalar(fn_lhs, fn_rhs):
@@ -377,11 +369,12 @@ def _catalog() -> dict[str, CheckSpec]:
                 + c.frac(4, 3) * c.bern(c.p - 3)))
 
     def ps11c_pairs(c):
-        # h = H(n+k) - H(n-k); both paths step it in their own arithmetic
+        # h = H(n+k) - H(n-k); both paths step it in their own arithmetic.
+        # The rows are L2.1b's, read from k = 1.
         one, quarter_p = c.frac(1), c.frac(c.p, 4)
         pairs = []
-        for k, (b, s, h) in enumerate(zip(c.terms("b", c.n, 1, c.n),
-                                          c.terms("sq_k0", c.p, 1, c.n),
+        for k, (b, s, h) in enumerate(zip(c.terms("b", c.n, 0, c.n)[1:],
+                                          c.terms("sq_k0", c.p, 0, c.n)[1:],
                                           harmonic_gaps(c.n, c.frac),
                                           strict=True), start=1):
             lhs = b * (one - quarter_p * h)
@@ -546,11 +539,15 @@ def check_ids(selector: str = "all") -> list[str]:
 
 
 def _compare_pairs(ctx, spec: CheckSpec):
-    """Evaluate all lhs/rhs pairs of a check in one context."""
+    """Evaluate all lhs/rhs pairs of a check in one context.  A side with p
+    in its denominator fails the statement at p: ValuationViolation."""
     lhs_res = rhs_res = None
     for label, lhs, rhs in spec.pairs(ctx):
-        lv = ctx.residue(lhs, spec.m)
-        rv = ctx.residue(rhs, spec.m)
+        try:
+            lv = ctx.residue(lhs, spec.m)
+            rv = ctx.residue(rhs, spec.m)
+        except NegativeValuation as exc:
+            raise ValuationViolation(str(exc)) from exc
         if lhs_res is None:
             lhs_res, rhs_res = lv, rv
         if lv != rv:
@@ -559,11 +556,11 @@ def _compare_pairs(ctx, spec: CheckSpec):
 
 
 def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
-                   with_padic: bool | None = None, *,
+                   padic_limit: int = PADIC_PATH_MAX_PRIME, *,
                    contexts: tuple | None = None) -> CheckResult:
     """Evaluate one catalog check at one prime.
 
-    `with_padic=None` runs the p-adic path for p <= PADIC_PATH_MAX_PRIME.
+    The p-adic path runs too when p <= padic_limit.
     `contexts` are the shared (exact, p-adic) contexts of p; without them
     the check gets fresh ones.  Either way every special number it reads is
     cross-checked on its first read in a context.
@@ -578,8 +575,6 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
         cache = cache if cache is not None else SpecialCache()
         contexts = ExactContext(p, cache), PadicContext(p)
     exact, padic = contexts
-    if with_padic is None:
-        with_padic = p <= PADIC_PATH_MAX_PRIME
     start = time.perf_counter()
     note = spec.note
     try:
@@ -593,7 +588,7 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     if bad is not None:
         note = (note + "; " if note else "") + f"first failing instance {bad}"
     agreement = None
-    if with_padic:
+    if p <= padic_limit:
         try:
             pok, plv, prv, _ = _compare_pairs(padic, spec)
         except CongrlabError as exc:  # an engine fault, never a verdict
@@ -618,9 +613,7 @@ def _run_prime(ids, padic_limit: int, p: int) -> list[CheckResult]:
     """Evaluate every check at one prime on one set of shared contexts,
     reading the tables `_use_tables` gave this process."""
     contexts = ExactContext(p, _TABLES), PadicContext(p)
-    return [evaluate_check(i, p, _TABLES, with_padic=p <= padic_limit,
-                           contexts=contexts)
-            for i in ids]
+    return [evaluate_check(i, p, _TABLES, padic_limit, contexts=contexts) for i in ids]
 
 
 def summarize(results: list[CheckResult]) -> dict:

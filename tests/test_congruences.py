@@ -3,6 +3,7 @@ agreement, equivalence chains, valuation guarantees and suite determinism."""
 
 import dataclasses
 import signal
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -302,7 +303,7 @@ def test_fermat_quotient_checks_at_the_wieferich_prime(monkeypatch):
     for check_id in ("T1.2-1.7", "L2.2-2.4", "P2.12", "P2.14", "P2.15", "L3.2-3.3",
                      "L3.3-3.4", "CJ1.2-d", "CJ1.2-d-lit"):
         reads.clear()
-        result = evaluate_check(check_id, p, with_padic=True, contexts=contexts)
+        result = evaluate_check(check_id, p, padic_limit=p, contexts=contexts)
         assert {type(c) for c in reads} == {ExactContext, PadicContext}, check_id
         assert result.path_agreement, check_id
         if check_id == "P2.14":
@@ -344,9 +345,9 @@ def test_padic_path_error_is_an_engine_fault(monkeypatch, cache, capsys):
     """Too low a working precision raises on the p-adic path.  The exact
     path passes, so that is an engine fault, never a proven failure."""
     monkeypatch.setattr(congruences, "PADIC_PREC", 2)
-    assert evaluate_check("T1.1-1.4a", 11, cache, with_padic=False).passed
+    assert evaluate_check("T1.1-1.4a", 11, cache, padic_limit=0).passed
     with pytest.raises(InternalInconsistency, match="PrecisionExhausted"):
-        evaluate_check("T1.1-1.4a", 11, cache, with_padic=True)
+        evaluate_check("T1.1-1.4a", 11, cache, padic_limit=11)
     code = parse_and_run(["verify", "--primes", "11:11", "--checks", "T1.1-1.4a",
                           "--padic-limit", "11"])
     captured = capsys.readouterr()
@@ -370,12 +371,119 @@ def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
         with monkeypatch.context() as patch:
             patch.setitem(SUMS, row, (term, wrong))
             with pytest.raises(InternalInconsistency, match=f"'{row}'"):
-                evaluate_check(check_id, 11, cache, with_padic=True)
+                evaluate_check(check_id, 11, cache, padic_limit=11)
             code = parse_and_run(["verify", "--primes", "7:13", "--checks", check_id])
         captured = capsys.readouterr()
         assert code == 2, row
         assert captured.out == "", row
         assert f"'{row}'" in captured.err, row
+
+
+@pytest.mark.parametrize("p", [7, 61])
+def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
+    """All checks at one prime, on both paths, build each k of a row once as
+    a summand (`row_sum`, or `row_padic` under `S`) and once per k
+    (`row_terms`, or `row_padic` under `terms`): a range that straddles n
+    is read as its two halves, and PS11c-3.2 reads L2.1b's per-k rows."""
+    reads, use = [], ["sum"]
+
+    def recording(engine):
+        def read(name, a, lo, hi, *args):
+            reads.append((engine.__name__, use[0], name, a, range(lo, hi + 1)))
+            return engine(name, a, lo, hi, *args)
+        return read
+
+    def per_k(terms):
+        def read(self, *args):
+            use[0] = "terms"
+            try:
+                return terms(self, *args)
+            finally:
+                use[0] = "sum"
+        return read
+
+    for name in ("row_sum", "row_terms", "row_padic"):
+        monkeypatch.setattr(congruences, name, recording(getattr(congruences, name)))
+    for context in (ExactContext, PadicContext):
+        monkeypatch.setattr(context, "terms", per_k(context.terms))
+    for ctx in (ExactContext(p, cache), PadicContext(p)):
+        for spec in CHECK_CATALOG.values():
+            spec.pairs(ctx)
+    steps = Counter((*read, k) for *read, ks in reads for k in ks)
+    assert {read[:3] for read in reads} >= {("row_sum", "sum", "h1"),
+                                            ("row_padic", "sum", "h1")}
+    assert [step for step, times in steps.items() if times > 1] == []
+
+
+# -- statements that fail at p --------------------------------------------------------
+
+
+def _patch_check(monkeypatch, status, pairs) -> str:
+    """Put a check with these pairs, modulus p, into the catalog."""
+    spec = congruences.CheckSpec("X-FAILS", "a statement that fails", 1, 5, status, pairs)
+    monkeypatch.setitem(CHECK_CATALOG, spec.id, spec)
+    return spec.id
+
+
+def _verify_at_7(check_id) -> int:
+    return parse_and_run(["verify", "--checks", check_id, "--primes", "7:7",
+                          "--padic-limit", "7", "--jobs", "1"])
+
+
+@pytest.mark.parametrize("status, code", [("proven", 1), ("conjectural", 0)])
+def test_a_failed_valuation_guarantee_is_a_failed_row(status, code, monkeypatch, capsys):
+    """H_6 = 49/20 has valuation exactly 2 at p = 7, so a statement that
+    divides it by p^3 fails at 7: a failed row, not an engine fault, with
+    no path agreement.  A proven one exits 1, a conjectural one 0."""
+    check_id = _patch_check(monkeypatch, status, congruences._scalar(
+        lambda c: c.div_pp(c.S("h1", 1, c.p - 1), 3), lambda c: c.frac(0)))
+    result = evaluate_check(check_id, 7, padic_limit=7)
+    assert (result.applicable, result.passed, result.path_agreement) == (True, False, None)
+    assert result.note == "ValuationViolation: p=7: expected valuation >= 3, got 2"
+    assert _verify_at_7(check_id) == code
+    assert "expected valuation >= 3" in capsys.readouterr().out
+
+
+def test_a_side_with_p_in_its_denominator_is_a_failed_row(monkeypatch, capsys):
+    """A side of 1/p has no residue mod p: the statement fails at p."""
+    check_id = _patch_check(monkeypatch, "proven", congruences._scalar(
+        lambda c: c.frac(1, c.p), lambda c: c.frac(0)))
+    result = evaluate_check(check_id, 7, padic_limit=7)
+    assert (result.passed, result.path_agreement) == (False, None)
+    assert result.note == "ValuationViolation: 1/7 has p=7 in its denominator"
+    assert _verify_at_7(check_id) == 1
+    assert "ValuationViolation" in capsys.readouterr().out
+
+
+def test_a_per_k_check_names_its_first_failing_instance(monkeypatch):
+    check_id = _patch_check(monkeypatch, "proven", lambda c: [
+        (f"k={k}", c.frac(k * k), c.frac(k)) for k in (1, 2, 3)])
+    result = evaluate_check(check_id, 7, padic_limit=7)
+    assert (result.passed, result.lhs, result.rhs, result.path_agreement) == (False, 4, 2, True)
+    assert result.note == "first failing instance k=2"
+
+
+def test_a_padic_valuation_violation_is_an_engine_fault(monkeypatch, capsys):
+    """X-T1-a divides H_{p-1} by p^2 on both paths.  With a corrupt unit in
+    the p-adic h1 row the exact path still passes, so the p-adic path's
+    failed guarantee is an engine fault: exit 2 with no rows."""
+    row_padic = congruences.row_padic
+
+    def corrupt(name, a, lo, hi, p, prec):
+        vals, units = row_padic(name, a, lo, hi, p, prec)
+        if name == "h1" and lo == 1:
+            units[0] += 1
+        return vals, units
+
+    monkeypatch.setattr(congruences, "row_padic", corrupt)
+    assert evaluate_check("X-T1-a", 7, padic_limit=0).passed
+    with pytest.raises(InternalInconsistency, match="expected valuation >= 2, got 0"):
+        evaluate_check("X-T1-a", 7, padic_limit=7)
+    code = _verify_at_7("X-T1-a")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "expected valuation >= 2" in captured.err
 
 
 # -- proven checks, small primes ---------------------------------------------------
@@ -412,7 +520,7 @@ def test_exploratory_variants_fail_without_breaking_the_run(cache):
 def test_path_agreement_small_primes(cache):
     for p in (3, 5, 7, 11, 13):
         for check_id in CHECK_CATALOG:
-            result = evaluate_check(check_id, p, cache, with_padic=True)
+            result = evaluate_check(check_id, p, cache, padic_limit=p)
             if result.applicable:
                 assert result.path_agreement is not False, (check_id, p)
 
@@ -553,7 +661,7 @@ def test_shared_contexts_change_no_verdict(cache):
     ids = check_ids("all")
     primes = sieve_primes(PrimeRange(3, 61))
     shared, _ = run_suite(ids, primes, cache, padic_limit=61)
-    fresh = [evaluate_check(i, p, cache, with_padic=True)
+    fresh = [evaluate_check(i, p, cache, padic_limit=p)
              for i in sorted(ids) for p in primes]
     row = lambda r: dataclasses.replace(r, elapsed_ms=0.0)
     assert [row(r) for r in shared] == [row(r) for r in fresh]
