@@ -56,13 +56,18 @@ class Residue:
             raise ValueError(f"residue {self.value} out of range for {self.p}^{self.e}")
 
 
-def rat_reduce_mod(r, p: int, e: int) -> Residue:
-    """Reduce a p-integral rational mod p^e (num * den^{-1})."""
-    r = Fraction(r)
-    if r.denominator % p == 0:
+def reduce_mod(r, p: int, e: int) -> int:
+    """num * den^{-1} mod p^e of a p-integral Fraction or int r, as an int."""
+    den = r.denominator
+    if den % p == 0:
         raise NegativeValuation(f"{r} has p={p} in its denominator")
     m = p ** e
-    return Residue(p, e, r.numerator * pow(r.denominator, -1, m) % m)
+    return r.numerator * pow(den, -1, m) % m
+
+
+def rat_reduce_mod(r, p: int, e: int) -> Residue:
+    """Reduce a p-integral rational mod p^e (num * den^{-1})."""
+    return Residue(p, e, reduce_mod(Fraction(r), p, e))
 
 
 class PAdic:

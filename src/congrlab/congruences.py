@@ -14,12 +14,15 @@ reads against that route.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import accumulate
 from math import comb
 
-from .arith import PAdic, rat_reduce_mod, vp_rational
+from .arith import PAdic, vp_rational
+from .arith import reduce_mod as rat_reduce_mod  # the name bench/tracer.py wraps
 from .errors import (
     CongrlabError,
     InternalInconsistency,
@@ -38,7 +41,7 @@ from .special import (
     euler_mod_p_fast,
     harmonic_gaps,
 )
-from .sums import row_padic, row_sum, row_terms
+from .sums import PRIME_FREE, Sweep, row_padic, row_sum, row_terms
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -103,14 +106,17 @@ class Context:
 class ExactContext(Context):
     """Evaluates expressions over exact rationals: the ground truth.
 
-    It sums a row with `row_sum` and steps one with a guarded `row_terms`,
-    so every row it reads is checked against its closed form.  It reads
-    B and E from the tables of `cache`, each checked on its first read.
+    It sums a PRIME_FREE row through `sweep`, the running prefixes a run of
+    primes shares (a fresh Sweep when none is given), any other row with
+    `row_sum`, and steps a row per k with a guarded `row_terms`, so every
+    row it reads is checked against its closed form.  It reads B and E from
+    the tables of `cache`, each checked on its first read.
     """
 
-    def __init__(self, p: int, cache: SpecialCache):
+    def __init__(self, p: int, cache: SpecialCache, sweep: Sweep | None = None):
         super().__init__(p)
         self.cache = cache
+        self.sweep = sweep if sweep is not None else Sweep()
 
     def frac(self, a, b=1):
         return Fraction(a, b)
@@ -121,6 +127,8 @@ class ExactContext(Context):
         return list(row_terms(name, a, lo, hi, self.frac, True))
 
     def _row_sum(self, name: str, lo: int, hi: int):
+        if name in PRIME_FREE:
+            return self.sweep.sum(name, self.p, lo, hi)
         return row_sum(name, self.p, lo, hi)
 
     def _bern(self, i: int):
@@ -141,7 +149,7 @@ class ExactContext(Context):
         return x / Fraction(self.p ** s)
 
     def residue(self, x, e: int) -> int:
-        return rat_reduce_mod(x, self.p, e).value
+        return rat_reduce_mod(x, self.p, e)
 
 
 class PadicContext(Context):
@@ -167,14 +175,20 @@ class PadicContext(Context):
     def frac(self, a, b=1):
         return PAdic.from_rational(a, self.p, PADIC_PREC, b)
 
+    def _digits(self, name: str, a: int, lo: int, hi: int) -> tuple:
+        """`row_padic` of the range, memoized: a per-k read and a sum over
+        one range, `sq_k0` over 0..n, step it once."""
+        return self._memo(("D", name, a, lo, hi),
+                          lambda: row_padic(name, a, lo, hi, self.p, PADIC_PREC))
+
     def _terms(self, name: str, a: int, lo: int, hi: int) -> list:
         p = self.p
-        vals, units = row_padic(name, a, lo, hi, p, PADIC_PREC)
+        vals, units = self._digits(name, a, lo, hi)
         return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
 
     def _row_sum(self, name: str, lo: int, hi: int):
         p = self.p
-        return PAdic.sum_terms(p, *row_padic(name, p, lo, hi, p, PADIC_PREC), PADIC_PREC)
+        return PAdic.sum_terms(p, *self._digits(name, p, lo, hi), PADIC_PREC)
 
     def _bern(self, i: int):
         return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
@@ -601,7 +615,7 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
                        elapsed_ms=(time.perf_counter() - start) * 1000, note=note)
 
 
-_TABLES: SpecialCache | None = None  # the tables _run_prime reads, set by _use_tables
+_TABLES: SpecialCache | None = None  # the tables _run_block reads, set by _use_tables
 
 
 def _use_tables(cache: SpecialCache) -> None:
@@ -609,11 +623,29 @@ def _use_tables(cache: SpecialCache) -> None:
     _TABLES = cache
 
 
-def _run_prime(ids, padic_limit: int, p: int) -> list[CheckResult]:
-    """Evaluate every check at one prime on one set of shared contexts,
-    reading the tables `_use_tables` gave this process."""
-    contexts = ExactContext(p, _TABLES), PadicContext(p)
-    return [evaluate_check(i, p, _TABLES, padic_limit, contexts=contexts) for i in ids]
+def _run_block(ids, padic_limit: int, primes: list[int]) -> list[CheckResult]:
+    """Evaluate every check at each of a run of rising primes: one set of
+    shared contexts per prime, one Sweep for the run, and the tables
+    `_use_tables` gave this process."""
+    sweep, results = Sweep(), []
+    for p in primes:
+        contexts = ExactContext(p, _TABLES, sweep), PadicContext(p)
+        results += [evaluate_check(i, p, _TABLES, padic_limit, contexts=contexts)
+                    for i in ids]
+    return results
+
+
+def _blocks(primes: list[int], count: int) -> list[list[int]]:
+    """`count` non-empty runs of consecutive primes from the sorted `primes`,
+    cut where the running sum of p, the proxy for their cost, crosses each
+    j/count of its total."""
+    cost = list(accumulate(primes))
+    cuts = [0]
+    for j in range(1, count):
+        cut = bisect_left(cost, cost[-1] * j / count) + 1
+        cuts.append(min(max(cut, cuts[-1] + 1), len(primes) - count + j))
+    cuts.append(len(primes))
+    return [primes[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def summarize(results: list[CheckResult]) -> dict:
@@ -641,11 +673,13 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
               jobs: int = 1) -> tuple[list[CheckResult], dict]:
     """Evaluate every (id, prime) pair; deterministic (id, p) ordering.
 
-    The checks at one prime share one exact and one p-adic context, and
-    `jobs` worker processes take one prime per task (`fan_out`).  Every
-    special-number residue a context reads is cross-checked on its first
-    read; a mismatch raises InternalInconsistency, since no verdict built
-    on it could be trusted.
+    The checks at one prime share one exact and one p-adic context.  The
+    primes are cut into min(jobs, len(primes)) blocks of consecutive primes,
+    one `fan_out` task each, so that the exact path sweeps each block's
+    PRIME_FREE rows as running prefixes (`Sweep`); no row depends on the
+    blocks.  Every special-number residue a context reads is cross-checked
+    on its first read; a mismatch raises InternalInconsistency, since no
+    verdict built on it could be trusted.
     Both tables are sized once, before any prime, to B_{p-3} and E_{p-3}
     of the largest prime: grown on demand, a held table would double.
     """
@@ -659,7 +693,8 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         cache.ensure_bernoulli(primes[-1] - 3)
         cache.ensure_euler(primes[-1] - 3)
 
-    chunks = fan_out(partial(_run_prime, ids, padic_limit), primes, jobs,
+    blocks = _blocks(primes, min(jobs, len(primes))) if primes else []
+    chunks = fan_out(partial(_run_block, ids, padic_limit), blocks, jobs,
                      initializer=_use_tables, initargs=(cache,))
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.id, r.p))

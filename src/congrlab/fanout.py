@@ -1,8 +1,8 @@
 """Spread independent tasks over worker processes.
 
 Both batch suites go through `fan_out`: `run_suite` with one task per
-prime, `run_identity_suite` with one per identity.  The tasks are
-independent, so the results equal those of the plain loop.
+block of consecutive primes, `run_identity_suite` with one per identity.
+The tasks are independent, so the results equal those of the plain loop.
 """
 
 from __future__ import annotations

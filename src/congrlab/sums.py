@@ -12,9 +12,11 @@ the literal C(4k,k) reading of C(4k,2k).
 `row_terms` steps a row term by term in the caller's arithmetic.  `row_sum`
 sums it exactly by binary splitting over the integer ratio pairs (Haible &
 Papanikolaou, "Fast multiprecision evaluation of series of rational
-numbers", 1998), with one `Fraction` reduction per sum.  `row_padic` steps
-it as integer (valuation, unit mod p^prec) pairs with one modular inverse
-per row, for the p-adic path.  The closed forms and the ratios are all the
+numbers", 1998), with one `Fraction` reduction per sum.  A `Sweep` sums
+the PRIME_FREE rows, whose terms do not depend on p, as running prefixes
+over a rising run of primes, splitting only the steps since the last
+prime.  `row_padic` steps it as integer (valuation, unit mod p^prec) pairs
+with one modular inverse per row, for the p-adic path.  The closed forms and the ratios are all the
 two congruence paths share; the exact path guards every row it reads, so a
 wrong ratio is an engine fault rather than a value both paths agree on.
 """
@@ -113,6 +115,18 @@ SUMS = {
 }
 
 
+# The rows whose term and ratio do not read a, so that at a congruence only
+# their ranges depend on p: each with the first k of its prefix in a Sweep,
+# the first k at which its term is defined.
+PRIME_FREE = {
+    **dict.fromkeys(("sq_k0", "sq_odd1", "sq_odd2", "sq_odd3", "odd1", "odd2_alt",
+                     "inv_odd3_alt", "inv_sq_odd3"), 0),
+    **dict.fromkeys(("alt_inv_k3", "alt_k2", "sq_k1", "sq_k2", "sq_k3", "inv_sq_k3",
+                     "k1", "inv_k2", "quad", "inv_quad", "inv_quad_lit",
+                     "inv_quad_shifted", "inv_quad_shifted_lit", "h1", "h2", "h3"), 1),
+}
+
+
 def row_terms(name: str, a: int, lo: int, hi: int, frac, guard: bool):
     """The terms t_lo..t_hi of row `name` of SUMS at parameter a.
 
@@ -168,6 +182,66 @@ def row_sum(name: str, a: int, lo: int, hi: int) -> Fraction:
         raise InternalInconsistency(
             f"sum row {name!r} at a={a} misses its closed form at k={hi}")
     return Fraction(fn * (Q + T), fd * Q)
+
+
+class Sweep:
+    """Running prefix sums of the PRIME_FREE rows over a rising run of primes.
+
+    F(x) = t_s + ... + t_x, with s the row's first k.  Each row keeps two
+    cursors, one that follows n = (p-1)/2 and one that follows p - 1; a
+    cursor holds the index x it reached, t_x and F(x), as reduced Fractions.
+    Advancing a cursor splits only the new steps (`_split`) and folds them
+    in: F <- F + t*T/Q and t <- t*P/Q, which must equal the closed form at
+    the new x, as in `row_sum`; a miss raises InternalInconsistency.  A read
+    behind a cursor, F(n-1) after F(n), subtracts the `row_sum` of the terms
+    in between and leaves the cursor where it is.  A fresh cursor that
+    follows p - 1 starts from the state of the one that follows n, so one
+    prime alone splits each row once, as `row_sum` does.  Every value is
+    exact; nothing is reduced mod p.
+    """
+
+    def __init__(self):
+        self.cursors: dict[tuple[str, bool], tuple[int, Fraction, Fraction]] = {}
+
+    def sum(self, name: str, p: int, lo: int, hi: int) -> Fraction:
+        """t_lo + ... + t_hi of row `name` at the prime p, as F(hi) - F(lo - 1)."""
+        start = PRIME_FREE[name]
+        if hi < lo or lo < start:
+            raise ValueError(f"sum row {name!r} over {lo}..{hi}: empty, or "
+                             f"starting before its first term k={start}")
+        n = (p - 1) // 2
+        below = self._prefix(name, p, lo - 1, lo - 1 > n) if lo > start else 0
+        return self._prefix(name, p, hi, hi > n) - below
+
+    def _prefix(self, name: str, a: int, x: int, upper: bool) -> Fraction:
+        """F(x) through the cursor that follows p - 1 (`upper`) or n."""
+        key = name, upper
+        state = self.cursors.get(key)
+        if state is None and upper:
+            state = self.cursors.get((name, False))
+        if state is None:
+            start = PRIME_FREE[name]
+            t = Fraction(SUMS[name][0](a, start))
+            state = start, t, t
+        at, t, total = state
+        if x < at:
+            return total - row_sum(name, a, x + 1, at)
+        if x > at:
+            state = self._advance(key, a, state, x)
+        self.cursors[key] = state
+        return state[2]
+
+    def _advance(self, key: tuple[str, bool], a: int, state: tuple, x: int) -> tuple:
+        """Cursor `key`'s `state` moved on to x, guarded against the closed form."""
+        name = key[0]
+        at, t, total = state
+        term, ratio = SUMS[name]
+        P, Q, T = _split(ratio, a, at, x)
+        last = term(a, x)
+        if t.numerator * P * last.denominator != last.numerator * Q * t.denominator:
+            raise InternalInconsistency(
+                f"sum row {name!r} at a={a} misses its closed form at k={x}")
+        return x, Fraction(last), total + Fraction(t.numerator * T, t.denominator * Q)
 
 
 def _strip(x: int, p: int) -> tuple[int, int]:

@@ -12,6 +12,7 @@ from congrlab.arith import (
     PrimeRange,
     Residue,
     rat_reduce_mod,
+    reduce_mod,
     sieve_primes,
     vp_int,
     vp_rational,
@@ -47,6 +48,20 @@ def test_rat_reduce_mod_examples():
     assert rat_reduce_mod(Fraction(-1, 30), 7, 1).value == 3
     with pytest.raises(NegativeValuation):
         rat_reduce_mod(Fraction(1, 7), 7, 1)
+
+
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 6),
+       st.fractions(max_denominator=10 ** 6) | st.integers(-10 ** 9, 10 ** 9))
+def test_int_residue_core_is_the_residue_value(p, e, r):
+    """The int core the exact path reduces with gives rat_reduce_mod's
+    value, for a Fraction or an int, and refuses p in a denominator alike."""
+    try:
+        expected = rat_reduce_mod(r, p, e).value
+    except NegativeValuation:
+        with pytest.raises(NegativeValuation):
+            reduce_mod(r, p, e)
+    else:
+        assert reduce_mod(r, p, e) == expected
 
 
 def test_residue_range_checked():

@@ -8,7 +8,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab import congruences, identities, special
@@ -26,7 +26,7 @@ from congrlab.errors import InternalInconsistency, UnknownCheck
 from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
 from congrlab.special import SpecialCache, bernoulli_exact
-from congrlab.sums import SUMS, row_padic, row_sum, row_terms
+from congrlab.sums import PRIME_FREE, SUMS, Sweep, row_padic, row_sum, row_terms
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,8 @@ def test_catalog_metadata_sane():
 
 def _record_row_reads(monkeypatch, module) -> set:
     """Make `module` record (name, a, lo, hi) of every row it reads, summed
-    by `row_sum` or stepped by `row_terms`; returns the set it fills."""
+    by `row_sum` or a `Sweep` or stepped by `row_terms`; returns the set it
+    fills."""
     reads = set()
 
     def recording(fn):
@@ -120,6 +121,14 @@ def _record_row_reads(monkeypatch, module) -> set:
 
     for name in ("row_sum", "row_terms"):
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    if module is congruences:
+        total = Sweep.sum
+
+        def swept(self, name, a, lo, hi):
+            reads.add((name, a, lo, hi))
+            return total(self, name, a, lo, hi)
+
+        monkeypatch.setattr(Sweep, "sum", swept)
     return reads
 
 
@@ -201,6 +210,65 @@ def test_row_sum_guards_every_step(monkeypatch):
         row_sum("sq_k1", 13, 5, 4)
 
 
+@pytest.mark.parametrize("name", sorted(PRIME_FREE))
+def test_prime_free_rows_do_not_read_a(name):
+    """A row a Sweep carries from prime to prime has a term and a ratio that
+    do not depend on a, and its prefix starts at its first defined term."""
+    term, ratio = SUMS[name]
+    start = PRIME_FREE[name]
+    for k in (start, start + 1, 7, 40):
+        assert len({term(a, k) for a in (-1, 3, 61, 1999)}) == 1, (name, k)
+        assert len({ratio(a, k) for a in (-1, 3, 61, 1999)}) == 1, (name, k)
+    if start:
+        with pytest.raises(ZeroDivisionError):
+            term(3, start - 1)
+
+
+SWEPT_PRIMES = sieve_primes(PrimeRange(3, 113))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, len(SWEPT_PRIMES) - 1), st.integers(1, 5), st.data())
+def test_sweep_reads_equal_row_sum(first, length, data):
+    """Over a block of consecutive primes, which may start anywhere in the
+    range, each prime's reads in any order: a Sweep sums every PRIME_FREE
+    row over each range the catalog reads, and over the whole range, as
+    `row_sum` does."""
+    sweep = Sweep()
+    for p in SWEPT_PRIMES[first:first + length]:
+        n = (p - 1) // 2
+        reads = [(name, lo, hi) for name, start in sorted(PRIME_FREE.items())
+                 for lo, hi in ((start, n), (start, n - 1), (n + 1, p - 1), (start, p - 1))
+                 if start <= lo <= hi]
+        for name, lo, hi in data.draw(st.permutations(reads)):
+            assert sweep.sum(name, p, lo, hi) == row_sum(name, p, lo, hi), (name, p, lo, hi)
+
+
+def test_a_wrong_ratio_read_through_a_sweep_is_an_engine_fault(monkeypatch):
+    """A wrong ratio at k = 30 raises at the read whose advance steps over
+    it, on either cursor, however far the sweep has come before; a range
+    the row cannot sum is a ValueError, as in `row_sum`."""
+    term, ratio = SUMS["sq_k1"]
+
+    def wrong(p, k):
+        num, den = ratio(p, k)
+        return (num + 1, den) if k == 30 else (num, den)
+
+    monkeypatch.setitem(SUMS, "sq_k1", (term, wrong))
+    sweep = Sweep()
+    for p in sieve_primes(PrimeRange(3, 31)):  # p - 1 <= 30
+        sweep.sum("sq_k1", p, 1, p - 1)
+    with pytest.raises(InternalInconsistency, match="'sq_k1' at a=37 .* k=36"):
+        sweep.sum("sq_k1", 37, 19, 36)
+    for p in sieve_primes(PrimeRange(37, 61)):  # (p - 1)/2 <= 30
+        sweep.sum("sq_k1", p, 1, (p - 1) // 2)
+    with pytest.raises(InternalInconsistency, match="'sq_k1' at a=67 .* k=33"):
+        sweep.sum("sq_k1", 67, 1, 33)
+    for lo, hi in ((5, 4), (0, 4)):  # empty, and from the undefined t_0
+        with pytest.raises(ValueError):
+            sweep.sum("sq_k1", 13, lo, hi)
+
+
 def _agrees(x, r, p) -> bool:
     """The PAdic x is the rational r to x's absolute precision."""
     if x.is_zero_marker:
@@ -278,7 +346,7 @@ def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
         monkeypatch.setattr(special, name, refuse)
     for name in ("bernoulli_exact", "euler_exact"):
         monkeypatch.setattr(congruences, name, refuse)
-    for name in ("row_sum", "row_terms"):
+    for name in ("row_sum", "row_terms", "Sweep"):
         monkeypatch.setattr(congruences, name, refuse)
     unreadable = SpecialCache()
     unreadable.bernoulli = unreadable.euler = _UnreadableTable()
@@ -381,38 +449,43 @@ def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
 
 @pytest.mark.parametrize("p", [7, 61])
 def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
-    """All checks at one prime, on both paths, build each k of a row once as
-    a summand (`row_sum`, or `row_padic` under `S`) and once per k
-    (`row_terms`, or `row_padic` under `terms`): a range that straddles n
-    is read as its two halves, and PS11c-3.2 reads L2.1b's per-k rows."""
-    reads, use = [], ["sum"]
+    """All checks at each prime of a block of consecutive primes from p, on
+    both paths, the exact contexts sharing one Sweep.  At each prime, each
+    k of a row is built once by each engine: `row_sum` or `row_terms` on the
+    exact path, and `row_padic`, which serves a sum and a per-k read of one
+    range, so `sq_k0` over 0..n is stepped once.  Over the block, the sweep
+    folds each k of a PRIME_FREE row into each of its two cursors at most
+    once."""
+    primes = sieve_primes(PrimeRange(p, p + 40))
+    reads, folds = [], []
 
     def recording(engine):
         def read(name, a, lo, hi, *args):
-            reads.append((engine.__name__, use[0], name, a, range(lo, hi + 1)))
+            reads.append((engine.__name__, name, a, range(lo, hi + 1)))
             return engine(name, a, lo, hi, *args)
         return read
 
-    def per_k(terms):
-        def read(self, *args):
-            use[0] = "terms"
-            try:
-                return terms(self, *args)
-            finally:
-                use[0] = "sum"
-        return read
+    def folding(self, key, a, state, x):
+        folds.append((*key, range(state[0] + 1, x + 1)))
+        return advance(self, key, a, state, x)
 
     for name in ("row_sum", "row_terms", "row_padic"):
         monkeypatch.setattr(congruences, name, recording(getattr(congruences, name)))
-    for context in (ExactContext, PadicContext):
-        monkeypatch.setattr(context, "terms", per_k(context.terms))
-    for ctx in (ExactContext(p, cache), PadicContext(p)):
-        for spec in CHECK_CATALOG.values():
-            spec.pairs(ctx)
+    advance = Sweep._advance
+    monkeypatch.setattr(Sweep, "_advance", folding)
+    sweep = Sweep()
+    for q in primes:
+        for ctx in (ExactContext(q, cache, sweep), PadicContext(q)):
+            for spec in CHECK_CATALOG.values():
+                spec.pairs(ctx)
+        n = (q - 1) // 2
+        assert reads.count(("row_padic", "sq_k0", q, range(0, n + 1))) == 1
     steps = Counter((*read, k) for *read, ks in reads for k in ks)
-    assert {read[:3] for read in reads} >= {("row_sum", "sum", "h1"),
-                                            ("row_padic", "sum", "h1")}
     assert [step for step, times in steps.items() if times > 1] == []
+    folded = Counter((*fold, k) for *fold, ks in folds for k in ks)
+    assert {name for name, upper, _ in folds if not upper} == set(PRIME_FREE)
+    assert ("h1", True) in {fold[:2] for fold in folds}
+    assert [k for k, times in folded.items() if times > 1] == []
 
 
 # -- statements that fail at p --------------------------------------------------------
@@ -573,6 +646,20 @@ def test_run_suite_parallel_matches_serial(cache):
     parallel, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=2)
     key = lambda r: (r.id, r.p, r.lhs, r.rhs, r.passed, r.applicable)
     assert [key(r) for r in serial] == [key(r) for r in parallel]
+
+
+def test_run_suite_rows_do_not_depend_on_the_blocks(cache):
+    """Each worker sweeps one block of consecutive primes; the rows at one,
+    two and three blocks are the same, and every block is non-empty."""
+    primes = sieve_primes(PrimeRange(7, 61))
+    for count in range(1, len(primes) + 1):
+        blocks = congruences._blocks(primes, count)
+        assert len(blocks) == count and all(blocks)
+        assert [p for block in blocks for p in block] == primes
+    row = lambda r: dataclasses.replace(r, elapsed_ms=0.0)
+    runs = [[row(r) for r in run_suite(check_ids("all"), primes, cache, padic_limit=61,
+                                       jobs=jobs)[0]] for jobs in (1, 2, 3)]
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_pool_starts_at_most_one_worker_per_prime(inline_pool, cache):

@@ -29,7 +29,9 @@ sys.path.insert(0, str(ROOT / "bench"))
 from tracer import cost_exponent  # noqa: E402
 
 PAIRS = 10  # fewer alternating pairs than this cannot back a claimed gain
-RANGES = ("3:251", "7:499")
+# A single prime cannot show the exact path sweeping its rows over a range of
+# primes; 7:1999 does.
+RANGES = ("3:251", "7:499", "7:1999")
 EXPONENT_PRIMES = (251, 503, 1009, 2003)
 EXPONENT_REPEATS = 3  # the seconds at each prime are the median of this many runs
 
