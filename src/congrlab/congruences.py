@@ -55,10 +55,10 @@ class Context:
 
     The base owns every read.  One memo, shared by every check evaluated at
     the prime, holds the row sums of `SUMS` (harmonic numbers among them),
-    the per-k rows, the special numbers and q_p(2); a row sum is read in
-    halves; and the base decides which B and E indices exist.  A context
-    supplies only its arithmetic: `frac`, `_row_sum`, `_terms`, its source
-    of B and E (`_bern`, `_euler`), `div_pp` and `residue`.  The two
+    the per-k rows, the special numbers and q_p(2), and the base decides
+    which B and E indices exist.  A context supplies only its arithmetic:
+    `frac`, `_row_sum`, `_terms`, its source of B and E (`_bern`,
+    `_euler`), `div_pp` and `residue`.  The two
     contexts share the rows' closed forms and ratios, which the exact path
     guards; each builds every value a check reads in its own arithmetic.
     """
@@ -75,15 +75,8 @@ class Context:
         return value
 
     def S(self, name: str, lo: int, hi: int):
-        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized.  A range
-        with lo <= n < hi is the sum of its halves lo..n and n+1..hi, each
-        read through the memo and guarded on its own, so no k of a row is
-        summed twice at one prime."""
-        def build():
-            if lo <= self.n < hi:
-                return self.S(name, lo, self.n) + self.S(name, self.n + 1, hi)
-            return self._row_sum(name, lo, hi)
-        return self._memo(("S", name, lo, hi), build)
+        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
+        return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
 
     def terms(self, name: str, a: int, lo: int, hi: int) -> list:
         """The terms t_lo..t_hi of row `name` of SUMS at parameter a,
@@ -106,11 +99,12 @@ class Context:
 class ExactContext(Context):
     """Evaluates expressions over exact rationals: the ground truth.
 
-    It sums a PRIME_FREE row through `sweep`, the running prefixes a run of
-    primes shares (a fresh Sweep when none is given), any other row with
-    `row_sum`, and steps a row per k with a guarded `row_terms`, so every
-    row it reads is checked against its closed form.  It reads B and E from
-    the tables of `cache`, each checked on its first read.
+    It sums a PRIME_FREE row over any range as F(hi) - F(lo - 1), read off
+    `sweep`, the running prefixes a run of primes shares (a fresh Sweep
+    when none is given); any other row with `row_sum`; and steps a row per
+    k with a guarded `row_terms`, so every row it reads is checked against
+    its closed form.  It reads B and E from the tables of `cache`, each
+    checked on its first read.
     """
 
     def __init__(self, p: int, cache: SpecialCache, sweep: Sweep | None = None):
@@ -161,7 +155,9 @@ class PadicContext(Context):
     - A row, H_n^(m) among them, is stepped as integers by `row_padic`, one
       inverse per row; a sum adds its (valuation, unit) pairs with
       `PAdic.sum_terms`, whose precision cap is the one sequential addition
-      would give, and the two halves of a range add to that same cap.
+      would give.  A range with lo <= n < hi is the sum of its halves lo..n
+      and n+1..hi, each read through the memo, so no k of a row is stepped
+      twice at one prime; the halves add to that same cap.
     - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
       and character-sum routes, and never from a table.  Every check
       multiplies them by a coefficient of valuation at least m - 1, so mod p
@@ -187,6 +183,8 @@ class PadicContext(Context):
         return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
 
     def _row_sum(self, name: str, lo: int, hi: int):
+        if lo <= self.n < hi:
+            return self.S(name, lo, self.n) + self.S(name, self.n + 1, hi)
         p = self.p
         return PAdic.sum_terms(p, *self._digits(name, p, lo, hi), PADIC_PREC)
 
@@ -615,22 +613,15 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
                        elapsed_ms=(time.perf_counter() - start) * 1000, note=note)
 
 
-_TABLES: SpecialCache | None = None  # the tables _run_block reads, set by _use_tables
-
-
-def _use_tables(cache: SpecialCache) -> None:
-    global _TABLES
-    _TABLES = cache
-
-
-def _run_block(ids, padic_limit: int, primes: list[int]) -> list[CheckResult]:
+def _run_block(ids, padic_limit: int, cache: SpecialCache,
+               primes: list[int]) -> list[CheckResult]:
     """Evaluate every check at each of a run of rising primes: one set of
-    shared contexts per prime, one Sweep for the run, and the tables
-    `_use_tables` gave this process."""
+    shared contexts per prime and one Sweep for the run, over the tables
+    of `cache`."""
     sweep, results = Sweep(), []
     for p in primes:
-        contexts = ExactContext(p, _TABLES, sweep), PadicContext(p)
-        results += [evaluate_check(i, p, _TABLES, padic_limit, contexts=contexts)
+        contexts = ExactContext(p, cache, sweep), PadicContext(p)
+        results += [evaluate_check(i, p, cache, padic_limit, contexts=contexts)
                     for i in ids]
     return results
 
@@ -677,9 +668,10 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     primes are cut into min(jobs, len(primes)) blocks of consecutive primes,
     one `fan_out` task each, so that the exact path sweeps each block's
     PRIME_FREE rows as running prefixes (`Sweep`); no row depends on the
-    blocks.  Every special-number residue a context reads is cross-checked
-    on its first read; a mismatch raises InternalInconsistency, since no
-    verdict built on it could be trusted.
+    blocks.  Each task carries the tables, pickled with it when it runs in
+    a worker.  Every special-number residue a context reads is
+    cross-checked on its first read; a mismatch raises
+    InternalInconsistency, since no verdict built on it could be trusted.
     Both tables are sized once, before any prime, to B_{p-3} and E_{p-3}
     of the largest prime: grown on demand, a held table would double.
     """
@@ -694,8 +686,7 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         cache.ensure_euler(primes[-1] - 3)
 
     blocks = _blocks(primes, min(jobs, len(primes))) if primes else []
-    chunks = fan_out(partial(_run_block, ids, padic_limit), blocks, jobs,
-                     initializer=_use_tables, initargs=(cache,))
+    chunks = fan_out(partial(_run_block, ids, padic_limit, cache), blocks, jobs)
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.id, r.p))
     return results, summarize(results)

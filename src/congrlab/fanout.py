@@ -19,23 +19,17 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fan_out(fn, items, jobs: int, initializer=None, initargs=()) -> list:
+def fan_out(fn, items, jobs: int) -> list:
     """`[fn(item) for item in items]`, over `min(jobs, len(items))` processes.
 
-    Each process runs `initializer(*initargs)` before its first task.  With
-    one worker or one item no process starts: this process is set up the
-    same way and runs the plain loop.  A pool starts all its workers at the
-    first task, so it is never larger than the number of items.
-
-    Workers start by the platform's default method, fork on Linux, which
-    shares the parent's tables without pickling them; spawn would import
-    the package again and unpickle the tables in every worker.
+    With one worker or one item no process starts and this process runs
+    the plain loop.  A pool starts all its workers at the first task, so it
+    is never larger than the number of items.  The pool pickles `fn` and
+    the item for each task, with all that `fn` carries, such as the tables
+    a block of primes reads.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
-        if initializer is not None:
-            initializer(*initargs)
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers, initializer=initializer,
-                             initargs=initargs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

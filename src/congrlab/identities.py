@@ -111,11 +111,13 @@ def _sides(name: str):
 def check_recurrence(name: str, n: int, side: str = "lhs", *, sides=None) -> Fraction:
     """Residual of a recurrence certificate at n, on one side of its identity.
 
-    `sides` are a run's memoized sides of that identity (`_sides`); fresh
-    ones are built when it is omitted.
+    `side` is "lhs" or "rhs".  `sides` are a run's memoized sides of that
+    identity (`_sides`); fresh ones are built when it is omitted.
     """
     if name not in RECURRENCES:
         raise UnknownIdentity(f"unknown recurrence {name!r}")
+    if side not in ("lhs", "rhs"):
+        raise ValueError(f"side must be 'lhs' or 'rhs', got {side!r}")
     ident, start = RECURRENCES[name]
     if n < start:
         raise DomainError(f"{name} needs n >= {start}")

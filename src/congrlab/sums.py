@@ -15,10 +15,12 @@ Papanikolaou, "Fast multiprecision evaluation of series of rational
 numbers", 1998), with one `Fraction` reduction per sum.  A `Sweep` sums
 the PRIME_FREE rows, whose terms do not depend on p, as running prefixes
 over a rising run of primes, splitting only the steps since the last
-prime.  `row_padic` steps it as integer (valuation, unit mod p^prec) pairs
-with one modular inverse per row, for the p-adic path.  The closed forms and the ratios are all the
-two congruence paths share; the exact path guards every row it reads, so a
-wrong ratio is an engine fault rather than a value both paths agree on.
+prime; it and `row_sum` share one guarded fold, `_steps`.  `row_padic`
+steps a row as integer (valuation, unit mod p^prec) pairs with one
+modular inverse per row, for the p-adic path.  The closed forms and the
+ratios are all the two congruence paths share; the exact path guards
+every row it reads, so a wrong ratio is an engine fault rather than a
+value both paths agree on.
 """
 
 from __future__ import annotations
@@ -159,29 +161,33 @@ def _split(ratio, a: int, lo: int, hi: int) -> tuple[int, int, int]:
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
-def row_sum(name: str, a: int, lo: int, hi: int) -> Fraction:
-    """The exact sum t_lo + ... + t_hi of row `name` of SUMS at parameter a.
-
-    Binary splitting turns the steps into integers P, Q, T with
-    t_hi = t_lo * P/Q and the sum t_lo * (Q + T)/Q, reduced once.  The
-    last term must equal its closed form, t_lo * P == t_hi * Q, as with a
-    guarded `row_terms`; a miss raises InternalInconsistency.  A zero ratio
-    denominator makes Q = 0: it misses the guard or, past a zero step,
-    raises ZeroDivisionError, an engine fault either way.
-    """
-    if hi < lo:
-        raise ValueError(f"sum row {name!r} over the empty range {lo}..{hi}")
+def _steps(name: str, a: int, t_lo, lo: int, hi: int) -> tuple:
+    """(Q, T, t_hi) over the steps lo <= k < hi, hi > lo, of row `name` of
+    SUMS at parameter a, from its term t_lo: t_lo + ... + t_hi is
+    t_lo * (Q + T)/Q.  t_hi is the closed form at hi, which t_lo * P/Q must
+    equal, as with a guarded `row_terms`; a miss raises
+    InternalInconsistency.  A zero ratio denominator makes Q = 0: it misses
+    the guard or, past a zero step, raises ZeroDivisionError, an engine
+    fault either way."""
     term, ratio = SUMS[name]
-    first = term(a, lo)
-    if hi == lo:
-        return Fraction(first)
     P, Q, T = _split(ratio, a, lo, hi)
     last = term(a, hi)
-    fn, fd = first.numerator, first.denominator
-    if fn * P * last.denominator != last.numerator * Q * fd:
+    if t_lo.numerator * P * last.denominator != last.numerator * Q * t_lo.denominator:
         raise InternalInconsistency(
             f"sum row {name!r} at a={a} misses its closed form at k={hi}")
-    return Fraction(fn * (Q + T), fd * Q)
+    return Q, T, last
+
+
+def row_sum(name: str, a: int, lo: int, hi: int) -> Fraction:
+    """The exact sum t_lo + ... + t_hi of row `name` of SUMS at parameter a:
+    the guarded binary splitting of `_steps`, reduced once."""
+    if hi < lo:
+        raise ValueError(f"sum row {name!r} over the empty range {lo}..{hi}")
+    first = SUMS[name][0](a, lo)
+    if hi == lo:
+        return Fraction(first)
+    Q, T, _ = _steps(name, a, first, lo, hi)
+    return Fraction(first.numerator * (Q + T), first.denominator * Q)
 
 
 class Sweep:
@@ -190,14 +196,14 @@ class Sweep:
     F(x) = t_s + ... + t_x, with s the row's first k.  Each row keeps two
     cursors, one that follows n = (p-1)/2 and one that follows p - 1; a
     cursor holds the index x it reached, t_x and F(x), as reduced Fractions.
-    Advancing a cursor splits only the new steps (`_split`) and folds them
-    in: F <- F + t*T/Q and t <- t*P/Q, which must equal the closed form at
-    the new x, as in `row_sum`; a miss raises InternalInconsistency.  A read
-    behind a cursor, F(n-1) after F(n), subtracts the `row_sum` of the terms
-    in between and leaves the cursor where it is.  A fresh cursor that
-    follows p - 1 starts from the state of the one that follows n, so one
-    prime alone splits each row once, as `row_sum` does.  Every value is
-    exact; nothing is reduced mod p.
+    Advancing a cursor splits only the new steps with `_steps`, the guarded
+    fold `row_sum` takes, and folds them in: F <- F + t*T/Q and t <- t*P/Q,
+    the closed form at the new x.  A read behind a cursor, F(n-1) after
+    F(n), subtracts the `row_sum` of the terms in between and leaves the
+    cursor where it is.  A fresh cursor that follows p - 1 starts from the
+    one that follows n, brought to n first, so one prime alone splits each
+    k of a row once across both cursors, whatever order it reads in.
+    Every value is exact; nothing is reduced mod p.
     """
 
     def __init__(self):
@@ -218,7 +224,8 @@ class Sweep:
         key = name, upper
         state = self.cursors.get(key)
         if state is None and upper:
-            state = self.cursors.get((name, False))
+            self._prefix(name, a, (a - 1) // 2, False)
+            state = self.cursors[name, False]
         if state is None:
             start = PRIME_FREE[name]
             t = Fraction(SUMS[name][0](a, start))
@@ -232,15 +239,9 @@ class Sweep:
         return state[2]
 
     def _advance(self, key: tuple[str, bool], a: int, state: tuple, x: int) -> tuple:
-        """Cursor `key`'s `state` moved on to x, guarded against the closed form."""
-        name = key[0]
+        """Cursor `key`'s `state` moved on to x by the guarded `_steps`."""
         at, t, total = state
-        term, ratio = SUMS[name]
-        P, Q, T = _split(ratio, a, at, x)
-        last = term(a, x)
-        if t.numerator * P * last.denominator != last.numerator * Q * t.denominator:
-            raise InternalInconsistency(
-                f"sum row {name!r} at a={a} misses its closed form at k={x}")
+        Q, T, last = _steps(key[0], a, t, at, x)
         return x, Fraction(last), total + Fraction(t.numerator * T, t.denominator * Q)
 
 

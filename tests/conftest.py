@@ -1,5 +1,7 @@
 """Fixtures shared by the test modules."""
 
+import pickle
+
 import pytest
 
 from congrlab import fanout
@@ -9,14 +11,14 @@ from congrlab import fanout
 def inline_pool(monkeypatch):
     """Replace `fan_out`'s process pool by a stand-in that runs every task in
     this process and starts none; the list records the worker count each
-    pool was asked for."""
+    pool was asked for.  Each task's function and item, and its result, go
+    through pickle as a real pool sends them, so a task that cannot be
+    pickled fails here too."""
     sizes = []
 
     class InlinePool:
-        def __init__(self, max_workers, initializer, initargs):
+        def __init__(self, max_workers):
             sizes.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -25,7 +27,10 @@ def inline_pool(monkeypatch):
             return False
 
         def map(self, fn, *iterables):
-            return map(fn, *iterables)
+            def run(*args):
+                task, args = pickle.loads(pickle.dumps((fn, args)))
+                return pickle.loads(pickle.dumps(task(*args)))
+            return map(run, *iterables)
 
     monkeypatch.setattr(fanout, "ProcessPoolExecutor", InlinePool)
     return sizes

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrlab import congruences, identities, special
+from congrlab import congruences, identities, special, sums
 from congrlab.arith import PrimeRange, exact_sum, rat_reduce_mod, sieve_primes, vp_rational
 from congrlab.cli import parse_and_run
 from congrlab.congruences import (
@@ -141,14 +141,18 @@ def _identity_row_reads(monkeypatch, n_range) -> set:
     return reads
 
 
+def _read_catalog(ctx, order=1):
+    """Every check's pairs that apply at ctx.p, in catalog order or reversed."""
+    for spec in list(CHECK_CATALOG.values())[::order]:
+        if ctx.p >= spec.min_prime:
+            spec.pairs(ctx)
+
+
 def _catalog_row_reads(p, cache, monkeypatch) -> set:
     """(name, a, lo, hi) of every row the congruence catalog reads at p."""
     with monkeypatch.context() as patch:
         reads = _record_row_reads(patch, congruences)
-        ctx = ExactContext(p, cache)
-        for spec in CHECK_CATALOG.values():
-            if p >= spec.min_prime:
-                spec.pairs(ctx)
+        _read_catalog(ExactContext(p, cache))
     assert reads
     return reads
 
@@ -476,8 +480,7 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
     sweep = Sweep()
     for q in primes:
         for ctx in (ExactContext(q, cache, sweep), PadicContext(q)):
-            for spec in CHECK_CATALOG.values():
-                spec.pairs(ctx)
+            _read_catalog(ctx)
         n = (q - 1) // 2
         assert reads.count(("row_padic", "sq_k0", q, range(0, n + 1))) == 1
     steps = Counter((*read, k) for *read, ks in reads for k in ks)
@@ -487,6 +490,49 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
     assert ("h1", True) in {fold[:2] for fold in folds}
     assert [k for k, times in folded.items() if times > 1] == []
 
+
+
+@pytest.mark.parametrize("p", [7, 101])
+def test_exact_path_reads_each_prime_free_range_off_the_sweep(p, cache, monkeypatch):
+    """At one prime the exact context reads every PRIME_FREE range a check
+    sums as one Sweep read, F(hi) - F(lo - 1); a range across n, such as
+    h1 over 1..p-1, is never read as its halves."""
+    reads, total = [], Sweep.sum
+
+    def swept(self, name, a, lo, hi):
+        reads.append((name, lo, hi))
+        return total(self, name, a, lo, hi)
+
+    monkeypatch.setattr(Sweep, "sum", swept)
+    ctx = ExactContext(p, cache)
+    _read_catalog(ctx)
+    summed = [key[1:] for key in ctx.memo if key[0] == "S" and key[1] in PRIME_FREE]
+    assert sorted(reads) == sorted(summed)
+    assert {("h1", 1, p - 1), ("sq_k0", 0, p - 1)} <= set(reads)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["forward", "reverse"])
+def test_a_lone_prime_splits_each_step_once_over_both_cursors(order, cache, monkeypatch):
+    """One prime, a fresh Sweep, the catalog read forward or in reverse:
+    each step k -> k+1 of each PRIME_FREE row, up to the last k read, is
+    split exactly once, counted over both cursors and any read behind
+    one together."""
+    p, steps, fold = 61, Counter(), sums._steps
+
+    def splitting(name, a, t_lo, lo, hi):
+        steps.update((name, k) for k in range(lo, hi))
+        return fold(name, a, t_lo, lo, hi)
+
+    monkeypatch.setattr(sums, "_steps", splitting)
+    ctx = ExactContext(p, cache)
+    _read_catalog(ctx, order)
+    top = {}
+    for _, name, lo, hi in (key for key in ctx.memo if key[0] == "S"):
+        top[name] = max(hi, top.get(name, hi))
+    once = Counter((name, k) for name, start in PRIME_FREE.items()
+                   for k in range(start, top[name]))
+    assert Counter({step: times for step, times in steps.items()
+                    if step[0] in PRIME_FREE}) == once
 
 # -- statements that fail at p --------------------------------------------------------
 

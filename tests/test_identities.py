@@ -82,6 +82,9 @@ def test_unknown_names_rejected():
         evaluate_identity("NO_SUCH", 1)
     with pytest.raises(UnknownIdentity):
         check_recurrence("NO_SUCH-REC", 1)
+    for side in ("LHS", "both"):
+        with pytest.raises(ValueError, match="side"):
+            check_recurrence("SHIFT-REC", 3, side=side)
     with pytest.raises(UnknownIdentity):
         run_identity_suite(["NO_SUCH"], range(1, 2))
 
