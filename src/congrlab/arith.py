@@ -31,18 +31,6 @@ def vp_rational(r, p: int) -> int:
     return vp_int(r.numerator, p) - vp_int(r.denominator, p)
 
 
-def exact_sum(terms) -> Fraction:
-    """Add rationals over one common denominator, the lcm of theirs, and
-    reduce once at the end; the value equals sequential addition."""
-    num, den = 0, 1
-    for t in terms:
-        d = t.denominator
-        g = math.gcd(den, d)
-        num = num * (d // g) + t.numerator * (den // g)
-        den = den // g * d
-    return Fraction(num, den)
-
-
 @dataclass(frozen=True)
 class Residue:
     """An element of Z/p^e, kept with its modulus."""
@@ -54,6 +42,41 @@ class Residue:
     def __post_init__(self):
         if not 0 <= self.value < self.p ** self.e:
             raise ValueError(f"residue {self.value} out of range for {self.p}^{self.e}")
+
+
+class Unreduced:
+    """An exact rational kept as it was built: the product of the integer
+    factors `nums` over the integer `den`.  No gcd is taken, and no product
+    of the factors is formed until a sum needs it, so terms over one
+    denominator stay over it and a residue reduces each factor on its own.
+    It multiplies with an int or a Fraction on either side, adds one on its
+    right and negates; it exposes no `numerator`, since it need not be in
+    lowest terms."""
+
+    __slots__ = ("nums", "den")
+
+    def __init__(self, nums: tuple, den: int):
+        self.nums = nums
+        self.den = den
+
+    def __mul__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return Unreduced((*self.nums, other.numerator), self.den * other.denominator)
+
+    def __add__(self, other):
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        num = math.prod(self.nums) * other.denominator + other.numerator * self.den
+        return Unreduced((num,), self.den * other.denominator)
+
+    def __neg__(self):
+        return Unreduced((-self.nums[0], *self.nums[1:]), self.den)
+
+    __rmul__ = __mul__
+
+    def __repr__(self):
+        return f"Unreduced({self.nums}, {self.den})"
 
 
 def reduce_mod(r, p: int, e: int) -> int:

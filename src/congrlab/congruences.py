@@ -21,7 +21,7 @@ from functools import partial
 from itertools import accumulate
 from math import comb
 
-from .arith import PAdic, vp_rational
+from .arith import PAdic, Unreduced, vp_rational
 from .arith import reduce_mod as rat_reduce_mod  # the name bench/tracer.py wraps
 from .errors import (
     CongrlabError,
@@ -39,9 +39,10 @@ from .special import (
     euler_exact,
     euler_mod_p,
     euler_mod_p_fast,
+    harmonic_gap_numerators,
     harmonic_gaps,
 )
-from .sums import PRIME_FREE, Sweep, row_padic, row_sum, row_terms
+from .sums import PER_K, PRIME_FREE, Sweep, row_numerators, row_padic, row_sum, row_terms
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -51,14 +52,14 @@ PADIC_PATH_MAX_PRIME = 61
 
 class Context:
     """The interface a check reads, at one prime: `frac`, `S`, `terms`,
-    `bern`, `euler_num`, `div_pp` and `residue`.
+    `gaps`, `bern`, `euler_num`, `div_pp` and `residue`.
 
     The base owns every read.  One memo, shared by every check evaluated at
     the prime, holds the row sums of `SUMS` (harmonic numbers among them),
-    the per-k rows, the special numbers and q_p(2), and the base decides
-    which B and E indices exist.  A context supplies only its arithmetic:
-    `frac`, `_row_sum`, `_terms`, its source of B and E (`_bern`,
-    `_euler`), `div_pp` and `residue`.  The two
+    the per-k rows, the harmonic gaps, the special numbers and q_p(2), and
+    the base decides which B and E indices exist.  A context supplies only
+    its arithmetic: `frac`, `_row_sum`, `_terms`, `_gaps`, its source of B
+    and E (`_bern`, `_euler`), `div_pp` and `residue`.  The two
     contexts share the rows' closed forms and ratios, which the exact path
     guards; each builds every value a check reads in its own arithmetic.
     """
@@ -84,6 +85,10 @@ class Context:
         skip the exact path's guard, which runs after the last term."""
         return self._memo(("T", name, a, lo, hi), lambda: self._terms(name, a, lo, hi))
 
+    def gaps(self) -> list:
+        """The harmonic gaps H(n+k) - H(n-k), k = 1..n, memoized."""
+        return self._memo(("G",), self._gaps)
+
     def bern(self, i: int):
         """B_i, memoized.  B_0 = 1 is read only at p = 3."""
         return self._memo(("B", i), lambda: self._bern(i) if i else self.frac(1))
@@ -101,10 +106,15 @@ class ExactContext(Context):
 
     It sums a PRIME_FREE row over any range as F(hi) - F(lo - 1), read off
     `sweep`, the running prefixes a run of primes shares (a fresh Sweep
-    when none is given); any other row with `row_sum`; and steps a row per
-    k with a guarded `row_terms`, so every row it reads is checked against
-    its closed form.  It reads B and E from the tables of `cache`, each
-    checked on its first read.
+    when none is given); any other row with `row_sum`.  It reads a row per
+    k as the integers t_k * D over the common denominator D of `PER_K`,
+    stepped by `row_numerators` (a row with no D by a guarded `row_terms`),
+    so every row it reads is checked against its closed form, and the
+    harmonic gaps as integers over L = lcm(1..p-1).  A per-k value is an int
+    or an `Unreduced` product of integer factors over a denominator, built
+    with no gcd, and `residue` reduces it factor by factor with one inverse
+    per denominator.  It reads B and E from the tables of
+    `cache`, each checked on its first read.
     """
 
     def __init__(self, p: int, cache: SpecialCache, sweep: Sweep | None = None):
@@ -118,7 +128,15 @@ class ExactContext(Context):
     def _terms(self, name: str, a: int, lo: int, hi: int) -> list:
         # both paths step by the same ratio, so a wrong one would agree with
         # itself; the guard checks the last term against its closed form
-        return list(row_terms(name, a, lo, hi, self.frac, True))
+        if name not in PER_K:
+            return list(row_terms(name, a, lo, hi, self.frac, True))
+        den = PER_K[name](a, hi)
+        nums = row_numerators(name, a, lo, hi, den)
+        return nums if den == 1 else [Unreduced((t,), den) for t in nums]
+
+    def _gaps(self) -> list:
+        L, nums = harmonic_gap_numerators(self.n)
+        return [Unreduced((A,), L) for A in nums]
 
     def _row_sum(self, name: str, lo: int, hi: int):
         if name in PRIME_FREE:
@@ -143,6 +161,20 @@ class ExactContext(Context):
         return x / Fraction(self.p ** s)
 
     def residue(self, x, e: int) -> int:
+        if isinstance(x, Unreduced):
+            # one inverse per denominator and modulus; every Unreduced
+            # denominator is prime to p, else pow raises, an engine fault
+            m = self.p ** e
+            key = "inv", x.den, e
+            inverse = self.memo.get(key)
+            if inverse is None:
+                inverse = self.memo[key] = pow(x.den, -1, m)
+            value = inverse
+            for factor in x.nums:
+                value = value * (factor % m) % m
+            return value
+        if x.denominator == 1:  # an int, or a whole Fraction such as L2.1a's 2p
+            return x.numerator % self.p ** e
         return rat_reduce_mod(x, self.p, e)
 
 
@@ -181,6 +213,9 @@ class PadicContext(Context):
         p = self.p
         vals, units = self._digits(name, a, lo, hi)
         return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
+
+    def _gaps(self) -> list:
+        return list(harmonic_gaps(self.n, self.frac))
 
     def _row_sum(self, name: str, lo: int, hi: int):
         if lo <= self.n < hi:
@@ -303,7 +338,8 @@ def _catalog() -> dict[str, CheckSpec]:
     def l21a_pairs(c):
         # sign is (-1)^(floor(2k/p) - 1)
         two_p = c.frac(2 * c.p)
-        return [(f"k={k}", t, two_p if (2 * k // c.p) % 2 else -two_p)
+        rhs = -two_p, two_p
+        return [(f"k={k}", t, rhs[(2 * k // c.p) % 2])
                 for k, t in enumerate(c.terms("l21a", c.p, 1, c.p - 1), start=1)]
 
     add("L2.1a", "k C(2k,k) C(2(p-k),p-k) = +-2p, per k", 2, 5, "proven", l21a_pairs)
@@ -381,15 +417,16 @@ def _catalog() -> dict[str, CheckSpec]:
                 + c.frac(4, 3) * c.bern(c.p - 3)))
 
     def ps11c_pairs(c):
-        # h = H(n+k) - H(n-k); both paths step it in their own arithmetic.
-        # The rows are L2.1b's, read from k = 1.
-        one, quarter_p = c.frac(1), c.frac(c.p, 4)
+        # h = H(n+k) - H(n-k), read from the context like the rows, which
+        # are L2.1b's, read from k = 1.  lhs = b (1 - (p/4) h), written with
+        # h on the left: an exact Fraction on the left of the exact path's
+        # Unreduced gaps would first try, and fail, its own operator.
+        one, minus_quarter_p = c.frac(1), c.frac(-c.p, 4)
         pairs = []
         for k, (b, s, h) in enumerate(zip(c.terms("b", c.n, 0, c.n)[1:],
                                           c.terms("sq_k0", c.p, 0, c.n)[1:],
-                                          harmonic_gaps(c.n, c.frac),
-                                          strict=True), start=1):
-            lhs = b * (one - quarter_p * h)
+                                          c.gaps(), strict=True), start=1):
+            lhs = b * (h * minus_quarter_p + one)
             pairs.append((f"k={k}", -lhs if k % 2 else lhs, s))
         return pairs
 
@@ -626,11 +663,18 @@ def _run_block(ids, padic_limit: int, cache: SpecialCache,
     return results
 
 
+# A prime costs a fixed part (its contexts, its special numbers and, below the
+# p-adic limit, the p-adic path) plus a part that grows with p; timing each
+# block, p + _PRIME_COST_OFFSET balanced the default run's two blocks and
+# dual-path's more evenly than p alone, which left the first block slowest.
+_PRIME_COST_OFFSET = 75
+
+
 def _blocks(primes: list[int], count: int) -> list[list[int]]:
     """`count` non-empty runs of consecutive primes from the sorted `primes`,
-    cut where the running sum of p, the proxy for their cost, crosses each
-    j/count of its total."""
-    cost = list(accumulate(primes))
+    cut where the running sum of p + _PRIME_COST_OFFSET, the proxy for their
+    cost, crosses each j/count of its total."""
+    cost = list(accumulate(p + _PRIME_COST_OFFSET for p in primes))
     cuts = [0]
     for j in range(1, count):
         cut = bisect_left(cost, cost[-1] * j / count) + 1

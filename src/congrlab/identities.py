@@ -3,7 +3,8 @@ recurrence certificates.
 
 Every identity is evaluated by summation over exact rationals at each
 instance n; every sum over k is a row of `sums.SUMS`, summed by binary
-splitting (`row_sum`) or, for SIGMA's weighted lhs, stepped term by term.  A
+splitting (`row_sum`) or, for SIGMA's weighted lhs, stepped term by term as
+integers over one denominator (`row_numerators`).  A
 recurrence certificate, checked on both sides, plus verified base cases then
 proves the identity for every n the suite visited.  Within one run each side
 is summed once per n, and the certificates read those values.
@@ -16,11 +17,10 @@ from fractions import Fraction
 from functools import cache, partial
 from math import comb
 
-from .arith import exact_sum
 from .errors import DomainError, UnknownIdentity
 from .fanout import fan_out
-from .special import harmonic_exact, harmonic_gaps
-from .sums import row_sum, row_terms
+from .special import harmonic_exact, harmonic_gap_numerators
+from .sums import row_numerators, row_sum
 
 
 @dataclass
@@ -38,10 +38,11 @@ class IdentityCase:
 
 
 def _sigma_lhs(n):
-    # prodinger row times H(n+k) - H(n-k), which is not hypergeometric; the
-    # row goes first in the zip, so its guard runs
-    return exact_sum(t * h for t, h in zip(row_terms("prodinger", n, 1, n, Fraction, True),
-                                           harmonic_gaps(n, Fraction), strict=True))
+    # the prodinger row times H(n+k) - H(n-k), which is not hypergeometric,
+    # both as integers over L = lcm(1..2n): the sum is over L^2, reduced once
+    L, gaps = harmonic_gap_numerators(n)
+    terms = row_numerators("prodinger", n, 1, n, L)
+    return Fraction(sum(t * h for t, h in zip(terms, gaps, strict=True)), L * L)
 
 
 # -- identity catalog ---------------------------------------------------

@@ -7,13 +7,16 @@ also have routes that read no table: `bernoulli_mod_p` (a power sum) and
 `euler_mod_p` (a character sum).  The p-adic path reads only these; the
 exact path reads the tables and compares each residue with its route
 (`bernoulli_mod_p_fast`, `euler_mod_p_fast`).  A harmonic number is a row
-of `sums.SUMS`, which each path steps in its own arithmetic.
+of `sums.SUMS`, which each path steps in its own arithmetic; the gaps
+H(n+k) - H(n-k) have two routes, `harmonic_gaps` in the caller's
+arithmetic and `harmonic_gap_numerators` as integers over lcm(1..2n).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .arith import Residue, rat_reduce_mod
 from .errors import InternalInconsistency
@@ -126,6 +129,19 @@ def harmonic_gaps(n: int, frac):
     exact harmonic number.
     """
     return accumulate(frac(2 * n + 1, (n + k) * (n - k + 1)) for k in range(1, n + 1))
+
+
+def harmonic_gap_numerators(n: int) -> tuple[int, list[int]]:
+    """(L, [A_1, ..., A_n]) with H(n+k) - H(n-k) = A_k / L exactly and
+    L = lcm(1..2n), so every A_k is an integer.
+
+    Each A_k adds L/(n+k) + L/(n-k+1) to the last, two exact divisions:
+    their product (n+k)(n-k+1), the denominator `harmonic_gaps` steps by,
+    divides L only when 2n+1 is prime.  At n = (p-1)/2, L = lcm(1..p-1) is
+    prime to p.
+    """
+    L = lcm(*range(1, 2 * n + 1))
+    return L, list(accumulate(L // (n + k) + L // (n - k + 1) for k in range(1, n + 1)))
 
 
 def bernoulli_mod_p(m: int, p: int) -> int:

@@ -5,14 +5,20 @@ import dataclasses
 import signal
 from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab import congruences, identities, special, sums
-from congrlab.arith import PrimeRange, exact_sum, rat_reduce_mod, sieve_primes, vp_rational
+from congrlab.arith import (
+    PrimeRange,
+    Unreduced,
+    rat_reduce_mod,
+    sieve_primes,
+    vp_rational,
+)
 from congrlab.cli import parse_and_run
 from congrlab.congruences import (
     CHECK_CATALOG,
@@ -25,8 +31,17 @@ from congrlab.congruences import (
 from congrlab.errors import InternalInconsistency, UnknownCheck
 from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
-from congrlab.special import SpecialCache, bernoulli_exact
-from congrlab.sums import PRIME_FREE, SUMS, Sweep, row_padic, row_sum, row_terms
+from congrlab.special import SpecialCache, bernoulli_exact, harmonic_gaps
+from congrlab.sums import (
+    PER_K,
+    PRIME_FREE,
+    SUMS,
+    Sweep,
+    row_numerators,
+    row_padic,
+    row_sum,
+    row_terms,
+)
 
 
 @pytest.fixture(scope="module")
@@ -109,8 +124,8 @@ def test_catalog_metadata_sane():
 
 def _record_row_reads(monkeypatch, module) -> set:
     """Make `module` record (name, a, lo, hi) of every row it reads, summed
-    by `row_sum` or a `Sweep` or stepped by `row_terms`; returns the set it
-    fills."""
+    by `row_sum` or a `Sweep` or stepped by `row_terms` or `row_numerators`,
+    whichever of them it binds; returns the set it fills."""
     reads = set()
 
     def recording(fn):
@@ -119,8 +134,9 @@ def _record_row_reads(monkeypatch, module) -> set:
             return fn(name, a, lo, hi, *args)
         return read
 
-    for name in ("row_sum", "row_terms"):
-        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    for name in ("row_sum", "row_terms", "row_numerators"):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, recording(getattr(module, name)))
     if module is congruences:
         total = Sweep.sum
 
@@ -164,7 +180,7 @@ def _assert_steps(name, a, lo, hi):
     for k in range(lo, hi):
         num, den = ratio(a, k)
         assert Fraction(num, den) * term(a, k) == term(a, k + 1), (name, a, k)
-    stepped = exact_sum(row_terms(name, a, lo, hi, Fraction, True))
+    stepped = sum(row_terms(name, a, lo, hi, Fraction, True))
     assert row_sum(name, a, lo, hi) == stepped, (name, a, lo, hi)
 
 
@@ -451,15 +467,75 @@ def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
         assert f"'{row}'" in captured.err, row
 
 
+class _FractionContext(ExactContext):
+    """The exact path with its per-k reads as reduced Fractions: the guarded
+    `row_terms` and `harmonic_gaps(n, Fraction)`."""
+
+    def _terms(self, name, a, lo, hi):
+        return list(row_terms(name, a, lo, hi, Fraction, True))
+
+    def _gaps(self):
+        return list(harmonic_gaps(self.n, Fraction))
+
+
+def _value(x) -> Fraction:
+    return Fraction(prod(x.nums), x.den) if isinstance(x, Unreduced) else Fraction(x)
+
+
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 251)) + [1093, 1999])
+def test_per_k_checks_match_the_fraction_route(p):
+    """L2.1a, L2.1b and PS11c-3.2 read their rows and gaps as integers over
+    one denominator per row: each side of each pair equals the side built
+    from Fractions, and its residue is `reduce_mod` of that Fraction."""
+    exact, oracle = ExactContext(p, SpecialCache()), _FractionContext(p, SpecialCache())
+    for spec in (CHECK_CATALOG[i] for i in ("L2.1a", "L2.1b", "PS11c-3.2")):
+        pairs, expected = spec.pairs(exact), spec.pairs(oracle)
+        assert [label for label, *_ in pairs] == [label for label, *_ in expected]
+        for (label, *sides), (_, *fractions) in zip(pairs, expected):
+            for x, r in zip(sides, fractions):
+                assert _value(x) == r, (spec.id, label)
+                assert exact.residue(x, spec.m) == rat_reduce_mod(r, p, spec.m).value, (
+                    spec.id, label)
+
+
+def test_a_row_with_no_common_denominator_is_read_as_fractions():
+    """A row `sums.PER_K` gives no denominator is stepped by a guarded
+    `row_terms` on the exact path, as reduced Fractions."""
+    assert "k1" not in PER_K
+    assert (ExactContext(13, SpecialCache()).terms("k1", 13, 1, 6)
+            == list(row_terms("k1", 13, 1, 6, Fraction, True)))
+
+
+def test_row_numerators_step_exact_integers(monkeypatch):
+    """`row_numerators` gives t_k * den for a common denominator den; a den
+    that is not one, or a wrong ratio at any one step, raises."""
+    for name, a, lo, hi, den in (("sq_k0", 13, 0, 6, 16 ** 6), ("l21a", 13, 1, 12, 1),
+                                 ("prodinger", 9, 1, 9, lcm(*range(1, 19)))):
+        nums = row_numerators(name, a, lo, hi, den)
+        assert [Fraction(t, den) for t in nums] == list(row_terms(name, a, lo, hi, Fraction, True))
+    with pytest.raises(InternalInconsistency, match="'sq_k0' .* remainder"):
+        row_numerators("sq_k0", 13, 0, 6, 3)
+    term, ratio = SUMS["sq_k0"]
+    for bad_k in range(6):
+        def wrong(p, k, bad_k=bad_k):
+            num, den = ratio(p, k)
+            return (num + 1, den) if k == bad_k else (num, den)
+
+        with monkeypatch.context() as patch:
+            patch.setitem(SUMS, "sq_k0", (term, wrong))
+            with pytest.raises(InternalInconsistency, match="'sq_k0'"):
+                row_numerators("sq_k0", 13, 0, 6, 16 ** 6)
+
+
 @pytest.mark.parametrize("p", [7, 61])
 def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
     """All checks at each prime of a block of consecutive primes from p, on
     both paths, the exact contexts sharing one Sweep.  At each prime, each
-    k of a row is built once by each engine: `row_sum` or `row_terms` on the
-    exact path, and `row_padic`, which serves a sum and a per-k read of one
-    range, so `sq_k0` over 0..n is stepped once.  Over the block, the sweep
-    folds each k of a PRIME_FREE row into each of its two cursors at most
-    once."""
+    k of a row is built once by each engine: `row_sum`, `row_terms` or
+    `row_numerators` on the exact path, and `row_padic`, which serves a sum
+    and a per-k read of one range, so `sq_k0` over 0..n is stepped once.
+    Over the block, the sweep folds each k of a PRIME_FREE row into each of
+    its two cursors at most once."""
     primes = sieve_primes(PrimeRange(p, p + 40))
     reads, folds = [], []
 
@@ -473,7 +549,7 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
         folds.append((*key, range(state[0] + 1, x + 1)))
         return advance(self, key, a, state, x)
 
-    for name in ("row_sum", "row_terms", "row_padic"):
+    for name in ("row_sum", "row_terms", "row_numerators", "row_padic"):
         monkeypatch.setattr(congruences, name, recording(getattr(congruences, name)))
     advance = Sweep._advance
     monkeypatch.setattr(Sweep, "_advance", folding)
@@ -798,17 +874,6 @@ def test_shared_contexts_change_no_verdict(cache):
              for i in sorted(ids) for p in primes]
     row = lambda r: dataclasses.replace(r, elapsed_ms=0.0)
     assert [row(r) for r in shared] == [row(r) for r in fresh]
-
-
-rationals = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6)
-
-
-@given(st.lists(rationals, max_size=30))
-def test_common_denominator_sum_equals_sequential_addition(terms):
-    expected = Fraction(0)
-    for t in terms:
-        expected += t
-    assert exact_sum(iter(terms)) == expected
 
 
 @pytest.mark.parametrize("name", ["evaluate_check", "_compare_pairs", "rat_reduce_mod",

@@ -17,7 +17,8 @@ from congrlab.identities import (
     run_identity_suite,
 )
 from congrlab.report import exit_status
-from congrlab.special import harmonic_exact
+from congrlab.special import harmonic_exact, harmonic_gaps
+from congrlab.sums import row_terms
 
 
 # -- frozen instances -------------------------------------------------------
@@ -52,6 +53,16 @@ def test_prodinger_matches_harmonic_closed_form():
         case = evaluate_identity("PRODINGER", n)
         assert case.rhs == -2 * harmonic_exact(n)
         assert case.passed
+
+
+def test_sigma_lhs_equals_the_fraction_route():
+    """SIGMA's lhs over one denominator equals the prodinger terms times
+    H(n+k) - H(n-k) as reduced Fractions, added, for n to 60: 2n + 1 is
+    composite at 4, 7, 10, ..., where (n+k)(n-k+1) need not divide L."""
+    for n in range(1, 61):
+        terms = row_terms("prodinger", n, 1, n, Fraction, True)
+        expected = sum(t * h for t, h in zip(terms, harmonic_gaps(n, Fraction), strict=True))
+        assert identities._sigma_lhs(n) == expected, n
 
 
 def test_luke_small_instance():

@@ -17,6 +17,7 @@ from congrlab.special import (
     euler_mod_p,
     euler_mod_p_fast,
     harmonic_exact,
+    harmonic_gap_numerators,
     harmonic_gaps,
 )
 from congrlab.sums import row_padic, row_sum
@@ -172,9 +173,16 @@ def _gap(n, k):
 
 
 def test_harmonic_gaps_match_exact_differences():
+    """Both gap routes, in Fractions and as integers over lcm(1..2n), at
+    every n to 60, composite 2n + 1 included."""
     for n in range(1, 61):
-        assert list(harmonic_gaps(n, Fraction)) == [_gap(n, k) for k in range(1, n + 1)]
+        gaps = [_gap(n, k) for k in range(1, n + 1)]
+        assert list(harmonic_gaps(n, Fraction)) == gaps
+        L, nums = harmonic_gap_numerators(n)
+        assert L == lcm(*range(1, 2 * n + 1))
+        assert [Fraction(a, L) for a in nums] == gaps
     assert list(harmonic_gaps(0, Fraction)) == []
+    assert harmonic_gap_numerators(0) == (1, [])
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 61)))

@@ -6,11 +6,12 @@ DIR is a source checkout (make the parent's with `git archive`).  For each
 workload of BENCHMARK.json the script runs `bench/run.py` in both checkouts
 for the `run_seconds` BENCHMARK.json sets, in PAIRS pairs that alternate which
 side runs first, and keeps every result line.
-Then, in one process per checkout, it times the exact and the p-adic path
-(`_compare_pairs` of every check, tables excluded) over whole prime ranges
-at --jobs 1, and fits each path's cost-vs-p exponent over single primes,
-each timed as the median of EXPONENT_REPEATS runs.  Run it on an otherwise
-idle machine: every number is wall time.
+Then, in one process per checkout and run, it times the exact and the
+p-adic path (`_compare_pairs` of every check, tables excluded) over whole
+prime ranges at --jobs 1, each range as the median of RANGE_REPEATS runs
+that alternate which side runs first, and fits each path's cost-vs-p
+exponent over single primes, each timed as the median of EXPONENT_REPEATS
+runs.  Run it on an otherwise idle machine: every number is wall time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ PAIRS = 10  # fewer alternating pairs than this cannot back a claimed gain
 # A single prime cannot show the exact path sweeping its rows over a range of
 # primes; 7:1999 does.
 RANGES = ("3:251", "7:499", "7:1999")
+RANGE_REPEATS = 3  # the seconds over each range are the median of this many runs
 EXPONENT_PRIMES = (251, 503, 1009, 2003)
 EXPONENT_REPEATS = 3  # the seconds at each prime are the median of this many runs
 
@@ -80,6 +82,11 @@ def path_seconds(tree: Path, primes: str) -> dict:
     return {side: {int(p): s for p, s in per.items()} for side, per in json.loads(out).items()}
 
 
+def sides_in_order(i: int) -> tuple[str, str]:
+    """The order the two trees run in at pair i, counted from 0."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def spread(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
@@ -119,13 +126,20 @@ def main() -> int:
     for name in (w["name"] for w in spec["workloads"]):
         runs = {"parent": [], "change": []}
         for i in range(PAIRS):
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            for side in sides_in_order(i):
                 runs[side].append(result_line(trees[side], name, seconds))
             print(f"# {name} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
         workloads[name] = workload_record(runs, spec)
 
-    paths = {rng: {side: {k: sum(v.values()) for k, v in path_seconds(tree, rng).items()}
-                   for side, tree in trees.items()} for rng in RANGES}
+    paths = {}
+    for rng in RANGES:
+        runs = {"parent": [], "change": []}
+        for i in range(RANGE_REPEATS):
+            for side in sides_in_order(i):
+                runs[side].append({path: sum(per.values())
+                                   for path, per in path_seconds(trees[side], rng).items()})
+        paths[rng] = {side: {path: statistics.median(r[path] for r in rs) for path in rs[0]}
+                      for side, rs in runs.items()}
     exponents = {}
     for side, tree in trees.items():
         repeats = [path_seconds(tree, ",".join(map(str, EXPONENT_PRIMES)))
@@ -137,7 +151,7 @@ def main() -> int:
 
     args.out.write_text(json.dumps({
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
-        "settings": {"pairs": PAIRS, "seconds": seconds,
+        "settings": {"pairs": PAIRS, "seconds": seconds, "range_repeats": RANGE_REPEATS,
                      "order": "parent first in odd pairs, change first in even pairs",
                      "quartiles": "statistics.quantiles(n=4), exclusive method"},
         "workloads": workloads,
