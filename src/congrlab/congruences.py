@@ -42,7 +42,7 @@ from .special import (
     harmonic_gap_numerators,
     harmonic_gaps,
 )
-from .sums import PER_K, PRIME_FREE, Sweep, row_numerators, row_padic, row_sum, row_terms
+from .sums import PRIME_FREE, Sweep, row_numerators, row_padic, row_sum
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -107,14 +107,13 @@ class ExactContext(Context):
     It sums a PRIME_FREE row over any range as F(hi) - F(lo - 1), read off
     `sweep`, the running prefixes a run of primes shares (a fresh Sweep
     when none is given); any other row with `row_sum`.  It reads a row per
-    k as the integers t_k * D over the common denominator D of `PER_K`,
-    stepped by `row_numerators` (a row with no D by a guarded `row_terms`),
-    so every row it reads is checked against its closed form, and the
-    harmonic gaps as integers over L = lcm(1..p-1).  A per-k value is an int
-    or an `Unreduced` product of integer factors over a denominator, built
-    with no gcd, and `residue` reduces it factor by factor with one inverse
-    per denominator.  It reads B and E from the tables of
-    `cache`, each checked on its first read.
+    k as the integers t_k * D over D, the denominator of its last term,
+    stepped by `row_numerators`, so every row it reads is checked against
+    its closed form, and the harmonic gaps as integers over
+    L = lcm(1..p-1).  A per-k value is an int or an `Unreduced` product of
+    integer factors over a denominator, built with no gcd, and `residue`
+    reduces it factor by factor with one inverse per denominator.  It reads
+    B and E from the tables of `cache`, each checked on its first read.
     """
 
     def __init__(self, p: int, cache: SpecialCache, sweep: Sweep | None = None):
@@ -128,10 +127,7 @@ class ExactContext(Context):
     def _terms(self, name: str, a: int, lo: int, hi: int) -> list:
         # both paths step by the same ratio, so a wrong one would agree with
         # itself; the guard checks the last term against its closed form
-        if name not in PER_K:
-            return list(row_terms(name, a, lo, hi, self.frac, True))
-        den = PER_K[name](a, hi)
-        nums = row_numerators(name, a, lo, hi, den)
+        den, nums = row_numerators(name, a, lo, hi)
         return nums if den == 1 else [Unreduced((t,), den) for t in nums]
 
     def _gaps(self) -> list:
@@ -165,16 +161,10 @@ class ExactContext(Context):
             # one inverse per denominator and modulus; every Unreduced
             # denominator is prime to p, else pow raises, an engine fault
             m = self.p ** e
-            key = "inv", x.den, e
-            inverse = self.memo.get(key)
-            if inverse is None:
-                inverse = self.memo[key] = pow(x.den, -1, m)
-            value = inverse
+            value = self._memo(("inv", x.den, e), lambda: pow(x.den, -1, m))
             for factor in x.nums:
                 value = value * (factor % m) % m
             return value
-        if x.denominator == 1:  # an int, or a whole Fraction such as L2.1a's 2p
-            return x.numerator % self.p ** e
         return rat_reduce_mod(x, self.p, e)
 
 
@@ -338,8 +328,7 @@ def _catalog() -> dict[str, CheckSpec]:
     def l21a_pairs(c):
         # sign is (-1)^(floor(2k/p) - 1)
         two_p = c.frac(2 * c.p)
-        rhs = -two_p, two_p
-        return [(f"k={k}", t, rhs[(2 * k // c.p) % 2])
+        return [(f"k={k}", t, two_p if (2 * k // c.p) % 2 else -two_p)
                 for k, t in enumerate(c.terms("l21a", c.p, 1, c.p - 1), start=1)]
 
     add("L2.1a", "k C(2k,k) C(2(p-k),p-k) = +-2p, per k", 2, 5, "proven", l21a_pairs)

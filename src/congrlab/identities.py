@@ -41,7 +41,7 @@ def _sigma_lhs(n):
     # the prodinger row times H(n+k) - H(n-k), which is not hypergeometric,
     # both as integers over L = lcm(1..2n): the sum is over L^2, reduced once
     L, gaps = harmonic_gap_numerators(n)
-    terms = row_numerators("prodinger", n, 1, n, L)
+    _, terms = row_numerators("prodinger", n, 1, n, L)
     return Fraction(sum(t * h for t, h in zip(terms, gaps, strict=True)), L * L)
 
 

@@ -11,8 +11,8 @@ the literal C(4k,k) reading of C(4k,2k).
 
 `row_terms` steps a row term by term in the caller's arithmetic, and
 `row_numerators` steps the exact integers t_k * D over a common
-denominator D with exact divisions, for the exact path's per-k reads
-(`PER_K`) and SIGMA's lhs.  `row_sum`
+denominator D with exact divisions, for the exact path's per-k reads and
+SIGMA's lhs.  `row_sum`
 sums it exactly by binary splitting over the integer ratio pairs (Haible &
 Papanikolaou, "Fast multiprecision evaluation of series of rational
 numbers", 1998), with one `Fraction` reduction per sum.  A `Sweep` sums
@@ -29,17 +29,12 @@ value both paths agree on.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, prod
 
 from .arith import vp_int
 from .errors import InternalInconsistency
 
 
-# Every closed form at one k reads C(2k, k): the guards of the swept rows at a
-# cursor, and the first and last terms of `l21a` and `sq_k0`; a prime reads
-# a handful of distinct k, so a small memo serves them all.
-@lru_cache(maxsize=16)
 def _c(k):
     return comb(2 * k, k)
 
@@ -136,12 +131,6 @@ PRIME_FREE = {
                      "inv_quad_shifted", "inv_quad_shifted_lit", "h1", "h2", "h3"), 1),
 }
 
-# The rows a congruence reads per k, each with a common denominator D(a, hi)
-# of its terms up to k = hi, so that the exact path steps the integers t_k * D
-# (`row_numerators`): `l21a` and `b` are integers, and C(2k,k)^2/16^k times
-# 16^hi is one.
-PER_K = {"l21a": lambda a, hi: 1, "b": lambda a, hi: 1, "sq_k0": lambda a, hi: 16 ** hi}
-
 
 def row_terms(name: str, a: int, lo: int, hi: int, frac, guard: bool):
     """The terms t_lo..t_hi of row `name` of SUMS at parameter a.
@@ -163,20 +152,26 @@ def row_terms(name: str, a: int, lo: int, hi: int, frac, guard: bool):
             f"sum row {name!r} at a={a} misses its closed form at k={hi}")
 
 
-def row_numerators(name: str, a: int, lo: int, hi: int, den: int) -> list[int]:
-    """The integers t_k * den, k = lo..hi, of row `name` of SUMS at parameter
-    a, for `den` a common denominator of those terms.
+def row_numerators(name: str, a: int, lo: int, hi: int,
+                   den: int | None = None) -> tuple[int, list[int]]:
+    """(den, [t_lo * den, ..., t_hi * den]) of row `name` of SUMS at
+    parameter a, for `den` a common denominator of those terms.  It
+    defaults to the denominator of t_hi, a common one for every row the
+    congruences read per k: 1 for the integer rows, and 2^(4k - 2s(k)) for
+    C(2k,k)^2/16^k, s(k) the binary digit sum of k, which grows with k.
 
-    The first is the closed form t_lo times den, and each next one the last
-    times the ratio, divided exactly.  A division with a remainder, or a
-    last integer that misses t_hi * den, raises InternalInconsistency: a
-    wrong ratio, or a den that is not a common denominator.  Every value is
-    an exact integer; nothing is reduced mod p.
+    The first integer is the closed form t_lo times den, and each next one
+    the last times the ratio, divided exactly.  A division with a
+    remainder, or a last integer that misses t_hi * den, raises
+    InternalInconsistency: a wrong ratio, or a den that is not a common
+    denominator.  Every value is an exact integer; nothing is reduced mod p.
     """
     if hi < lo:
         raise ValueError(f"sum row {name!r} over the empty range {lo}..{hi}")
     term, ratio = SUMS[name]
     first, last = term(a, lo), term(a, hi)
+    if den is None:
+        den = last.denominator
     t, rem = divmod(first.numerator * den, first.denominator)
     nums = [t]
     for k in range(lo, hi):
@@ -190,7 +185,7 @@ def row_numerators(name: str, a: int, lo: int, hi: int, den: int) -> list[int]:
     if t * last.denominator != last.numerator * den:
         raise InternalInconsistency(
             f"sum row {name!r} at a={a} misses its closed form at k={hi}")
-    return nums
+    return den, nums
 
 
 def _split(ratio, a: int, lo: int, hi: int) -> tuple[int, int, int]:

@@ -33,7 +33,6 @@ from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
 from congrlab.special import SpecialCache, bernoulli_exact, harmonic_gaps
 from congrlab.sums import (
-    PER_K,
     PRIME_FREE,
     SUMS,
     Sweep,
@@ -124,8 +123,8 @@ def test_catalog_metadata_sane():
 
 def _record_row_reads(monkeypatch, module) -> set:
     """Make `module` record (name, a, lo, hi) of every row it reads, summed
-    by `row_sum` or a `Sweep` or stepped by `row_terms` or `row_numerators`,
-    whichever of them it binds; returns the set it fills."""
+    by `row_sum` or a `Sweep` or stepped by `row_numerators`; returns the
+    set it fills."""
     reads = set()
 
     def recording(fn):
@@ -134,9 +133,8 @@ def _record_row_reads(monkeypatch, module) -> set:
             return fn(name, a, lo, hi, *args)
         return read
 
-    for name in ("row_sum", "row_terms", "row_numerators"):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    for name in ("row_sum", "row_numerators"):
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
     if module is congruences:
         total = Sweep.sum
 
@@ -366,7 +364,7 @@ def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
         monkeypatch.setattr(special, name, refuse)
     for name in ("bernoulli_exact", "euler_exact"):
         monkeypatch.setattr(congruences, name, refuse)
-    for name in ("row_sum", "row_terms", "Sweep"):
+    for name in ("row_sum", "row_numerators", "Sweep"):
         monkeypatch.setattr(congruences, name, refuse)
     unreadable = SpecialCache()
     unreadable.bernoulli = unreadable.euler = _UnreadableTable()
@@ -498,23 +496,22 @@ def test_per_k_checks_match_the_fraction_route(p):
                     spec.id, label)
 
 
-def test_a_row_with_no_common_denominator_is_read_as_fractions():
-    """A row `sums.PER_K` gives no denominator is stepped by a guarded
-    `row_terms` on the exact path, as reduced Fractions."""
-    assert "k1" not in PER_K
-    assert (ExactContext(13, SpecialCache()).terms("k1", 13, 1, 6)
-            == list(row_terms("k1", 13, 1, 6, Fraction, True)))
-
-
 def test_row_numerators_step_exact_integers(monkeypatch):
-    """`row_numerators` gives t_k * den for a common denominator den; a den
-    that is not one, or a wrong ratio at any one step, raises."""
-    for name, a, lo, hi, den in (("sq_k0", 13, 0, 6, 16 ** 6), ("l21a", 13, 1, 12, 1),
+    """`row_numerators` gives t_k * den for a common denominator den, by
+    default the denominator of the last term; a den that is not one, or a
+    wrong ratio at any one step, raises."""
+    for name, a, lo, hi, den in (("sq_k0", 13, 0, 6, 16 ** 6), ("sq_k0", 13, 0, 6, None),
+                                 ("l21a", 13, 1, 12, None), ("b", 6, 0, 6, None),
                                  ("prodinger", 9, 1, 9, lcm(*range(1, 19)))):
-        nums = row_numerators(name, a, lo, hi, den)
+        den, nums = row_numerators(name, a, lo, hi, den)
         assert [Fraction(t, den) for t in nums] == list(row_terms(name, a, lo, hi, Fraction, True))
+    assert row_numerators("sq_k0", 13, 0, 6)[0] == 2 ** 20  # 16^6 / 2^(2 s(6))
+    assert row_numerators("l21a", 13, 1, 12)[0] == row_numerators("b", 6, 0, 6)[0] == 1
     with pytest.raises(InternalInconsistency, match="'sq_k0' .* remainder"):
         row_numerators("sq_k0", 13, 0, 6, 3)
+    # C(2k,k)/k: t_6 = 154 is whole but t_5 = 252/5 is not
+    with pytest.raises(InternalInconsistency, match="'k1' .* remainder"):
+        row_numerators("k1", 13, 1, 6)
     term, ratio = SUMS["sq_k0"]
     for bad_k in range(6):
         def wrong(p, k, bad_k=bad_k):
@@ -531,8 +528,8 @@ def test_row_numerators_step_exact_integers(monkeypatch):
 def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
     """All checks at each prime of a block of consecutive primes from p, on
     both paths, the exact contexts sharing one Sweep.  At each prime, each
-    k of a row is built once by each engine: `row_sum`, `row_terms` or
-    `row_numerators` on the exact path, and `row_padic`, which serves a sum
+    k of a row is built once by each engine: `row_sum` or `row_numerators`
+    on the exact path, and `row_padic`, which serves a sum
     and a per-k read of one range, so `sq_k0` over 0..n is stepped once.
     Over the block, the sweep folds each k of a PRIME_FREE row into each of
     its two cursors at most once."""
@@ -549,7 +546,7 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
         folds.append((*key, range(state[0] + 1, x + 1)))
         return advance(self, key, a, state, x)
 
-    for name in ("row_sum", "row_terms", "row_numerators", "row_padic"):
+    for name in ("row_sum", "row_numerators", "row_padic"):
         monkeypatch.setattr(congruences, name, recording(getattr(congruences, name)))
     advance = Sweep._advance
     monkeypatch.setattr(Sweep, "_advance", folding)
