@@ -234,11 +234,12 @@ class PAdic:
         """Divide by p^s (valuation shift)."""
         return PAdic(self.p, self.val - s, self.unit, self.prec)
 
-    def residue(self, e: int) -> Residue:
-        """Extract the value mod p^e; only significant digits are reported."""
+    def residue(self, e: int) -> int:
+        """The value mod p^e, as an int in [0, p^e); only significant digits
+        are reported."""
         if self.unit is None:
             if self.val >= e:
-                return Residue(self.p, e, 0)
+                return 0
             raise PrecisionExhausted(
                 f"zero marker only guarantees valuation >= {self.val}, need {e}")
         if self.val < 0:
@@ -247,7 +248,7 @@ class PAdic:
         if self.val + self.prec < e:
             raise PrecisionExhausted(
                 f"value known mod p^{self.val + self.prec}, need p^{e}")
-        return Residue(self.p, e, self.p ** self.val * self.unit % self.p ** e)
+        return self.p ** self.val * self.unit % self.p ** e
 
     def __repr__(self):
         if self.unit is None:

@@ -15,7 +15,6 @@ from .series import run_series_suite
 from .special import SpecialCache, bernoulli_exact
 
 EXIT_OK = 0
-EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 

@@ -52,7 +52,9 @@ PADIC_PATH_MAX_PRIME = 61
 
 class Context:
     """The interface a check reads, at one prime: `frac`, `S`, `terms`,
-    `gaps`, `bern`, `euler_num`, `div_pp` and `residue`.
+    `gaps`, `bern`, `euler`, `qp`, `div_pp` and `residue`.  A check reads a
+    row of `SUMS` only as a range lo..hi at p, and every other factor by
+    the method named after it.
 
     The base owns every read.  One memo, shared by every check evaluated at
     the prime, holds the row sums of `SUMS` (harmonic numbers among them),
@@ -79,11 +81,11 @@ class Context:
         """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
         return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
 
-    def terms(self, name: str, a: int, lo: int, hi: int) -> list:
-        """The terms t_lo..t_hi of row `name` of SUMS at parameter a,
-        memoized.  A list, not a generator: a zip that stops early would
-        skip the exact path's guard, which runs after the last term."""
-        return self._memo(("T", name, a, lo, hi), lambda: self._terms(name, a, lo, hi))
+    def terms(self, name: str, lo: int, hi: int) -> list:
+        """The terms t_lo..t_hi of row `name` of SUMS at p, memoized.  A
+        list, not a generator: a zip that stops early would skip the exact
+        path's guard, which runs after the last term."""
+        return self._memo(("T", name, lo, hi), lambda: self._terms(name, lo, hi))
 
     def gaps(self) -> list:
         """The harmonic gaps H(n+k) - H(n-k), k = 1..n, memoized."""
@@ -93,12 +95,15 @@ class Context:
         """B_i, memoized.  B_0 = 1 is read only at p = 3."""
         return self._memo(("B", i), lambda: self._bern(i) if i else self.frac(1))
 
-    def euler_num(self, i: int):
-        """E_i, memoized, for the two indices a check reads: E_{p-3}, the one
-        the character-sum route covers, and E_0 = 1, read only at p = 3."""
-        if i not in (0, self.p - 3):
-            raise ValueError(f"no second route for E_{i} mod {self.p}")
-        return self._memo(("E", i), lambda: self._euler() if i else self.frac(1))
+    def euler(self):
+        """E_{p-3}, memoized, the one index the character-sum route covers;
+        E_0 = 1 at p = 3."""
+        return self._memo(("E",), lambda: self._euler() if self.p > 3 else self.frac(1))
+
+    def qp(self):
+        """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p, memoized: a statement
+        constant, lifted by `frac` as L2.2-2.3's (-1)^n C(p-1, n) is."""
+        return self._memo(("qp",), lambda: self.frac(pow(2, self.p - 1) - 1, self.p))
 
 
 class ExactContext(Context):
@@ -124,10 +129,10 @@ class ExactContext(Context):
     def frac(self, a, b=1):
         return Fraction(a, b)
 
-    def _terms(self, name: str, a: int, lo: int, hi: int) -> list:
+    def _terms(self, name: str, lo: int, hi: int) -> list:
         # both paths step by the same ratio, so a wrong one would agree with
         # itself; the guard checks the last term against its closed form
-        den, nums = row_numerators(name, a, lo, hi)
+        den, nums = row_numerators(name, self.p, lo, hi)
         return nums if den == 1 else [Unreduced((t,), den) for t in nums]
 
     def _gaps(self) -> list:
@@ -193,15 +198,16 @@ class PadicContext(Context):
     def frac(self, a, b=1):
         return PAdic.from_rational(a, self.p, PADIC_PREC, b)
 
-    def _digits(self, name: str, a: int, lo: int, hi: int) -> tuple:
+    def _digits(self, name: str, lo: int, hi: int) -> tuple:
         """`row_padic` of the range, memoized: a per-k read and a sum over
         one range, `sq_k0` over 0..n, step it once."""
-        return self._memo(("D", name, a, lo, hi),
-                          lambda: row_padic(name, a, lo, hi, self.p, PADIC_PREC))
-
-    def _terms(self, name: str, a: int, lo: int, hi: int) -> list:
         p = self.p
-        vals, units = self._digits(name, a, lo, hi)
+        return self._memo(("D", name, lo, hi),
+                          lambda: row_padic(name, p, lo, hi, p, PADIC_PREC))
+
+    def _terms(self, name: str, lo: int, hi: int) -> list:
+        p = self.p
+        vals, units = self._digits(name, lo, hi)
         return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
 
     def _gaps(self) -> list:
@@ -210,8 +216,7 @@ class PadicContext(Context):
     def _row_sum(self, name: str, lo: int, hi: int):
         if lo <= self.n < hi:
             return self.S(name, lo, self.n) + self.S(name, self.n + 1, hi)
-        p = self.p
-        return PAdic.sum_terms(p, *self._digits(name, p, lo, hi), PADIC_PREC)
+        return PAdic.sum_terms(self.p, *self._digits(name, lo, hi), PADIC_PREC)
 
     def _bern(self, i: int):
         return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
@@ -226,7 +231,7 @@ class PadicContext(Context):
         return x.shift(s)
 
     def residue(self, x, e: int) -> int:
-        return x.residue(e).value
+        return x.residue(e)
 
 
 # -- check specifications -------------------------------------------------
@@ -257,12 +262,6 @@ class CheckResult:
     path_agreement: bool | None = None
     elapsed_ms: float = 0.0
     note: str = ""
-
-
-def _qp(c):
-    """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p: a statement constant,
-    lifted by `frac` as L2.2-2.3's (-1)^n C(p-1, n) is, once per context."""
-    return c._memo(("qp",), lambda: c.frac(pow(2, c.p - 1) - 1, c.p))
 
 
 def _scalar(fn_lhs, fn_rhs):
@@ -322,21 +321,21 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
         _scalar(lambda c: c.S("sq_odd1", 0, c.n - 1),
-                lambda c: c.frac(-2) * _qp(c) - c.frac(c.p) * _qp(c) ** 2
+                lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
                 + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)))
 
     def l21a_pairs(c):
         # sign is (-1)^(floor(2k/p) - 1)
         two_p = c.frac(2 * c.p)
         return [(f"k={k}", t, two_p if (2 * k // c.p) % 2 else -two_p)
-                for k, t in enumerate(c.terms("l21a", c.p, 1, c.p - 1), start=1)]
+                for k, t in enumerate(c.terms("l21a", 1, c.p - 1), start=1)]
 
     add("L2.1a", "k C(2k,k) C(2(p-k),p-k) = +-2p, per k", 2, 5, "proven", l21a_pairs)
 
     def l21b_pairs(c):
         return [(f"k={k}", b, -s if k % 2 else s)
-                for k, (b, s) in enumerate(zip(c.terms("b", c.n, 0, c.n),
-                                               c.terms("sq_k0", c.p, 0, c.n)))]
+                for k, (b, s) in enumerate(zip(c.terms("b", 0, c.n),
+                                               c.terms("sq_k0", 0, c.n)))]
 
     add("L2.1b", "C(n,k) C(n+k,k) = C(2k,k)^2/(-16)^k, per k", 2, 5, "proven", l21b_pairs,
         note="checked for k in [0,n] where C(n,k) is meaningful")
@@ -348,8 +347,8 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("L2.2-2.4", "refined Lehmer congruence for H_{(p-1)/2}", 3, 5, "proven",
         _scalar(lambda c: c.S("h1", 1, c.n),
-                lambda c: c.frac(-2) * _qp(c) + c.frac(c.p) * _qp(c) ** 2
-                - c.frac(c.p * c.p) * (c.frac(2, 3) * _qp(c) ** 3
+                lambda c: c.frac(-2) * c.qp() + c.frac(c.p) * c.qp() ** 2
+                - c.frac(c.p * c.p) * (c.frac(2, 3) * c.qp() ** 3
                                        + c.frac(7, 12) * c.bern(c.p - 3))))
 
     add("L2.2-2.5a", "H_{(p-1)/2}^(2) vs (7/3) p B_{p-3}", 2, 5, "proven",
@@ -387,7 +386,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("P2.12", "shifted-denominator squared sum vs Fermat quotient", 3, 7, "proven",
         _scalar(lambda c: c.S("sq_shifted", 1, c.n),
-                lambda c: c.frac(2) * _qp(c) + c.frac(c.p) * _qp(c) ** 2
+                lambda c: c.frac(2) * c.qp() + c.frac(c.p) * c.qp() ** 2
                 - c.frac(c.p * c.p) * c.bern(c.p - 3)))
 
     add("P2.13", "shifted-denominator sum vs 1/2,1/4,1/8 splitting", 3, 7, "proven",
@@ -398,11 +397,11 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("P2.14", "half squared central sum /k^2 vs Fermat quotient", 2, 7, "proven",
         _scalar(lambda c: c.S("sq_k2", 1, c.n),
-                lambda c: c.frac(-8) * _qp(c) ** 2 + c.frac(8 * c.p) * _qp(c) ** 3))
+                lambda c: c.frac(-8) * c.qp() ** 2 + c.frac(8 * c.p) * c.qp() ** 3))
 
     add("P2.15", "half squared central sum /k^3 vs Fermat quotient", 1, 7, "proven",
         _scalar(lambda c: c.S("sq_k3", 1, c.n),
-                lambda c: c.frac(32, 3) * _qp(c) ** 3
+                lambda c: c.frac(32, 3) * c.qp() ** 3
                 + c.frac(4, 3) * c.bern(c.p - 3)))
 
     def ps11c_pairs(c):
@@ -412,8 +411,8 @@ def _catalog() -> dict[str, CheckSpec]:
         # Unreduced gaps would first try, and fail, its own operator.
         one, minus_quarter_p = c.frac(1), c.frac(-c.p, 4)
         pairs = []
-        for k, (b, s, h) in enumerate(zip(c.terms("b", c.n, 0, c.n)[1:],
-                                          c.terms("sq_k0", c.p, 0, c.n)[1:],
+        for k, (b, s, h) in enumerate(zip(c.terms("b", 0, c.n)[1:],
+                                          c.terms("sq_k0", 0, c.n)[1:],
                                           c.gaps(), strict=True), start=1):
             lhs = b * (h * minus_quarter_p + one)
             pairs.append((f"k={k}", -lhs if k % 2 else lhs, s))
@@ -427,13 +426,13 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("L3.2-3.3", "odd-cube squared sum vs Fermat quotient cube", 1, 5, "proven",
         _scalar(lambda c: c.S("sq_odd3", 0, c.n - 1),
-                lambda c: c.frac(-4, 3) * _qp(c) ** 3
+                lambda c: c.frac(-4, 3) * c.qp() ** 3
                 - c.frac(1, 6) * c.bern(c.p - 3)))
 
     add("L3.3-3.4", "odd-square squared sum vs Fermat quotient square", 2, 5, "proven",
         _scalar(lambda c: c.S("sq_odd2", 0, c.n - 1),
-                lambda c: c.frac(-2) * _qp(c) ** 2
-                + c.frac(2 * c.p, 3) * _qp(c) ** 3
+                lambda c: c.frac(-2) * c.qp() ** 2
+                + c.frac(2 * c.p, 3) * c.qp() ** 3
                 - c.frac(c.p, 6) * c.bern(c.p - 3)))
 
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
@@ -442,12 +441,11 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-S11c-a", "half central sum /k vs Euler number", 2, 5, "proven",
         _scalar(lambda c: c.S("k1", 1, c.n),
-                lambda c: c.frac((-1) ** ((c.p + 1) // 2) * 8 * c.p, 3)
-                * c.euler_num(c.p - 3)))
+                lambda c: c.frac((-1) ** ((c.p + 1) // 2) * 8 * c.p, 3) * c.euler()))
 
     add("X-S11c-b", "half reciprocal central sum vs Euler number", 1, 5, "proven",
         _scalar(lambda c: c.S("inv_k2", 1, c.n),
-                lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler_num(c.p - 3)))
+                lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler()))
 
     add("X-T1-a", "full alternating inverse sum vs -(2/5) H_{p-1}/p^2", 3, 7, "proven",
         _scalar(lambda c: c.S("alt_inv_k3", 1, c.p - 1),
@@ -470,7 +468,7 @@ def _catalog() -> dict[str, CheckSpec]:
     add("X-S11c-16", "full squared central sum /16^k vs Euler number", 3, 5, "proven",
         _scalar(lambda c: c.S("sq_k0", 0, c.p - 1),
                 lambda c: c.frac((-1) ** c.n)
-                - c.frac(c.p * c.p) * c.euler_num(c.p - 3)),
+                - c.frac(c.p * c.p) * c.euler()),
         note="summation starts at k=0; the source's k=1 lower bound drops "
              "the unit term and fails at every prime")
 
@@ -484,7 +482,7 @@ def _catalog() -> dict[str, CheckSpec]:
 
     add("X-S11b-b", "upper odd central sum vs (p/3) E_{p-3}", 2, 5, "proven",
         _scalar(lambda c: c.S("odd1", c.n + 1, c.p - 1),
-                lambda c: c.frac(c.p, 3) * c.euler_num(c.p - 3)))
+                lambda c: c.frac(c.p, 3) * c.euler()))
 
     add("X-T3", "lower odd-square alternating sum vs H_{p-1}/(5p)", 3, 7, "proven",
         _scalar(lambda c: c.S("odd2_alt", 0, c.n - 1),
@@ -518,33 +516,33 @@ def _catalog() -> dict[str, CheckSpec]:
         "conjectural",
         _scalar(lambda c: c.S("quad", 1, c.n),
                 lambda c: c.frac(-3) * c.S("h1", 1, c.n)
-                + c.frac((-1) ** ((c.p + 1) // 2) * 2 * c.p)
-                * c.euler_num(c.p - 3)))
+                + c.frac((-1) ** ((c.p + 1) // 2) * 2 * c.p) * c.euler()))
 
     _cj12_note = ("the garbled leading token in the source resolves to a "
                   "factor p on the sum; verified empirically")
 
+    def cj12c_rhs(c):
+        return c.frac((-1) ** c.n * 32) * c.euler()
+
+    def cj12d_rhs(c):
+        return c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
+                             + c.frac(c.p) * c.euler())
+
     add("CJ1.2-c", "p * reciprocal quartic sum vs 32 E_{p-3}", 1, 3, "conjectural",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad", 1, c.n),
-                lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad", 1, c.n), cj12c_rhs),
         shift=1, note=_cj12_note)
 
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
         "conjectural",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted", 1, c.n),
-                lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * _qp(c)
-                                        + c.frac(c.p) * c.euler_num(c.p - 3))),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted", 1, c.n), cj12d_rhs),
         shift=1, note=_cj12_note + "; fails at p=3, so min prime 5")
 
     add("CJ1.2-c-lit", "literal C(4k,k) reading of CJ1.2-c", 1, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_lit", 1, c.n),
-                lambda c: c.frac((-1) ** c.n * 32) * c.euler_num(c.p - 3)),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_lit", 1, c.n), cj12c_rhs),
         shift=1, note="reported for the conjectural hunt, never asserted")
 
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted_lit", 1, c.n),
-                lambda c: c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * _qp(c)
-                                        + c.frac(c.p) * c.euler_num(c.p - 3))),
+        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted_lit", 1, c.n), cj12d_rhs),
         shift=1, note="reported for the conjectural hunt, never asserted")
 
     return C

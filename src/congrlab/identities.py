@@ -75,7 +75,9 @@ IDENTITY_CATALOG = {
 
 # -- recurrence certificates --------------------------------------------
 # Each certificate annihilates BOTH sides of its identity, so base cases
-# plus a zero residual prove the identity by induction.
+# plus a zero residual prove the identity by induction.  RECURRENCES names
+# the identity each one certifies and its first n; _RESIDUALS its residual
+# at n of a side `seq`.
 #   APERY-REC : certificate of SIGMA, (n+1)^2 (s_{n+1} - s_n) = 2 - 5(-1)^n C(2n+1,n)
 #   SHIFT-REC : certificate of SHIFT
 #   ODDSQ-REC : certificate of ODDSQ
@@ -85,21 +87,17 @@ RECURRENCES = {
     "ODDSQ-REC": ("ODDSQ", 1),
 }
 
-
-def _recurrence_residual(rec_name: str, n: int, seq) -> Fraction:
-    if rec_name == "APERY-REC":
-        return ((n + 1) ** 2 * (seq(n + 1) - seq(n))
-                - (2 - 5 * (-1) ** n * comb(2 * n + 1, n)))
-    if rec_name == "SHIFT-REC":
-        inhom = Fraction(-8 * (4 * n ** 3 + 8 * n * n + 5 * n + 1)
-                         * comb(2 * n, n) ** 2,
-                         (4 * n + 3) * (4 * n + 5) * 16 ** n)
-        return (2 * n + 1) ** 2 * seq(n) - 4 * (n + 1) ** 2 * seq(n + 1) - inhom
-    if rec_name == "ODDSQ-REC":
-        return ((n + 1) * (2 * n + 5) ** 2 * seq(n + 2)
-                - (2 * n + 3) * (4 * n * n + 12 * n + 7) * seq(n + 1)
-                + (n + 2) * (2 * n + 1) ** 2 * seq(n))
-    raise UnknownIdentity(f"unknown recurrence {rec_name!r}")
+_RESIDUALS = {
+    "APERY-REC": lambda n, seq: ((n + 1) ** 2 * (seq(n + 1) - seq(n))
+                                 - (2 - 5 * (-1) ** n * comb(2 * n + 1, n))),
+    "SHIFT-REC": lambda n, seq: ((2 * n + 1) ** 2 * seq(n) - 4 * (n + 1) ** 2 * seq(n + 1)
+                                 - Fraction(-8 * (4 * n ** 3 + 8 * n * n + 5 * n + 1)
+                                            * comb(2 * n, n) ** 2,
+                                            (4 * n + 3) * (4 * n + 5) * 16 ** n)),
+    "ODDSQ-REC": lambda n, seq: ((n + 1) * (2 * n + 5) ** 2 * seq(n + 2)
+                                 - (2 * n + 3) * (4 * n * n + 12 * n + 7) * seq(n + 1)
+                                 + (n + 2) * (2 * n + 1) ** 2 * seq(n)),
+}
 
 
 def _sides(name: str):
@@ -123,7 +121,7 @@ def check_recurrence(name: str, n: int, side: str = "lhs", *, sides=None) -> Fra
     if n < start:
         raise DomainError(f"{name} needs n >= {start}")
     lhs, rhs = sides if sides is not None else _sides(ident)
-    return _recurrence_residual(name, n, lhs if side == "lhs" else rhs)
+    return _RESIDUALS[name](n, lhs if side == "lhs" else rhs)
 
 
 _IDENTITY_TO_REC = {ident: rec for rec, (ident, _) in RECURRENCES.items()}

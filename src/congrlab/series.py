@@ -10,10 +10,9 @@ independent classical series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import truediv
 
 from .errors import UnknownSeries
-from .sums import row_terms
+from .sums import SUMS
 
 PI = 3.14159265358979323846
 LOG2 = 0.69314718055994530942
@@ -73,8 +72,12 @@ def evaluate_series(name: str, terms: int | None = None,
         raise ValueError("terms must be >= 1")
     tolerance = tol if tol is not None else spec.tolerance
 
-    total = prev = 0.0
-    for term in row_terms(spec.row, spec.a, spec.lo, spec.lo + count - 1, truediv, False):
+    closed_form, ratio = SUMS[spec.row]
+    term = float(closed_form(spec.a, spec.lo))
+    total, prev = term, 0.0
+    for k in range(spec.lo, spec.lo + count - 1):
+        num, den = ratio(spec.a, k)
+        term *= num / den
         prev = total
         total += term
 

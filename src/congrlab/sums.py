@@ -9,21 +9,19 @@ float series.  `term(a, k)` is its closed form and `ratio(a, k)` the integer
 pair (num, den) with t_{k+1} = t_k * num / den.  Rows ending in `_lit` take
 the literal C(4k,k) reading of C(4k,2k).
 
-`row_terms` steps a row term by term in the caller's arithmetic, and
 `row_numerators` steps the exact integers t_k * D over a common
 denominator D with exact divisions, for the exact path's per-k reads and
-SIGMA's lhs.  `row_sum`
-sums it exactly by binary splitting over the integer ratio pairs (Haible &
-Papanikolaou, "Fast multiprecision evaluation of series of rational
-numbers", 1998), with one `Fraction` reduction per sum.  A `Sweep` sums
-the PRIME_FREE rows, whose terms do not depend on p, as running prefixes
-over a rising run of primes, splitting only the steps since the last
-prime; it and `row_sum` share one guarded fold, `_steps`.  `row_padic`
-steps a row as integer (valuation, unit mod p^prec) pairs with one
-modular inverse per row, for the p-adic path.  The closed forms and the
-ratios are all the two congruence paths share; the exact path guards
-every row it reads, so a wrong ratio is an engine fault rather than a
-value both paths agree on.
+SIGMA's lhs.  `row_sum` sums a row exactly by binary splitting over the
+integer ratio pairs (Haible & Papanikolaou, "Fast multiprecision
+evaluation of series of rational numbers", 1998), with one `Fraction`
+reduction per sum.  A `Sweep` sums the PRIME_FREE rows, whose terms do not
+depend on p, as running prefixes over a rising run of primes, splitting
+only the steps since the last prime; it and `row_sum` share one guarded
+fold, `_steps`.  `row_padic` steps a row as integer (valuation, unit mod
+p^prec) pairs with one modular inverse per row, for the p-adic path.  The
+closed forms and the ratios are all the two congruence paths share; the
+exact path guards every row it reads, so a wrong ratio is an engine fault
+rather than a value both paths agree on.
 """
 
 from __future__ import annotations
@@ -91,8 +89,9 @@ SUMS = {
                       (2 * k + 1) ** 3 * (4 * k + 1) * (4 * k + 3))),
     "l21a": (lambda p, k: k * _c(k) * _c(p - k),
              lambda p, k: ((2 * k + 1) * (p - k), k * (2 * p - 2 * k - 1))),
-    # read at a = n = (p-1)/2
-    "b": (_b, lambda n, k: ((n - k) * (n + k + 1), (k + 1) ** 2)),
+    # C(n,k) C(n+k,k) at n = (p-1)/2 = p // 2
+    "b": (lambda p, k: _b(p // 2, k),
+          lambda p, k: ((p // 2 - k) * (p // 2 + k + 1), (k + 1) ** 2)),
     # H_n^(m), read by both catalogs (any a)
     **{f"h{m}": (lambda a, k, m=m: Fraction(1, k ** m),
                  lambda a, k, m=m: (k ** m, (k + 1) ** m))
@@ -130,26 +129,6 @@ PRIME_FREE = {
                      "k1", "inv_k2", "quad", "inv_quad", "inv_quad_lit",
                      "inv_quad_shifted", "inv_quad_shifted_lit", "h1", "h2", "h3"), 1),
 }
-
-
-def row_terms(name: str, a: int, lo: int, hi: int, frac, guard: bool):
-    """The terms t_lo..t_hi of row `name` of SUMS at parameter a.
-
-    `frac(num, den)` builds the quotient of two integers in the caller's
-    arithmetic.  The first term is its closed form and each next one a step
-    by the ratio.  With `guard`, the last term must equal its closed form,
-    which catches a wrong ratio; a miss raises InternalInconsistency.
-    """
-    term, ratio = SUMS[name]
-    first = term(a, lo)
-    t = frac(first.numerator, first.denominator)
-    yield t
-    for k in range(lo, hi):
-        t = t * frac(*ratio(a, k))
-        yield t
-    if guard and t != term(a, hi):
-        raise InternalInconsistency(
-            f"sum row {name!r} at a={a} misses its closed form at k={hi}")
 
 
 def row_numerators(name: str, a: int, lo: int, hi: int,
@@ -204,10 +183,9 @@ def _steps(name: str, a: int, t_lo, lo: int, hi: int) -> tuple:
     """(Q, T, t_hi) over the steps lo <= k < hi, hi > lo, of row `name` of
     SUMS at parameter a, from its term t_lo: t_lo + ... + t_hi is
     t_lo * (Q + T)/Q.  t_hi is the closed form at hi, which t_lo * P/Q must
-    equal, as with a guarded `row_terms`; a miss raises
-    InternalInconsistency.  A zero ratio denominator makes Q = 0: it misses
-    the guard or, past a zero step, raises ZeroDivisionError, an engine
-    fault either way."""
+    equal; a miss raises InternalInconsistency.  A zero ratio denominator
+    makes Q = 0: it misses the guard or, past a zero step, raises
+    ZeroDivisionError, an engine fault either way."""
     term, ratio = SUMS[name]
     P, Q, T = _split(ratio, a, lo, hi)
     last = term(a, hi)
@@ -237,12 +215,13 @@ class Sweep:
     cursor holds the index x it reached, t_x and F(x), as reduced Fractions.
     Advancing a cursor splits only the new steps with `_steps`, the guarded
     fold `row_sum` takes, and folds them in: F <- F + t*T/Q and t <- t*P/Q,
-    the closed form at the new x.  A read behind a cursor, F(n-1) after
-    F(n), subtracts the `row_sum` of the terms in between and leaves the
-    cursor where it is.  A fresh cursor that follows p - 1 starts from the
-    one that follows n, brought to n first, so one prime alone splits each
-    k of a row once across both cursors, whatever order it reads in.
-    Every value is exact; nothing is reduced mod p.
+    the closed form at the new x.  A read one term behind a cursor at x,
+    F(n-1) after F(n), is F(x) - t_x from the cursor's own state and leaves
+    the cursor where it is; no read of the catalog falls further behind,
+    and one that does raises ValueError.  A fresh cursor that follows p - 1
+    starts from the one that follows n, brought to n first, so one prime
+    alone splits each k of a row once across both cursors, whatever order
+    it reads in.  Every value is exact; nothing is reduced mod p.
     """
 
     def __init__(self):
@@ -270,8 +249,11 @@ class Sweep:
             t = Fraction(SUMS[name][0](a, start))
             state = start, t, t
         at, t, total = state
+        if x == at - 1:
+            return total - t
         if x < at:
-            return total - row_sum(name, a, x + 1, at)
+            raise ValueError(f"sum row {name!r}: F({x}) is more than one term "
+                             f"behind its cursor at {at}")
         if x > at:
             state = self._advance(key, a, state, x)
         self.cursors[key] = state

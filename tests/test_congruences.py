@@ -39,7 +39,6 @@ from congrlab.sums import (
     row_numerators,
     row_padic,
     row_sum,
-    row_terms,
 )
 
 
@@ -163,23 +162,30 @@ def _read_catalog(ctx, order=1):
 
 
 def _catalog_row_reads(p, cache, monkeypatch) -> set:
-    """(name, a, lo, hi) of every row the congruence catalog reads at p."""
+    """(name, a, lo, hi) of every row the congruence catalog reads at p,
+    each at a = p."""
     with monkeypatch.context() as patch:
         reads = _record_row_reads(patch, congruences)
         _read_catalog(ExactContext(p, cache))
     assert reads
+    assert {a for _, a, _, _ in reads} == {p}
     return reads
+
+
+def _closed_forms(name, a, lo, hi) -> list:
+    """The terms t_lo..t_hi of row `name` at a, each its own closed form."""
+    term = SUMS[name][0]
+    return [term(a, k) for k in range(lo, hi + 1)]
 
 
 def _assert_steps(name, a, lo, hi):
     """Every step of the range lands on the next closed-form term, and
-    binary splitting sums the range as stepping and adding its terms does."""
+    binary splitting sums the range as adding its closed-form terms does."""
     term, ratio = SUMS[name]
     for k in range(lo, hi):
         num, den = ratio(a, k)
         assert Fraction(num, den) * term(a, k) == term(a, k + 1), (name, a, k)
-    stepped = sum(row_terms(name, a, lo, hi, Fraction, True))
-    assert row_sum(name, a, lo, hi) == stepped, (name, a, lo, hi)
+    assert row_sum(name, a, lo, hi) == sum(_closed_forms(name, a, lo, hi)), (name, a, lo, hi)
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
@@ -202,7 +208,7 @@ def test_every_identity_row_ratio_steps_to_the_next_closed_form_term(monkeypatch
         _assert_steps(*read)
 
 
-@pytest.mark.parametrize("read", [("k1", 13, 4, 4), ("b", 5, 0, 9), ("b", 5, 3, 7),
+@pytest.mark.parametrize("read", [("k1", 13, 4, 4), ("b", 11, 0, 9), ("b", 11, 3, 7),
                                   ("odd2_alt", 13, 0, 12), ("odd2_alt", 13, 7, 12)])
 def test_row_sum_over_edge_ranges(read):
     """Ranges the catalogs never read: one term, steps past a zero term
@@ -262,6 +268,19 @@ def test_sweep_reads_equal_row_sum(first, length, data):
             assert sweep.sum(name, p, lo, hi) == row_sum(name, p, lo, hi), (name, p, lo, hi)
 
 
+def test_a_sweep_reads_one_term_behind_its_cursor_and_no_further():
+    """F(x - 1) behind a cursor at x is F(x) - t_x, on either cursor; a read
+    two terms behind raises ValueError and leaves the cursor where it was."""
+    sweep = Sweep()
+    for p, lo, hi in ((29, 1, 14), (29, 1, 13), (31, 16, 30), (31, 16, 29)):
+        assert sweep.sum("sq_k1", p, lo, hi) == row_sum("sq_k1", p, lo, hi), (p, lo, hi)
+    with pytest.raises(ValueError, match="behind"):
+        sweep.sum("sq_k1", 31, 1, 13)
+    with pytest.raises(ValueError, match="behind"):
+        sweep.sum("sq_k1", 31, 16, 28)
+    assert sweep.sum("sq_k1", 31, 1, 15) == row_sum("sq_k1", 31, 1, 15)
+
+
 def test_a_wrong_ratio_read_through_a_sweep_is_an_engine_fault(monkeypatch):
     """A wrong ratio at k = 30 raises at the read whose advance steps over
     it, on either cursor, however far the sweep has come before; a range
@@ -303,16 +322,15 @@ def test_padic_rows_match_the_exact_rows(p, cache, monkeypatch):
     by one to O(p^PADIC_PREC)."""
     prec = congruences.PADIC_PREC
     padic = PadicContext(p)
-    for name, a, lo, hi in _catalog_row_reads(p, cache, monkeypatch):
-        exact = list(row_terms(name, a, lo, hi, Fraction, True))
-        terms = padic.terms(name, a, lo, hi)
+    for name, _, lo, hi in _catalog_row_reads(p, cache, monkeypatch):
+        exact = _closed_forms(name, p, lo, hi)
+        terms = padic.terms(name, lo, hi)
         assert len(terms) == len(exact) == hi - lo + 1
         for x, r in zip(terms, exact):
-            assert x.prec == prec and _agrees(x, r, p), (name, a, lo, hi)
-        if a == p:
-            total = padic.S(name, lo, hi)
-            assert total._abs_prec() == min(0, min(x.val for x in terms)) + prec
-            assert _agrees(total, row_sum(name, p, lo, hi), p), (name, lo, hi)
+            assert x.prec == prec and _agrees(x, r, p), (name, lo, hi)
+        total = padic.S(name, lo, hi)
+        assert total._abs_prec() == min(0, min(x.val for x in terms)) + prec
+        assert _agrees(total, row_sum(name, p, lo, hi), p), (name, lo, hi)
 
 
 @pytest.mark.parametrize("side", [0, 1], ids=["numerator", "denominator"])
@@ -383,8 +401,8 @@ def test_fermat_quotient_checks_at_the_wieferich_prime(monkeypatch):
     0 = 0."""
     p = 1093
     assert pow(2, p - 1, p * p) == 1
-    qp, reads = congruences._qp, []
-    monkeypatch.setattr(congruences, "_qp", lambda c: reads.append(c) or qp(c))
+    qp, reads = congruences.Context.qp, []
+    monkeypatch.setattr(congruences.Context, "qp", lambda c: reads.append(c) or qp(c))
     contexts = ExactContext(p, SpecialCache()), PadicContext(p)
     for check_id in ("T1.2-1.7", "L2.2-2.4", "P2.12", "P2.14", "P2.15", "L3.2-3.3",
                      "L3.3-3.4", "CJ1.2-d", "CJ1.2-d-lit"):
@@ -403,7 +421,7 @@ def test_padic_special_numbers_are_known_mod_p_only():
     zero = PadicContext(16843).bern(16840)
     assert zero.is_zero_marker and zero.val == 1
     ctx = PadicContext(13)
-    for x, exact in ((ctx.bern(10), bernoulli_exact(10)), (ctx.euler_num(10), -50521)):
+    for x, exact in ((ctx.bern(10), bernoulli_exact(10)), (ctx.euler(), -50521)):
         assert (x.val, x.prec) == (0, 1)
         assert x.unit == rat_reduce_mod(exact, 13, 1).value
 
@@ -466,11 +484,11 @@ def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
 
 
 class _FractionContext(ExactContext):
-    """The exact path with its per-k reads as reduced Fractions: the guarded
-    `row_terms` and `harmonic_gaps(n, Fraction)`."""
+    """The exact path with its per-k reads as reduced Fractions: each
+    term's closed form and `harmonic_gaps(n, Fraction)`."""
 
-    def _terms(self, name, a, lo, hi):
-        return list(row_terms(name, a, lo, hi, Fraction, True))
+    def _terms(self, name, lo, hi):
+        return _closed_forms(name, self.p, lo, hi)
 
     def _gaps(self):
         return list(harmonic_gaps(self.n, Fraction))
@@ -501,12 +519,12 @@ def test_row_numerators_step_exact_integers(monkeypatch):
     default the denominator of the last term; a den that is not one, or a
     wrong ratio at any one step, raises."""
     for name, a, lo, hi, den in (("sq_k0", 13, 0, 6, 16 ** 6), ("sq_k0", 13, 0, 6, None),
-                                 ("l21a", 13, 1, 12, None), ("b", 6, 0, 6, None),
+                                 ("l21a", 13, 1, 12, None), ("b", 13, 0, 6, None),
                                  ("prodinger", 9, 1, 9, lcm(*range(1, 19)))):
         den, nums = row_numerators(name, a, lo, hi, den)
-        assert [Fraction(t, den) for t in nums] == list(row_terms(name, a, lo, hi, Fraction, True))
+        assert [Fraction(t, den) for t in nums] == _closed_forms(name, a, lo, hi)
     assert row_numerators("sq_k0", 13, 0, 6)[0] == 2 ** 20  # 16^6 / 2^(2 s(6))
-    assert row_numerators("l21a", 13, 1, 12)[0] == row_numerators("b", 6, 0, 6)[0] == 1
+    assert row_numerators("l21a", 13, 1, 12)[0] == row_numerators("b", 13, 0, 6)[0] == 1
     with pytest.raises(InternalInconsistency, match="'sq_k0' .* remainder"):
         row_numerators("sq_k0", 13, 0, 6, 3)
     # C(2k,k)/k: t_6 = 154 is whole but t_5 = 252/5 is not
@@ -825,15 +843,14 @@ def test_corrupt_special_number_raises_instead_of_failing(table, index):
         run_suite(check_ids("all"), [13], corrupt, padic_limit=0)
 
 
-def test_euler_number_without_a_second_route_is_refused():
-    """The character-sum route covers E_{p-3} only; no other E index above
-    E_0 is read unchecked."""
-    ctx = ExactContext(13, SpecialCache())
-    assert ctx.euler_num(0) == 1 and ctx.euler_num(10) == -50521
-    with pytest.raises(ValueError, match="E_8"):
-        ctx.euler_num(8)
-    with pytest.raises(ValueError, match="E_8"):
-        PadicContext(13).euler_num(8)
+def test_euler_number_is_the_one_the_character_sum_route_covers():
+    """`euler()` is E_{p-3} on both paths, the one index the character-sum
+    route covers, and E_0 = 1 at p = 3."""
+    assert ExactContext(13, SpecialCache()).euler() == -50521
+    padic = PadicContext(13).euler()
+    assert (padic.val, padic.prec, padic.unit) == (0, 1, -50521 % 13)
+    assert ExactContext(3, SpecialCache()).euler() == 1
+    assert PadicContext(3).euler().residue(congruences.PADIC_PREC) == 1
 
 
 def test_tables_are_sized_once_for_the_largest_prime(monkeypatch):

@@ -18,7 +18,7 @@ from congrlab.identities import (
 )
 from congrlab.report import exit_status
 from congrlab.special import harmonic_exact, harmonic_gaps
-from congrlab.sums import row_terms
+from congrlab.sums import SUMS
 
 
 # -- frozen instances -------------------------------------------------------
@@ -60,7 +60,7 @@ def test_sigma_lhs_equals_the_fraction_route():
     H(n+k) - H(n-k) as reduced Fractions, added, for n to 60: 2n + 1 is
     composite at 4, 7, 10, ..., where (n+k)(n-k+1) need not divide L."""
     for n in range(1, 61):
-        terms = row_terms("prodinger", n, 1, n, Fraction, True)
+        terms = [SUMS["prodinger"][0](n, k) for k in range(1, n + 1)]
         expected = sum(t * h for t, h in zip(terms, harmonic_gaps(n, Fraction), strict=True))
         assert identities._sigma_lhs(n) == expected, n
 
