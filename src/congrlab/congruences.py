@@ -32,13 +32,15 @@ from .errors import (
 )
 from .fanout import fan_out
 from .special import (
+    INDEX_MIN,
     SpecialCache,
+    bernoulli_by_index,
     bernoulli_exact,
     bernoulli_mod_p,
-    bernoulli_mod_p_fast,
+    checked_residue,
+    euler_by_index,
     euler_exact,
     euler_mod_p,
-    euler_mod_p_fast,
     harmonic_gap_numerators,
     harmonic_gaps,
 )
@@ -118,7 +120,10 @@ class ExactContext(Context):
     L = lcm(1..p-1).  A per-k value is an int or an `Unreduced` product of
     integer factors over a denominator, built with no gcd, and `residue`
     reduces it factor by factor with one inverse per denominator.  It reads
-    B and E from the tables of `cache`, each checked on its first read.
+    B_i and E_i from a table of `cache` that holds i, else from the
+    triangles below INDEX_MIN, else by index (`bernoulli_by_index`,
+    `euler_by_index`), and checks each value it reads mod p against the
+    power-sum or character-sum route.
     """
 
     def __init__(self, p: int, cache: SpecialCache, sweep: Sweep | None = None):
@@ -145,14 +150,19 @@ class ExactContext(Context):
         return row_sum(name, self.p, lo, hi)
 
     def _bern(self, i: int):
+        value = (bernoulli_exact(i, self.cache) if i in self.cache.bernoulli or i < INDEX_MIN
+                 else bernoulli_by_index(i))
         # a residue that misses the power-sum route raises InternalInconsistency,
         # an engine fault, never a path disagreement
-        bernoulli_mod_p_fast(i, self.p, self.cache)
-        return bernoulli_exact(i, self.cache)
+        checked_residue(f"B_{i}", self.p, "power-sum", bernoulli_mod_p(i, self.p), value)
+        return value
 
     def _euler(self):
-        euler_mod_p_fast(self.p, self.cache)  # against the character-sum route
-        return Fraction(euler_exact(self.p - 3, self.cache))
+        i = self.p - 3
+        value = (euler_exact(i, self.cache) if i in self.cache.euler or i < INDEX_MIN
+                 else euler_by_index(i))
+        checked_residue(f"E_{i}", self.p, "character-sum", euler_mod_p(self.p), value)
+        return Fraction(value)
 
     def div_pp(self, x, s: int):
         """Divide by p^s after asserting the guaranteed valuation."""
@@ -699,12 +709,16 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     primes are cut into min(jobs, len(primes)) blocks of consecutive primes,
     one `fan_out` task each, so that the exact path sweeps each block's
     PRIME_FREE rows as running prefixes (`Sweep`); no row depends on the
-    blocks.  Each task carries the tables, pickled with it when it runs in
-    a worker.  Every special-number residue a context reads is
-    cross-checked on its first read; a mismatch raises
-    InternalInconsistency, since no verdict built on it could be trusted.
-    Both tables are sized once, before any prime, to B_{p-3} and E_{p-3}
-    of the largest prime: grown on demand, a held table would double.
+    blocks.  Each task carries `cache`, pickled with it when it runs in a
+    worker.  Every special-number value a context reads is cross-checked
+    mod p on its first read; a mismatch raises InternalInconsistency, since
+    no verdict built on it could be trusted.
+
+    The tables are sized once, before any prime: grown on demand, a held
+    table would double.  A dense selection sizes them to B_{p-3} and
+    E_{p-3} of the largest prime, and every value comes from them.  A
+    sparse one sizes them to below INDEX_MIN at most, and each worker
+    computes the larger values of its own primes by index.
     """
     ids = list(ids)
     primes = sorted(primes)
@@ -713,8 +727,18 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
             raise UnknownCheck(f"unknown check id {i!r}")
     cache = cache if cache is not None else SpecialCache()
     if primes and primes[-1] >= 3:
-        cache.ensure_bernoulli(primes[-1] - 3)
-        cache.ensure_euler(primes[-1] - 3)
+        top = primes[-1] - 3
+        # The tables to p cost about p^2.8, the three values of one prime by
+        # index about p^2.  Timed alone (2 vCPUs, Python 3.11): tables to 1006
+        # took 0.28 s and the values of 1009 by index 0.011 s; tables to 2000
+        # took 2.1 s and the values of 2003 0.045 s.  So the tables pay from
+        # about p/40 primes on.  7..499 (tables 0.04 s, by index 0.07 s) and
+        # 7..1999 (2.4 s against 4.2 s) keep the tables; 997..1013 (0.29 s
+        # against 0.03 s) and the 13 primes 1901..1999 (2.1 s against
+        # 0.54 s) go by index.
+        size = top if 40 * len(primes) >= primes[-1] else min(top, INDEX_MIN - 1)
+        cache.ensure_bernoulli(size)
+        cache.ensure_euler(size)
 
     blocks = _blocks(primes, min(jobs, len(primes))) if primes else []
     chunks = fan_out(partial(_run_block, ids, padic_limit, cache), blocks, jobs)

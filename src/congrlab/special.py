@@ -1,12 +1,18 @@
 """Bernoulli numbers, Euler numbers and harmonic numbers.
 
-The tables come from the all-integer tangent and secant number triangles
-of Brent & Harvey, "Fast computation of Bernoulli, Tangent and Secant
-numbers" (arXiv:1108.0286).  The residues the congruence suite consumes
-also have routes that read no table: `bernoulli_mod_p` (a power sum) and
-`euler_mod_p` (a character sum).  The p-adic path reads only these; the
-exact path reads the tables and compares each residue with its route
-(`bernoulli_mod_p_fast`, `euler_mod_p_fast`).  A harmonic number is a row
+B_n and E_n have two exact routes.  The tables come from the all-integer
+tangent and secant number triangles of Brent & Harvey, "Fast computation
+of Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286), whose cost to
+index n grows like n^2.8.  The index route gives one value by itself,
+for even n >= INDEX_MIN: B_n from zeta(n) and E_n from the Dirichlet beta
+function, each an Euler product in integer fixed point, with pi from the
+Chudnovsky series (`bernoulli_by_index`, `euler_by_index`).  A run over
+many primes reads the tables, and one over a few large primes reads by
+index.  The residues the congruence suite consumes also have routes that
+read no exact value: `bernoulli_mod_p` (a power sum) and `euler_mod_p` (a
+character sum).  The p-adic path reads only these; the exact path compares
+each value it reads with them (`checked_residue`; `bernoulli_mod_p_fast`
+and `euler_mod_p_fast` compare the tables).  A harmonic number is a row
 of `sums.SUMS`, which each path steps in its own arithmetic; the gaps
 H(n+k) - H(n-k) have two routes, `harmonic_gaps` in the caller's
 arithmetic and `harmonic_gap_numerators` as integers over lcm(1..2n).
@@ -16,9 +22,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import factorial, isqrt, prod
 
-from .arith import Residue, rat_reduce_mod
+from .arith import PrimeRange, Residue, rat_reduce_mod, sieve_primes
 from .errors import InternalInconsistency
 from .sums import SUMS, row_sum
 
@@ -111,6 +117,120 @@ def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
     return cache.euler[n]
 
 
+# -- one special number by index ---------------------------------------------
+
+INDEX_MIN = 60  # the smallest index the index route serves; the triangles serve those below
+_GUARD_BITS = 24  # working bits past the error bound of `_by_index`
+_CHECK_BITS = 8  # a result must lie within 2^-_CHECK_BITS of an integer
+
+
+def _pi_bits(w: int) -> int:
+    """An integer within 2 of pi * 2^w: the Chudnovsky series summed by
+    binary splitting, over math.isqrt(10005 * 4^w)."""
+    def split(a, b):
+        if b - a == 1:
+            if a == 0:
+                return 1, 1, 13591409
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            t = p * (13591409 + 545140134 * a)
+            return p, a ** 3 * 10939058860032000, -t if a & 1 else t  # 640320^3 / 24
+        m = (a + b) // 2
+        p1, q1, t1 = split(a, m)
+        p2, q2, t2 = split(m, b)
+        return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+    _, q, t = split(0, w // 47 + 2)  # each term adds log2(640320^3 / 1728) > 47 bits
+    return 426880 * isqrt(10005 << 2 * w) * q // t
+
+
+def _power(x: int, e: int, k: int, w: int) -> tuple[int, int]:
+    """(m, s) with m * 2^s = (x * 2^e)^k, each product cut to w bits."""
+    m, s = 1, 0
+    for bit in bin(k)[2:]:
+        m, s = m * m, 2 * s
+        if bit == "1":
+            m, s = m * x, s + e
+        cut = m.bit_length() - w
+        if cut > 0:
+            m, s = m >> cut, s + cut
+    return m, s
+
+
+def _euler_product(s: int, w: int, chi) -> int:
+    """L(s, chi) * 2^w, chi a real Dirichlet character, in fixed point: one
+    factor (1 - chi(q) q^-s)^-1 per prime q <= Q, Q the least with
+    Q^(s-1) (s-1) >= 2^w, so the terms k > Q of the series add less
+    than 2^-w."""
+    top = max(2, int(2 ** (w / (s - 1)) / (s - 1) ** (1 / (s - 1))) - 1)
+    while top ** (s - 1) * (s - 1) < 1 << w:
+        top += 1
+    z = 1 << w
+    for q in sieve_primes(PrimeRange(2, top)):
+        if chi(q) > 0:
+            z += z // (q ** s - 1)
+        elif chi(q) < 0:
+            z -= z // (q ** s + 1)
+    return z
+
+
+def _by_index(a: int, c: int, k: int, chi, b: int, what: str) -> int:
+    """The integer V = a L(k, chi) / (c pi)^k, given V < 2^b, from integer
+    fixed point at w = b + bitlen(8k) + _GUARD_BITS bits.
+
+    Error bound, relative to V, each term a multiple of 2^-w:
+    - (c pi)^k: c pi to 2^-w from `_pi_bits`, raised to k, is k 2^-w; the
+      cut at step j of the t = bitlen(k) steps of `_power` loses under
+      2^(1-w) and is raised to 2^(t-j) after it, under 2^t 2^(1-w) <= 4k 2^-w
+      in all;
+    - L(k, chi): each of the K factors loses under 2^(1-w) in a floor (the
+      partial products of beta stay above 1/2), and the primes past Q under
+      2 2^-w, so under (2K + 2) 2^-w; Q < k/2 for k >= INDEX_MIN, so K < k/4.
+    The sum, under 6k + 2 of 2^-w with second-order terms, is below 8k 2^-w,
+    so the result misses V by less than 2^(b - w) 8k <= 2^-_GUARD_BITS.  It
+    is read with _CHECK_BITS + 1 fraction bits, and InternalInconsistency
+    is raised unless it lies within 2^-_CHECK_BITS of an integer: exhausted
+    precision is an engine fault, never a value.
+    """
+    w = b + (8 * k).bit_length() + _GUARD_BITS
+    m, e = _power(c * _pi_bits(w), -w, k, w)
+    f = _CHECK_BITS + 1
+    num, shift = a * _euler_product(k, w, chi), f - w - e  # V = num 2^-w / (m 2^e)
+    r = (num << shift) // m if shift >= 0 else num // (m << -shift)
+    v = (r + (1 << (f - 1))) >> f
+    if abs(r - (v << f)) > 1 << (f - _CHECK_BITS):
+        raise InternalInconsistency(
+            f"{what} by index lies {r - (v << f)}/2^{f} from the nearest integer, "
+            f"not within 2^-{_CHECK_BITS}")
+    return v
+
+
+def bernoulli_by_index(n: int) -> Fraction:
+    """B_n for even n >= INDEX_MIN with no table: |B_n| = 2 n! zeta(n) / (2 pi)^n
+    over the von Staudt-Clausen denominator D, the product of the primes q
+    with q - 1 | n, so |B_n| D is an integer (Fillebrown, J. Algorithms 13,
+    1992)."""
+    if n % 2 or n < INDEX_MIN:
+        raise ValueError(f"need even n >= {INDEX_MIN}")
+    den = prod(q for q in sieve_primes(PrimeRange(2, n + 1)) if n % (q - 1) == 0)
+    a = 2 * factorial(n) * den
+    # zeta(n) < 2 and 2.65 < log2(2 pi)
+    v = _by_index(a, 2, n, lambda q: 1, (2 * a).bit_length() - n * 53 // 20, f"B_{n}")
+    return Fraction(v if n % 4 == 2 else -v, den)
+
+
+def euler_by_index(n: int) -> int:
+    """E_n for even n >= INDEX_MIN with no table:
+    |E_n| = 2^(n+2) n! beta(n+1) / pi^(n+1), beta the Dirichlet beta
+    function, L(s, chi) of the nontrivial character mod 4."""
+    if n % 2 or n < INDEX_MIN:
+        raise ValueError(f"need even n >= {INDEX_MIN}")
+    a = factorial(n) << (n + 2)
+    # beta(n+1) < 1 and 1.65 < log2(pi)
+    v = _by_index(a, 1, n + 1, lambda q: (q % 4 == 1) - (q % 4 == 3),
+                  a.bit_length() - (n + 1) * 33 // 20, f"E_{n}")
+    return v if n % 4 == 0 else -v
+
+
 def harmonic_exact(n: int, order: int = 1) -> Fraction:
     """H_n^(m) = sum_{0<k<=n} 1/k^m, exactly: row h{m} of SUMS summed by
     binary splitting, and 0 at n = 0."""
@@ -138,9 +258,15 @@ def harmonic_gap_numerators(n: int) -> tuple[int, list[int]]:
     Each A_k adds L/(n+k) + L/(n-k+1) to the last, two exact divisions:
     their product (n+k)(n-k+1), the denominator `harmonic_gaps` steps by,
     divides L only when 2n+1 is prime.  At n = (p-1)/2, L = lcm(1..p-1) is
-    prime to p.
+    prime to p.  L is the product of the largest power of each prime q
+    that is at most 2n.
     """
-    L = lcm(*range(1, 2 * n + 1))
+    L = 1
+    for q in sieve_primes(PrimeRange(0, 2 * n)):
+        power = q
+        while power * q <= 2 * n:
+            power *= q
+        L *= power
     return L, list(accumulate(L // (n + k) + L // (n - k + 1) for k in range(1, n + 1)))
 
 
@@ -167,23 +293,26 @@ def euler_mod_p(p: int) -> int:
     return 2 * half % p
 
 
+def checked_residue(what: str, p: int, route: str, fast: int, value) -> Residue:
+    """The residue mod p of `value`, an int or Fraction, which must be
+    `fast`, the residue the named route gave; a mismatch raises
+    InternalInconsistency."""
+    exact = rat_reduce_mod(value, p, 1).value
+    if fast != exact:
+        raise InternalInconsistency(
+            f"{what} mod {p}: {route} route {fast} != exact route {exact}")
+    return Residue(p, 1, fast)
+
+
 def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> Residue:
     """B_m mod p by the power-sum route, compared with the tangent-number
     table; the two routes must agree."""
-    fast = bernoulli_mod_p(m, p)
-    exact = rat_reduce_mod(bernoulli_exact(m, cache), p, 1).value
-    if fast != exact:
-        raise InternalInconsistency(
-            f"B_{m} mod {p}: power-sum route {fast} != exact route {exact}")
-    return Residue(p, 1, fast)
+    return checked_residue(f"B_{m}", p, "power-sum", bernoulli_mod_p(m, p),
+                           bernoulli_exact(m, cache))
 
 
 def euler_mod_p_fast(p: int, cache: SpecialCache | None = None) -> Residue:
     """E_{p-3} mod p by the character-sum route, compared with the
     secant-number table; the two routes must agree."""
-    fast = euler_mod_p(p)
-    exact = euler_exact(p - 3, cache) % p
-    if fast != exact:
-        raise InternalInconsistency(
-            f"E_{p - 3} mod {p}: character-sum route {fast} != exact route {exact}")
-    return Residue(p, 1, fast)
+    return checked_residue(f"E_{p - 3}", p, "character-sum", euler_mod_p(p),
+                           euler_exact(p - 3, cache))

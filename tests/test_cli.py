@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from congrlab import congruences
 from congrlab.cli import parse_and_run
 from congrlab.congruences import CheckResult, evaluate_check
 from congrlab.fanout import available_cpus
@@ -185,6 +186,28 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
         assert code == 2
         assert captured.out == ""
         assert "B_4 mod 7" in captured.err
+
+
+@pytest.mark.parametrize("route, index, check", [
+    ("bernoulli_by_index", 994, "T1.1-1.1"),
+    ("bernoulli_by_index", 992, "CJ1.1-b"),
+    ("euler_by_index", 994, "X-S11c-b"),
+], ids=["B_p-3", "B_p-5", "E_p-3"])
+def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route, index,
+                                                      check):
+    """997 and 1009 alone are a sparse selection, so their special numbers
+    come by index; one off by one at 997 is an engine fault, in this
+    process and in a pool worker."""
+    by_index = getattr(congruences, route)
+    monkeypatch.setattr(congruences, route,
+                        lambda n: by_index(n) + (n == index))
+    for jobs in ("1", "2"):
+        code = parse_and_run(["verify", "--primes", "997:1009", "--checks", check,
+                              "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"_{index} mod 997" in captured.err
 
 
 def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):

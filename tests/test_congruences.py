@@ -380,7 +380,7 @@ def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
 
     for name in ("bernoulli_exact", "euler_exact", "harmonic_exact"):
         monkeypatch.setattr(special, name, refuse)
-    for name in ("bernoulli_exact", "euler_exact"):
+    for name in ("bernoulli_exact", "euler_exact", "bernoulli_by_index", "euler_by_index"):
         monkeypatch.setattr(congruences, name, refuse)
     for name in ("row_sum", "row_numerators", "Sweep"):
         monkeypatch.setattr(congruences, name, refuse)
@@ -853,19 +853,34 @@ def test_euler_number_is_the_one_the_character_sum_route_covers():
     assert PadicContext(3).euler().residue(congruences.PADIC_PREC) == 1
 
 
-def test_tables_are_sized_once_for_the_largest_prime(monkeypatch):
-    """Grown on demand, a held table would double: the large-prime run would
-    build B and E to index 1988, not 1010."""
-    built = []
+def test_tables_follow_the_shape_of_the_selection(monkeypatch):
+    """A dense selection builds each triangle once, to B_{p-3} and E_{p-3}
+    of its largest prime, and reads every value from it: grown on demand, a
+    held table would double.  A sparse one, the large-prime window, builds
+    no triangle above INDEX_MIN and reads its values by index."""
+    built, by_index = [], []
     for name in ("_tangent_numbers", "_secant_numbers"):
         triangle = getattr(special, name)
         monkeypatch.setattr(special, name,
                             lambda k, name=name, triangle=triangle:
                             built.append((name, k)) or triangle(k))
+    for name in ("bernoulli_by_index", "euler_by_index"):
+        route = getattr(congruences, name)
+        monkeypatch.setattr(congruences, name,
+                            lambda n, route=route: by_index.append(n) or route(n))
     cache = SpecialCache()
-    run_suite(check_ids("proven"), [997, 1009, 1013], cache)
-    assert built == [("_tangent_numbers", 505), ("_secant_numbers", 505)]
-    assert max(cache.bernoulli) == max(cache.euler) == 1010
+    run_suite(check_ids("all"), sieve_primes(PrimeRange(7, 499)), cache)
+    assert built == [("_tangent_numbers", 248), ("_secant_numbers", 248)]
+    assert max(cache.bernoulli) == max(cache.euler) == 496
+    assert by_index == []
+
+    built.clear()
+    cache = SpecialCache()
+    run_suite(check_ids("all"), [997, 1009, 1013], cache)
+    assert all(2 * k < special.INDEX_MIN for _, k in built)
+    assert max(cache.bernoulli) < special.INDEX_MIN
+    # B_{p-3}, B_{p-5} and E_{p-3}, each read once at its prime
+    assert sorted(by_index) == sorted(i for p in (997, 1009, 1013) for i in (p - 3, p - 5, p - 3))
 
 
 def test_direct_evaluation_cross_checks_special_numbers():

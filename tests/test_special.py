@@ -8,6 +8,7 @@ import pytest
 
 from congrlab import special
 from congrlab.arith import PAdic, PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
+from congrlab.errors import InternalInconsistency
 from congrlab.special import (
     SpecialCache,
     bernoulli_exact,
@@ -137,6 +138,46 @@ def test_tables_satisfy_defining_recurrences_to_300():
         assert sum(comb(2 * m, 2 * k) * e[2 * k] for k in range(m + 1)) == 0
 
 
+# -- special numbers by index ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def tables_to_2008():
+    cache = SpecialCache()
+    cache.ensure_bernoulli(2008)
+    cache.ensure_euler(2008)
+    return cache
+
+
+def test_index_route_equals_the_triangles(tables_to_2008):
+    """At every even n from INDEX_MIN to 600, and at every index p - 3 and
+    p - 5 the large-prime windows and 1999..2011 read."""
+    indices = set(range(special.INDEX_MIN, 601, 2))
+    for lo, hi in ((997, 1013), (1009, 1019), (1999, 2011)):
+        indices |= {i for p in sieve_primes(PrimeRange(lo, hi)) for i in (p - 3, p - 5)}
+    for n in sorted(indices):
+        assert special.bernoulli_by_index(n) == tables_to_2008.bernoulli[n], n
+        assert special.euler_by_index(n) == tables_to_2008.euler[n], n
+
+
+def test_index_route_domain():
+    for n in (special.INDEX_MIN - 2, special.INDEX_MIN + 1):
+        for route in (special.bernoulli_by_index, special.euler_by_index):
+            with pytest.raises(ValueError):
+                route(n)
+
+
+@pytest.mark.parametrize("n", [60, 98, 994, 1006])
+def test_index_route_with_too_few_guard_bits_raises(monkeypatch, n):
+    """48 working bits short of the default, where the error bound allows a
+    miss of up to 2^24, each result lands within 2^-8 of no integer: an
+    engine fault, never a value."""
+    monkeypatch.setattr(special, "_GUARD_BITS", -24)
+    for route in (special.bernoulli_by_index, special.euler_by_index):
+        with pytest.raises(InternalInconsistency, match="by index"):
+            route(n)
+
+
 # -- harmonic numbers ----------------------------------------------------------
 
 
@@ -179,10 +220,15 @@ def test_harmonic_gaps_match_exact_differences():
         gaps = [_gap(n, k) for k in range(1, n + 1)]
         assert list(harmonic_gaps(n, Fraction)) == gaps
         L, nums = harmonic_gap_numerators(n)
-        assert L == lcm(*range(1, 2 * n + 1))
         assert [Fraction(a, L) for a in nums] == gaps
     assert list(harmonic_gaps(0, Fraction)) == []
     assert harmonic_gap_numerators(0) == (1, [])
+
+
+def test_harmonic_gap_denominator_is_the_lcm():
+    """L is built from prime powers, and is lcm(1..2n) for every n <= 300."""
+    for n in range(301):
+        assert harmonic_gap_numerators(n)[0] == lcm(*range(1, 2 * n + 1))
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 61)))
