@@ -31,7 +31,6 @@ from .special import (
     bernoulli_exact,
     bernoulli_mod_p_fast,
     euler_exact,
-    euler_mod_p_fast,
     harmonic_exact,
 )
 

@@ -120,9 +120,9 @@ class ExactContext(Context):
     L = lcm(1..p-1).  A per-k value is an int or an `Unreduced` product of
     integer factors over a denominator, built with no gcd, and `residue`
     reduces it factor by factor with one inverse per denominator.  It reads
-    B_i and E_i from a table of `cache` that holds i, else from the
-    triangles below INDEX_MIN, else by index (`bernoulli_by_index`,
-    `euler_by_index`), and checks each value it reads mod p against the
+    B_i and E_i from the tables of `cache` below INDEX_MIN and by index
+    (`bernoulli_by_index`, `euler_by_index`) from INDEX_MIN up, whatever
+    `cache` holds, and checks each value it reads mod p against the
     power-sum or character-sum route.
     """
 
@@ -141,7 +141,11 @@ class ExactContext(Context):
         return nums if den == 1 else [Unreduced((t,), den) for t in nums]
 
     def _gaps(self) -> list:
+        # the last gap is H_{p-1}, which the Sweep reads by another route
         L, nums = harmonic_gap_numerators(self.n)
+        if Fraction(nums[-1], L) != self.S("h1", 1, self.p - 1):
+            raise InternalInconsistency(
+                f"p={self.p}: harmonic gap A_{self.n}/L != H_{self.p - 1}")
         return [Unreduced((A,), L) for A in nums]
 
     def _row_sum(self, name: str, lo: int, hi: int):
@@ -150,8 +154,7 @@ class ExactContext(Context):
         return row_sum(name, self.p, lo, hi)
 
     def _bern(self, i: int):
-        value = (bernoulli_exact(i, self.cache) if i in self.cache.bernoulli or i < INDEX_MIN
-                 else bernoulli_by_index(i))
+        value = bernoulli_exact(i, self.cache) if i < INDEX_MIN else bernoulli_by_index(i)
         # a residue that misses the power-sum route raises InternalInconsistency,
         # an engine fault, never a path disagreement
         checked_residue(f"B_{i}", self.p, "power-sum", bernoulli_mod_p(i, self.p), value)
@@ -159,8 +162,7 @@ class ExactContext(Context):
 
     def _euler(self):
         i = self.p - 3
-        value = (euler_exact(i, self.cache) if i in self.cache.euler or i < INDEX_MIN
-                 else euler_by_index(i))
+        value = euler_exact(i, self.cache) if i < INDEX_MIN else euler_by_index(i)
         checked_residue(f"E_{i}", self.p, "character-sum", euler_mod_p(self.p), value)
         return Fraction(value)
 
@@ -714,11 +716,9 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     mod p on its first read; a mismatch raises InternalInconsistency, since
     no verdict built on it could be trusted.
 
-    The tables are sized once, before any prime: grown on demand, a held
-    table would double.  A dense selection sizes them to B_{p-3} and
-    E_{p-3} of the largest prime, and every value comes from them.  A
-    sparse one sizes them to below INDEX_MIN at most, and each worker
-    computes the larger values of its own primes by index.
+    The tables are sized once, before any prime, to below INDEX_MIN at
+    most: grown on demand, a held table would double.  Each worker computes
+    the values from INDEX_MIN up of its own primes by index.
     """
     ids = list(ids)
     primes = sorted(primes)
@@ -727,16 +727,7 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
             raise UnknownCheck(f"unknown check id {i!r}")
     cache = cache if cache is not None else SpecialCache()
     if primes and primes[-1] >= 3:
-        top = primes[-1] - 3
-        # The tables to p cost about p^2.8, the three values of one prime by
-        # index about p^2.  Timed alone (2 vCPUs, Python 3.11): tables to 1006
-        # took 0.28 s and the values of 1009 by index 0.011 s; tables to 2000
-        # took 2.1 s and the values of 2003 0.045 s.  So the tables pay from
-        # about p/40 primes on.  7..499 (tables 0.04 s, by index 0.07 s) and
-        # 7..1999 (2.4 s against 4.2 s) keep the tables; 997..1013 (0.29 s
-        # against 0.03 s) and the 13 primes 1901..1999 (2.1 s against
-        # 0.54 s) go by index.
-        size = top if 40 * len(primes) >= primes[-1] else min(top, INDEX_MIN - 1)
+        size = min(primes[-1] - 3, INDEX_MIN - 1)
         cache.ensure_bernoulli(size)
         cache.ensure_euler(size)
 

@@ -1,21 +1,21 @@
 """Bernoulli numbers, Euler numbers and harmonic numbers.
 
-B_n and E_n have two exact routes.  The tables come from the all-integer
-tangent and secant number triangles of Brent & Harvey, "Fast computation
-of Bernoulli, Tangent and Secant numbers" (arXiv:1108.0286), whose cost to
-index n grows like n^2.8.  The index route gives one value by itself,
-for even n >= INDEX_MIN: B_n from zeta(n) and E_n from the Dirichlet beta
-function, each an Euler product in integer fixed point, with pi from the
-Chudnovsky series (`bernoulli_by_index`, `euler_by_index`).  A run over
-many primes reads the tables, and one over a few large primes reads by
-index.  The residues the congruence suite consumes also have routes that
-read no exact value: `bernoulli_mod_p` (a power sum) and `euler_mod_p` (a
-character sum).  The p-adic path reads only these; the exact path compares
-each value it reads with them (`checked_residue`; `bernoulli_mod_p_fast`
-and `euler_mod_p_fast` compare the tables).  A harmonic number is a row
-of `sums.SUMS`, which each path steps in its own arithmetic; the gaps
-H(n+k) - H(n-k) have two routes, `harmonic_gaps` in the caller's
-arithmetic and `harmonic_gap_numerators` as integers over lcm(1..2n).
+B_n and E_n have two exact routes, and the index alone picks one.  Below
+INDEX_MIN they come from tables: the all-integer tangent and secant number
+triangles of Brent & Harvey, "Fast computation of Bernoulli, Tangent and
+Secant numbers" (arXiv:1108.0286), whose cost to index n grows like n^2.8.
+From INDEX_MIN up the index route gives each value by itself: B_n from
+zeta(n) and E_n from the Dirichlet beta function, each an Euler product in
+integer fixed point, with pi from the Chudnovsky series, held once per
+process (`bernoulli_by_index`, `euler_by_index`).  The residues the
+congruence suite consumes also have routes that read no exact value:
+`bernoulli_mod_p` (a power sum) and `euler_mod_p` (a character sum).  The
+p-adic path reads only these; the exact path compares each value it reads
+with them (`checked_residue`; `bernoulli_mod_p_fast` compares the table).
+A harmonic number is a row of `sums.SUMS`, which each path steps in its
+own arithmetic; the gaps H(n+k) - H(n-k) have two routes, `harmonic_gaps`
+in the caller's arithmetic and `harmonic_gap_numerators` as integers over
+lcm(1..2n).
 """
 
 from __future__ import annotations
@@ -122,11 +122,19 @@ def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
 INDEX_MIN = 60  # the smallest index the index route serves; the triangles serve those below
 _GUARD_BITS = 24  # working bits past the error bound of `_by_index`
 _CHECK_BITS = 8  # a result must lie within 2^-_CHECK_BITS of an integer
+_PI = [0, 0]  # [w, an integer within 2 of pi * 2^w]: the most precise pi this process holds
 
 
 def _pi_bits(w: int) -> int:
-    """An integer within 2 of pi * 2^w: the Chudnovsky series summed by
-    binary splitting, over math.isqrt(10005 * 4^w)."""
+    """An integer within 2 of pi * 2^w, the bound `_by_index` assumes.
+
+    It is the held value shifted down, when the process holds pi to w bits
+    or more: a floor of x / 2^s with x within 2 of pi * 2^(w+s) is within
+    1 + 2^(1-s) <= 2 of pi * 2^w.  Otherwise pi is computed afresh, to at
+    least twice the held bits, so a run of rising w computes it O(log w)
+    times: the Chudnovsky series summed by binary splitting, over
+    math.isqrt(10005 * 4^w).
+    """
     def split(a, b):
         if b - a == 1:
             if a == 0:
@@ -139,8 +147,11 @@ def _pi_bits(w: int) -> int:
         p2, q2, t2 = split(m, b)
         return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
 
-    _, q, t = split(0, w // 47 + 2)  # each term adds log2(640320^3 / 1728) > 47 bits
-    return 426880 * isqrt(10005 << 2 * w) * q // t
+    if w > _PI[0]:
+        top = max(w, 2 * _PI[0])
+        _, q, t = split(0, top // 47 + 2)  # each term adds log2(640320^3 / 1728) > 47 bits
+        _PI[:] = top, 426880 * isqrt(10005 << 2 * top) * q // t
+    return _PI[1] >> (_PI[0] - w)
 
 
 def _power(x: int, e: int, k: int, w: int) -> tuple[int, int]:
@@ -309,10 +320,3 @@ def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> R
     table; the two routes must agree."""
     return checked_residue(f"B_{m}", p, "power-sum", bernoulli_mod_p(m, p),
                            bernoulli_exact(m, cache))
-
-
-def euler_mod_p_fast(p: int, cache: SpecialCache | None = None) -> Residue:
-    """E_{p-3} mod p by the character-sum route, compared with the
-    secant-number table; the two routes must agree."""
-    return checked_residue(f"E_{p - 3}", p, "character-sum", euler_mod_p(p),
-                           euler_exact(p - 3, cache))

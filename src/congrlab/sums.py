@@ -27,12 +27,14 @@ rather than a value both paths agree on.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, prod
 
 from .arith import vp_int
 from .errors import InternalInconsistency
 
 
+@lru_cache(maxsize=16)  # the guards at one sweep cursor read the same C(2k, k)
 def _c(k):
     return comb(2 * k, k)
 
@@ -73,15 +75,15 @@ SUMS = {
            lambda p, k: (2 * (2 * k + 1) * k, (k + 1) ** 2)),
     "inv_k2": (lambda p, k: Fraction(1, k * k * _c(k)),
                lambda p, k: (k * k, 2 * (2 * k + 1) * (k + 1))),
-    "quad": (lambda p, k: Fraction(_c(k) * comb(4 * k, 2 * k), k * 64 ** k),
+    "quad": (lambda p, k: Fraction(_c(k) * _c(2 * k), k * 64 ** k),
              lambda p, k: ((4 * k + 1) * (4 * k + 3) * k, 16 * (k + 1) ** 3)),
-    "inv_quad": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, 2 * k)),
+    "inv_quad": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * _c(2 * k)),
                  lambda p, k: (16 * k ** 3, (k + 1) * (4 * k + 1) * (4 * k + 3))),
     "inv_quad_lit": (lambda p, k: Fraction(64 ** k, k ** 3 * _c(k) * comb(4 * k, k)),
                      lambda p, k: (12 * k ** 3 * (3 * k + 1) * (3 * k + 2),
                                    (k + 1) * (2 * k + 1) ** 2 * (4 * k + 1) * (4 * k + 3))),
     "inv_quad_shifted": (
-        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, 2 * k)),
+        lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * _c(2 * k)),
         lambda p, k: (16 * (2 * k - 1) * k * k, (2 * k + 1) * (4 * k + 1) * (4 * k + 3))),
     "inv_quad_shifted_lit": (
         lambda p, k: Fraction(64 ** k, (2 * k - 1) * k * k * _c(k) * comb(4 * k, k)),

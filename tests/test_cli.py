@@ -195,9 +195,8 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
 ], ids=["B_p-3", "B_p-5", "E_p-3"])
 def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route, index,
                                                       check):
-    """997 and 1009 alone are a sparse selection, so their special numbers
-    come by index; one off by one at 997 is an engine fault, in this
-    process and in a pool worker."""
+    """The special numbers of 997 and 1009 come by index; one off by one at
+    997 is an engine fault, in this process and in a pool worker."""
     by_index = getattr(congruences, route)
     monkeypatch.setattr(congruences, route,
                         lambda n: by_index(n) + (n == index))
@@ -208,6 +207,26 @@ def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route
         assert code == 2
         assert captured.out == ""
         assert f"_{index} mod 997" in captured.err
+
+
+def test_cli_wrong_harmonic_gap_step_exits_2_without_rows(monkeypatch, capsys):
+    """One step of the exact gaps' accumulation off by one at p = 101, above
+    the p-adic limit, misses H_{p-1} in their last numerator: an engine
+    fault, in this process and in a pool worker."""
+    gaps = congruences.harmonic_gap_numerators
+
+    def wrong_step(n, k=10):
+        L, nums = gaps(n)
+        return L, nums[:k - 1] + [A + (n == 50) for A in nums[k - 1:]]
+
+    monkeypatch.setattr(congruences, "harmonic_gap_numerators", wrong_step)
+    for jobs in ("1", "2"):
+        code = parse_and_run(["verify", "--primes", "101:103", "--checks", "PS11c-3.2",
+                              "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "p=101: harmonic gap A_50/L != H_100" in captured.err
 
 
 def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):

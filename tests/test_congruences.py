@@ -853,11 +853,11 @@ def test_euler_number_is_the_one_the_character_sum_route_covers():
     assert PadicContext(3).euler().residue(congruences.PADIC_PREC) == 1
 
 
-def test_tables_follow_the_shape_of_the_selection(monkeypatch):
-    """A dense selection builds each triangle once, to B_{p-3} and E_{p-3}
-    of its largest prime, and reads every value from it: grown on demand, a
-    held table would double.  A sparse one, the large-prime window, builds
-    no triangle above INDEX_MIN and reads its values by index."""
+def test_special_numbers_from_index_60_up_come_by_index(monkeypatch):
+    """The index alone picks the route.  A run builds each triangle once,
+    below INDEX_MIN, and reads every B_{p-3}, B_{p-5} and E_{p-3} from
+    INDEX_MIN up by index, once at its prime, even from a cache whose
+    tables hold it."""
     built, by_index = [], []
     for name in ("_tangent_numbers", "_secant_numbers"):
         triangle = getattr(special, name)
@@ -867,20 +867,26 @@ def test_tables_follow_the_shape_of_the_selection(monkeypatch):
     for name in ("bernoulli_by_index", "euler_by_index"):
         route = getattr(congruences, name)
         monkeypatch.setattr(congruences, name,
-                            lambda n, route=route: by_index.append(n) or route(n))
-    cache = SpecialCache()
-    run_suite(check_ids("all"), sieve_primes(PrimeRange(7, 499)), cache)
-    assert built == [("_tangent_numbers", 248), ("_secant_numbers", 248)]
-    assert max(cache.bernoulli) == max(cache.euler) == 496
-    assert by_index == []
-
-    built.clear()
-    cache = SpecialCache()
-    run_suite(check_ids("all"), [997, 1009, 1013], cache)
-    assert all(2 * k < special.INDEX_MIN for _, k in built)
-    assert max(cache.bernoulli) < special.INDEX_MIN
-    # B_{p-3}, B_{p-5} and E_{p-3}, each read once at its prime
-    assert sorted(by_index) == sorted(i for p in (997, 1009, 1013) for i in (p - 3, p - 5, p - 3))
+                            lambda n, name=name, route=route:
+                            by_index.append((name, n)) or route(n))
+    held = SpecialCache()
+    held.ensure_bernoulli(496)
+    held.ensure_euler(496)
+    to_499 = sieve_primes(PrimeRange(7, 499))
+    for primes, cache, triangles in (
+            (to_499, SpecialCache(), [("_tangent_numbers", 29), ("_secant_numbers", 29)]),
+            (to_499, held, []),
+            ([997, 1009, 1013], SpecialCache(),
+             [("_tangent_numbers", 29), ("_secant_numbers", 29)])):
+        built.clear()
+        by_index.clear()
+        run_suite(check_ids("all"), primes, cache, padic_limit=0)
+        assert built == triangles
+        assert sorted(by_index) == sorted(
+            (name, i) for p in primes
+            for name, i in (("bernoulli_by_index", p - 3), ("bernoulli_by_index", p - 5),
+                            ("euler_by_index", p - 3))
+            if i >= special.INDEX_MIN)
 
 
 def test_direct_evaluation_cross_checks_special_numbers():

@@ -16,7 +16,6 @@ from congrlab.special import (
     bernoulli_mod_p_fast,
     euler_exact,
     euler_mod_p,
-    euler_mod_p_fast,
     harmonic_exact,
     harmonic_gap_numerators,
     harmonic_gaps,
@@ -108,15 +107,14 @@ def test_euler_odd_indices_vanish():
         assert euler_exact(n) == 0
 
 
-def test_euler_mod_p_fast_agrees_with_exact_up_to_199():
+def test_euler_mod_p_agrees_with_exact_up_to_199():
     for p in sieve_primes(PrimeRange(7, 199)):
-        # the character-sum route raises InternalInconsistency on any mismatch
-        assert euler_mod_p_fast(p).value == euler_exact(p - 3) % p
+        assert euler_mod_p(p) == euler_exact(p - 3) % p
 
 
-def test_euler_mod_p_fast_domain():
+def test_euler_mod_p_domain():
     with pytest.raises(ValueError):
-        euler_mod_p_fast(3)
+        euler_mod_p(3)
 
 
 def test_euler_are_odd_integers_at_even_index():
@@ -176,6 +174,30 @@ def test_index_route_with_too_few_guard_bits_raises(monkeypatch, n):
     for route in (special.bernoulli_by_index, special.euler_by_index):
         with pytest.raises(InternalInconsistency, match="by index"):
             route(n)
+
+
+def test_held_pi_stays_within_2_of_pi(monkeypatch):
+    """`_pi_bits(w)` shifts pi down from the most precise value the process
+    holds.  Asked at rising, falling and repeated w, each value is within 2
+    of pi * 2^w, read from a fresh Chudnovsky value 64 bits more precise,
+    and a run of rising w computes pi once per doubling."""
+    widths = (100, 3000, 3001, 50, 3001, 9000, 7, 9000, 8999, 12000)
+
+    def fresh(w):
+        monkeypatch.setattr(special, "_PI", [0, 0])
+        return special._pi_bits(w)
+
+    reference = {w: fresh(w + 64) for w in set(widths)}
+    monkeypatch.setattr(special, "_PI", [0, 0])
+    for w in widths:
+        assert abs((special._pi_bits(w) << 64) - reference[w]) <= (2 << 64) + 2, w
+
+    monkeypatch.setattr(special, "_PI", [0, 0])
+    held = set()
+    for w in range(1000, 4000, 7):
+        special._pi_bits(w)
+        held.add(special._PI[0])
+    assert held == {1000, 2000, 4000}
 
 
 # -- harmonic numbers ----------------------------------------------------------

@@ -7,15 +7,13 @@ workload of BENCHMARK.json the script runs `bench/run.py` in both checkouts
 for the `run_seconds` BENCHMARK.json sets, in PAIRS pairs that alternate which
 side runs first, and keeps every result line.
 Then, in one process per checkout and run, it times the exact and the
-p-adic path (`_compare_pairs` of every check, tables excluded) over whole
-prime ranges at --jobs 1, each range as the median of RANGE_REPEATS runs
-that alternate which side runs first, and fits each path's cost-vs-p
-exponent over single primes, each timed as the median of EXPONENT_REPEATS
-runs.  Last, in the change's checkout, it times both routes to the special
-numbers, the tables and the values by index, for each of
-SPECIAL_SELECTIONS, each the median of SPECIAL_REPEATS runs: the evidence
-for the route `run_suite` picks.  Run it on an otherwise idle machine:
-every number is wall time.
+p-adic path (`_compare_pairs` of every check) and the exact path's special
+numbers (`ExactContext._bern` and `_euler`, left out of the exact path's
+seconds) over whole prime ranges at --jobs 1, each range as the median of
+RANGE_REPEATS runs that alternate which side runs first, and fits each
+path's cost-vs-p exponent over single primes, each timed as the median of
+EXPONENT_REPEATS runs.  Run it on an otherwise idle machine: every number
+is wall time.
 """
 
 from __future__ import annotations
@@ -42,71 +40,42 @@ EXPONENT_PRIMES = (251, 503, 1009, 2003)
 EXPONENT_REPEATS = 3  # the seconds at each prime are the median of this many runs
 
 # Times each path's _compare_pairs, all checks, at every prime of argv[1]
-# (a range lo:hi or a list p,q,...); prints {"exact": {p: s}, "padic": {p: s}}.
+# (a range lo:hi or a list p,q,...), and the exact path's B and E reads on
+# their own; prints {"exact": {p: s}, "padic": {p: s}, "special": {p: s}}.
 PATHS_CODE = """
 import json, sys, time
 from congrlab import congruences as C
 from congrlab.arith import PrimeRange, sieve_primes
-from congrlab.special import SpecialCache
 arg = sys.argv[1]
 if ":" in arg:
     primes = sieve_primes(PrimeRange(*map(int, arg.split(":"))))
 else:
     primes = [int(p) for p in arg.split(",")]
-hi = max(primes)
-cache = SpecialCache()
-cache.ensure_bernoulli(hi)
-cache.ensure_euler(hi)
-spent = {"exact": {}, "padic": {}}
+spent = {"exact": {}, "padic": {}, "special": {}}
+def add(side, p, seconds):
+    spent[side][p] = spent[side].get(p, 0.0) + seconds
 compare = C._compare_pairs
 def timed(ctx, spec):
-    start = time.perf_counter()
+    start, special = time.perf_counter(), spent["special"].get(ctx.p, 0.0)
     try:
         return compare(ctx, spec)
     finally:
-        side = spent["padic" if isinstance(ctx, C.PadicContext) else "exact"]
-        side[ctx.p] = side.get(ctx.p, 0.0) + time.perf_counter() - start
+        # the B and E reads inside count as special only
+        add("padic" if isinstance(ctx, C.PadicContext) else "exact", ctx.p,
+            time.perf_counter() - start - (spent["special"].get(ctx.p, 0.0) - special))
+def reading(read):
+    def timed_read(ctx, *args):
+        start = time.perf_counter()
+        try:
+            return read(ctx, *args)
+        finally:
+            add("special", ctx.p, time.perf_counter() - start)
+    return timed_read
 C._compare_pairs = timed
-C.run_suite(C.check_ids("all"), primes, cache, padic_limit=hi, jobs=1)
+for name in ("_bern", "_euler"):
+    setattr(C.ExactContext, name, reading(getattr(C.ExactContext, name)))
+C.run_suite(C.check_ids("all"), primes, padic_limit=max(primes), jobs=1)
 print(json.dumps(spent))
-"""
-
-
-# The selections whose special numbers SPECIAL_CODE times: the bench's verify
-# workloads (all three large-prime windows), a dense range to 1999, a window
-# of 13 primes near 2000 and one large prime, where the routes part ways.
-SPECIAL_SELECTIONS = ("3:251", "7:499", "997:1013", "991:1009", "1009:1019",
-                      "7:1999", "1901:1999", "4001:4001")
-SPECIAL_REPEATS = 3  # the seconds of each route are the median of this many runs
-
-# Times both routes to the special numbers a run over argv[1] (lo:hi) reads,
-# B_{p-3}, B_{p-5} and E_{p-3} at every prime: the tables to the largest
-# p - 3, and the values by index, the triangles below INDEX_MIN; prints
-# {"primes": count, "largest": p, "tables_s": s, "index_s": s}.
-SPECIAL_CODE = """
-import json, sys, time
-from congrlab import special as S
-from congrlab.arith import PrimeRange, sieve_primes
-primes = sieve_primes(PrimeRange(*map(int, sys.argv[1].split(":"))))
-top = primes[-1] - 3
-start = time.perf_counter()
-tables = S.SpecialCache()
-tables.ensure_bernoulli(top)
-tables.ensure_euler(top)
-tables_s = time.perf_counter() - start
-start = time.perf_counter()
-small = S.SpecialCache()
-small.ensure_bernoulli(min(top, S.INDEX_MIN - 1))
-small.ensure_euler(min(top, S.INDEX_MIN - 1))
-for p in primes:
-    for i in (p - 3, p - 5):
-        if i >= S.INDEX_MIN:
-            S.bernoulli_by_index(i)
-    if p - 3 >= S.INDEX_MIN:
-        S.euler_by_index(p - 3)
-index_s = time.perf_counter() - start
-print(json.dumps({"primes": len(primes), "largest": primes[-1], "tables_s": tables_s,
-                  "index_s": index_s}))
 """
 
 
@@ -122,13 +91,6 @@ def path_seconds(tree: Path, primes: str) -> dict:
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
     return {side: {int(p): s for p, s in per.items()} for side, per in json.loads(out).items()}
-
-
-def special_seconds(tree: Path, primes: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", SPECIAL_CODE, primes], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
-    return json.loads(out)
 
 
 def sides_in_order(i: int) -> tuple[str, str]:
@@ -198,13 +160,6 @@ def main() -> int:
             per = {p: statistics.median(r[path][p] for r in repeats) for p in EXPONENT_PRIMES}
             exponents[side][path] = {"seconds": per, "exponent": cost_exponent(per)}
 
-    special_routes = {}
-    for selection in SPECIAL_SELECTIONS:
-        runs = [special_seconds(trees["change"], selection) for _ in range(SPECIAL_REPEATS)]
-        special_routes[selection] = {
-            **{key: runs[0][key] for key in ("primes", "largest")},
-            **{key: statistics.median(r[key] for r in runs) for key in ("tables_s", "index_s")}}
-
     args.out.write_text(json.dumps({
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "settings": {"pairs": PAIRS, "seconds": seconds, "range_repeats": RANGE_REPEATS,
@@ -214,7 +169,6 @@ def main() -> int:
         "path_seconds_jobs1": paths,
         "cost_exponent": {"primes": list(EXPONENT_PRIMES), "repeats": EXPONENT_REPEATS,
                       **exponents},
-        "special_routes_change": {"repeats": SPECIAL_REPEATS, **special_routes},
     }, indent=1, sort_keys=True) + "\n")
     return 0
 
