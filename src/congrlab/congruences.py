@@ -17,9 +17,9 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import accumulate
-from math import comb
+from math import comb, isqrt
 
 from .arith import PAdic, Unreduced, vp_rational
 from .arith import reduce_mod as rat_reduce_mod  # the name bench/tracer.py wraps
@@ -42,7 +42,6 @@ from .special import (
     euler_exact,
     euler_mod_p,
     harmonic_gap_numerators,
-    harmonic_gaps,
 )
 from .sums import PRIME_FREE, Sweep, row_numerators, row_padic, row_sum
 
@@ -196,7 +195,8 @@ class PadicContext(Context):
       `PAdic.sum_terms`, whose precision cap is the one sequential addition
       would give.  A range with lo <= n < hi is the sum of its halves lo..n
       and n+1..hi, each read through the memo, so no k of a row is stepped
-      twice at one prime; the halves add to that same cap.
+      twice at one prime; the halves add to that same cap.  The harmonic gaps
+      are windows of the units 1/j of h1's halves, so no gap takes an inverse.
     - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
       and character-sum routes, and never from a table.  Every check
       multiplies them by a coefficient of valuation at least m - 1, so mod p
@@ -223,7 +223,13 @@ class PadicContext(Context):
         return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
 
     def _gaps(self) -> list:
-        return list(harmonic_gaps(self.n, self.frac))
+        (low_vals, low), (high_vals, high) = (self._digits("h1", 1, self.n),
+                                              self._digits("h1", self.n + 1, self.p - 1))
+        if any(low_vals) or any(high_vals):  # every j < p is a unit
+            raise InternalInconsistency(f"p={self.p}: a term of row h1 below p is not a unit")
+        # gap_k = gap_{k-1} + 1/(n-k+1) + 1/(n+k)
+        return [PAdic.from_residue(gap, self.p, PADIC_PREC)
+                for gap in accumulate(u + w for u, w in zip(reversed(low), high))]
 
     def _row_sum(self, name: str, lo: int, hi: int):
         if lo <= self.n < hi:
@@ -586,6 +592,14 @@ def check_ids(selector: str = "all") -> list[str]:
 # -- evaluation ------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)  # evaluate_check asks once per check and prime
+def _checked_prime(p: int) -> int:
+    """p, which must be prime: no check means anything at another p."""
+    if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
+        raise ValueError(f"p={p} is not prime")
+    return p
+
+
 def _compare_pairs(ctx, spec: CheckSpec):
     """Evaluate all lhs/rhs pairs of a check in one context.  A side with p
     in its denominator fails the statement at p: ValuationViolation."""
@@ -608,13 +622,15 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
                    contexts: tuple | None = None) -> CheckResult:
     """Evaluate one catalog check at one prime.
 
-    The p-adic path runs too when p <= padic_limit.
-    `contexts` are the shared (exact, p-adic) contexts of p; without them
-    the check gets fresh ones.  Either way every special number it reads is
-    cross-checked on its first read in a context.
+    The p-adic path runs too when p <= padic_limit.  A p that is not prime
+    raises ValueError before any context is built.  `contexts` are the shared
+    (exact, p-adic) contexts of p; without them the check gets fresh ones.
+    Either way every special number it reads is cross-checked on its first
+    read in a context.
     """
     if check_id not in CHECK_CATALOG:
         raise UnknownCheck(f"unknown check id {check_id!r}")
+    _checked_prime(p)
     spec = CHECK_CATALOG[check_id]
     if p < spec.min_prime:
         return CheckResult(check_id, p, spec.m, None, None, None, spec.status,
@@ -707,9 +723,10 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
               jobs: int = 1) -> tuple[list[CheckResult], dict]:
     """Evaluate every (id, prime) pair; deterministic (id, p) ordering.
 
-    The checks at one prime share one exact and one p-adic context.  The
-    primes are cut into min(jobs, len(primes)) blocks of consecutive primes,
-    one `fan_out` task each, so that the exact path sweeps each block's
+    A p that is not prime raises ValueError before anything is evaluated.  The
+    checks at one prime share one exact and one p-adic context.  The primes
+    are cut into min(jobs, len(primes)) blocks of consecutive primes, one
+    `fan_out` task each, so that the exact path sweeps each block's
     PRIME_FREE rows as running prefixes (`Sweep`); no row depends on the
     blocks.  Each task carries `cache`, pickled with it when it runs in a
     worker.  Every special-number value a context reads is cross-checked
@@ -721,7 +738,7 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     the values from INDEX_MIN up of its own primes by index.
     """
     ids = list(ids)
-    primes = sorted(primes)
+    primes = sorted(map(_checked_prime, primes))
     for i in ids:
         if i not in CHECK_CATALOG:
             raise UnknownCheck(f"unknown check id {i!r}")

@@ -13,9 +13,9 @@ congruence suite consumes also have routes that read no exact value:
 p-adic path reads only these; the exact path compares each value it reads
 with them (`checked_residue`; `bernoulli_mod_p_fast` compares the table).
 A harmonic number is a row of `sums.SUMS`, which each path steps in its
-own arithmetic; the gaps H(n+k) - H(n-k) have two routes, `harmonic_gaps`
-in the caller's arithmetic and `harmonic_gap_numerators` as integers over
-lcm(1..2n).
+own arithmetic; so are the gaps H(n+k) - H(n-k), windows of row h1:
+`harmonic_gap_numerators` gives them as integers over lcm(1..2n), and the
+p-adic path sums the units of its own h1 digits.
 """
 
 from __future__ import annotations
@@ -251,26 +251,15 @@ def harmonic_exact(n: int, order: int = 1) -> Fraction:
     return row_sum(name, 0, 1, n) if n else Fraction(0)
 
 
-def harmonic_gaps(n: int, frac):
-    """The gaps H(n+k) - H(n-k), k = 1..n, in the caller's arithmetic.
-
-    `frac(num, den)` builds a quotient of integers.  Each gap adds
-    1/(n+k) + 1/(n-k+1) = (2n+1)/((n+k)(n-k+1)) to the last; at
-    n = (p-1)/2 that step is p over a unit, so a p-adic caller needs no
-    exact harmonic number.
-    """
-    return accumulate(frac(2 * n + 1, (n + k) * (n - k + 1)) for k in range(1, n + 1))
-
-
 def harmonic_gap_numerators(n: int) -> tuple[int, list[int]]:
     """(L, [A_1, ..., A_n]) with H(n+k) - H(n-k) = A_k / L exactly and
     L = lcm(1..2n), so every A_k is an integer.
 
-    Each A_k adds L/(n+k) + L/(n-k+1) to the last, two exact divisions:
-    their product (n+k)(n-k+1), the denominator `harmonic_gaps` steps by,
-    divides L only when 2n+1 is prime.  At n = (p-1)/2, L = lcm(1..p-1) is
-    prime to p.  L is the product of the largest power of each prime q
-    that is at most 2n.
+    Each A_k adds L/(n+k) + L/(n-k+1) to the last, a window of row h1
+    widened by one term at each end, in two exact divisions: their product
+    (n+k)(n-k+1) divides L only when 2n+1 is prime.  At n = (p-1)/2,
+    L = lcm(1..p-1) is prime to p.  L is the product of the largest power
+    of each prime q that is at most 2n.
     """
     L = 1
     for q in sieve_primes(PrimeRange(0, 2 * n)):

@@ -5,6 +5,7 @@ import dataclasses
 import signal
 from collections import Counter
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, lcm, prod
 
 import pytest
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from congrlab import congruences, identities, special, sums
 from congrlab.arith import (
+    PAdic,
     PrimeRange,
     Unreduced,
     rat_reduce_mod,
@@ -31,7 +33,7 @@ from congrlab.congruences import (
 from congrlab.errors import InternalInconsistency, UnknownCheck
 from congrlab.identities import run_identity_suite
 from congrlab.report import exit_status
-from congrlab.special import SpecialCache, bernoulli_exact, harmonic_gaps
+from congrlab.special import SpecialCache, bernoulli_exact, harmonic_exact
 from congrlab.sums import (
     PRIME_FREE,
     SUMS,
@@ -97,6 +99,26 @@ def test_unknown_check_rejected(cache):
         run_suite(["NO_SUCH"], [7], cache)
     with pytest.raises(UnknownCheck):
         check_ids("T1.1-1.1,NO_SUCH")
+
+
+@pytest.mark.parametrize("check_id, p", [("X-S11b-a", 15), ("T1.1-1.1", 9), ("PH3", 9),
+                                         ("PH3", 1)])
+def test_a_p_that_is_not_prime_raises_before_any_context(check_id, p, monkeypatch):
+    """A p that is not prime is bad input, not a prime where a statement
+    fails.  Unchecked, X-S11b-a at 15 reads a side with 15 in its denominator
+    as a failed proven row, T1.1-1.1 at 9 raises an engine fault, PH3 at 9 a
+    bare ValueError from pow, and PH3 at 1 is inapplicable.  Each raises
+    ValueError naming p, from `evaluate_check` and from `run_suite`, before
+    any context is built."""
+    def refuse(*args):
+        raise AssertionError(f"a context was built at {args[0]}")
+
+    monkeypatch.setattr(congruences, "ExactContext", refuse)
+    monkeypatch.setattr(congruences, "PadicContext", refuse)
+    with pytest.raises(ValueError, match=f"p={p} is not prime"):
+        evaluate_check(check_id, p)
+    with pytest.raises(ValueError, match=f"p={p} is not prime"):
+        run_suite([check_id], [7, p], padic_limit=p)
 
 
 # -- selectors and catalog hygiene ----------------------------------------------
@@ -485,13 +507,21 @@ def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
 
 class _FractionContext(ExactContext):
     """The exact path with its per-k reads as reduced Fractions: each
-    term's closed form and `harmonic_gaps(n, Fraction)`."""
+    term's closed form, and each gap a difference of exact harmonic numbers."""
 
     def _terms(self, name, lo, hi):
         return _closed_forms(name, self.p, lo, hi)
 
     def _gaps(self):
-        return list(harmonic_gaps(self.n, Fraction))
+        return _exact_gaps(self.n)
+
+
+def _exact_gaps(n) -> list:
+    """H(n+k) - H(n-k), k = 1..n, as differences of the exact harmonic numbers
+    H_j, j <= 2n, summed one 1/j at a time; H_2n must be `harmonic_exact(2n)`."""
+    h = list(accumulate((Fraction(1, j) for j in range(1, 2 * n + 1)), initial=Fraction(0)))
+    assert h[-1] == harmonic_exact(2 * n)
+    return [h[n + k] - h[n - k] for k in range(1, n + 1)]
 
 
 def _value(x) -> Fraction:
@@ -512,6 +542,30 @@ def test_per_k_checks_match_the_fraction_route(p):
                 assert _value(x) == r, (spec.id, label)
                 assert exact.residue(x, spec.m) == rat_reduce_mod(r, p, spec.m).value, (
                     spec.id, label)
+
+
+def test_padic_gaps_refuse_an_h1_term_that_is_not_a_unit():
+    """Every j < p is a unit, so an h1 digit of valuation 1 is an engine fault."""
+    ctx = PadicContext(13)
+    _, units = ctx._digits("h1", 7, 12)
+    ctx.memo["D", "h1", 7, 12] = [0, 0, 1, 0, 0, 0], units
+    with pytest.raises(InternalInconsistency, match="p=13: a term of row h1"):
+        ctx.gaps()
+
+
+@pytest.mark.parametrize("p", [101, 1009])
+def test_ps11c_lifts_no_rational_per_k(p, monkeypatch):
+    """PS11c-3.2 on the p-adic path lifts its two constants, 1 and -p/4, with
+    `PAdic.from_rational`, and nothing per k, so the count does not grow with p."""
+    lift, lifts = PAdic.from_rational.__func__, []
+
+    def counting(cls, *args):
+        lifts.append(args)
+        return lift(cls, *args)
+
+    monkeypatch.setattr(PAdic, "from_rational", classmethod(counting))
+    assert evaluate_check("PS11c-3.2", p, padic_limit=p).path_agreement
+    assert len(lifts) == 2
 
 
 def test_row_numerators_step_exact_integers(monkeypatch):

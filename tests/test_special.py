@@ -2,12 +2,14 @@
 theorems, the defining recurrences, and the independent mod-p cross-checks."""
 
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, gcd, lcm, log2
 
 import pytest
 
 from congrlab import special
 from congrlab.arith import PAdic, PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
+from congrlab.congruences import PADIC_PREC, PadicContext
 from congrlab.errors import InternalInconsistency
 from congrlab.special import (
     SpecialCache,
@@ -18,7 +20,6 @@ from congrlab.special import (
     euler_mod_p,
     harmonic_exact,
     harmonic_gap_numerators,
-    harmonic_gaps,
 )
 from congrlab.sums import row_padic, row_sum
 
@@ -236,14 +237,11 @@ def _gap(n, k):
 
 
 def test_harmonic_gaps_match_exact_differences():
-    """Both gap routes, in Fractions and as integers over lcm(1..2n), at
-    every n to 60, composite 2n + 1 included."""
+    """The gaps as integers over lcm(1..2n), at every n to 60, composite
+    2n + 1 included."""
     for n in range(1, 61):
-        gaps = [_gap(n, k) for k in range(1, n + 1)]
-        assert list(harmonic_gaps(n, Fraction)) == gaps
         L, nums = harmonic_gap_numerators(n)
-        assert [Fraction(a, L) for a in nums] == gaps
-    assert list(harmonic_gaps(0, Fraction)) == []
+        assert [Fraction(a, L) for a in nums] == [_gap(n, k) for k in range(1, n + 1)]
     assert harmonic_gap_numerators(0) == (1, [])
 
 
@@ -253,14 +251,23 @@ def test_harmonic_gap_denominator_is_the_lcm():
         assert harmonic_gap_numerators(n)[0] == lcm(*range(1, 2 * n + 1))
 
 
-@pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 61)))
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 61)) + [149, 241, 1093, 1999])
 def test_padic_harmonic_gaps_match_exact_residues(p):
-    """At n = (p-1)/2 every step is p over a unit, so p-adic gaps need no
-    exact harmonic number; their residues mod p^4 are the exact ones."""
-    n = (p - 1) // 2
-    gaps = harmonic_gaps(n, lambda a, b: PAdic.from_rational(a, p, 4, b))
-    for k, gap in enumerate(gaps, start=1):
-        assert gap.residue(4) == rat_reduce_mod(_gap(n, k), p, 4).value
+    """The p-adic context reads each gap H(n+k) - H(n-k), n = (p-1)/2, as a
+    window of the units 1/j of the h1 halves 1..n and n+1..p-1 that its
+    harmonic sums read, and steps no other row; mod p^PADIC_PREC each gap is
+    the exact difference.  p divides E_{p-3} at 149 and 241, and 1093 is a
+    Wieferich prime."""
+    ctx, n = PadicContext(p), (p - 1) // 2
+    gaps = ctx.gaps()
+    assert [key for key in ctx.memo if key[0] == "D"] == [("D", "h1", 1, n),
+                                                          ("D", "h1", n + 1, p - 1)]
+    # H_j for j <= 2n, one 1/j at a time: differences of 2n calls of
+    # harmonic_exact would take seconds at 1999
+    h = list(accumulate((Fraction(1, j) for j in range(1, 2 * n + 1)), initial=Fraction(0)))
+    assert h[-1] == harmonic_exact(2 * n)
+    assert [gap.residue(PADIC_PREC) for gap in gaps] == [
+        rat_reduce_mod(h[n + k] - h[n - k], p, PADIC_PREC).value for k in range(1, n + 1)]
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))

@@ -5,7 +5,9 @@
 DIR is a source checkout (make the parent's with `git archive`).  For each
 workload of BENCHMARK.json the script runs `bench/run.py` in both checkouts
 for the `run_seconds` BENCHMARK.json sets, in PAIRS pairs that alternate which
-side runs first, and keeps every result line.
+side runs first, and keeps every result line.  For each end-to-end metric it
+records the change/parent ratio of the medians and whether the change stays
+inside the metric's bound, and prints one line per metric to stderr.
 Then, in one process per checkout and run, it times the exact and the
 p-adic path (`_compare_pairs` of every check) and the exact path's special
 numbers (`ExactContext._bern` and `_euler`, left out of the exact path's
@@ -103,7 +105,7 @@ def spread(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
-def workload_record(runs: dict, spec: dict) -> dict:
+def workload_record(workload: str, runs: dict, spec: dict) -> dict:
     record = {"correct": all(r["correct"] for side in runs.values() for r in side),
               "failed_rows": sum(r["failed"] for side in runs.values() for r in side)}
     for metric in spec["end_to_end"]:
@@ -111,9 +113,18 @@ def workload_record(runs: dict, spec: dict) -> dict:
         values = {side: [r["metrics"][name]["value"] for r in rs] for side, rs in runs.items()}
         sign = 1 if metric["better"] == "lower" else -1
         wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
-        record[name] = {"unit": metric["unit"], "parent": spread(values["parent"]),
-                        "change": spread(values["change"]), "change_wins": wins,
+        parent, change = spread(values["parent"]), spread(values["change"])
+        # the change is worse by the share sign * (ratio - 1) of the parent's median
+        ratio = change["median"] / parent["median"] if parent["median"] else None
+        inside = ratio is None or sign * (ratio - 1) <= metric["bound"]
+        record[name] = {"unit": metric["unit"], "parent": parent, "change": change,
+                        "change_wins": wins, "ratio": ratio, "inside_bound": inside,
                         "runs": values}
+        print(f"# {workload} {name}: median {parent['median']:.4g} -> {change['median']:.4g} "
+              f"{metric['unit']} (parent IQR {parent['q1']:.4g}-{parent['q3']:.4g}), "
+              f"ratio {'-' if ratio is None else f'{ratio:.3f}'}, {wins}/{len(values['change'])} "
+              f"wins, {'inside' if inside else 'PAST'} its bound {metric['bound']:.0%} "
+              f"({metric['better']} is better)", file=sys.stderr, flush=True)
     return record
 
 
@@ -140,7 +151,7 @@ def main() -> int:
             for side in sides_in_order(i):
                 runs[side].append(result_line(trees[side], name, seconds))
             print(f"# {name} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
-        workloads[name] = workload_record(runs, spec)
+        workloads[name] = workload_record(name, runs, spec)
 
     paths = {}
     for rng in RANGES:
