@@ -2,12 +2,17 @@
 recurrence certificates.
 
 Every identity is evaluated by summation over exact rationals at each
-instance n; every sum over k is a row of `sums.SUMS`, summed by binary
-splitting (`row_sum`) or, for SIGMA's weighted lhs, stepped term by term as
-integers over one denominator (`row_numerators`).  A
-recurrence certificate, checked on both sides, plus verified base cases then
-proves the identity for every n the suite visited.  Within one run each side
-is summed once per n, and the certificates read those values.
+instance n; every sum over k is a row of `sums.SUMS`.  A row whose terms
+depend on n is summed at each n by binary splitting (`row_sum`) or, for
+SIGMA's weighted lhs, stepped term by term as integers over one
+denominator (`row_numerators`).  A row whose terms do not depend on n is a
+running prefix over the rising n of a run, read off the run's own
+`sums.Cursor` under the same closed-form guard, so each k is folded once;
+a read more than one term behind its cursor, as a descending or shuffled
+n makes, starts it again.  A recurrence certificate, checked on both
+sides, plus verified base cases then proves the identity for every n the
+suite visited.  Within one run each side is summed once per n, and the
+certificates read those values.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from math import comb
 
 from .errors import DomainError, UnknownIdentity
 from .fanout import fan_out
-from .special import harmonic_exact, harmonic_gap_numerators
-from .sums import row_numerators, row_sum
+from .special import harmonic_gap_numerators
+from .sums import Cursor, row_numerators, row_sum
 
 
 @dataclass
@@ -46,30 +51,34 @@ def _sigma_lhs(n):
 
 
 # -- identity catalog ---------------------------------------------------
-# Each entry: (domain start, lhs(n), rhs(n)).  Every sum over k is a row of
-# SUMS; the right sides' leading factors are closed forms.
+# Each entry: (domain start, lhs(n, F), rhs(n, F)).  Every sum over k is a
+# row of SUMS: `row_sum` at a = n for a row whose terms depend on n, and the
+# run's running prefix F at a fixed a for one whose terms do not; the right
+# sides' leading factors are closed forms.
 
 
 IDENTITY_CATALOG = {
-    "APERY": (1, lambda n: row_sum("apery", n, 1, n),
-              lambda n: 5 * row_sum("alt_inv_k3", n, 1, n) + 2 * harmonic_exact(n, 3)),
-    "SIGMA": (1, _sigma_lhs,
-              lambda n: Fraction(5, 2) * row_sum("alt_k2", n, 1, n) + 2 * harmonic_exact(n, 2)),
-    "SHIFT": (0, lambda n: row_sum("sq_shifted", 2 * n + 1, 0, n),
-              lambda n: Fraction(comb(2 * n, n) ** 2, 16 ** n)
-              * row_sum("odd_recip", n, 0, 2 * n)),
-    "LUKE": (1, lambda n: row_sum("luke", n, 0, n - 1),
-             lambda n: Fraction(comb(2 * n, n) ** 2, 4 ** (2 * n - 1))
-             * row_sum("odd_recip", n, 0, n - 1)),
-    "ODDSQ": (1, lambda n: row_sum("oddsq", n, 0, n),
-              lambda n: Fraction(1, (2 * n + 1) ** 2)
-              + Fraction(2, 2 * n + 1) * row_sum("odd_recip", n, 0, n - 1)),
-    "TELE1": (0, lambda n: row_sum("sq_shifted", -1, 0, n),
-              lambda n: Fraction(-(2 * n + 1) * comb(2 * n, n) ** 2, 16 ** n)),
-    "GLAISHER4": (0, lambda n: row_sum("glaisher4", n, 0, n),
-                  lambda n: Fraction((8 * n * n + 4 * n + 1) * comb(2 * n, n) ** 4, 256 ** n)),
-    "BBAG": (1, lambda n: row_sum("bbag", n, 1, n), lambda n: Fraction(2, 5 * n * n)),
-    "PRODINGER": (1, lambda n: row_sum("prodinger", n, 1, n), lambda n: -2 * harmonic_exact(n)),
+    "APERY": (1, lambda n, F: row_sum("apery", n, 1, n),
+              lambda n, F: 5 * F("alt_inv_k3", 0, 1, n) + 2 * F("h3", 0, 1, n)),
+    "SIGMA": (1, lambda n, F: _sigma_lhs(n),
+              lambda n, F: Fraction(5, 2) * F("alt_k2", 0, 1, n) + 2 * F("h2", 0, 1, n)),
+    "SHIFT": (0, lambda n, F: row_sum("sq_shifted", 2 * n + 1, 0, n),
+              lambda n, F: Fraction(comb(2 * n, n) ** 2, 16 ** n)
+              * F("odd_recip", 0, 0, 2 * n)),
+    "LUKE": (1, lambda n, F: row_sum("luke", n, 0, n - 1),
+             lambda n, F: Fraction(comb(2 * n, n) ** 2, 4 ** (2 * n - 1))
+             * F("odd_recip", 0, 0, n - 1)),
+    "ODDSQ": (1, lambda n, F: row_sum("oddsq", n, 0, n),
+              lambda n, F: Fraction(1, (2 * n + 1) ** 2)
+              + Fraction(2, 2 * n + 1) * F("odd_recip", 0, 0, n - 1)),
+    "TELE1": (0, lambda n, F: F("sq_shifted", -1, 0, n),
+              lambda n, F: Fraction(-(2 * n + 1) * comb(2 * n, n) ** 2, 16 ** n)),
+    "GLAISHER4": (0, lambda n, F: F("glaisher4", 0, 0, n),
+                  lambda n, F: Fraction((8 * n * n + 4 * n + 1) * comb(2 * n, n) ** 4,
+                                        256 ** n)),
+    "BBAG": (1, lambda n, F: row_sum("bbag", n, 1, n), lambda n, F: Fraction(2, 5 * n * n)),
+    "PRODINGER": (1, lambda n, F: row_sum("prodinger", n, 1, n),
+                  lambda n, F: -2 * F("h1", 0, 1, n)),
 }
 
 
@@ -101,10 +110,20 @@ _RESIDUALS = {
 
 
 def _sides(name: str):
-    """The identity's (lhs, rhs), each memoized for the life of the pair, so
-    a run sums each side once per n and its certificate reads those values."""
+    """The identity's (lhs, rhs) for one run, each memoized for the life of
+    the pair, so a run sums each side once per n and its certificate reads
+    those values.  Both read their n-free rows through the run's own
+    cursors, one per (row, a, lo)."""
     _, lhs, rhs = IDENTITY_CATALOG[name]
-    return cache(lhs), cache(rhs)
+    cursors = {}
+
+    def prefix(row, a, lo, hi):
+        cursor = cursors.get((row, a, lo))
+        if cursor is None or hi < cursor.at - 1:
+            cursor = cursors[row, a, lo] = Cursor(row, a, lo)
+        return cursor.prefix(a, hi)
+
+    return cache(lambda n: lhs(n, prefix)), cache(lambda n: rhs(n, prefix))
 
 
 def check_recurrence(name: str, n: int, side: str = "lhs", *, sides=None) -> Fraction:

@@ -14,10 +14,12 @@ denominator D with exact divisions, for the exact path's per-k reads and
 SIGMA's lhs.  `row_sum` sums a row exactly by binary splitting over the
 integer ratio pairs (Haible & Papanikolaou, "Fast multiprecision
 evaluation of series of rational numbers", 1998), with one `Fraction`
-reduction per sum.  A `Sweep` sums the PRIME_FREE rows, whose terms do not
-depend on p, as running prefixes over a rising run of primes, splitting
-only the steps since the last prime; it and `row_sum` share one guarded
-fold, `_steps`.  `row_padic` steps a row as integer (valuation, unit mod
+reduction per sum.  A `Cursor` keeps one row's running prefix at a rising
+index, splitting only the steps since its last read; it and `row_sum`
+share one guarded fold, `_steps`.  A `Sweep` keeps two cursors for each
+PRIME_FREE row, whose terms do not depend on p, over a rising run of
+primes, and an identity run one for each row whose terms do not depend
+on n.  `row_padic` steps a row as integer (valuation, unit mod
 p^prec) pairs with one modular inverse per row, for the p-adic path.  The
 closed forms and the ratios are all the two congruence paths share; the
 exact path guards every row it reads, so a wrong ratio is an engine fault
@@ -26,6 +28,7 @@ rather than a value both paths agree on.
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
@@ -209,25 +212,58 @@ def row_sum(name: str, a: int, lo: int, hi: int) -> Fraction:
     return Fraction(first.numerator * (Q + T), first.denominator * Q)
 
 
+class Cursor:
+    """The running prefix F(x) = t_s + ... + t_x of row `name` of SUMS from
+    its first k, s, at the index x it reached: x, t_x and F(x), as reduced
+    Fractions.
+
+    `prefix(a, x)` past the cursor splits only the new steps with `_steps`,
+    the guarded fold `row_sum` takes, and folds them in: F <- F + t*T/Q and
+    t <- t*P/Q, the closed form at the new x.  A read one term behind,
+    F(x-1) after F(x), is F(x) - t_x from the cursor's own state and moves
+    nothing; a read further behind raises ValueError and leaves the cursor
+    where it was.  Each advance reads the row at the a it is given, so a
+    row whose terms do not read a can carry one cursor across parameters.
+    Every value is exact; nothing is reduced mod p.
+    """
+
+    __slots__ = ("name", "at", "t", "total")
+
+    def __init__(self, name: str, a: int, start: int):
+        t = Fraction(SUMS[name][0](a, start))
+        self.name, self.at, self.t, self.total = name, start, t, t
+
+    def prefix(self, a: int, x: int) -> Fraction:
+        """F(x), advancing the cursor to x first when x is past it."""
+        if x == self.at - 1:
+            return self.total - self.t
+        if x < self.at:
+            raise ValueError(f"sum row {self.name!r}: F({x}) is more than one term "
+                             f"behind its cursor at {self.at}")
+        if x > self.at:
+            t = self.t
+            Q, T, last = _steps(self.name, a, t, self.at, x)
+            self.total += Fraction(t.numerator * T, t.denominator * Q)
+            self.at, self.t = x, Fraction(last)
+        return self.total
+
+
 class Sweep:
     """Running prefix sums of the PRIME_FREE rows over a rising run of primes.
 
-    F(x) = t_s + ... + t_x, with s the row's first k.  Each row keeps two
-    cursors, one that follows n = (p-1)/2 and one that follows p - 1; a
-    cursor holds the index x it reached, t_x and F(x), as reduced Fractions.
-    Advancing a cursor splits only the new steps with `_steps`, the guarded
-    fold `row_sum` takes, and folds them in: F <- F + t*T/Q and t <- t*P/Q,
-    the closed form at the new x.  A read one term behind a cursor at x,
-    F(n-1) after F(n), is F(x) - t_x from the cursor's own state and leaves
-    the cursor where it is; no read of the catalog falls further behind,
-    and one that does raises ValueError.  A fresh cursor that follows p - 1
-    starts from the one that follows n, brought to n first, so one prime
-    alone splits each k of a row once across both cursors, whatever order
-    it reads in.  Every value is exact; nothing is reduced mod p.
+    Each row keeps two `Cursor`s from its first k, one that follows
+    n = (p-1)/2 and one that follows p - 1, so advancing one splits only
+    the steps since the last prime.  Any range lo..hi is F(hi) - F(lo-1).
+    A read one term behind a cursor, F(n-1) after F(n), comes from the
+    cursor's own state; no read of the catalog falls further behind, and
+    one that does raises ValueError.  A fresh cursor that follows p - 1
+    starts as a copy of the one that follows n, brought to n first, so one
+    prime alone splits each k of a row once across both cursors, whatever
+    order it reads in.
     """
 
     def __init__(self):
-        self.cursors: dict[tuple[str, bool], tuple[int, Fraction, Fraction]] = {}
+        self.cursors: dict[tuple[str, bool], Cursor] = {}
 
     def sum(self, name: str, p: int, lo: int, hi: int) -> Fraction:
         """t_lo + ... + t_hi of row `name` at the prime p, as F(hi) - F(lo - 1)."""
@@ -241,31 +277,15 @@ class Sweep:
 
     def _prefix(self, name: str, a: int, x: int, upper: bool) -> Fraction:
         """F(x) through the cursor that follows p - 1 (`upper`) or n."""
-        key = name, upper
-        state = self.cursors.get(key)
-        if state is None and upper:
-            self._prefix(name, a, (a - 1) // 2, False)
-            state = self.cursors[name, False]
-        if state is None:
-            start = PRIME_FREE[name]
-            t = Fraction(SUMS[name][0](a, start))
-            state = start, t, t
-        at, t, total = state
-        if x == at - 1:
-            return total - t
-        if x < at:
-            raise ValueError(f"sum row {name!r}: F({x}) is more than one term "
-                             f"behind its cursor at {at}")
-        if x > at:
-            state = self._advance(key, a, state, x)
-        self.cursors[key] = state
-        return state[2]
-
-    def _advance(self, key: tuple[str, bool], a: int, state: tuple, x: int) -> tuple:
-        """Cursor `key`'s `state` moved on to x by the guarded `_steps`."""
-        at, t, total = state
-        Q, T, last = _steps(key[0], a, t, at, x)
-        return x, Fraction(last), total + Fraction(t.numerator * T, t.denominator * Q)
+        cursor = self.cursors.get((name, upper))
+        if cursor is None:
+            if upper:
+                self._prefix(name, a, (a - 1) // 2, False)
+                cursor = copy(self.cursors[name, False])
+            else:
+                cursor = Cursor(name, a, PRIME_FREE[name])
+            self.cursors[name, upper] = cursor
+        return cursor.prefix(a, x)
 
 
 def _strip(x: int, p: int) -> tuple[int, int]:

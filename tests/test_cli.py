@@ -234,10 +234,10 @@ def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):
     exit 1 would read as a counterexample."""
     start, lhs, rhs = IDENTITY_CATALOG["SIGMA"]
 
-    def broken(n):
+    def broken(n, F):
         if n == 3:
             raise ZeroDivisionError("injected")
-        return lhs(n)
+        return lhs(n, F)
 
     monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA", (start, broken, rhs))
     # one name runs in this process; two start a pool, whose worker raises

@@ -144,8 +144,8 @@ def test_catalog_metadata_sane():
 
 def _record_row_reads(monkeypatch, module) -> set:
     """Make `module` record (name, a, lo, hi) of every row it reads, summed
-    by `row_sum` or a `Sweep` or stepped by `row_numerators`; returns the
-    set it fills."""
+    by `row_sum`, a `Sweep` or an identity run's `Cursor` from lo, or
+    stepped by `row_numerators`; returns the set it fills."""
     reads = set()
 
     def recording(fn):
@@ -164,6 +164,17 @@ def _record_row_reads(monkeypatch, module) -> set:
             return total(self, name, a, lo, hi)
 
         monkeypatch.setattr(Sweep, "sum", swept)
+    else:
+        class RecordingCursor(sums.Cursor):
+            def __init__(self, name, a, start):
+                super().__init__(name, a, start)
+                self.start = start
+
+            def prefix(self, a, x):
+                reads.add((self.name, a, self.start, x))
+                return super().prefix(a, x)
+
+        monkeypatch.setattr(module, "Cursor", RecordingCursor)
     return reads
 
 
@@ -614,14 +625,16 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
             return engine(name, a, lo, hi, *args)
         return read
 
-    def folding(self, key, a, state, x):
-        folds.append((*key, range(state[0] + 1, x + 1)))
-        return advance(self, key, a, state, x)
+    def folding(cursor, a, x):
+        if x > cursor.at:
+            key = next(key for key, held in sweep.cursors.items() if held is cursor)
+            folds.append((*key, range(cursor.at + 1, x + 1)))
+        return prefix(cursor, a, x)
 
     for name in ("row_sum", "row_numerators", "row_padic"):
         monkeypatch.setattr(congruences, name, recording(getattr(congruences, name)))
-    advance = Sweep._advance
-    monkeypatch.setattr(Sweep, "_advance", folding)
+    prefix = sums.Cursor.prefix
+    monkeypatch.setattr(sums.Cursor, "prefix", folding)
     sweep = Sweep()
     for q in primes:
         for ctx in (ExactContext(q, cache, sweep), PadicContext(q)):

@@ -2,13 +2,15 @@
 recurrence certificates on both sides, the induction meta-check, and one
 evaluation per side and n in a run."""
 
+import random
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from congrlab import identities
-from congrlab.errors import DomainError, UnknownIdentity
+from congrlab import identities, sums
+from congrlab.cli import parse_and_run
+from congrlab.errors import DomainError, InternalInconsistency, UnknownIdentity
 from congrlab.identities import (
     IDENTITY_CATALOG,
     RECURRENCES,
@@ -18,7 +20,7 @@ from congrlab.identities import (
 )
 from congrlab.report import exit_status
 from congrlab.special import harmonic_exact
-from congrlab.sums import SUMS
+from congrlab.sums import PRIME_FREE, SUMS, row_sum
 
 
 # -- frozen instances -------------------------------------------------------
@@ -175,9 +177,9 @@ def test_suite_sums_each_side_once_per_n(monkeypatch):
     calls = {"lhs": Counter(), "rhs": Counter()}
 
     def counted(side, fn):
-        def wrapper(n):
+        def wrapper(n, F):
             calls[side][n] += 1
-            return fn(n)
+            return fn(n, F)
         return wrapper
 
     monkeypatch.setitem(IDENTITY_CATALOG, "ODDSQ",
@@ -192,7 +194,7 @@ def test_suite_checks_the_certificate_on_the_rhs(monkeypatch):
     beyond it fails at n = 10, where the certificate reads n + 1."""
     start, lhs, rhs = IDENTITY_CATALOG["SIGMA"]
     monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA",
-                        (start, lhs, lambda n: rhs(n) + (n > 10)))
+                        (start, lhs, lambda n, F: rhs(n, F) + (n > 10)))
     cases = run_identity_suite(["SIGMA"], range(1, 11))
     assert [c.n for c in cases if not c.passed] == [10]
     assert cases[-1].lhs == cases[-1].rhs and cases[-1].recurrence_residual != 0
@@ -225,11 +227,145 @@ def test_suite_raises_on_an_engine_fault(monkeypatch):
     counterexample to the identity."""
     start, lhs, rhs = IDENTITY_CATALOG["SIGMA"]
 
-    def broken(n):
+    def broken(n, F):
         if n == 3:
             raise ZeroDivisionError("injected")
-        return lhs(n)
+        return lhs(n, F)
 
     monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA", (start, broken, rhs))
     with pytest.raises(ZeroDivisionError):
         run_identity_suite(["SIGMA"], range(1, 6))
+
+
+# -- rows whose terms do not depend on n, as running prefixes ------------------------
+
+# (row, a, lo) of every read each identity makes off its run's cursors; the
+# read at n ends at k = hi(n)
+N_FREE_READS = {
+    "APERY": {("alt_inv_k3", 0, 1), ("h3", 0, 1)},
+    "SIGMA": {("alt_k2", 0, 1), ("h2", 0, 1)},
+    "SHIFT": {("odd_recip", 0, 0)},
+    "LUKE": {("odd_recip", 0, 0)},
+    "ODDSQ": {("odd_recip", 0, 0)},
+    "TELE1": {("sq_shifted", -1, 0)},
+    "GLAISHER4": {("glaisher4", 0, 0)},
+    "BBAG": set(),
+    "PRODINGER": {("h1", 0, 1)},
+}
+N_FREE_HI = {"SHIFT": lambda n: 2 * n, "LUKE": lambda n: n - 1, "ODDSQ": lambda n: n - 1}
+
+# the rows whose terms do not read their parameter a: one term function each
+A_FREE = {*PRIME_FREE, "odd_recip", "glaisher4"}
+
+
+def _prefix_reads(monkeypatch, names, n_range) -> dict:
+    """{identity: {(row, a, lo, hi): value}} of every read the suite makes
+    off an identity run's cursors over n_range."""
+    reads, current = {}, []
+
+    class RecordingCursor(sums.Cursor):
+        def __init__(self, name, a, start):
+            super().__init__(name, a, start)
+            self.start = start
+
+        def prefix(self, a, x):
+            value = super().prefix(a, x)
+            reads[current[-1]][self.name, a, self.start, x] = value
+            return value
+
+    monkeypatch.setattr(identities, "Cursor", RecordingCursor)
+    for name in names:
+        current.append(name)
+        reads[name] = {}
+        run_identity_suite([name], n_range)
+    return reads
+
+
+def test_n_free_reads_equal_row_sum_and_harmonic_exact(monkeypatch):
+    """For n = 0..200 every read an identity makes off its cursors is one of
+    the nine n-free reads, at each n of its domain, and equals `row_sum`
+    over its range; the h reads also equal `harmonic_exact`."""
+    reads = _prefix_reads(monkeypatch, IDENTITY_CATALOG, range(0, 201))
+    for name, by_read in reads.items():
+        assert {read[:3] for read in by_read} == N_FREE_READS[name], name
+        hi = N_FREE_HI.get(name, lambda n: n)
+        for row, a, lo in N_FREE_READS[name]:
+            his = {read[3] for read in by_read if read[:3] == (row, a, lo)}
+            assert {hi(n) for n in range(IDENTITY_CATALOG[name][0], 201)} <= his, name
+        for (row, a, lo, hi), value in by_read.items():
+            assert value == row_sum(row, a, lo, hi), (name, row, a, lo, hi)
+            if row.startswith("h"):
+                assert value == harmonic_exact(hi, int(row[1:])), (name, row, hi)
+
+
+def _by_case(cases) -> dict:
+    by_case = {(c.name, c.n): c for c in cases}
+    assert len(by_case) == len(cases)
+    return by_case
+
+
+def test_suite_gives_the_same_cases_in_any_order_of_n():
+    """Descending n, shuffled n and a window that starts at 150 restart the
+    cursors a read falls more than one term behind, and give the cases of
+    the rising run."""
+    rising = _by_case(run_identity_suite(None, range(0, 201)))
+    assert all(c.passed for c in rising.values())
+    shuffled = list(range(0, 201))
+    random.Random(2011).shuffle(shuffled)
+    for n_range in (range(200, -1, -1), shuffled):
+        assert _by_case(run_identity_suite(None, n_range)) == rising
+    tail = {key: case for key, case in rising.items() if key[1] >= 150}
+    assert _by_case(run_identity_suite(None, range(150, 201))) == tail
+
+
+def test_fresh_sides_annihilate_every_certificate_to_60():
+    """`check_recurrence` builds its own sides at each call, whose first read
+    is at n + 1 or n + 2 and whose last, at n, is behind that."""
+    for rec, (_, start) in RECURRENCES.items():
+        for n in range(start, 61):
+            assert check_recurrence(rec, n, side="lhs") == 0, (rec, n)
+            assert check_recurrence(rec, n, side="rhs") == 0, (rec, n)
+
+
+def test_each_k_of_a_row_is_folded_once_per_identity_run(monkeypatch):
+    """Over n = 1..200, each identity run folds each k of a row at each term
+    function at most once, the rows whose terms do not read a as one: the
+    n-free rows advance one cursor over the run, and a row whose terms
+    depend on n is summed once at each n."""
+    folds, fold = [], sums._steps
+
+    def splitting(name, a, t_lo, lo, hi):
+        folds.append((name, None if name in A_FREE else a, range(lo + 1, hi + 1)))
+        return fold(name, a, t_lo, lo, hi)
+
+    monkeypatch.setattr(sums, "_steps", splitting)
+    for name in IDENTITY_CATALOG:
+        folds.clear()
+        run_identity_suite([name], range(1, 201))
+        folded = Counter((row, a, k) for row, a, ks in folds for k in ks)
+        assert [key for key, times in folded.items() if times > 1] == [], name
+        read = {(row, None if row in A_FREE else a) for row, a, _ in N_FREE_READS[name]}
+        assert read <= {fold[:2] for fold in folds}, name
+
+
+@pytest.mark.parametrize("name", ["SHIFT", "LUKE", "ODDSQ"])
+def test_a_wrong_odd_recip_ratio_is_an_engine_fault(name, monkeypatch, capsys):
+    """A wrong ratio at one k of a row read off a cursor misses the closed
+    form at the advance that steps over it: `run_identity_suite` raises, and
+    the command line exits 2 with no rows, never a failed identity."""
+    term, ratio = SUMS["odd_recip"]
+
+    def wrong(n, k):
+        num, den = ratio(n, k)
+        return (num + 1, den) if k == 37 else (num, den)
+
+    monkeypatch.setitem(SUMS, "odd_recip", (term, wrong))
+    with pytest.raises(InternalInconsistency, match="'odd_recip'"):
+        run_identity_suite([name], range(1, 201))
+    # one name runs in this process; two start a pool, whose worker raises
+    for jobs, names in (("1", name), ("2", f"{name},BBAG")):
+        code = parse_and_run(["identity", "--names", names, "--n", "1:200", "--jobs", jobs])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "'odd_recip'" in captured.err

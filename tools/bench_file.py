@@ -14,14 +14,18 @@ numbers (`ExactContext._bern` and `_euler`, left out of the exact path's
 seconds) over whole prime ranges at --jobs 1, each range as the median of
 RANGE_REPEATS runs that alternate which side runs first, and fits each
 path's cost-vs-p exponent over single primes, each timed as the median of
-EXPONENT_REPEATS runs.  Run it on an otherwise idle machine: every number
-is wall time.
+EXPONENT_REPEATS runs.  It times the identity suite the same way, in
+process at --jobs 1 over n = 1..N for each N of IDENTITY_NS, each the
+median of RANGE_REPEATS alternating runs, with its growth exponent
+log2(t(2N) / t(N)).  Run it on an otherwise idle machine: every number is
+wall time.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -40,6 +44,7 @@ RANGES = ("3:251", "7:499", "7:1999")
 RANGE_REPEATS = 3  # the seconds over each range are the median of this many runs
 EXPONENT_PRIMES = (251, 503, 1009, 2003)
 EXPONENT_REPEATS = 3  # the seconds at each prime are the median of this many runs
+IDENTITY_NS = (200, 400)  # the identity suite over 1..N; each N doubles the last
 
 # Times each path's _compare_pairs, all checks, at every prime of argv[1]
 # (a range lo:hi or a list p,q,...), and the exact path's B and E reads on
@@ -81,6 +86,17 @@ print(json.dumps(spent))
 """
 
 
+# Times run_identity_suite(None, range(1, N + 1)) at --jobs 1 for N = argv[1];
+# prints the seconds.
+IDENTITY_CODE = """
+import sys, time
+from congrlab.identities import run_identity_suite
+start = time.perf_counter()
+run_identity_suite(None, range(1, int(sys.argv[1]) + 1))
+print(time.perf_counter() - start)
+"""
+
+
 def result_line(tree: Path, workload: str, seconds: float) -> dict:
     out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
                           "--seconds", str(seconds)], cwd=tree, check=True,
@@ -93,6 +109,13 @@ def path_seconds(tree: Path, primes: str) -> dict:
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
     return {side: {int(p): s for p, s in per.items()} for side, per in json.loads(out).items()}
+
+
+def identity_seconds(tree: Path, n: int) -> float:
+    out = subprocess.run([sys.executable, "-c", IDENTITY_CODE, str(n)], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
+    return float(out)
 
 
 def sides_in_order(i: int) -> tuple[str, str]:
@@ -171,6 +194,21 @@ def main() -> int:
             per = {p: statistics.median(r[path][p] for r in repeats) for p in EXPONENT_PRIMES}
             exponents[side][path] = {"seconds": per, "exponent": cost_exponent(per)}
 
+    identity = {side: {"seconds": {}} for side in trees}
+    for n in IDENTITY_NS:
+        runs = {"parent": [], "change": []}
+        for i in range(RANGE_REPEATS):
+            for side in sides_in_order(i):
+                runs[side].append(identity_seconds(trees[side], n))
+        for side, rs in runs.items():
+            identity[side]["seconds"][n] = statistics.median(rs)
+    for side, record in identity.items():
+        per = record["seconds"]
+        record["exponent"] = math.log2(per[IDENTITY_NS[1]] / per[IDENTITY_NS[0]])
+        print(f"# identity suite --jobs 1, {side}: " + ", ".join(
+            f"N={n} {t:.3f} s" for n, t in per.items())
+            + f", exponent {record['exponent']:.2f}", file=sys.stderr, flush=True)
+
     args.out.write_text(json.dumps({
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
         "settings": {"pairs": PAIRS, "seconds": seconds, "range_repeats": RANGE_REPEATS,
@@ -180,6 +218,8 @@ def main() -> int:
         "path_seconds_jobs1": paths,
         "cost_exponent": {"primes": list(EXPONENT_PRIMES), "repeats": EXPONENT_REPEATS,
                       **exponents},
+        "identity_seconds_jobs1": {"n": list(IDENTITY_NS), "repeats": RANGE_REPEATS,
+                                   **identity},
     }, indent=1, sort_keys=True) + "\n")
     return 0
 
