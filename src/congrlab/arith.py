@@ -1,7 +1,8 @@
 """Exact rational, residue and valuation-aware p-adic arithmetic.
 
 Exact rationals are `fractions.Fraction` throughout; residues mod p^e and
-truncated p-adic numbers are the two modular number types defined here.
+truncated p-adic numbers are the two modular number types defined here, and
+a column of either path's values is reduced to residues in one pass.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .errors import NegativeValuation, PrecisionExhausted
 
@@ -44,41 +46,6 @@ class Residue:
             raise ValueError(f"residue {self.value} out of range for {self.p}^{self.e}")
 
 
-class Unreduced:
-    """An exact rational kept as it was built: the product of the integer
-    factors `nums` over the integer `den`.  No gcd is taken, and no product
-    of the factors is formed until a sum needs it, so terms over one
-    denominator stay over it and a residue reduces each factor on its own.
-    It multiplies with an int or a Fraction on either side, adds one on its
-    right and negates; it exposes no `numerator`, since it need not be in
-    lowest terms."""
-
-    __slots__ = ("nums", "den")
-
-    def __init__(self, nums: tuple, den: int):
-        self.nums = nums
-        self.den = den
-
-    def __mul__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        return Unreduced((*self.nums, other.numerator), self.den * other.denominator)
-
-    def __add__(self, other):
-        if not isinstance(other, (int, Fraction)):
-            return NotImplemented
-        num = math.prod(self.nums) * other.denominator + other.numerator * self.den
-        return Unreduced((num,), self.den * other.denominator)
-
-    def __neg__(self):
-        return Unreduced((-self.nums[0], *self.nums[1:]), self.den)
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        return f"Unreduced({self.nums}, {self.den})"
-
-
 def reduce_mod(r, p: int, e: int) -> int:
     """num * den^{-1} mod p^e of a p-integral Fraction or int r, as an int."""
     den = r.denominator
@@ -91,6 +58,61 @@ def reduce_mod(r, p: int, e: int) -> int:
 def rat_reduce_mod(r, p: int, e: int) -> Residue:
     """Reduce a p-integral rational mod p^e (num * den^{-1})."""
     return Residue(p, e, reduce_mod(Fraction(r), p, e))
+
+
+# -- truncated p-adic values as (val, unit, prec) --------------------------
+# The value p^val * unit + O(p^(val + prec)); a unit None is a zero marker,
+# known only to have valuation >= val, with prec 0.  `PAdic` and
+# `PadicColumn` both compute with these functions, so a column tracks
+# precision value by value exactly as PAdic does.
+
+
+def _from_residue(p: int, e: int, value: int) -> tuple:
+    value %= p ** e
+    if value == 0:
+        return e, None, 0
+    v = vp_int(value, p)
+    return v, value // p ** v, e - v
+
+
+def _add(p: int, v: int, u, r: int, w: int, s, q: int) -> tuple:
+    abs_prec = min(v if u is None else v + r, w if s is None else w + q)
+    if u is None:  # the sum has the second operand's digits, if any
+        v, u = w, s
+    elif s is not None:
+        base = min(v, w)
+        v, u = base, p ** (v - base) * u + p ** (w - base) * s
+    if u is None or abs_prec <= v:
+        return abs_prec, None, 0
+    digits = abs_prec - v
+    total = u % p ** digits
+    if total == 0:
+        return abs_prec, None, 0
+    t = vp_int(total, p)
+    return v + t, total // p ** t, digits - t
+
+
+def _neg(p: int, v: int, u, r: int) -> tuple:
+    return (v, u, r) if u is None else (v, -u % p ** r, r)
+
+
+def _mul(p: int, v: int, u, r: int, w: int, s, q: int) -> tuple:
+    if u is None or s is None:
+        return v + w, None, 0
+    r = min(r, q)
+    return v + w, u * s % p ** r, r
+
+
+def _residue(p: int, e: int, v: int, u, r: int) -> int:
+    if u is None:
+        if v >= e:
+            return 0
+        raise PrecisionExhausted(f"zero marker only guarantees valuation >= {v}, need {e}")
+    if v < 0:
+        raise NegativeValuation(f"p-adic value has valuation {v} < 0")
+    if v + r < e:
+        raise PrecisionExhausted(f"value known mod p^{v + r}, need p^{e}")
+    return p ** v * u % p ** e
 
 
 class PAdic:
@@ -138,11 +160,7 @@ class PAdic:
         """A value known only mod p^e, at absolute precision e: its
         valuation v, its unit and e - v relative digits, so no digit past
         p^e is invented.  A zero residue is a zero marker of bound e."""
-        value %= p ** e
-        if value == 0:
-            return cls.zero_marker(p, e)
-        v = vp_int(value, p)
-        return cls(p, v, value // p ** v, e - v)
+        return cls(p, *_from_residue(p, e, value))
 
     @classmethod
     def sum_terms(cls, p: int, vals, units, prec: int) -> "PAdic":
@@ -185,36 +203,21 @@ class PAdic:
 
     def __add__(self, other) -> "PAdic":
         self._check(other)
-        p = self.p
-        abs_prec = min(self._abs_prec(), other._abs_prec())
-        operands = [x for x in (self, other) if x.unit is not None]
-        if not operands:
-            return PAdic.zero_marker(p, abs_prec)
-        base = min(x.val for x in operands)
-        digits = abs_prec - base
-        if digits <= 0:
-            return PAdic.zero_marker(p, abs_prec)
-        total = sum(p ** (x.val - base) * x.unit for x in operands) % p ** digits
-        if total == 0:
-            return PAdic.zero_marker(p, abs_prec)
-        t = vp_int(total, p)
-        return PAdic(p, base + t, total // p ** t, digits - t)
+        return PAdic(self.p, *_add(self.p, self.val, self.unit, self.prec,
+                                   other.val, other.unit, other.prec))
 
     def __neg__(self) -> "PAdic":
         if self.unit is None:
             return self
-        return PAdic(self.p, self.val, (-self.unit) % self.p ** self.prec, self.prec)
+        return PAdic(self.p, *_neg(self.p, self.val, self.unit, self.prec))
 
     def __sub__(self, other) -> "PAdic":
         return self + (-other)
 
     def __mul__(self, other) -> "PAdic":
         self._check(other)
-        val = self.val + other.val
-        if self.unit is None or other.unit is None:
-            return PAdic.zero_marker(self.p, val)
-        prec = min(self.prec, other.prec)
-        return PAdic(self.p, val, self.unit * other.unit % self.p ** prec, prec)
+        return PAdic(self.p, *_mul(self.p, self.val, self.unit, self.prec,
+                                   other.val, other.unit, other.prec))
 
     def __pow__(self, k: int) -> "PAdic":
         if k < 0:
@@ -237,24 +240,134 @@ class PAdic:
     def residue(self, e: int) -> int:
         """The value mod p^e, as an int in [0, p^e); only significant digits
         are reported."""
-        if self.unit is None:
-            if self.val >= e:
-                return 0
-            raise PrecisionExhausted(
-                f"zero marker only guarantees valuation >= {self.val}, need {e}")
-        if self.val < 0:
-            raise NegativeValuation(
-                f"p-adic value has valuation {self.val} < 0")
-        if self.val + self.prec < e:
-            raise PrecisionExhausted(
-                f"value known mod p^{self.val + self.prec}, need p^{e}")
-        return self.p ** self.val * self.unit % self.p ** e
+        return _residue(self.p, e, self.val, self.unit, self.prec)
 
     def __repr__(self):
         if self.unit is None:
             return f"PAdic(p={self.p}, O(p^{self.val}))"
         return (f"PAdic(p={self.p}, {self.p}^{self.val}*{self.unit} "
                 f"+ O(p^{self.val + self.prec}))")
+
+
+# -- residue columns ---------------------------------------------------
+
+
+class Column:
+    """One value per k, at k = ks[0], ks[1], ..., in one path's arithmetic:
+    a per-k side of a check at the prime p.  `residues(e)` reduces every
+    value mod p^e in one pass.  A column multiplies by a constant or by a
+    column over the same k, adds a constant on its right, negates the
+    values at the k where `flip(k)` is true (`negate_where`), and slices."""
+
+    __slots__ = ("p", "ks")
+
+    def _same(self, other: "Column") -> None:
+        if other.p != self.p or other.ks != self.ks:
+            raise ValueError(f"columns at p={self.p} over {self.ks} and "
+                             f"p={other.p} over {other.ks}")
+
+
+class ExactColumn(Column):
+    """The exact values num/den * f_1[i] * ... * f_j[i] at k = ks[i], for
+    the integer lists f of `factors`: the integers over one denominator of a
+    row or gap read, kept as built, with no gcd and no product formed until
+    a sum needs one.  A constant is an int or a Fraction.  Adding one forms
+    the products of the factors; a sign is one more factor, of 1s and -1s.
+    `residues` takes one inverse, of den, and reduces each factor mod p^e;
+    every denominator is prime to p, else pow raises, an engine fault."""
+
+    __slots__ = ("factors", "num", "den")
+
+    def __init__(self, p: int, ks: range, factors: tuple, num: int = 1, den: int = 1):
+        self.p, self.ks, self.factors, self.num, self.den = p, ks, factors, num, den
+
+    def __getitem__(self, index: slice) -> "ExactColumn":
+        return ExactColumn(self.p, self.ks[index], tuple(f[index] for f in self.factors),
+                           self.num, self.den)
+
+    def __mul__(self, other) -> "ExactColumn":
+        if isinstance(other, ExactColumn):
+            self._same(other)
+            return ExactColumn(self.p, self.ks, self.factors + other.factors,
+                               self.num * other.num, self.den * other.den)
+        return ExactColumn(self.p, self.ks, self.factors, self.num * other.numerator,
+                           self.den * other.denominator)
+
+    def __add__(self, other) -> "ExactColumn":
+        scale, shift = self.num * other.denominator, other.numerator * self.den
+        values = (map(math.prod, zip(*self.factors)) if self.factors
+                  else [1] * len(self.ks))
+        return ExactColumn(self.p, self.ks, ([scale * t + shift for t in values],), 1,
+                           self.den * other.denominator)
+
+    def negate_where(self, flip) -> "ExactColumn":
+        signs = [-1 if flip(k) else 1 for k in self.ks]
+        return ExactColumn(self.p, self.ks, self.factors + (signs,), self.num, self.den)
+
+    def residues(self, e: int) -> list[int]:
+        m = self.p ** e
+        scale = self.num * pow(self.den, -1, m) % m
+        if not self.factors:
+            return [scale] * len(self.ks)
+        first, *rest = self.factors
+        values = [t % m * scale % m for t in first]
+        for factor in rest:
+            values = [v * (t % m) % m for v, t in zip(values, factor)]
+        return values
+
+
+class PadicColumn(Column):
+    """The truncated p-adic values p^vals[i] * units[i] + O(p^(vals[i] +
+    precs[i])) at k = ks[i]; a unit None is a zero marker, as in PAdic.  A
+    constant is a PAdic of the same prime.  Every operation, and
+    `residues`, applies PAdic's rules value by value, so a column tracks
+    precision, and raises NegativeValuation or PrecisionExhausted, exactly
+    where PAdic would."""
+
+    __slots__ = ("vals", "units", "precs")
+
+    def __init__(self, p: int, ks: range, vals: list, units: list, precs: list):
+        self.p, self.ks, self.vals, self.units, self.precs = p, ks, vals, units, precs
+
+    @classmethod
+    def _of(cls, p: int, ks: range, parts) -> "PadicColumn":
+        vals, units, precs = (list(x) for x in zip(*parts)) if ks else ([], [], [])
+        return cls(p, ks, vals, units, precs)
+
+    @classmethod
+    def from_residues(cls, p: int, ks: range, values, e: int) -> "PadicColumn":
+        """Values known only mod p^e, each as `PAdic.from_residue` lifts it."""
+        return cls._of(p, ks, map(_from_residue, repeat(p), repeat(e), values))
+
+    def __getitem__(self, index: slice) -> "PadicColumn":
+        return PadicColumn(self.p, self.ks[index], self.vals[index], self.units[index],
+                           self.precs[index])
+
+    def _apply(self, op, other) -> "PadicColumn":
+        if isinstance(other, PadicColumn):
+            self._same(other)
+            parts = other.vals, other.units, other.precs
+        elif isinstance(other, PAdic) and other.p == self.p:
+            parts = repeat(other.val), repeat(other.unit), repeat(other.prec)
+        else:
+            raise TypeError(f"p-adic column operand must be a column or a PAdic at "
+                            f"p={self.p}, not {other!r}")
+        return PadicColumn._of(self.p, self.ks, map(op, repeat(self.p), self.vals, self.units,
+                                                    self.precs, *parts))
+
+    def __mul__(self, other) -> "PadicColumn":
+        return self._apply(_mul, other)
+
+    def __add__(self, other) -> "PadicColumn":
+        return self._apply(_add, other)
+
+    def negate_where(self, flip) -> "PadicColumn":
+        p, parts = self.p, zip(self.ks, self.vals, self.units, self.precs)
+        return PadicColumn._of(p, self.ks, (_neg(p, v, u, r) if flip(k) else (v, u, r)
+                                            for k, v, u, r in parts))
+
+    def residues(self, e: int) -> list[int]:
+        return list(map(_residue, repeat(self.p), repeat(e), self.vals, self.units, self.precs))
 
 
 # -- primes ------------------------------------------------------------

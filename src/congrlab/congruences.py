@@ -9,6 +9,11 @@ p-adic path reads nothing the exact path builds: it steps the rows of `SUMS`
 itself, harmonic numbers included, and takes B and E mod p from routes that
 read no table.  The exact path checks each Bernoulli or Euler number it
 reads against that route.
+
+A check has one description, `sides`, that both contexts read: two scalars,
+or for a per-k check two columns over the same k (`arith.Column`), each a
+row or gap read combined in the path's arithmetic.  `_compare_pairs` reduces
+each side once, a column in one pass, and compares the residue lists.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, isqrt
 
-from .arith import PAdic, Unreduced, vp_rational
+from .arith import Column, ExactColumn, PAdic, PadicColumn, vp_rational
 from .arith import reduce_mod as rat_reduce_mod  # the name bench/tracer.py wraps
 from .errors import (
     CongrlabError,
@@ -52,17 +57,17 @@ PADIC_PATH_MAX_PRIME = 61
 
 
 class Context:
-    """The interface a check reads, at one prime: `frac`, `S`, `terms`,
-    `gaps`, `bern`, `euler`, `qp`, `div_pp` and `residue`.  A check reads a
-    row of `SUMS` only as a range lo..hi at p, and every other factor by
-    the method named after it.
+    """The interface a check reads, at one prime: `frac`, `column`, `S`,
+    `terms`, `gaps`, `bern`, `euler`, `qp`, `div_pp` and `residue`.  A check
+    reads a row of `SUMS` only as a range lo..hi at p, summed (`S`) or per k
+    (`terms`, a column), and every other factor by the method named after it.
 
     The base owns every read.  One memo, shared by every check evaluated at
     the prime, holds the row sums of `SUMS` (harmonic numbers among them),
-    the per-k rows, the harmonic gaps, the special numbers and q_p(2), and
-    the base decides which B and E indices exist.  A context supplies only
-    its arithmetic: `frac`, `_row_sum`, `_terms`, `_gaps`, its source of B
-    and E (`_bern`, `_euler`), `div_pp` and `residue`.  The two
+    the per-k columns, the harmonic gaps, the special numbers and q_p(2),
+    and the base decides which B and E indices exist.  A context supplies
+    only its arithmetic: `frac`, `column`, `_row_sum`, `_terms`, `_gaps`, its
+    source of B and E (`_bern`, `_euler`), `div_pp` and `residue`.  The two
     contexts share the rows' closed forms and ratios, which the exact path
     guards; each builds every value a check reads in its own arithmetic.
     """
@@ -82,14 +87,14 @@ class Context:
         """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
         return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
 
-    def terms(self, name: str, lo: int, hi: int) -> list:
-        """The terms t_lo..t_hi of row `name` of SUMS at p, memoized.  A
-        list, not a generator: a zip that stops early would skip the exact
-        path's guard, which runs after the last term."""
+    def terms(self, name: str, lo: int, hi: int) -> Column:
+        """The terms t_lo..t_hi of row `name` of SUMS at p, memoized: a
+        column over k = lo..hi, built whole, so the exact path's guard has
+        run on the last term before any value is read."""
         return self._memo(("T", name, lo, hi), lambda: self._terms(name, lo, hi))
 
-    def gaps(self) -> list:
-        """The harmonic gaps H(n+k) - H(n-k), k = 1..n, memoized."""
+    def gaps(self) -> Column:
+        """The harmonic gaps H(n+k) - H(n-k), a column over k = 1..n, memoized."""
         return self._memo(("G",), self._gaps)
 
     def bern(self, i: int):
@@ -116,9 +121,9 @@ class ExactContext(Context):
     k as the integers t_k * D over D, the denominator of its last term,
     stepped by `row_numerators`, so every row it reads is checked against
     its closed form, and the harmonic gaps as integers over
-    L = lcm(1..p-1).  A per-k value is an int or an `Unreduced` product of
-    integer factors over a denominator, built with no gcd, and `residue`
-    reduces it factor by factor with one inverse per denominator.  It reads
+    L = lcm(1..p-1).  Each is an `ExactColumn`: its values stay exact
+    integers over one denominator until a check reads its residues, which
+    takes one inverse per column and one pass per factor.  It reads
     B_i and E_i from the tables of `cache` below INDEX_MIN and by index
     (`bernoulli_by_index`, `euler_by_index`) from INDEX_MIN up, whatever
     `cache` holds, and checks each value it reads mod p against the
@@ -133,19 +138,23 @@ class ExactContext(Context):
     def frac(self, a, b=1):
         return Fraction(a, b)
 
-    def _terms(self, name: str, lo: int, hi: int) -> list:
+    def column(self, x, ks: range) -> ExactColumn:
+        """The constant x at every k of ks."""
+        return ExactColumn(self.p, ks, (), x.numerator, x.denominator)
+
+    def _terms(self, name: str, lo: int, hi: int) -> ExactColumn:
         # both paths step by the same ratio, so a wrong one would agree with
         # itself; the guard checks the last term against its closed form
         den, nums = row_numerators(name, self.p, lo, hi)
-        return nums if den == 1 else [Unreduced((t,), den) for t in nums]
+        return ExactColumn(self.p, range(lo, hi + 1), (nums,), 1, den)
 
-    def _gaps(self) -> list:
+    def _gaps(self) -> ExactColumn:
         # the last gap is H_{p-1}, which the Sweep reads by another route
         L, nums = harmonic_gap_numerators(self.n)
         if Fraction(nums[-1], L) != self.S("h1", 1, self.p - 1):
             raise InternalInconsistency(
                 f"p={self.p}: harmonic gap A_{self.n}/L != H_{self.p - 1}")
-        return [Unreduced((A,), L) for A in nums]
+        return ExactColumn(self.p, range(1, self.n + 1), (nums,), 1, L)
 
     def _row_sum(self, name: str, lo: int, hi: int):
         if name in PRIME_FREE:
@@ -173,14 +182,6 @@ class ExactContext(Context):
         return x / Fraction(self.p ** s)
 
     def residue(self, x, e: int) -> int:
-        if isinstance(x, Unreduced):
-            # one inverse per denominator and modulus; every Unreduced
-            # denominator is prime to p, else pow raises, an engine fault
-            m = self.p ** e
-            value = self._memo(("inv", x.den, e), lambda: pow(x.den, -1, m))
-            for factor in x.nums:
-                value = value * (factor % m) % m
-            return value
         return rat_reduce_mod(x, self.p, e)
 
 
@@ -197,6 +198,10 @@ class PadicContext(Context):
       and n+1..hi, each read through the memo, so no k of a row is stepped
       twice at one prime; the halves add to that same cap.  The harmonic gaps
       are windows of the units 1/j of h1's halves, so no gap takes an inverse.
+    - A per-k read is a `PadicColumn` of those (valuation, unit) lists, at
+      relative precision PADIC_PREC, or of the gaps, each at absolute
+      precision PADIC_PREC; it builds no PAdic per k, and tracks precision
+      value by value by PAdic's own rules.
     - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
       and character-sum routes, and never from a table.  Every check
       multiplies them by a coefficient of valuation at least m - 1, so mod p
@@ -217,19 +222,23 @@ class PadicContext(Context):
         return self._memo(("D", name, lo, hi),
                           lambda: row_padic(name, p, lo, hi, p, PADIC_PREC))
 
-    def _terms(self, name: str, lo: int, hi: int) -> list:
-        p = self.p
-        vals, units = self._digits(name, lo, hi)
-        return [PAdic(p, v, u, PADIC_PREC) for v, u in zip(vals, units)]
+    def column(self, x: PAdic, ks: range) -> PadicColumn:
+        """The constant x at every k of ks."""
+        return PadicColumn(self.p, ks, *([part] * len(ks) for part in (x.val, x.unit, x.prec)))
 
-    def _gaps(self) -> list:
+    def _terms(self, name: str, lo: int, hi: int) -> PadicColumn:
+        vals, units = self._digits(name, lo, hi)
+        return PadicColumn(self.p, range(lo, hi + 1), vals, units, [PADIC_PREC] * len(vals))
+
+    def _gaps(self) -> PadicColumn:
         (low_vals, low), (high_vals, high) = (self._digits("h1", 1, self.n),
                                               self._digits("h1", self.n + 1, self.p - 1))
         if any(low_vals) or any(high_vals):  # every j < p is a unit
             raise InternalInconsistency(f"p={self.p}: a term of row h1 below p is not a unit")
         # gap_k = gap_{k-1} + 1/(n-k+1) + 1/(n+k)
-        return [PAdic.from_residue(gap, self.p, PADIC_PREC)
-                for gap in accumulate(u + w for u, w in zip(reversed(low), high))]
+        return PadicColumn.from_residues(
+            self.p, range(1, self.n + 1),
+            accumulate(u + w for u, w in zip(reversed(low), high)), PADIC_PREC)
 
     def _row_sum(self, name: str, lo: int, hi: int):
         if lo <= self.n < hi:
@@ -262,7 +271,7 @@ class CheckSpec:
     m: int                      # modulus exponent
     min_prime: int
     status: str                 # proven | conjectural | exploratory
-    pairs: callable             # ctx -> [(label, lhs_value, rhs_value)]
+    sides: callable             # ctx -> (lhs, rhs): two scalars or two columns
     shift: int = 0              # extra working precision for explicit 1/p^s
     note: str = ""
 
@@ -283,9 +292,9 @@ class CheckResult:
 
 
 def _scalar(fn_lhs, fn_rhs):
-    def pairs(ctx):
-        return [(None, fn_lhs(ctx), fn_rhs(ctx))]
-    return pairs
+    def sides(ctx):
+        return fn_lhs(ctx), fn_rhs(ctx)
+    return sides
 
 
 # -- the catalog ----------------------------------------------------------
@@ -294,8 +303,8 @@ def _scalar(fn_lhs, fn_rhs):
 def _catalog() -> dict[str, CheckSpec]:
     C: dict[str, CheckSpec] = {}
 
-    def add(id, desc, m, minp, status, pairs, shift=0, note=""):
-        C[id] = CheckSpec(id, desc, m, minp, status, pairs, shift, note)
+    def add(id, desc, m, minp, status, sides, shift=0, note=""):
+        C[id] = CheckSpec(id, desc, m, minp, status, sides, shift, note)
 
     add("T1.1-1.1", "alternating inverse central sum vs -2 B_{p-3}", 1, 7, "proven",
         _scalar(lambda c: c.S("alt_inv_k3", 1, c.n),
@@ -342,20 +351,23 @@ def _catalog() -> dict[str, CheckSpec]:
                 lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
                 + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)))
 
-    def l21a_pairs(c):
+    # A per-k check compares two columns over the same k: rows read per k
+    # and the harmonic gaps, times a constant or another column, plus a
+    # constant, negated where k has a given parity.  A constant stays on the
+    # right of a column.
+
+    def l21a_sides(c):
+        lhs = c.terms("l21a", 1, c.p - 1)
         # sign is (-1)^(floor(2k/p) - 1)
-        two_p = c.frac(2 * c.p)
-        return [(f"k={k}", t, two_p if (2 * k // c.p) % 2 else -two_p)
-                for k, t in enumerate(c.terms("l21a", 1, c.p - 1), start=1)]
+        return lhs, c.column(c.frac(2 * c.p), lhs.ks).negate_where(
+            lambda k: (2 * k // c.p) % 2 == 0)
 
-    add("L2.1a", "k C(2k,k) C(2(p-k),p-k) = +-2p, per k", 2, 5, "proven", l21a_pairs)
+    add("L2.1a", "k C(2k,k) C(2(p-k),p-k) = +-2p, per k", 2, 5, "proven", l21a_sides)
 
-    def l21b_pairs(c):
-        return [(f"k={k}", b, -s if k % 2 else s)
-                for k, (b, s) in enumerate(zip(c.terms("b", 0, c.n),
-                                               c.terms("sq_k0", 0, c.n)))]
+    def l21b_sides(c):
+        return c.terms("b", 0, c.n), c.terms("sq_k0", 0, c.n).negate_where(lambda k: k % 2)
 
-    add("L2.1b", "C(n,k) C(n+k,k) = C(2k,k)^2/(-16)^k, per k", 2, 5, "proven", l21b_pairs,
+    add("L2.1b", "C(n,k) C(n+k,k) = C(2k,k)^2/(-16)^k, per k", 2, 5, "proven", l21b_sides,
         note="checked for k in [0,n] where C(n,k) is meaningful")
 
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
@@ -422,22 +434,14 @@ def _catalog() -> dict[str, CheckSpec]:
                 lambda c: c.frac(32, 3) * c.qp() ** 3
                 + c.frac(4, 3) * c.bern(c.p - 3)))
 
-    def ps11c_pairs(c):
+    def ps11c_sides(c):
         # h = H(n+k) - H(n-k), read from the context like the rows, which
-        # are L2.1b's, read from k = 1.  lhs = b (1 - (p/4) h), written with
-        # h on the left: an exact Fraction on the left of the exact path's
-        # Unreduced gaps would first try, and fail, its own operator.
-        one, minus_quarter_p = c.frac(1), c.frac(-c.p, 4)
-        pairs = []
-        for k, (b, s, h) in enumerate(zip(c.terms("b", 0, c.n)[1:],
-                                          c.terms("sq_k0", 0, c.n)[1:],
-                                          c.gaps(), strict=True), start=1):
-            lhs = b * (h * minus_quarter_p + one)
-            pairs.append((f"k={k}", -lhs if k % 2 else lhs, s))
-        return pairs
+        # are L2.1b's, read from k = 1; lhs = (-1)^k b (1 - (p/4) h)
+        lhs = c.terms("b", 0, c.n)[1:] * (c.gaps() * c.frac(-c.p, 4) + c.frac(1))
+        return lhs.negate_where(lambda k: k % 2), c.terms("sq_k0", 0, c.n)[1:]
 
     add("PS11c-3.2", "per-k refinement of the (-16)^k transform", 4, 5, "proven",
-        ps11c_pairs)
+        ps11c_sides)
 
     add("PH3", "H_{p-1}^(3) = 0 mod p", 1, 5, "proven",
         _scalar(lambda c: c.S("h3", 1, c.p - 1), lambda c: c.frac(0)))
@@ -600,21 +604,25 @@ def _checked_prime(p: int) -> int:
     return p
 
 
+def _residues(ctx, side, e: int) -> list[int]:
+    return side.residues(e) if isinstance(side, Column) else [ctx.residue(side, e)]
+
+
 def _compare_pairs(ctx, spec: CheckSpec):
-    """Evaluate all lhs/rhs pairs of a check in one context.  A side with p
-    in its denominator fails the statement at p: ValuationViolation."""
-    lhs_res = rhs_res = None
-    for label, lhs, rhs in spec.pairs(ctx):
-        try:
-            lv = ctx.residue(lhs, spec.m)
-            rv = ctx.residue(rhs, spec.m)
-        except NegativeValuation as exc:
-            raise ValuationViolation(str(exc)) from exc
-        if lhs_res is None:
-            lhs_res, rhs_res = lv, rv
-        if lv != rv:
-            return False, lv, rv, label
-    return True, lhs_res, rhs_res, None
+    """Evaluate both sides of a check in one context and compare their
+    residues: (passed, lhs, rhs, label).  A scalar side is one residue, a
+    column one per k; only a mismatch is searched for its first failing k,
+    whose residues and label "k=..." are returned.  A side with p in its
+    denominator fails the statement at p: ValuationViolation."""
+    lhs, rhs = spec.sides(ctx)
+    try:
+        lv, rv = _residues(ctx, lhs, spec.m), _residues(ctx, rhs, spec.m)
+    except NegativeValuation as exc:
+        raise ValuationViolation(str(exc)) from exc
+    if lv == rv:
+        return True, lv[0], rv[0], None
+    i = next(i for i, (a, b) in enumerate(zip(lv, rv, strict=True)) if a != b)
+    return False, lv[i], rv[i], f"k={lhs.ks[i]}" if isinstance(lhs, Column) else None
 
 
 def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from congrlab.arith import (
+    ExactColumn,
     PAdic,
+    PadicColumn,
     PrimeRange,
     Residue,
     rat_reduce_mod,
@@ -229,6 +231,112 @@ def test_sum_of_terms_equals_adding_them_to_a_zero_marker(p, prec, terms):
     got = PAdic.sum_terms(p, vals, units, prec)
     assert (got.val, got.unit, got.prec) == (expected.val, expected.unit, expected.prec)
     assert got._abs_prec() == min(0, min(vals)) + prec
+
+
+# -- residue columns ------------------------------------------------------------
+
+padic_parts = st.one_of(
+    st.tuples(st.integers(-2, 6), st.none(), st.just(0)),  # a zero marker
+    st.tuples(st.integers(-2, 6), st.integers(1, 10 ** 6), st.integers(1, 5)))
+
+
+def _padic(p, parts) -> PAdic:
+    v, u, r = parts
+    return PAdic(p, v, None if u is None else u % p ** r, r)
+
+
+def _outcome(read):
+    """read() or the type and message of what it raised."""
+    try:
+        return read()
+    except (NegativeValuation, PrecisionExhausted) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SMALL_PRIMES), st.data())
+def test_padic_column_operations_are_padic_ones_value_by_value(p, data):
+    """Each operation of a p-adic column, and each residue it reads or error
+    it raises, is the one PAdic gives at every k."""
+    size = data.draw(st.integers(1, 6))
+    x, y = ([_padic(p, data.draw(padic_parts)) for _ in range(size)] for _ in range(2))
+    c = _padic(p, data.draw(padic_parts))
+    ks = range(3, 3 + size)
+
+    def column(values):
+        return PadicColumn(p, ks, [v.val for v in values], [v.unit for v in values],
+                           [v.prec for v in values])
+
+    flip = lambda k: k % 2  # noqa: E731
+    cases = [
+        (column(x) * column(y), [a * b for a, b in zip(x, y)]),
+        (column(x) * c, [a * c for a in x]),
+        (column(x) + c, [a + c for a in x]),
+        (column(x) + column(y), [a + b for a, b in zip(x, y)]),
+        (column(x).negate_where(flip), [-a if flip(k) else a for k, a in zip(ks, x)]),
+        (column(x)[1:], x[1:]),
+    ]
+    for got, expected in cases:
+        assert (got.vals, got.units, got.precs) == (
+            [v.val for v in expected], [v.unit for v in expected], [v.prec for v in expected])
+        for e in range(1, 6):
+            one_by_one = [_outcome(lambda v=v: v.residue(e)) for v in expected]
+            errors = [r for r in one_by_one if isinstance(r, tuple)]
+            assert _outcome(lambda: got.residues(e)) == (errors[0] if errors else one_by_one)
+
+
+def test_padic_column_residues_raise_as_padic_residue_does():
+    """A value of negative valuation, one known to too few digits, and a zero
+    marker of too low a bound raise PAdic.residue's error and message."""
+    for parts, error in (((-1, 2, 5), NegativeValuation), ((0, 2, 1), PrecisionExhausted),
+                         ((1, None, 0), PrecisionExhausted)):
+        column = PadicColumn(7, range(1, 4), [0, parts[0], 0], [1, parts[1], 3],
+                             [5, parts[2], 5])
+        with pytest.raises(error) as padic:
+            PAdic(7, *parts).residue(2)
+        with pytest.raises(error) as raised:
+            column.residues(2)
+        assert str(raised.value) == str(padic.value)
+
+
+def test_padic_column_operands_share_a_prime_and_k():
+    column = PadicColumn(7, range(1, 3), [0, 0], [1, 2], [3, 3])
+    with pytest.raises(TypeError):
+        column * 2  # an int is not lifted at a guessed precision
+    with pytest.raises(TypeError):
+        column * PAdic.from_rational(2, 5, 3)
+    with pytest.raises(ValueError):
+        column * PadicColumn(7, range(0, 2), [0, 0], [1, 2], [3, 3])
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(SMALL_PRIMES), st.integers(1, 5), st.data())
+def test_exact_column_operations_are_fraction_ones(p, e, data):
+    """An exact column's values, integers over one denominator prime to p,
+    and its operations give at every k the residue of the same Fraction
+    arithmetic."""
+    size = data.draw(st.integers(1, 6))
+    integers = st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=size, max_size=size)
+    denominators = st.integers(1, 10 ** 12).filter(lambda d: d % p)
+    constants = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), denominators)
+    x, y = data.draw(integers), data.draw(integers)
+    dx, dy, c = data.draw(denominators), data.draw(denominators), data.draw(constants)
+    ks = range(size)
+    xs, ys = [Fraction(t, dx) for t in x], [Fraction(t, dy) for t in y]
+    col_x, col_y = ExactColumn(p, ks, (x,), 1, dx), ExactColumn(p, ks, (y,), 1, dy)
+    flip = lambda k: k % 3 == 1  # noqa: E731
+    cases = [
+        (col_x, xs),
+        (col_x * col_y, [a * b for a, b in zip(xs, ys)]),
+        (col_x * c, [a * c for a in xs]),
+        ((col_x * col_y) * c + c, [a * b * c + c for a, b in zip(xs, ys)]),
+        (col_x.negate_where(flip), [-a if flip(k) else a for k, a in zip(ks, xs)]),
+        (ExactColumn(p, ks, (), c.numerator, c.denominator).negate_where(flip) + c,
+         [(-c if flip(k) else c) + c for k in ks]),
+        (col_x[1:] * col_y[1:], [a * b for a, b in zip(xs[1:], ys[1:])]),
+    ]
+    for got, expected in cases:
+        assert got.residues(e) == [reduce_mod(r, p, e) for r in expected]
 
 
 # -- primes ------------------------------------------------------------------

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from congrlab import congruences, identities, special, sums
 from congrlab.arith import (
+    Column,
     PAdic,
     PrimeRange,
-    Unreduced,
     rat_reduce_mod,
+    reduce_mod,
     sieve_primes,
     vp_rational,
 )
@@ -188,10 +189,10 @@ def _identity_row_reads(monkeypatch, n_range) -> set:
 
 
 def _read_catalog(ctx, order=1):
-    """Every check's pairs that apply at ctx.p, in catalog order or reversed."""
+    """Every check's sides that apply at ctx.p, in catalog order or reversed."""
     for spec in list(CHECK_CATALOG.values())[::order]:
         if ctx.p >= spec.min_prime:
-            spec.pairs(ctx)
+            spec.sides(ctx)
 
 
 def _catalog_row_reads(p, cache, monkeypatch) -> set:
@@ -357,7 +358,9 @@ def test_padic_rows_match_the_exact_rows(p, cache, monkeypatch):
     padic = PadicContext(p)
     for name, _, lo, hi in _catalog_row_reads(p, cache, monkeypatch):
         exact = _closed_forms(name, p, lo, hi)
-        terms = padic.terms(name, lo, hi)
+        column = padic.terms(name, lo, hi)
+        terms = [PAdic(p, *x) for x in zip(column.vals, column.units, column.precs)]
+        assert column.ks == range(lo, hi + 1)
         assert len(terms) == len(exact) == hi - lo + 1
         for x, r in zip(terms, exact):
             assert x.prec == prec and _agrees(x, r, p), (name, lo, hi)
@@ -516,15 +519,44 @@ def test_wrong_row_ratio_is_an_engine_fault(monkeypatch, cache, capsys):
         assert f"'{row}'" in captured.err, row
 
 
+class _FractionColumn(Column):
+    """A column of reduced Fractions, with the operations of the path's columns."""
+
+    def __init__(self, p, ks, values):
+        self.p, self.ks, self.values = p, ks, list(values)
+
+    def __getitem__(self, index):
+        return _FractionColumn(self.p, self.ks[index], self.values[index])
+
+    def __mul__(self, other):
+        others = other.values if isinstance(other, Column) else [other] * len(self.ks)
+        return _FractionColumn(self.p, self.ks,
+                               [x * y for x, y in zip(self.values, others, strict=True)])
+
+    def __add__(self, other):
+        return _FractionColumn(self.p, self.ks, [x + other for x in self.values])
+
+    def negate_where(self, flip):
+        return _FractionColumn(self.p, self.ks,
+                               [-x if flip(k) else x for k, x in zip(self.ks, self.values)])
+
+    def residues(self, e):
+        return [reduce_mod(x, self.p, e) for x in self.values]
+
+
 class _FractionContext(ExactContext):
-    """The exact path with its per-k reads as reduced Fractions: each
-    term's closed form, and each gap a difference of exact harmonic numbers."""
+    """The exact path with its per-k reads as columns of reduced Fractions:
+    each term's closed form, and each gap a difference of exact harmonic
+    numbers."""
+
+    def column(self, x, ks):
+        return _FractionColumn(self.p, ks, [x] * len(ks))
 
     def _terms(self, name, lo, hi):
-        return _closed_forms(name, self.p, lo, hi)
+        return _FractionColumn(self.p, range(lo, hi + 1), _closed_forms(name, self.p, lo, hi))
 
     def _gaps(self):
-        return _exact_gaps(self.n)
+        return _FractionColumn(self.p, range(1, self.n + 1), _exact_gaps(self.n))
 
 
 def _exact_gaps(n) -> list:
@@ -535,24 +567,104 @@ def _exact_gaps(n) -> list:
     return [h[n + k] - h[n - k] for k in range(1, n + 1)]
 
 
-def _value(x) -> Fraction:
-    return Fraction(prod(x.nums), x.den) if isinstance(x, Unreduced) else Fraction(x)
+_PER_K = ("L2.1a", "L2.1b", "PS11c-3.2")
+
+
+def _exact_values(column) -> list:
+    """The exact values of an ExactColumn, as Fractions."""
+    if not column.factors:
+        return [Fraction(column.num, column.den)] * len(column.ks)
+    return [Fraction(column.num * prod(ts), column.den) for ts in zip(*column.factors)]
 
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 251)) + [1093, 1999])
 def test_per_k_checks_match_the_fraction_route(p):
-    """L2.1a, L2.1b and PS11c-3.2 read their rows and gaps as integers over
-    one denominator per row: each side of each pair equals the side built
-    from Fractions, and its residue is `reduce_mod` of that Fraction."""
+    """L2.1a, L2.1b and PS11c-3.2 read their rows and gaps as columns:
+    integers over one denominator per row on the exact path, (valuation,
+    unit) lists on the p-adic path, checked here up to p = 251.  Each exact
+    side equals the side built from Fractions, and on each path every k's
+    residue of each side is `reduce_mod` of that Fraction."""
     exact, oracle = ExactContext(p, SpecialCache()), _FractionContext(p, SpecialCache())
-    for spec in (CHECK_CATALOG[i] for i in ("L2.1a", "L2.1b", "PS11c-3.2")):
-        pairs, expected = spec.pairs(exact), spec.pairs(oracle)
-        assert [label for label, *_ in pairs] == [label for label, *_ in expected]
-        for (label, *sides), (_, *fractions) in zip(pairs, expected):
-            for x, r in zip(sides, fractions):
-                assert _value(x) == r, (spec.id, label)
-                assert exact.residue(x, spec.m) == rat_reduce_mod(r, p, spec.m).value, (
-                    spec.id, label)
+    contexts = (exact, PadicContext(p)) if p <= 251 else (exact,)
+    for spec in (CHECK_CATALOG[i] for i in _PER_K):
+        expected = spec.sides(oracle)
+        assert all(isinstance(side, _FractionColumn) for side in expected)
+        for side, fractions in zip(spec.sides(exact), expected, strict=True):
+            assert _exact_values(side) == fractions.values, spec.id
+        for ctx in contexts:
+            for side, fractions in zip(spec.sides(ctx), expected, strict=True):
+                assert side.ks == fractions.ks, (spec.id, type(ctx).__name__)
+                assert side.residues(spec.m) == [
+                    reduce_mod(r, p, spec.m) for r in fractions.values], (
+                    spec.id, type(ctx).__name__)
+
+
+# (check, row, k) -> (lhs, rhs) of the first failing k with that k of the row
+# off by one on the exact path, and by one in its unit on the p-adic path, at
+# p = 13: the first, a middle and the last k each check reads of the row.
+# The values are those comparing one pair per k gave.
+_PER_K_FAULTS = {
+    ("L2.1a", "l21a", 1): ((144, 143), (156, 143)),
+    ("L2.1a", "l21a", 6): ((144, 143), (156, 143)),
+    ("L2.1a", "l21a", 12): ((27, 26), (39, 26)),
+    ("L2.1b", "sq_k0", 0): ((1, 2), (1, 2)),
+    ("L2.1b", "sq_k0", 3): ((159, 158), (159, 158)),
+    ("L2.1b", "sq_k0", 6): ((79, 80), (79, 80)),
+    ("PS11c-3.2", "b", 1): ((21251, 21421), (21251, 21421)),
+    ("PS11c-3.2", "b", 3): ((16064, 27557), (16064, 27557)),
+    ("PS11c-3.2", "b", 6): ((7516, 18500), (7516, 18500)),
+}
+
+
+@pytest.mark.parametrize("check_id, row, k", list(_PER_K_FAULTS))
+@pytest.mark.parametrize("path", ["exact", "padic"])
+def test_a_per_k_fault_fails_at_its_k_on_each_path(check_id, row, k, path, monkeypatch):
+    """One wrong k of a row the check reads, past the exact path's guard: the
+    check fails at that k and no other, with that k's residues."""
+    p, spec = 13, CHECK_CATALOG[check_id]
+    engine = {"exact": congruences.row_numerators, "padic": congruences.row_padic}[path]
+
+    def faulty(name, a, lo, hi, *args):
+        integers, values = engine(name, a, lo, hi, *args)
+        if name == row:
+            values = list(values)
+            values[k - lo] += integers if path == "exact" else 1  # t_k + 1, or unit + 1
+        return integers, values
+
+    monkeypatch.setattr(congruences, {"exact": "row_numerators", "padic": "row_padic"}[path],
+                        faulty)
+    lhs, rhs = _PER_K_FAULTS[check_id, row, k][path == "padic"]
+    ctx = ExactContext(p, SpecialCache()) if path == "exact" else PadicContext(p)
+    assert congruences._compare_pairs(ctx, spec) == (False, lhs, rhs, f"k={k}")
+    if path == "exact":
+        result = evaluate_check(check_id, p, padic_limit=0)
+        assert (result.passed, result.lhs, result.rhs) == (False, lhs, rhs)
+        assert result.note.endswith(f"first failing instance k={k}")
+
+
+def test_a_padic_column_fault_is_an_engine_fault(monkeypatch):
+    """A p-adic per-k value of negative valuation, or one known to fewer
+    digits than the check reads, raises on the p-adic path as PAdic.residue
+    does; the exact path passes, so evaluate_check raises
+    InternalInconsistency, never a verdict."""
+    row_padic = congruences.row_padic
+
+    def negative(name, a, lo, hi, *args):
+        vals, units = row_padic(name, a, lo, hi, *args)
+        return ([-1] + vals[1:], units) if name == "l21a" else (vals, units)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(congruences, "row_padic", negative)
+        assert evaluate_check("L2.1a", 13, padic_limit=0).passed
+        with pytest.raises(InternalInconsistency,
+                           match="ValuationViolation: p-adic value has valuation -1 < 0"):
+            evaluate_check("L2.1a", 13, padic_limit=13)
+    # one digit where L2.1b reads two, at its first k: C(n,0) C(n,0) = 1
+    monkeypatch.setattr(congruences, "PADIC_PREC", 1)
+    assert evaluate_check("L2.1b", 13, padic_limit=0).passed
+    with pytest.raises(InternalInconsistency,
+                       match=r"PrecisionExhausted: value known mod p\^1, need p\^2"):
+        evaluate_check("L2.1b", 13, padic_limit=13)
 
 
 def test_padic_gaps_refuse_an_h1_term_that_is_not_a_unit():
@@ -733,8 +845,9 @@ def test_a_side_with_p_in_its_denominator_is_a_failed_row(monkeypatch, capsys):
 
 
 def test_a_per_k_check_names_its_first_failing_instance(monkeypatch):
-    check_id = _patch_check(monkeypatch, "proven", lambda c: [
-        (f"k={k}", c.frac(k * k), c.frac(k)) for k in (1, 2, 3)])
+    # 1/k against 1/k^2 mod 7: equal at k = 1, and 4 against 2 at k = 2
+    check_id = _patch_check(monkeypatch, "proven", lambda c: (c.terms("h1", 1, 2),
+                                                               c.terms("h2", 1, 2)))
     result = evaluate_check(check_id, 7, padic_limit=7)
     assert (result.passed, result.lhs, result.rhs, result.path_agreement) == (False, 4, 2, True)
     assert result.note == "first failing instance k=2"

@@ -14,11 +14,12 @@ numbers (`ExactContext._bern` and `_euler`, left out of the exact path's
 seconds) over whole prime ranges at --jobs 1, each range as the median of
 RANGE_REPEATS runs that alternate which side runs first, and fits each
 path's cost-vs-p exponent over single primes, each timed as the median of
-EXPONENT_REPEATS runs.  It times the identity suite the same way, in
-process at --jobs 1 over n = 1..N for each N of IDENTITY_NS, each the
-median of RANGE_REPEATS alternating runs, with its growth exponent
-log2(t(2N) / t(N)).  Run it on an otherwise idle machine: every number is
-wall time.
+EXPONENT_REPEATS runs.  It times the per-k checks PER_K_CHECKS alone the
+same way, on both paths to PER_K_PADIC_LIMIT, over each of PER_K_RANGES.
+It times the identity suite the same way, in process at --jobs 1 over
+n = 1..N for each N of IDENTITY_NS, each the median of RANGE_REPEATS
+alternating runs, with its growth exponent log2(t(2N) / t(N)).  Run it on
+an otherwise idle machine: every number is wall time.
 """
 
 from __future__ import annotations
@@ -44,10 +45,16 @@ RANGES = ("3:251", "7:499", "7:1999")
 RANGE_REPEATS = 3  # the seconds over each range are the median of this many runs
 EXPONENT_PRIMES = (251, 503, 1009, 2003)
 EXPONENT_REPEATS = 3  # the seconds at each prime are the median of this many runs
+# The checks compared one residue per k, timed alone; no per-layer metric of
+# the benchmark isolates them.
+PER_K_CHECKS = "L2.1a,L2.1b,PS11c-3.2"
+PER_K_RANGES = ("7:499", "3:251")
+PER_K_PADIC_LIMIT = 251
 IDENTITY_NS = (200, 400)  # the identity suite over 1..N; each N doubles the last
 
-# Times each path's _compare_pairs, all checks, at every prime of argv[1]
-# (a range lo:hi or a list p,q,...), and the exact path's B and E reads on
+# Times each path's _compare_pairs, all checks or those of argv[2], at every
+# prime of argv[1] (a range lo:hi or a list p,q,...), with the p-adic path up
+# to argv[3] or to the last prime, and the exact path's B and E reads on
 # their own; prints {"exact": {p: s}, "padic": {p: s}, "special": {p: s}}.
 PATHS_CODE = """
 import json, sys, time
@@ -81,7 +88,9 @@ def reading(read):
 C._compare_pairs = timed
 for name in ("_bern", "_euler"):
     setattr(C.ExactContext, name, reading(getattr(C.ExactContext, name)))
-C.run_suite(C.check_ids("all"), primes, padic_limit=max(primes), jobs=1)
+ids = C.check_ids(sys.argv[2] if len(sys.argv) > 2 else "all")
+limit = int(sys.argv[3]) if len(sys.argv) > 3 else max(primes)
+C.run_suite(ids, primes, padic_limit=limit, jobs=1)
 print(json.dumps(spent))
 """
 
@@ -104,8 +113,10 @@ def result_line(tree: Path, workload: str, seconds: float) -> dict:
     return json.loads(out.strip().splitlines()[-1])
 
 
-def path_seconds(tree: Path, primes: str) -> dict:
-    out = subprocess.run([sys.executable, "-c", PATHS_CODE, primes], check=True,
+def path_seconds(tree: Path, primes: str, *selection: str) -> dict:
+    """PATHS_CODE's seconds in the checkout `tree`; `selection` is its
+    optional check selector and p-adic limit."""
+    out = subprocess.run([sys.executable, "-c", PATHS_CODE, primes, *selection], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
     return {side: {int(p): s for p, s in per.items()} for side, per in json.loads(out).items()}
@@ -121,6 +132,18 @@ def identity_seconds(tree: Path, n: int) -> float:
 def sides_in_order(i: int) -> tuple[str, str]:
     """The order the two trees run in at pair i, counted from 0."""
     return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
+def range_seconds(trees: dict, primes: str, *selection: str) -> dict:
+    """Each side's seconds per path over `primes`, summed over the primes,
+    as the median of RANGE_REPEATS runs that alternate which side runs first."""
+    runs = {"parent": [], "change": []}
+    for i in range(RANGE_REPEATS):
+        for side in sides_in_order(i):
+            runs[side].append({path: sum(per.values()) for path, per
+                               in path_seconds(trees[side], primes, *selection).items()})
+    return {side: {path: statistics.median(r[path] for r in rs) for path in rs[0]}
+            for side, rs in runs.items()}
 
 
 def spread(values: list[float]) -> dict:
@@ -176,15 +199,13 @@ def main() -> int:
             print(f"# {name} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
         workloads[name] = workload_record(name, runs, spec)
 
-    paths = {}
-    for rng in RANGES:
-        runs = {"parent": [], "change": []}
-        for i in range(RANGE_REPEATS):
-            for side in sides_in_order(i):
-                runs[side].append({path: sum(per.values())
-                                   for path, per in path_seconds(trees[side], rng).items()})
-        paths[rng] = {side: {path: statistics.median(r[path] for r in rs) for path in rs[0]}
-                      for side, rs in runs.items()}
+    paths = {rng: range_seconds(trees, rng) for rng in RANGES}
+    per_k = {}
+    for rng in PER_K_RANGES:
+        per_k[rng] = range_seconds(trees, rng, PER_K_CHECKS, str(PER_K_PADIC_LIMIT))
+        print(f"# {PER_K_CHECKS} over {rng}, both paths to {PER_K_PADIC_LIMIT}: " + ", ".join(
+            f"{side} exact {t['exact']:.3f} s, p-adic {t['padic']:.3f} s"
+            for side, t in per_k[rng].items()), file=sys.stderr, flush=True)
     exponents = {}
     for side, tree in trees.items():
         repeats = [path_seconds(tree, ",".join(map(str, EXPONENT_PRIMES)))
@@ -216,6 +237,8 @@ def main() -> int:
                      "quartiles": "statistics.quantiles(n=4), exclusive method"},
         "workloads": workloads,
         "path_seconds_jobs1": paths,
+        "per_k_seconds_jobs1": {"checks": PER_K_CHECKS, "padic_limit": PER_K_PADIC_LIMIT,
+                                "repeats": RANGE_REPEATS, **per_k},
         "cost_exponent": {"primes": list(EXPONENT_PRIMES), "repeats": EXPONENT_REPEATS,
                       **exponents},
         "identity_seconds_jobs1": {"n": list(IDENTITY_NS), "repeats": RANGE_REPEATS,
