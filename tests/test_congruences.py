@@ -450,6 +450,19 @@ def test_fermat_quotient_checks_at_the_wieferich_prime(monkeypatch):
             assert (result.lhs, result.rhs, result.passed) == (0, 0, True)
 
 
+@pytest.mark.parametrize("p", [149, 241, 1093, 3511])
+def test_all_checks_agree_on_both_paths_at_the_degenerate_primes(p):
+    """p divides E_{p-3} at 149 and 241, and q_p(2) = 0 mod p at the
+    Wieferich primes 1093 and 3511, so a term of many right sides vanishes
+    mod p.  No check exhausts p-adic precision there, both paths agree on
+    every row, and only the literal CJ1.2 readings fail.  16843, where p
+    divides B_{p-3}, takes about 24 s and is left to a separate run."""
+    assert special.euler_by_index(p - 3) % p == 0 or pow(2, p - 1, p * p) == 1
+    results, _ = run_suite(check_ids("all"), [p], padic_limit=p)
+    assert all(r.applicable and r.path_agreement is True for r in results)
+    assert {r.id for r in results if not r.passed} == {"CJ1.2-c-lit", "CJ1.2-d-lit"}
+
+
 def test_padic_special_numbers_are_known_mod_p_only():
     """16843 divides B_16840, so the p-adic B_{p-3} at 16843 is a zero
     marker of bound 1, not a zero known to PADIC_PREC digits; a nonzero

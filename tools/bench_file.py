@@ -2,24 +2,27 @@
 
     python3 tools/bench_file.py --parent DIR --change DIR --out BENCH_12.json
 
-DIR is a source checkout (make the parent's with `git archive`).  For each
-workload of BENCHMARK.json the script runs `bench/run.py` in both checkouts
-for the `run_seconds` BENCHMARK.json sets, in PAIRS pairs that alternate which
-side runs first, and keeps every result line.  For each end-to-end metric it
-records the change/parent ratio of the medians and whether the change stays
-inside the metric's bound, and prints one line per metric to stderr.
-Then, in one process per checkout and run, it times the exact and the
-p-adic path (`_compare_pairs` of every check) and the exact path's special
-numbers (`ExactContext._bern` and `_euler`, left out of the exact path's
-seconds) over whole prime ranges at --jobs 1, each range as the median of
-RANGE_REPEATS runs that alternate which side runs first, and fits each
-path's cost-vs-p exponent over single primes, each timed as the median of
-EXPONENT_REPEATS runs.  It times the per-k checks PER_K_CHECKS alone the
-same way, on both paths to PER_K_PADIC_LIMIT, over each of PER_K_RANGES.
-It times the identity suite the same way, in process at --jobs 1 over
-n = 1..N for each N of IDENTITY_NS, each the median of RANGE_REPEATS
-alternating runs, with its growth exponent log2(t(2N) / t(N)).  Run it on
-an otherwise idle machine: every number is wall time.
+DIR is a source checkout (make the parent's with `git archive`).  Every
+figure is measured by one loop, `alternate`, in pairs of one run per
+checkout, each run a child process: pair i, counted from 0, runs the
+parent first when i is even and the change first when it is odd.
+
+For each workload of BENCHMARK.json it runs `bench/run.py` for the
+`run_seconds` BENCHMARK.json sets, in PAIRS pairs, and keeps every result
+line.  For each end-to-end metric it records the change/parent ratio of the
+medians and whether the change stays inside the metric's bound, and prints
+one line per metric to stderr.  Every other figure is the median of REPEATS
+pairs, each run a fresh process at --jobs 1:
+- the exact and the p-adic path (`_compare_pairs` of every check) and the
+  exact path's special numbers (`ExactContext._bern` and `_euler`, left out
+  of the exact path's seconds) over each of RANGES;
+- the per-k checks PER_K_CHECKS alone, on both paths to PER_K_PADIC_LIMIT,
+  over each of PER_K_RANGES;
+- each path at each of EXPONENT_PRIMES, all in one run, and its cost-vs-p
+  exponent fitted to those medians;
+- the identity suite over n = 1..N for each N of IDENTITY_NS, with its
+  growth exponent log2(t(2N) / t(N)).
+Run it on an otherwise idle machine: every number is wall time.
 """
 
 from __future__ import annotations
@@ -42,9 +45,8 @@ PAIRS = 10  # fewer alternating pairs than this cannot back a claimed gain
 # A single prime cannot show the exact path sweeping its rows over a range of
 # primes; 7:1999 does.
 RANGES = ("3:251", "7:499", "7:1999")
-RANGE_REPEATS = 3  # the seconds over each range are the median of this many runs
 EXPONENT_PRIMES = (251, 503, 1009, 2003)
-EXPONENT_REPEATS = 3  # the seconds at each prime are the median of this many runs
+REPEATS = 3  # every in-process timing is the median of this many alternating runs
 # The checks compared one residue per k, timed alone; no per-layer metric of
 # the benchmark isolates them.
 PER_K_CHECKS = "L2.1a,L2.1b,PS11c-3.2"
@@ -106,44 +108,48 @@ print(time.perf_counter() - start)
 """
 
 
-def result_line(tree: Path, workload: str, seconds: float) -> dict:
-    out = subprocess.run([sys.executable, "bench/run.py", "--workload", workload,
-                          "--seconds", str(seconds)], cwd=tree, check=True,
-                         capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+def child(tree: Path, *argv: str) -> str:
+    """The stdout of `python3 argv...` run in the checkout `tree`, its src first on the path."""
+    return subprocess.run([sys.executable, *argv], cwd=tree, check=True, capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
 
 
-def path_seconds(tree: Path, primes: str, *selection: str) -> dict:
-    """PATHS_CODE's seconds in the checkout `tree`; `selection` is its
-    optional check selector and p-adic limit."""
-    out = subprocess.run([sys.executable, "-c", PATHS_CODE, primes, *selection], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
-    return {side: {int(p): s for p, s in per.items()} for side, per in json.loads(out).items()}
+def alternate(trees: dict, count: int, measure, label: str) -> dict:
+    """{side: [measure(tree of side) in each of `count` pairs]}, pair i
+    running the parent first when i is even; one stderr line per pair."""
+    runs = {"parent": [], "change": []}
+    for i in range(count):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            runs[side].append(measure(trees[side]))
+        print(f"# {label} pair {i + 1}/{count}", file=sys.stderr, flush=True)
+    return runs
 
 
-def identity_seconds(tree: Path, n: int) -> float:
-    out = subprocess.run([sys.executable, "-c", IDENTITY_CODE, str(n)], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
-    return float(out)
+def median(values: list):
+    """The median of numbers, or key by key of dicts of them."""
+    if isinstance(values[0], dict):
+        return {key: median([v[key] for v in values]) for key in values[0]}
+    return statistics.median(values)
 
 
-def sides_in_order(i: int) -> tuple[str, str]:
-    """The order the two trees run in at pair i, counted from 0."""
-    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+def medians(trees: dict, measure, label: str) -> dict:
+    """Each side's median of `measure` over REPEATS alternating pairs."""
+    return {side: median(rs) for side, rs in alternate(trees, REPEATS, measure, label).items()}
 
 
 def range_seconds(trees: dict, primes: str, *selection: str) -> dict:
-    """Each side's seconds per path over `primes`, summed over the primes,
-    as the median of RANGE_REPEATS runs that alternate which side runs first."""
-    runs = {"parent": [], "change": []}
-    for i in range(RANGE_REPEATS):
-        for side in sides_in_order(i):
-            runs[side].append({path: sum(per.values()) for path, per
-                               in path_seconds(trees[side], primes, *selection).items()})
-    return {side: {path: statistics.median(r[path] for r in rs) for path in rs[0]}
-            for side, rs in runs.items()}
+    """Each side's PATHS_CODE seconds per path over `primes`, summed over the
+    primes; `selection` is its optional check selector and p-adic limit."""
+    def measure(tree):
+        out = json.loads(child(tree, "-c", PATHS_CODE, primes, *selection))
+        return {path: sum(per.values()) for path, per in out.items()}
+    return medians(trees, measure, " ".join((primes, *selection)))
+
+
+def fitted(per: dict) -> dict:
+    """One path's PATHS_CODE seconds, keyed by int p, with their cost-vs-p exponent."""
+    per = {int(p): t for p, t in per.items()}
+    return {"seconds": per, "exponent": cost_exponent(per)}
 
 
 def spread(values: list[float]) -> dict:
@@ -187,16 +193,13 @@ def main() -> int:
     # Where the environment sets PYTHONDONTWRITEBYTECODE, a tree with no
     # __pycache__ compiles its sources in every run: compile both first.
     for tree in trees.values():
-        subprocess.run([sys.executable, "-m", "compileall", "-q", str(tree / "src")],
-                       check=True)
+        child(tree, "-m", "compileall", "-q", "src")
 
     workloads = {}
     for name in (w["name"] for w in spec["workloads"]):
-        runs = {"parent": [], "change": []}
-        for i in range(PAIRS):
-            for side in sides_in_order(i):
-                runs[side].append(result_line(trees[side], name, seconds))
-            print(f"# {name} pair {i + 1}/{PAIRS}", file=sys.stderr, flush=True)
+        runs = alternate(trees, PAIRS, lambda tree: json.loads(child(
+            tree, "bench/run.py", "--workload", name, "--seconds", str(seconds)
+        ).strip().splitlines()[-1]), name)
         workloads[name] = workload_record(name, runs, spec)
 
     paths = {rng: range_seconds(trees, rng) for rng in RANGES}
@@ -206,23 +209,16 @@ def main() -> int:
         print(f"# {PER_K_CHECKS} over {rng}, both paths to {PER_K_PADIC_LIMIT}: " + ", ".join(
             f"{side} exact {t['exact']:.3f} s, p-adic {t['padic']:.3f} s"
             for side, t in per_k[rng].items()), file=sys.stderr, flush=True)
-    exponents = {}
-    for side, tree in trees.items():
-        repeats = [path_seconds(tree, ",".join(map(str, EXPONENT_PRIMES)))
-                   for _ in range(EXPONENT_REPEATS)]
-        exponents[side] = {}
-        for path in ("exact", "padic"):
-            per = {p: statistics.median(r[path][p] for r in repeats) for p in EXPONENT_PRIMES}
-            exponents[side][path] = {"seconds": per, "exponent": cost_exponent(per)}
+    primes = ",".join(map(str, EXPONENT_PRIMES))
+    exponents = {side: {path: fitted(t[path]) for path in ("exact", "padic")}
+                 for side, t in medians(trees, lambda tree: json.loads(
+                     child(tree, "-c", PATHS_CODE, primes)), primes).items()}
 
     identity = {side: {"seconds": {}} for side in trees}
     for n in IDENTITY_NS:
-        runs = {"parent": [], "change": []}
-        for i in range(RANGE_REPEATS):
-            for side in sides_in_order(i):
-                runs[side].append(identity_seconds(trees[side], n))
-        for side, rs in runs.items():
-            identity[side]["seconds"][n] = statistics.median(rs)
+        for side, t in medians(trees, lambda tree: float(child(tree, "-c", IDENTITY_CODE, str(n))),
+                               f"identity N={n}").items():
+            identity[side]["seconds"][n] = t
     for side, record in identity.items():
         per = record["seconds"]
         record["exponent"] = math.log2(per[IDENTITY_NS[1]] / per[IDENTITY_NS[0]])
@@ -232,16 +228,16 @@ def main() -> int:
 
     args.out.write_text(json.dumps({
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
-        "settings": {"pairs": PAIRS, "seconds": seconds, "range_repeats": RANGE_REPEATS,
+        "settings": {"pairs": PAIRS, "seconds": seconds, "range_repeats": REPEATS,
                      "order": "parent first in odd pairs, change first in even pairs",
                      "quartiles": "statistics.quantiles(n=4), exclusive method"},
         "workloads": workloads,
         "path_seconds_jobs1": paths,
         "per_k_seconds_jobs1": {"checks": PER_K_CHECKS, "padic_limit": PER_K_PADIC_LIMIT,
-                                "repeats": RANGE_REPEATS, **per_k},
-        "cost_exponent": {"primes": list(EXPONENT_PRIMES), "repeats": EXPONENT_REPEATS,
+                                "repeats": REPEATS, **per_k},
+        "cost_exponent": {"primes": list(EXPONENT_PRIMES), "repeats": REPEATS,
                       **exponents},
-        "identity_seconds_jobs1": {"n": list(IDENTITY_NS), "repeats": RANGE_REPEATS,
+        "identity_seconds_jobs1": {"n": list(IDENTITY_NS), "repeats": REPEATS,
                                    **identity},
     }, indent=1, sort_keys=True) + "\n")
     return 0
