@@ -273,8 +273,9 @@ class ExactColumn(Column):
     row or gap read, kept as built, with no gcd and no product formed until
     a sum needs one.  A constant is an int or a Fraction.  Adding one forms
     the products of the factors; a sign is one more factor, of 1s and -1s.
-    `residues` takes one inverse, of den, and reduces each factor mod p^e;
-    every denominator is prime to p, else pow raises, an engine fault."""
+    `residues` takes one inverse, of den, starts every k from num/den mod
+    p^e and multiplies in each factor mod p^e, one pass per factor; every
+    denominator is prime to p, else pow raises, an engine fault."""
 
     __slots__ = ("factors", "num", "den")
 
@@ -306,12 +307,8 @@ class ExactColumn(Column):
 
     def residues(self, e: int) -> list[int]:
         m = self.p ** e
-        scale = self.num * pow(self.den, -1, m) % m
-        if not self.factors:
-            return [scale] * len(self.ks)
-        first, *rest = self.factors
-        values = [t % m * scale % m for t in first]
-        for factor in rest:
+        values = [self.num * pow(self.den, -1, m) % m] * len(self.ks)
+        for factor in self.factors:
             values = [v * (t % m) % m for v, t in zip(values, factor)]
         return values
 

@@ -192,16 +192,17 @@ class PadicContext(Context):
     - A rational constant of a statement, q_p(2) among them, is lifted by
       `frac`.
     - A row, H_n^(m) among them, is stepped as integers by `row_padic`, one
-      inverse per row; a sum adds its (valuation, unit) pairs with
-      `PAdic.sum_terms`, whose precision cap is the one sequential addition
-      would give.  A range with lo <= n < hi is the sum of its halves lo..n
-      and n+1..hi, each read through the memo, so no k of a row is stepped
-      twice at one prime; the halves add to that same cap.  The harmonic gaps
-      are windows of the units 1/j of h1's halves, so no gap takes an inverse.
-    - A per-k read is a `PadicColumn` of those (valuation, unit) lists, at
-      relative precision PADIC_PREC, or of the gaps, each at absolute
-      precision PADIC_PREC; it builds no PAdic per k, and tracks precision
-      value by value by PAdic's own rules.
+      inverse per row, into a per-k read: a `PadicColumn` of (valuation,
+      unit) lists at relative precision PADIC_PREC, which builds no PAdic
+      per k and tracks precision value by value by PAdic's own rules.  A
+      sum adds the pairs of the per-k read of its range, through the base
+      memo, with `PAdic.sum_terms`, whose precision cap is the one
+      sequential addition would give; so a sum, a per-k read and the gaps
+      of one range step it once.  A range with lo <= n < hi is the sum of
+      its halves lo..n and n+1..hi, so no k of a row is stepped twice at
+      one prime; the halves add to that same cap.
+    - The harmonic gaps are windows of the units 1/j of h1's halves, so no
+      gap takes an inverse; each is known to absolute precision PADIC_PREC.
     - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
       and character-sum routes, and never from a table.  Every check
       multiplies them by a coefficient of valuation at least m - 1, so mod p
@@ -215,35 +216,28 @@ class PadicContext(Context):
     def frac(self, a, b=1):
         return PAdic.from_rational(a, self.p, PADIC_PREC, b)
 
-    def _digits(self, name: str, lo: int, hi: int) -> tuple:
-        """`row_padic` of the range, memoized: a per-k read and a sum over
-        one range, `sq_k0` over 0..n, step it once."""
-        p = self.p
-        return self._memo(("D", name, lo, hi),
-                          lambda: row_padic(name, p, lo, hi, p, PADIC_PREC))
-
     def column(self, x: PAdic, ks: range) -> PadicColumn:
         """The constant x at every k of ks."""
         return PadicColumn(self.p, ks, *([part] * len(ks) for part in (x.val, x.unit, x.prec)))
 
     def _terms(self, name: str, lo: int, hi: int) -> PadicColumn:
-        vals, units = self._digits(name, lo, hi)
+        vals, units = row_padic(name, self.p, lo, hi, self.p, PADIC_PREC)
         return PadicColumn(self.p, range(lo, hi + 1), vals, units, [PADIC_PREC] * len(vals))
 
     def _gaps(self) -> PadicColumn:
-        (low_vals, low), (high_vals, high) = (self._digits("h1", 1, self.n),
-                                              self._digits("h1", self.n + 1, self.p - 1))
-        if any(low_vals) or any(high_vals):  # every j < p is a unit
+        low, high = self.terms("h1", 1, self.n), self.terms("h1", self.n + 1, self.p - 1)
+        if any(low.vals) or any(high.vals):  # every j < p is a unit
             raise InternalInconsistency(f"p={self.p}: a term of row h1 below p is not a unit")
         # gap_k = gap_{k-1} + 1/(n-k+1) + 1/(n+k)
         return PadicColumn.from_residues(
             self.p, range(1, self.n + 1),
-            accumulate(u + w for u, w in zip(reversed(low), high)), PADIC_PREC)
+            accumulate(u + w for u, w in zip(reversed(low.units), high.units)), PADIC_PREC)
 
     def _row_sum(self, name: str, lo: int, hi: int):
         if lo <= self.n < hi:
             return self.S(name, lo, self.n) + self.S(name, self.n + 1, hi)
-        return PAdic.sum_terms(self.p, *self._digits(name, lo, hi), PADIC_PREC)
+        terms = self.terms(name, lo, hi)
+        return PAdic.sum_terms(self.p, terms.vals, terms.units, PADIC_PREC)
 
     def _bern(self, i: int):
         return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
@@ -742,8 +736,8 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     no verdict built on it could be trusted.
 
     The tables are sized once, before any prime, to below INDEX_MIN at
-    most: grown on demand, a held table would double.  Each worker computes
-    the values from INDEX_MIN up of its own primes by index.
+    most: grown on demand, a table would be rebuilt at each new index.  Each
+    worker computes the values from INDEX_MIN up of its own primes by index.
     """
     ids = list(ids)
     primes = sorted(map(_checked_prime, primes))

@@ -67,14 +67,10 @@ class SpecialCache:
     def ensure_bernoulli(self, n: int) -> None:
         """Hold B_0..B_n; B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)).
 
-        Growing a held table recomputes the triangle, so a held table grows
-        to at least twice its size: growing it index by index to n costs
-        O(log n) triangles, not n.
+        Growing a held table rebuilds the triangle from the start.
         """
         if n in self.bernoulli:
             return
-        if self.bernoulli:
-            n = max(n, 2 * max(self.bernoulli))
         table = [Fraction(1), Fraction(-1, 2)] + [Fraction(0)] * (n - 1)
         for k, t in enumerate(_tangent_numbers(n // 2), start=1):
             four_k = 4 ** k
@@ -85,13 +81,11 @@ class SpecialCache:
     def ensure_euler(self, n: int) -> None:
         """Hold E_0, E_2, .., E_n (even indices); E_2k = (-1)^k S_k.
 
-        A held table grows to at least twice its size, as in ensure_bernoulli.
+        Growing a held table rebuilds the triangle, as in ensure_bernoulli.
         """
         m = n // 2
         if 2 * m in self.euler:
             return
-        if self.euler:
-            m = max(m, max(self.euler))  # index 2m: twice the largest held
         self.euler.update((2 * k, (-1) ** k * s)
                           for k, s in enumerate(_secant_numbers(m)))
 

@@ -326,6 +326,7 @@ def test_exact_column_operations_are_fraction_ones(p, e, data):
     col_x, col_y = ExactColumn(p, ks, (x,), 1, dx), ExactColumn(p, ks, (y,), 1, dy)
     flip = lambda k: k % 3 == 1  # noqa: E731
     cases = [
+        (ExactColumn(p, ks, (), c.numerator, c.denominator), [c] * size),
         (col_x, xs),
         (col_x * col_y, [a * b for a, b in zip(xs, ys)]),
         (col_x * c, [a * c for a in xs]),

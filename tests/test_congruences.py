@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from congrlab import congruences, identities, special, sums
+from congrlab import cli, congruences, identities, special, sums
 from congrlab.arith import (
     Column,
     PAdic,
+    PadicColumn,
     PrimeRange,
     rat_reduce_mod,
     reduce_mod,
@@ -683,10 +684,12 @@ def test_a_padic_column_fault_is_an_engine_fault(monkeypatch):
 def test_padic_gaps_refuse_an_h1_term_that_is_not_a_unit():
     """Every j < p is a unit, so an h1 digit of valuation 1 is an engine fault."""
     ctx = PadicContext(13)
-    _, units = ctx._digits("h1", 7, 12)
-    ctx.memo["D", "h1", 7, 12] = [0, 0, 1, 0, 0, 0], units
+    high = ctx.terms("h1", 7, 12)
+    ctx.memo["T", "h1", 7, 12] = PadicColumn(13, high.ks, [0, 0, 1, 0, 0, 0], high.units,
+                                             high.precs)
     with pytest.raises(InternalInconsistency, match="p=13: a term of row h1"):
         ctx.gaps()
+    assert {key[0] for key in ctx.memo} == {"T"}  # the base memo's own key
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -1104,12 +1107,21 @@ def test_shared_contexts_change_no_verdict(cache):
     assert [row(r) for r in shared] == [row(r) for r in fresh]
 
 
-@pytest.mark.parametrize("name", ["evaluate_check", "_compare_pairs", "rat_reduce_mod",
-                                  "PadicContext"])
-def test_names_the_benchmark_tracer_wraps_resolve(name):
-    """bench/tracer.py wraps these names in congrlab.congruences and reads 0
-    for a name that is gone, so a rename must fail here."""
-    assert callable(getattr(congruences, name, None))
+TRACED = [
+    (congruences, "evaluate_check"), (congruences, "_compare_pairs"),
+    (congruences, "rat_reduce_mod"), (congruences, "PadicContext"),
+    (cli, "run_suite"), (cli, "run_identity_suite"), (cli, "emit_report"),
+    (SpecialCache, "ensure_bernoulli"), (SpecialCache, "ensure_euler"),
+    (PAdic, "from_rational"),
+    (identities, "evaluate_identity"), (identities, "check_recurrence"),
+]
+
+
+@pytest.mark.parametrize("owner, name", TRACED, ids=[name for _, name in TRACED])
+def test_names_the_benchmark_tracer_wraps_resolve(owner, name):
+    """bench/tracer.py wraps these names where their callers bind them and
+    reads 0 for a name that is gone, so a rename must fail here."""
+    assert callable(getattr(owner, name, None))
 
 
 def test_summary_counts(cache):

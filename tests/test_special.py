@@ -3,7 +3,7 @@ theorems, the defining recurrences, and the independent mod-p cross-checks."""
 
 from fractions import Fraction
 from itertools import accumulate
-from math import comb, gcd, lcm, log2
+from math import comb, gcd, lcm
 
 import pytest
 
@@ -260,8 +260,7 @@ def test_padic_harmonic_gaps_match_exact_residues(p):
     Wieferich prime."""
     ctx, n = PadicContext(p), (p - 1) // 2
     gaps = ctx.gaps()
-    assert [key for key in ctx.memo if key[0] == "D"] == [("D", "h1", 1, n),
-                                                          ("D", "h1", n + 1, p - 1)]
+    assert list(ctx.memo) == [("T", "h1", 1, n), ("T", "h1", n + 1, p - 1), ("G",)]
     # H_j for j <= 2n, one 1/j at a time: differences of 2n calls of
     # harmonic_exact would take seconds at 1999
     h = list(accumulate((Fraction(1, j) for j in range(1, 2 * n + 1)), initial=Fraction(0)))
@@ -307,29 +306,19 @@ def test_cache_extension_resumes_after_load():
     assert cache.euler[20] == 370371188237525
 
 
-def test_growing_a_table_prime_by_prime_builds_log_many_triangles(monkeypatch):
-    """Each growth rebuilds the triangle, so a held table at least doubles."""
-    builds = {"_tangent_numbers": 0, "_secant_numbers": 0}
-    for name in builds:
-        def counted(k, build=getattr(special, name), name=name):
-            builds[name] += 1
-            return build(k)
-        monkeypatch.setattr(special, name, counted)
-    cache = SpecialCache()
-    primes = sieve_primes(PrimeRange(7, 503))
-    for p in primes:
-        bernoulli_exact(p - 3, cache)
-        euler_exact(p - 3, cache)
-    n = primes[-1] - 3
-    assert 2 <= builds["_tangent_numbers"] <= log2(n)
-    assert 2 <= builds["_secant_numbers"] <= log2(n)
-
-    monkeypatch.undo()
-    fresh = SpecialCache()
-    fresh.ensure_bernoulli(n)
-    fresh.ensure_euler(n)
-    assert all(cache.bernoulli[i] == fresh.bernoulli[i] for i in range(n + 1))
-    assert all(cache.euler[i] == fresh.euler[i] for i in range(0, n + 1, 2))
+def test_a_held_table_grows_to_the_index_asked():
+    """Growing a held table from 10 to 12 holds 0..12 and no index past it,
+    with the values of a fresh build."""
+    cache, fresh = SpecialCache(), SpecialCache()
+    cache.ensure_bernoulli(10)
+    cache.ensure_euler(10)
+    cache.ensure_bernoulli(12)
+    cache.ensure_euler(12)
+    fresh.ensure_bernoulli(12)
+    fresh.ensure_euler(12)
+    assert sorted(cache.bernoulli) == list(range(13))
+    assert sorted(cache.euler) == list(range(0, 13, 2))
+    assert (cache.bernoulli, cache.euler) == (fresh.bernoulli, fresh.euler)
 
 
 def test_fresh_table_is_built_to_the_size_asked():

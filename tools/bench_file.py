@@ -11,17 +11,18 @@ For each workload of BENCHMARK.json it runs `bench/run.py` for the
 `run_seconds` BENCHMARK.json sets, in PAIRS pairs, and keeps every result
 line.  For each end-to-end metric it records the change/parent ratio of the
 medians and whether the change stays inside the metric's bound, and prints
-one line per metric to stderr.  Every other figure is the median of REPEATS
-pairs, each run a fresh process at --jobs 1:
+one line per metric to stderr.  Every other figure is timed in PAIRS pairs
+too, each run a fresh process at --jobs 1, and each side is recorded as its
+median and quartiles (`spread`), key by key for the per-path seconds:
 - the exact and the p-adic path (`_compare_pairs` of every check) and the
   exact path's special numbers (`ExactContext._bern` and `_euler`, left out
   of the exact path's seconds) over each of RANGES;
 - the per-k checks PER_K_CHECKS alone, on both paths to PER_K_PADIC_LIMIT,
   over each of PER_K_RANGES;
 - each path at each of EXPONENT_PRIMES, all in one run, and its cost-vs-p
-  exponent fitted to those medians;
+  exponent fitted to the medians;
 - the identity suite over n = 1..N for each N of IDENTITY_NS, with its
-  growth exponent log2(t(2N) / t(N)).
+  growth exponent log2(t(2N) / t(N)) of the medians.
 Run it on an otherwise idle machine: every number is wall time.
 """
 
@@ -46,7 +47,6 @@ PAIRS = 10  # fewer alternating pairs than this cannot back a claimed gain
 # primes; 7:1999 does.
 RANGES = ("3:251", "7:499", "7:1999")
 EXPONENT_PRIMES = (251, 503, 1009, 2003)
-REPEATS = 3  # every in-process timing is the median of this many alternating runs
 # The checks compared one residue per k, timed alone; no per-layer metric of
 # the benchmark isolates them.
 PER_K_CHECKS = "L2.1a,L2.1b,PS11c-3.2"
@@ -125,16 +125,9 @@ def alternate(trees: dict, count: int, measure, label: str) -> dict:
     return runs
 
 
-def median(values: list):
-    """The median of numbers, or key by key of dicts of them."""
-    if isinstance(values[0], dict):
-        return {key: median([v[key] for v in values]) for key in values[0]}
-    return statistics.median(values)
-
-
-def medians(trees: dict, measure, label: str) -> dict:
-    """Each side's median of `measure` over REPEATS alternating pairs."""
-    return {side: median(rs) for side, rs in alternate(trees, REPEATS, measure, label).items()}
+def spreads(trees: dict, measure, label: str) -> dict:
+    """Each side's `spread` of `measure` over PAIRS alternating pairs."""
+    return {side: spread(rs) for side, rs in alternate(trees, PAIRS, measure, label).items()}
 
 
 def range_seconds(trees: dict, primes: str, *selection: str) -> dict:
@@ -143,16 +136,20 @@ def range_seconds(trees: dict, primes: str, *selection: str) -> dict:
     def measure(tree):
         out = json.loads(child(tree, "-c", PATHS_CODE, primes, *selection))
         return {path: sum(per.values()) for path, per in out.items()}
-    return medians(trees, measure, " ".join((primes, *selection)))
+    return spreads(trees, measure, " ".join((primes, *selection)))
 
 
 def fitted(per: dict) -> dict:
-    """One path's PATHS_CODE seconds, keyed by int p, with their cost-vs-p exponent."""
+    """One path's spread of PATHS_CODE seconds, keyed by int p, with the
+    cost-vs-p exponent of their medians."""
     per = {int(p): t for p, t in per.items()}
-    return {"seconds": per, "exponent": cost_exponent(per)}
+    return {"seconds": per, "exponent": cost_exponent({p: t["median"] for p, t in per.items()})}
 
 
-def spread(values: list[float]) -> dict:
+def spread(values: list):
+    """The median and quartiles of numbers, or key by key of dicts of them."""
+    if isinstance(values[0], dict):
+        return {key: spread([v[key] for v in values]) for key in values[0]}
     q1, median, q3 = statistics.quantiles(values, n=4)
     return {"median": statistics.median(values), "q1": q1, "q3": q3, "iqr": q3 - q1}
 
@@ -207,38 +204,37 @@ def main() -> int:
     for rng in PER_K_RANGES:
         per_k[rng] = range_seconds(trees, rng, PER_K_CHECKS, str(PER_K_PADIC_LIMIT))
         print(f"# {PER_K_CHECKS} over {rng}, both paths to {PER_K_PADIC_LIMIT}: " + ", ".join(
-            f"{side} exact {t['exact']:.3f} s, p-adic {t['padic']:.3f} s"
+            f"{side} exact {t['exact']['median']:.3f} s, p-adic {t['padic']['median']:.3f} s"
             for side, t in per_k[rng].items()), file=sys.stderr, flush=True)
     primes = ",".join(map(str, EXPONENT_PRIMES))
     exponents = {side: {path: fitted(t[path]) for path in ("exact", "padic")}
-                 for side, t in medians(trees, lambda tree: json.loads(
+                 for side, t in spreads(trees, lambda tree: json.loads(
                      child(tree, "-c", PATHS_CODE, primes)), primes).items()}
 
     identity = {side: {"seconds": {}} for side in trees}
     for n in IDENTITY_NS:
-        for side, t in medians(trees, lambda tree: float(child(tree, "-c", IDENTITY_CODE, str(n))),
+        for side, t in spreads(trees, lambda tree: float(child(tree, "-c", IDENTITY_CODE, str(n))),
                                f"identity N={n}").items():
             identity[side]["seconds"][n] = t
     for side, record in identity.items():
         per = record["seconds"]
-        record["exponent"] = math.log2(per[IDENTITY_NS[1]] / per[IDENTITY_NS[0]])
+        record["exponent"] = math.log2(per[IDENTITY_NS[1]]["median"]
+                                       / per[IDENTITY_NS[0]]["median"])
         print(f"# identity suite --jobs 1, {side}: " + ", ".join(
-            f"N={n} {t:.3f} s" for n, t in per.items())
+            f"N={n} {t['median']:.3f} s" for n, t in per.items())
             + f", exponent {record['exponent']:.2f}", file=sys.stderr, flush=True)
 
     args.out.write_text(json.dumps({
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
-        "settings": {"pairs": PAIRS, "seconds": seconds, "range_repeats": REPEATS,
+        "settings": {"pairs": PAIRS, "seconds": seconds,
                      "order": "parent first in odd pairs, change first in even pairs",
                      "quartiles": "statistics.quantiles(n=4), exclusive method"},
         "workloads": workloads,
         "path_seconds_jobs1": paths,
         "per_k_seconds_jobs1": {"checks": PER_K_CHECKS, "padic_limit": PER_K_PADIC_LIMIT,
-                                "repeats": REPEATS, **per_k},
-        "cost_exponent": {"primes": list(EXPONENT_PRIMES), "repeats": REPEATS,
-                      **exponents},
-        "identity_seconds_jobs1": {"n": list(IDENTITY_NS), "repeats": REPEATS,
-                                   **identity},
+                                **per_k},
+        "cost_exponent": {"primes": list(EXPONENT_PRIMES), **exponents},
+        "identity_seconds_jobs1": {"n": list(IDENTITY_NS), **identity},
     }, indent=1, sort_keys=True) + "\n")
     return 0
 
