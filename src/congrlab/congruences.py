@@ -5,10 +5,12 @@ primes up to `padic_limit`, once over valuation-aware truncated p-adics; the
 two residues must coincide.  A disagreement is an engine bug, not a failing
 congruence, and is surfaced as such.  The base `Context` decides what a
 check reads at a prime, through one memo; each path only computes it.  The
-p-adic path reads nothing the exact path builds: it steps the rows of `SUMS`
-itself, harmonic numbers included, and takes B and E mod p from routes that
-read no table.  The exact path checks each Bernoulli or Euler number it
-reads against that route.
+paths share no row data: the exact path steps the rows of `SUMS`, and the
+p-adic path reads every row, harmonic numbers included, off per-prime
+factorial tables (`FactorialTable`).  It reads nothing the exact path
+builds, takes B and E mod p from routes that read no table, and q_p(2) from
+2^(p-1) mod p^(PADIC_PREC+1).  The exact path checks each Bernoulli or Euler
+number it reads against that route.
 
 A check has one description, `sides`, that both contexts read: two scalars,
 or for a per-k check two columns over the same k (`arith.Column`), each a
@@ -48,7 +50,7 @@ from .special import (
     euler_mod_p,
     harmonic_gap_numerators,
 )
-from .sums import PRIME_FREE, Sweep, row_numerators, row_padic, row_sum
+from .sums import PRIME_FREE, FactorialTable, Sweep, row_numerators, row_sum
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -59,17 +61,19 @@ PADIC_PATH_MAX_PRIME = 61
 class Context:
     """The interface a check reads, at one prime: `frac`, `column`, `S`,
     `terms`, `gaps`, `bern`, `euler`, `qp`, `div_pp` and `residue`.  A check
-    reads a row of `SUMS` only as a range lo..hi at p, summed (`S`) or per k
-    (`terms`, a column), and every other factor by the method named after it.
+    reads a row only as a range lo..hi at p, summed (`S`) or per k (`terms`,
+    a column), and every other factor by the method named after it.
 
     The base owns every read.  One memo, shared by every check evaluated at
-    the prime, holds the row sums of `SUMS` (harmonic numbers among them),
-    the per-k columns, the harmonic gaps, the special numbers and q_p(2),
-    and the base decides which B and E indices exist.  A context supplies
-    only its arithmetic: `frac`, `column`, `_row_sum`, `_terms`, `_gaps`, its
-    source of B and E (`_bern`, `_euler`), `div_pp` and `residue`.  The two
-    contexts share the rows' closed forms and ratios, which the exact path
-    guards; each builds every value a check reads in its own arithmetic.
+    the prime, holds the row sums (harmonic numbers among them), the per-k
+    columns, the harmonic gaps, the special numbers, q_p(2) and, on the
+    p-adic path, the prime's factorial table; the base decides which B and E
+    indices exist.  A context supplies only its arithmetic: `frac`,
+    `column`, `_row_sum`, `_terms`, `_gaps`, its source of B, E and q_p(2)
+    (`_bern`, `_euler`, `_qp`), `div_pp` and `residue`.  Each builds every
+    value a check reads in its own arithmetic, from its own description of
+    the rows: the exact path from the closed forms and ratios of SUMS, the
+    p-adic path from the factors of FACTORS.
     """
 
     def __init__(self, p: int):
@@ -84,11 +88,11 @@ class Context:
         return value
 
     def S(self, name: str, lo: int, hi: int):
-        """Sum row `name` of SUMS at p over lo <= k <= hi, memoized."""
+        """Sum row `name` at p over lo <= k <= hi, memoized."""
         return self._memo(("S", name, lo, hi), lambda: self._row_sum(name, lo, hi))
 
     def terms(self, name: str, lo: int, hi: int) -> Column:
-        """The terms t_lo..t_hi of row `name` of SUMS at p, memoized: a
+        """The terms t_lo..t_hi of row `name` at p, memoized: a
         column over k = lo..hi, built whole, so the exact path's guard has
         run on the last term before any value is read."""
         return self._memo(("T", name, lo, hi), lambda: self._terms(name, lo, hi))
@@ -107,9 +111,8 @@ class Context:
         return self._memo(("E",), lambda: self._euler() if self.p > 3 else self.frac(1))
 
     def qp(self):
-        """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p, memoized: a statement
-        constant, lifted by `frac` as L2.2-2.3's (-1)^n C(p-1, n) is."""
-        return self._memo(("qp",), lambda: self.frac(pow(2, self.p - 1) - 1, self.p))
+        """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p, memoized."""
+        return self._memo(("qp",), self._qp)
 
 
 class ExactContext(Context):
@@ -161,6 +164,9 @@ class ExactContext(Context):
             return self.sweep.sum(name, self.p, lo, hi)
         return row_sum(name, self.p, lo, hi)
 
+    def _qp(self):
+        return Fraction(pow(2, self.p - 1) - 1, self.p)
+
     def _bern(self, i: int):
         value = bernoulli_exact(i, self.cache) if i < INDEX_MIN else bernoulli_by_index(i)
         # a residue that misses the power-sum route raises InternalInconsistency,
@@ -189,18 +195,20 @@ class PadicContext(Context):
     """Evaluates the same expressions over truncated p-adic numbers at the
     working precision PADIC_PREC, reading nothing the exact path builds.
 
-    - A rational constant of a statement, q_p(2) among them, is lifted by
-      `frac`.
-    - A row, H_n^(m) among them, is stepped as integers by `row_padic`, one
-      inverse per row, into a per-k read: a `PadicColumn` of (valuation,
-      unit) lists at relative precision PADIC_PREC, which builds no PAdic
-      per k and tracks precision value by value by PAdic's own rules.  A
-      sum adds the pairs of the per-k read of its range, through the base
-      memo, with `PAdic.sum_terms`, whose precision cap is the one
-      sequential addition would give; so a sum, a per-k read and the gaps
-      of one range step it once.  A range with lo <= n < hi is the sum of
-      its halves lo..n and n+1..hi, so no k of a row is stepped twice at
-      one prime; the halves add to that same cap.
+    - A rational constant of a statement is lifted by `frac`.  q_p(2) is
+      read off 2^(p-1) mod p^(PADIC_PREC+1) at absolute precision
+      PADIC_PREC, not lifted from the exact path's rational.
+    - A row, H_n^(m) among them, is read off the prime's `FactorialTable`,
+      built on the first read through the base memo and held for the life
+      of the context, as a product of its FACTORS; no entry of SUMS is
+      read.  The read is a `PadicColumn` of (valuation, unit) lists at
+      relative precision PADIC_PREC, which builds no PAdic per k and tracks
+      precision value by value by PAdic's own rules.  A sum adds the pairs of the per-k read of
+      its range, through the base memo, with `PAdic.sum_terms`, whose
+      precision cap is the one sequential addition would give; so a sum, a
+      per-k read and the gaps of one range read it once.  A range with
+      lo <= n < hi is the sum of its halves lo..n and n+1..hi, so no k of a
+      row is read twice at one prime; the halves add to that same cap.
     - The harmonic gaps are windows of the units 1/j of h1's halves, so no
       gap takes an inverse; each is known to absolute precision PADIC_PREC.
     - B_{p-3}, B_{p-5} and E_{p-3} are known mod p only, from the power-sum
@@ -221,7 +229,8 @@ class PadicContext(Context):
         return PadicColumn(self.p, ks, *([part] * len(ks) for part in (x.val, x.unit, x.prec)))
 
     def _terms(self, name: str, lo: int, hi: int) -> PadicColumn:
-        vals, units = row_padic(name, self.p, lo, hi, self.p, PADIC_PREC)
+        table = self._memo(("F",), lambda: FactorialTable(self.p, PADIC_PREC))
+        vals, units = table.read(name, lo, hi)
         return PadicColumn(self.p, range(lo, hi + 1), vals, units, [PADIC_PREC] * len(vals))
 
     def _gaps(self) -> PadicColumn:
@@ -238,6 +247,11 @@ class PadicContext(Context):
             return self.S(name, lo, self.n) + self.S(name, self.n + 1, hi)
         terms = self.terms(name, lo, hi)
         return PAdic.sum_terms(self.p, terms.vals, terms.units, PADIC_PREC)
+
+    def _qp(self):
+        # its own route, so a wrong exact q_p(2) shows as a path disagreement
+        power = pow(2, self.p - 1, self.p ** (PADIC_PREC + 1))
+        return PAdic.from_residue((power - 1) // self.p, self.p, PADIC_PREC)
 
     def _bern(self, i: int):
         return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)

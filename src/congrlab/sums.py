@@ -1,6 +1,6 @@
 """The binomial sums, per-k terms and harmonic numbers of all three
 catalogs, one row each, and the routines that step a row, sum it exactly,
-or step it as p-adic digits.
+or read it as p-adic digits.
 
 A row is summed over k or, for a per-k check, read term by term.  Every
 summand t_k is a hypergeometric term in k with one parameter a: the
@@ -19,11 +19,15 @@ index, splitting only the steps since its last read; it and `row_sum`
 share one guarded fold, `_steps`.  A `Sweep` keeps two cursors for each
 PRIME_FREE row, whose terms do not depend on p, over a rising run of
 primes, and an identity run one for each row whose terms do not depend
-on n.  `row_padic` steps a row as integer (valuation, unit mod
-p^prec) pairs with one modular inverse per row, for the p-adic path.  The
-closed forms and the ratios are all the two congruence paths share; the
-exact path guards every row it reads, so a wrong ratio is an engine fault
-rather than a value both paths agree on.
+on n.  The exact path reads the congruence rows from SUMS and guards
+each against its closed form, so a wrong ratio is an engine fault.
+
+The p-adic path reads the same rows as products of named factors (FACTORS):
+C(2k,k), C(4k,2k), powers c^k, linear forms such as 2k+1, each to a power.
+A `FactorialTable` holds, at one prime, the units and valuations of j! for
+j <= 4p and reads every factor off them, so no ratio is stepped and no entry
+of SUMS is read: a closed form and ratio that are wrong together give a path
+disagreement, not a value both paths agree on.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from __future__ import annotations
 from copy import copy
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate, repeat
 from math import comb, prod
 
 from .arith import vp_int
@@ -288,53 +293,167 @@ class Sweep:
         return cursor.prefix(a, x)
 
 
-def _strip(x: int, p: int) -> tuple[int, int]:
-    """(v, x / p^v) with v = v_p(x); vp_int raises ValueError on x = 0."""
-    if x % p:
-        return 0, x
-    v = vp_int(x, p)
-    return v, x // p ** v
 
 
-def row_padic(name: str, a: int, lo: int, hi: int, p: int, prec: int):
-    """The terms t_lo..t_hi of row `name` of SUMS at parameter a as p-adic
-    digits: the lists of v_k and of u_k mod p^prec, t_k = p^v_k * u_k with
-    u_k a unit.
+# The congruence rows as the p-adic path reads them: t_k is the product of
+# f(k)^e over the (factor, e) pairs of its row, each factor a column of
+# `FactorialTable`.  SUMS holds the same rows as closed forms and ratios, which
+# only the exact path reads.
+_SQUARE = (("C(2k,k)", 2), ("16^k", -1))
+_INV_QUAD = (("C(2k,k)", -1), ("C(4k,2k)", -1), ("64^k", 1))
+_INV_QUAD_LIT = (("C(2k,k)", -1), ("C(4k,k)", -1), ("64^k", 1))
+FACTORS = {
+    "alt_inv_k3": (("(-1)^k", 1), ("C(2k,k)", -1), ("k", -3)),
+    "alt_k2": (("(-1)^k", 1), ("C(2k,k)", 1), ("k", -2)),
+    "sq_k0": _SQUARE,
+    **{f"sq_k{j}": _SQUARE + (("k", -j),) for j in (1, 2, 3)},
+    **{f"sq_odd{o}": _SQUARE + (("2k+1", -o),) for o in (1, 2, 3)},
+    "sq_shifted": _SQUARE + (("2k+p", -1),),
+    "odd1": (("C(2k,k)", 1), ("16^k", -1), ("2k+1", -1)),
+    "odd2_alt": (("(-1)^k", 1), ("C(2k,k)", 1), ("16^k", -1), ("2k+1", -2)),
+    "inv_odd3_alt": (("(-1)^k", 1), ("C(2k,k)", -1), ("16^k", 1), ("2k+1", -3)),
+    "inv_sq_k3": (("C(2k,k)", -2), ("16^k", 1), ("k", -3)),
+    "inv_sq_odd3": (("C(2k,k)", -2), ("16^k", 1), ("2k+1", -3)),
+    "k1": (("C(2k,k)", 1), ("k", -1)),
+    "inv_k2": (("C(2k,k)", -1), ("k", -2)),
+    "quad": (("C(2k,k)", 1), ("C(4k,2k)", 1), ("64^k", -1), ("k", -1)),
+    "inv_quad": _INV_QUAD + (("k", -3),),
+    "inv_quad_lit": _INV_QUAD_LIT + (("k", -3),),
+    "inv_quad_shifted": _INV_QUAD + (("k", -2), ("2k-1", -1)),
+    "inv_quad_shifted_lit": _INV_QUAD_LIT + (("k", -2), ("2k-1", -1)),
+    "l21a": (("k", 1), ("C(2k,k)", 1), ("C(2(p-k),p-k)", 1)),
+    "b": (("C(n,k)C(n+k,k)", 1),),
+    **{f"h{m}": (("k", -m),) for m in (1, 2, 3)},
+}
 
-    The first term is its closed form.  Each step strips p from the ratio's
-    two integers with `vp_int`, which raises ValueError on 0, so a zero step
-    is an engine fault and never an endless loop, and adds the difference
-    of their valuations to v.  The unit numerators go into a running prefix
-    product; the unit denominators are kept, so the row needs one inverse,
-    of the product of them all (Montgomery, Math. Comp. 48, 1987): walking
-    back from it, multiplying by each step's denominator gives the inverse
-    of the product up to the step before.  Nothing is guarded here; the
-    exact path guards every row it reads.
+
+class FactorialTable:
+    """The rows of FACTORS at the prime p as p-adic digits: at each k, the
+    valuation v_k and the unit u_k mod p^prec of t_k = p^v_k * u_k, so each
+    unit is known to relative precision prec.
+
+    One walk over j = 1..4p builds the unit part U[j] of j! mod p^prec and
+    its valuation V[j], the running sum of v_p(j) (Legendre); one inverse,
+    of U[4p], and a walk back give the inverses IU[j] (Montgomery, Math.
+    Comp. 48, 1987).  Each factor is a column over k = 0..p-1 (0..n for C(n,k)C(n+k,k),
+    n = (p-1)/2), read off these lists with no further inverse:
+    - a binomial, such as C(2k,k) = U[2k] IU[k]^2 with valuation V[2k] - 2V[k]
+      and inverse IU[2k] U[k]^2;
+    - a linear form j = j(k), with unit U[j] IU[j-1] and inverse U[j-1] IU[j];
+    - a power c^k, by running products of c or of its inverse;
+    - a square or a cube, from the column of the factor or of its inverse.
+    A column keeps its valuations only where one is nonzero, and is built on
+    its first read.  A read of a row over lo..hi multiplies the slices of
+    its columns and adds their valuations: no ratio is stepped, and nothing
+    of SUMS is read.
     """
-    if hi < lo:
-        raise ValueError(f"sum row {name!r} over the empty range {lo}..{hi}")
-    term, ratio = SUMS[name]
-    mod = p ** prec
-    first = term(a, lo)
-    e, num = _strip(first.numerator, p)
-    f, den = _strip(first.denominator, p)
-    v = e - f
-    top, bottom = num % mod, den % mod
-    vals, tops, dens = [v], [top], [bottom]
-    for k in range(lo, hi):
-        num, den = ratio(a, k)
-        e, num = _strip(num, p)
-        f, den = _strip(den, p)
-        v += e - f
-        den %= mod
-        top = top * num % mod
-        bottom = bottom * den % mod
-        vals.append(v)
-        tops.append(top)
-        dens.append(den)
-    inv = pow(bottom, -1, mod)
-    units = [0] * len(vals)
-    for i in range(len(vals) - 1, -1, -1):
-        units[i] = tops[i] * inv % mod
-        inv = inv * dens[i] % mod
-    return vals, units
+
+    def __init__(self, p: int, prec: int):
+        self.p, self.mod = p, p ** prec
+        self.columns: dict[tuple[str, int], tuple] = {}
+        mod, top = self.mod, 4 * p
+        # the unit part and the valuation of each j, 0! = 1 at j = 0
+        parts, steps = [1, *range(1, top + 1)], [0] * (top + 1)
+        for j in range(p, top + 1, p):
+            steps[j] = e = vp_int(j, p)
+            parts[j] = j // p ** e
+        units, u = [], 1
+        for x in parts:
+            u = u * x % mod
+            units.append(u)
+        inverses, inv = [0] * (top + 1), pow(u, -1, mod)
+        for j in range(top, -1, -1):
+            inverses[j] = inv
+            inv = inv * parts[j] % mod
+        self.U, self.IU, self.V = units, inverses, list(accumulate(steps))
+
+    def read(self, name: str, lo: int, hi: int) -> tuple[list[int], list[int]]:
+        """(vals, units) of the terms t_lo..t_hi of row `name` at p, fresh
+        lists.  A row with a factor k starts at k = 1."""
+        factors = FACTORS[name]
+        columns = [self._column(factor, e) for factor, e in factors]
+        first = 1 if any(factor == "k" for factor, _ in factors) else 0
+        last = min(len(column[1]) for column in columns) - 1
+        if not first <= lo <= hi <= last:
+            raise ValueError(f"row {name!r} at p={self.p} over {lo}..{hi}: "
+                             f"outside {first}..{last}")
+        end, mod = hi + 1, self.mod
+        parts = [units[lo:end] for _, units in columns]
+        if len(parts) == 1:
+            units = parts[0]
+        elif len(parts) == 2:
+            units = [x * y % mod for x, y in zip(*parts)]
+        elif len(parts) == 3:
+            units = [x * y * z % mod for x, y, z in zip(*parts)]
+        elif len(parts) == 4:
+            units = [x * y * z * w % mod for x, y, z, w in zip(*parts)]
+        else:
+            units = [x * y * z * w * t % mod for x, y, z, w, t in zip(*parts)]
+        parts = [part for part in (vals[lo:end] for vals, _ in columns if vals is not None)
+                 if any(part)]
+        if not parts:
+            vals = [0] * (end - lo)
+        elif len(parts) == 1:
+            vals = parts[0]
+        else:
+            vals = list(map(sum, zip(*parts)))
+        return vals, units
+
+    def _column(self, factor: str, e: int) -> tuple:
+        """(vals, units) of factor^e over its k, e = ±1, ±2 or ±3; vals is None
+        where every valuation is 0."""
+        column = self.columns.get((factor, e))
+        if column is None:
+            if abs(e) == 1:
+                column = self._unit_column(factor, e)
+            elif abs(e) in (2, 3):
+                vals, units = self._column(factor, 1 if e > 0 else -1)
+                mod = self.mod
+                units = ([u * u % mod for u in units] if abs(e) == 2
+                         else [u * u * u % mod for u in units])
+                column = (None if vals is None else [abs(e) * v for v in vals]), units
+            else:
+                raise ValueError(f"no column {factor}^{e}")
+            self.columns[factor, e] = column
+        return column
+
+    def _unit_column(self, factor: str, e: int) -> tuple:
+        """(vals, units) of factor^e, e = ±1, read off U, IU and V."""
+        p, n, mod, V = self.p, self.p // 2, self.mod, self.V
+        num, den = (self.U, self.IU) if e > 0 else (self.IU, self.U)
+        ks = range(p)
+        powers = {"(-1)^k": -1, "16^k": 16, "64^k": 64}
+        if factor in powers:
+            c = powers[factor] % mod if e > 0 else pow(powers[factor], -1, mod)
+            return None, list(accumulate(repeat(c, p - 1), lambda x, y: x * y % mod,
+                                         initial=1))
+        linear = {"k": ks, "2k+1": range(1, 2 * p, 2), "2k-1": range(-1, 2 * p - 2, 2),
+                  "2k+p": range(p, 3 * p, 2)}
+        if factor in linear:
+            js = linear[factor]
+            # the form at k = 0 is -1, a unit, or 0, which has no unit: its 0
+            # holds the place, and `read` starts a row with a factor k at 1
+            head = [] if js[0] > 0 else [mod - 1] if js[0] else [0]
+            js = js[len(head):]
+            units = head + [num[j] * den[j - 1] % mod for j in js]
+            vals = [0] * len(head) + [V[j] - V[j - 1] for j in js]
+        else:
+            # a binomial as top! over the product of its bottoms' factorials
+            top, *bottoms = {
+                "C(2k,k)": (range(0, 2 * p, 2), ks, ks),
+                "C(4k,2k)": (range(0, 4 * p, 4), range(0, 2 * p, 2), range(0, 2 * p, 2)),
+                "C(4k,k)": (range(0, 4 * p, 4), ks, range(0, 3 * p, 3)),
+                "C(2(p-k),p-k)": (range(2 * p, 0, -2), range(p, 0, -1), range(p, 0, -1)),
+                "C(n,k)C(n+k,k)": (range(n, 2 * n + 1), range(n + 1), range(n + 1),
+                                   range(n, -1, -1)),
+            }[factor]
+            if len(bottoms) == 2:
+                units = [num[t] * den[a] * den[b] % mod for t, a, b in zip(top, *bottoms)]
+                vals = [V[t] - V[a] - V[b] for t, a, b in zip(top, *bottoms)]
+            else:
+                units = [num[t] * den[a] * den[b] * den[c] % mod
+                         for t, a, b, c in zip(top, *bottoms)]
+                vals = [V[t] - V[a] - V[b] - V[c] for t, a, b, c in zip(top, *bottoms)]
+        if e < 0:
+            vals = [-v for v in vals]
+        return (vals if any(vals) else None), units

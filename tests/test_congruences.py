@@ -2,7 +2,6 @@
 agreement, equivalence chains, valuation guarantees and suite determinism."""
 
 import dataclasses
-import signal
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -39,9 +38,9 @@ from congrlab.special import SpecialCache, bernoulli_exact, harmonic_exact
 from congrlab.sums import (
     PRIME_FREE,
     SUMS,
+    FactorialTable,
     Sweep,
     row_numerators,
-    row_padic,
     row_sum,
 )
 
@@ -349,12 +348,14 @@ def _agrees(x, r, p) -> bool:
             and rat_reduce_mod(r / Fraction(p) ** x.val, p, x.prec).value == x.unit)
 
 
-@pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)) + [149, 241, 1093])
 def test_padic_rows_match_the_exact_rows(p, cache, monkeypatch):
-    """At every range the catalog reads, each p-adic term is the exact term
-    to PADIC_PREC digits, and the p-adic sum is the exact sum known mod
-    p^(min(0, min v_k) + PADIC_PREC), the precision of adding the terms one
-    by one to O(p^PADIC_PREC)."""
+    """At every range the catalog reads, each p-adic term, read off the
+    factorial tables, is the exact term to PADIC_PREC digits, and the p-adic
+    sum is the exact sum known mod p^(min(0, min v_k) + PADIC_PREC), the
+    precision of adding the terms one by one to O(p^PADIC_PREC).  Past 61
+    the tables' indices pass 2p and C(2k,k) has p-content at every k > n;
+    p divides E_{p-3} at 149 and 241, and 1093 is a Wieferich prime."""
     prec = congruences.PADIC_PREC
     padic = PadicContext(p)
     for name, _, lo, hi in _catalog_row_reads(p, cache, monkeypatch):
@@ -370,30 +371,16 @@ def test_padic_rows_match_the_exact_rows(p, cache, monkeypatch):
         assert _agrees(total, row_sum(name, p, lo, hi), p), (name, lo, hi)
 
 
-@pytest.mark.parametrize("side", [0, 1], ids=["numerator", "denominator"])
-def test_padic_row_raises_on_a_zero_step(side, monkeypatch):
-    """Stripping p from a zero ratio integer would never end; vp_int raises
-    instead, so a zero step is an engine fault on the p-adic path."""
-    term, ratio = SUMS["sq_k1"]
-
-    def zero_at_5(p, k):
-        pair = list(ratio(p, k))
-        if k == 5:
-            pair[side] = 0
-        return tuple(pair)
-
-    def hung(*args):
-        raise TimeoutError("row_padic did not return")
-
-    monkeypatch.setitem(SUMS, "sq_k1", (term, zero_at_5))
-    previous = signal.signal(signal.SIGALRM, hung)
-    signal.alarm(5)
-    try:
-        with pytest.raises(ValueError, match="valuation of 0"):
-            row_padic("sq_k1", 13, 1, 12, 13, 5)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
+def test_a_table_read_outside_its_row_raises():
+    """A row with a factor k starts at k = 1, C(n,k)C(n+k,k) ends at n and
+    every other row at p - 1: a read past either end raises ValueError and
+    never returns the place-holder at k = 0."""
+    table = FactorialTable(13, 5)
+    assert table.read("b", 0, 6)[0] == [0] * 7
+    for name, lo, hi in (("h1", 0, 3), ("l21a", 0, 12), ("b", 0, 7), ("sq_k0", 0, 13),
+                         ("sq_k0", 5, 4)):
+        with pytest.raises(ValueError, match=f"row {name!r} at p=13"):
+            table.read(name, lo, hi)
 
 
 class _UnreadableTable(dict):
@@ -430,6 +417,43 @@ def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
         for s in specs:
             if p >= s.min_prime:
                 assert congruences._compare_pairs(ctx, s) == expected[s.id, p], (s.id, p)
+
+
+@pytest.mark.parametrize("p", [3, 13, 149])
+def test_padic_path_reads_no_sums_row(p, cache, monkeypatch):
+    """The p-adic path reads every row off its factorial tables: with SUMS,
+    the rows' closed forms and ratios, made to raise, each check's p-adic
+    sides give the residues the exact path gives."""
+    specs = [s for s in CHECK_CATALOG.values() if p >= s.min_prime]
+    expected = {s.id: congruences._compare_pairs(ExactContext(p, cache), s) for s in specs}
+    monkeypatch.setattr(sums, "SUMS", _UnreadableTable())
+    ctx = PadicContext(p)
+    for s in specs:
+        assert congruences._compare_pairs(ctx, s) == expected[s.id], (s.id, p)
+
+
+def test_a_wrong_row_in_sums_is_a_path_disagreement(monkeypatch):
+    """h3's closed form doubled with its ratio kept: the exact path's guard
+    passes, since every step still lands on the closed form, and it reads
+    2 H^(3); the p-adic path does not read SUMS, so L2.2-2.5b disagrees at
+    every prime rather than failing on both paths alike."""
+    term, ratio = SUMS["h3"]
+    monkeypatch.setitem(SUMS, "h3", (lambda a, k: 2 * term(a, k), ratio))
+    results, summary = run_suite(["L2.2-2.5b"], [7, 11, 13], padic_limit=13)
+    assert [(r.passed, r.path_agreement) for r in results] == [(False, False)] * 3
+    assert summary["path_disagreements"] == 3
+
+
+def test_a_wrong_exact_fermat_quotient_is_a_path_disagreement(monkeypatch):
+    """The p-adic path reads q_p(2) off 2^(p-1) mod p^(PADIC_PREC+1), not off
+    the exact path's rational: with q_p(2) + p on the exact path alone,
+    L2.2-2.4, which reads -2 q_p(2) mod p^3, disagrees at every prime."""
+    qp = ExactContext._qp
+    monkeypatch.setattr(ExactContext, "_qp", lambda self: qp(self) + self.p)
+    primes = sieve_primes(PrimeRange(5, 61))
+    results, summary = run_suite(["L2.2-2.4"], primes, padic_limit=61)
+    assert [r.path_agreement for r in results] == [False] * len(primes)
+    assert summary["path_disagreements"] == len(primes)
 
 
 def test_fermat_quotient_checks_at_the_wieferich_prime(monkeypatch):
@@ -636,17 +660,24 @@ def test_a_per_k_fault_fails_at_its_k_on_each_path(check_id, row, k, path, monke
     """One wrong k of a row the check reads, past the exact path's guard: the
     check fails at that k and no other, with that k's residues."""
     p, spec = 13, CHECK_CATALOG[check_id]
-    engine = {"exact": congruences.row_numerators, "padic": congruences.row_padic}[path]
+    row_numerators, read = congruences.row_numerators, FactorialTable.read
 
-    def faulty(name, a, lo, hi, *args):
-        integers, values = engine(name, a, lo, hi, *args)
+    def faulty_numerators(name, a, lo, hi, *args):
+        den, nums = row_numerators(name, a, lo, hi, *args)
         if name == row:
-            values = list(values)
-            values[k - lo] += integers if path == "exact" else 1  # t_k + 1, or unit + 1
-        return integers, values
+            nums[k - lo] += den  # t_k + 1
+        return den, nums
 
-    monkeypatch.setattr(congruences, {"exact": "row_numerators", "padic": "row_padic"}[path],
-                        faulty)
+    def faulty_read(table, name, lo, hi):
+        vals, units = read(table, name, lo, hi)
+        if name == row:
+            units[k - lo] += 1
+        return vals, units
+
+    if path == "exact":
+        monkeypatch.setattr(congruences, "row_numerators", faulty_numerators)
+    else:
+        monkeypatch.setattr(FactorialTable, "read", faulty_read)
     lhs, rhs = _PER_K_FAULTS[check_id, row, k][path == "padic"]
     ctx = ExactContext(p, SpecialCache()) if path == "exact" else PadicContext(p)
     assert congruences._compare_pairs(ctx, spec) == (False, lhs, rhs, f"k={k}")
@@ -661,14 +692,14 @@ def test_a_padic_column_fault_is_an_engine_fault(monkeypatch):
     digits than the check reads, raises on the p-adic path as PAdic.residue
     does; the exact path passes, so evaluate_check raises
     InternalInconsistency, never a verdict."""
-    row_padic = congruences.row_padic
+    read = FactorialTable.read
 
-    def negative(name, a, lo, hi, *args):
-        vals, units = row_padic(name, a, lo, hi, *args)
+    def negative(table, name, lo, hi):
+        vals, units = read(table, name, lo, hi)
         return ([-1] + vals[1:], units) if name == "l21a" else (vals, units)
 
     with monkeypatch.context() as patch:
-        patch.setattr(congruences, "row_padic", negative)
+        patch.setattr(FactorialTable, "read", negative)
         assert evaluate_check("L2.1a", 13, padic_limit=0).passed
         with pytest.raises(InternalInconsistency,
                            match="ValuationViolation: p-adic value has valuation -1 < 0"):
@@ -689,7 +720,7 @@ def test_padic_gaps_refuse_an_h1_term_that_is_not_a_unit():
                                              high.precs)
     with pytest.raises(InternalInconsistency, match="p=13: a term of row h1"):
         ctx.gaps()
-    assert {key[0] for key in ctx.memo} == {"T"}  # the base memo's own key
+    assert {key[0] for key in ctx.memo} == {"F", "T"}  # the tables and the h1 reads
 
 
 @pytest.mark.parametrize("p", [101, 1009])
@@ -740,8 +771,8 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
     """All checks at each prime of a block of consecutive primes from p, on
     both paths, the exact contexts sharing one Sweep.  At each prime, each
     k of a row is built once by each engine: `row_sum` or `row_numerators`
-    on the exact path, and `row_padic`, which serves a sum
-    and a per-k read of one range, so `sq_k0` over 0..n is stepped once.
+    on the exact path, and a `FactorialTable` read, which serves a sum and a
+    per-k read of one range, so `sq_k0` over 0..n is read once.
     Over the block, the sweep folds each k of a PRIME_FREE row into each of
     its two cursors at most once."""
     primes = sieve_primes(PrimeRange(p, p + 40))
@@ -753,14 +784,20 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
             return engine(name, a, lo, hi, *args)
         return read
 
+    def reading(table, name, lo, hi):
+        reads.append(("read", name, table.p, range(lo, hi + 1)))
+        return read(table, name, lo, hi)
+
     def folding(cursor, a, x):
         if x > cursor.at:
             key = next(key for key, held in sweep.cursors.items() if held is cursor)
             folds.append((*key, range(cursor.at + 1, x + 1)))
         return prefix(cursor, a, x)
 
-    for name in ("row_sum", "row_numerators", "row_padic"):
+    for name in ("row_sum", "row_numerators"):
         monkeypatch.setattr(congruences, name, recording(getattr(congruences, name)))
+    read = FactorialTable.read
+    monkeypatch.setattr(FactorialTable, "read", reading)
     prefix = sums.Cursor.prefix
     monkeypatch.setattr(sums.Cursor, "prefix", folding)
     sweep = Sweep()
@@ -768,7 +805,7 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
         for ctx in (ExactContext(q, cache, sweep), PadicContext(q)):
             _read_catalog(ctx)
         n = (q - 1) // 2
-        assert reads.count(("row_padic", "sq_k0", q, range(0, n + 1))) == 1
+        assert reads.count(("read", "sq_k0", q, range(0, n + 1))) == 1
     steps = Counter((*read, k) for *read, ks in reads for k in ks)
     assert [step for step, times in steps.items() if times > 1] == []
     folded = Counter((*fold, k) for *fold, ks in folds for k in ks)
@@ -873,15 +910,15 @@ def test_a_padic_valuation_violation_is_an_engine_fault(monkeypatch, capsys):
     """X-T1-a divides H_{p-1} by p^2 on both paths.  With a corrupt unit in
     the p-adic h1 row the exact path still passes, so the p-adic path's
     failed guarantee is an engine fault: exit 2 with no rows."""
-    row_padic = congruences.row_padic
+    read = FactorialTable.read
 
-    def corrupt(name, a, lo, hi, p, prec):
-        vals, units = row_padic(name, a, lo, hi, p, prec)
+    def corrupt(table, name, lo, hi):
+        vals, units = read(table, name, lo, hi)
         if name == "h1" and lo == 1:
             units[0] += 1
         return vals, units
 
-    monkeypatch.setattr(congruences, "row_padic", corrupt)
+    monkeypatch.setattr(FactorialTable, "read", corrupt)
     assert evaluate_check("X-T1-a", 7, padic_limit=0).passed
     with pytest.raises(InternalInconsistency, match="expected valuation >= 2, got 0"):
         evaluate_check("X-T1-a", 7, padic_limit=7)

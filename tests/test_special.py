@@ -21,7 +21,7 @@ from congrlab.special import (
     harmonic_exact,
     harmonic_gap_numerators,
 )
-from congrlab.sums import row_padic, row_sum
+from congrlab.sums import FactorialTable, row_sum
 
 
 # -- Bernoulli numbers -------------------------------------------------------
@@ -255,12 +255,12 @@ def test_harmonic_gap_denominator_is_the_lcm():
 def test_padic_harmonic_gaps_match_exact_residues(p):
     """The p-adic context reads each gap H(n+k) - H(n-k), n = (p-1)/2, as a
     window of the units 1/j of the h1 halves 1..n and n+1..p-1 that its
-    harmonic sums read, and steps no other row; mod p^PADIC_PREC each gap is
+    harmonic sums read, and reads no other row; mod p^PADIC_PREC each gap is
     the exact difference.  p divides E_{p-3} at 149 and 241, and 1093 is a
     Wieferich prime."""
     ctx, n = PadicContext(p), (p - 1) // 2
     gaps = ctx.gaps()
-    assert list(ctx.memo) == [("T", "h1", 1, n), ("T", "h1", n + 1, p - 1), ("G",)]
+    assert list(ctx.memo) == [("F",), ("T", "h1", 1, n), ("T", "h1", n + 1, p - 1), ("G",)]
     # H_j for j <= 2n, one 1/j at a time: differences of 2n calls of
     # harmonic_exact would take seconds at 1999
     h = list(accumulate((Fraction(1, j) for j in range(1, 2 * n + 1)), initial=Fraction(0)))
@@ -271,12 +271,14 @@ def test_padic_harmonic_gaps_match_exact_residues(p):
 
 @pytest.mark.parametrize("p", sieve_primes(PrimeRange(3, 61)))
 def test_harmonic_residues_match_exact_ones(p):
-    """Rows h1-h3 stepped as p-adic digits and added by `PAdic.sum_terms`
-    give the residue mod p^5 of the exact row sum, for every 0 < n < p."""
+    """Rows h1-h3 read as p-adic digits off the factorial tables and added by
+    `PAdic.sum_terms` give the residue mod p^5 of the exact row sum, for
+    every 0 < n < p."""
+    table = FactorialTable(p, 5)
     for m in (1, 2, 3):
         for n in range(1, p):
             exact = rat_reduce_mod(row_sum(f"h{m}", 0, 1, n), p, 5).value
-            padic = PAdic.sum_terms(p, *row_padic(f"h{m}", 0, 1, n, p, 5), 5)
+            padic = PAdic.sum_terms(p, *table.read(f"h{m}", 1, n), 5)
             assert padic.residue(5) == exact, (n, m)
 
 
