@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 
 from .arith import PrimeRange, sieve_primes
 from .congruences import CHECK_CATALOG, PADIC_PATH_MAX_PRIME, check_ids, run_suite
@@ -12,7 +13,7 @@ from .fanout import available_cpus
 from .identities import run_identity_suite
 from .report import emit_report, exit_status
 from .series import run_series_suite
-from .special import SpecialCache, bernoulli_exact
+from .special import SpecialCache
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -115,43 +116,32 @@ def parse_and_run(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
 
     try:
-        if args.subcommand == "verify":
-            ids = check_ids(args.checks)
-            primes = sieve_primes(PrimeRange(*args.primes))
-            _selected([(i, p) for i in ids for p in primes
-                       if p >= CHECK_CATALOG[i].min_prime],
-                      "--checks {!r} at --primes {}:{}".format(args.checks, *args.primes))
-            results, _ = run_suite(ids, primes, padic_limit=args.padic_limit,
-                                   jobs=args.jobs)
-            status = exit_status(results)
-        elif args.subcommand == "identity":
-            lo, hi = args.n
-            results = _selected(run_identity_suite(_names(args.names), range(lo, hi + 1),
-                                                   args.jobs),
-                                f"--names {args.names!r} at --n {lo}:{hi}")
-            status = exit_status(results)
-        elif args.subcommand == "series":
-            results = run_series_suite(_names(args.names), args.terms, args.tol)
-            status = exit_status(results)
-        else:  # bernoulli
+        if args.subcommand == "bernoulli":
             cache = SpecialCache()
             cache.ensure_bernoulli(args.max_index)
-            lines = [f"B_{n} = {bernoulli_exact(n, cache)}"
-                     for n in range(0, args.max_index + 1, 2)]
-            text = "\n".join(lines) + "\n"
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return EXIT_OK
-
-        report = emit_report(results, args.format)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(report)
+            report = "\n".join(f"B_{n} = {cache.bernoulli[n]}"
+                               for n in range(0, args.max_index + 1, 2))
+            status = EXIT_OK
         else:
-            sys.stdout.write(report + "\n")
+            if args.subcommand == "verify":
+                ids = check_ids(args.checks)
+                primes = sieve_primes(PrimeRange(*args.primes))
+                _selected([(i, p) for i in ids for p in primes
+                           if p >= CHECK_CATALOG[i].min_prime],
+                          "--checks {!r} at --primes {}:{}".format(args.checks, *args.primes))
+                results, _ = run_suite(ids, primes, padic_limit=args.padic_limit,
+                                       jobs=args.jobs)
+            elif args.subcommand == "identity":
+                lo, hi = args.n
+                results = _selected(run_identity_suite(_names(args.names), range(lo, hi + 1),
+                                                       args.jobs),
+                                    f"--names {args.names!r} at --n {lo}:{hi}")
+            else:  # series
+                results = run_series_suite(_names(args.names), args.terms, args.tol)
+            report, status = emit_report(results, args.format), exit_status(results)
+
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:
+            fh.write(report + "\n")
         return status
 
     except (CongrlabError, ValueError, OSError) as exc:

@@ -39,13 +39,10 @@ from .errors import (
 )
 from .fanout import fan_out
 from .special import (
-    INDEX_MIN,
     SpecialCache,
-    bernoulli_by_index,
     bernoulli_exact,
     bernoulli_mod_p,
     checked_residue,
-    euler_by_index,
     euler_exact,
     euler_mod_p,
     harmonic_gap_numerators,
@@ -127,10 +124,9 @@ class ExactContext(Context):
     L = lcm(1..p-1).  Each is an `ExactColumn`: its values stay exact
     integers over one denominator until a check reads its residues, which
     takes one inverse per column and one pass per factor.  It reads
-    B_i and E_i from the tables of `cache` below INDEX_MIN and by index
-    (`bernoulli_by_index`, `euler_by_index`) from INDEX_MIN up, whatever
-    `cache` holds, and checks each value it reads mod p against the
-    power-sum or character-sum route.
+    B_i and E_i through `bernoulli_exact` and `euler_exact` over `cache`,
+    which pick the route by the index, and checks each value it reads mod p
+    against the power-sum or character-sum route.
     """
 
     def __init__(self, p: int, cache: SpecialCache, sweep: Sweep | None = None):
@@ -168,7 +164,7 @@ class ExactContext(Context):
         return Fraction(pow(2, self.p - 1) - 1, self.p)
 
     def _bern(self, i: int):
-        value = bernoulli_exact(i, self.cache) if i < INDEX_MIN else bernoulli_by_index(i)
+        value = bernoulli_exact(i, self.cache)
         # a residue that misses the power-sum route raises InternalInconsistency,
         # an engine fault, never a path disagreement
         checked_residue(f"B_{i}", self.p, "power-sum", bernoulli_mod_p(i, self.p), value)
@@ -176,7 +172,7 @@ class ExactContext(Context):
 
     def _euler(self):
         i = self.p - 3
-        value = euler_exact(i, self.cache) if i < INDEX_MIN else euler_by_index(i)
+        value = euler_exact(i, self.cache)
         checked_residue(f"E_{i}", self.p, "character-sum", euler_mod_p(self.p), value)
         return Fraction(value)
 
@@ -748,10 +744,6 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     worker.  Every special-number value a context reads is cross-checked
     mod p on its first read; a mismatch raises InternalInconsistency, since
     no verdict built on it could be trusted.
-
-    The tables are sized once, before any prime, to below INDEX_MIN at
-    most: grown on demand, a table would be rebuilt at each new index.  Each
-    worker computes the values from INDEX_MIN up of its own primes by index.
     """
     ids = list(ids)
     primes = sorted(map(_checked_prime, primes))
@@ -759,11 +751,6 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         if i not in CHECK_CATALOG:
             raise UnknownCheck(f"unknown check id {i!r}")
     cache = cache if cache is not None else SpecialCache()
-    if primes and primes[-1] >= 3:
-        size = min(primes[-1] - 3, INDEX_MIN - 1)
-        cache.ensure_bernoulli(size)
-        cache.ensure_euler(size)
-
     blocks = _blocks(primes, min(jobs, len(primes))) if primes else []
     chunks = fan_out(partial(_run_block, ids, padic_limit, cache), blocks, jobs)
     results = [r for chunk in chunks for r in chunk]

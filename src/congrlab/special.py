@@ -1,17 +1,20 @@
 """Bernoulli numbers, Euler numbers and harmonic numbers.
 
-B_n and E_n have two exact routes, and the index alone picks one.  Below
-INDEX_MIN they come from tables: the all-integer tangent and secant number
+B_n and E_n have two exact routes, and the index alone picks one, in
+`bernoulli_exact` and `euler_exact`, the only code that chooses.  Below
+INDEX_MIN they read tables: the all-integer tangent and secant number
 triangles of Brent & Harvey, "Fast computation of Bernoulli, Tangent and
-Secant numbers" (arXiv:1108.0286), whose cost to index n grows like n^2.8.
-From INDEX_MIN up the index route gives each value by itself: B_n from
+Secant numbers" (arXiv:1108.0286), whose cost to index n grows like n^2.8,
+built once to INDEX_MIN - 1 on the first miss.  From INDEX_MIN up the
+index route gives each value by itself, whatever the tables hold: B_n from
 zeta(n) and E_n from the Dirichlet beta function, each an Euler product in
 integer fixed point, with pi from the Chudnovsky series, held once per
 process (`bernoulli_by_index`, `euler_by_index`).  The residues the
 congruence suite consumes also have routes that read no exact value:
 `bernoulli_mod_p` (a power sum) and `euler_mod_p` (a character sum).  The
 p-adic path reads only these; the exact path compares each value it reads
-with them (`checked_residue`; `bernoulli_mod_p_fast` compares the table).
+with them (`checked_residue`; `bernoulli_mod_p_fast` compares
+`bernoulli_exact`).
 A harmonic number is a row of `sums.SUMS`, which each path steps in its
 own arithmetic; so are the gaps H(n+k) - H(n-k), windows of row h1:
 `harmonic_gap_numerators` gives them as integers over lcm(1..2n), and the
@@ -88,27 +91,6 @@ class SpecialCache:
             return
         self.euler.update((2 * k, (-1) ** k * s)
                           for k, s in enumerate(_secant_numbers(m)))
-
-
-_DEFAULT_CACHE = SpecialCache()
-
-
-def bernoulli_exact(n: int, cache: SpecialCache | None = None) -> Fraction:
-    """B_n under the B_1 = -1/2 convention."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    if n not in cache.bernoulli:
-        cache.ensure_bernoulli(n)
-    return cache.bernoulli[n]
-
-
-def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
-    """Euler number E_n (sec x = sum (-1)^(n/2) E_n x^n/n!)."""
-    cache = cache if cache is not None else _DEFAULT_CACHE
-    if n % 2 == 1:
-        return 0
-    if n not in cache.euler:
-        cache.ensure_euler(n)
-    return cache.euler[n]
 
 
 # -- one special number by index ---------------------------------------------
@@ -236,6 +218,41 @@ def euler_by_index(n: int) -> int:
     return v if n % 4 == 0 else -v
 
 
+# -- the readers: the index alone picks the route ----------------------------
+
+_DEFAULT_CACHE = SpecialCache()
+
+
+def bernoulli_exact(n: int, cache: SpecialCache | None = None) -> Fraction:
+    """B_n under the B_1 = -1/2 convention: by index from INDEX_MIN up,
+    whatever `cache` holds, and off the table of `cache` below it.  A miss
+    builds the table once, to INDEX_MIN - 1, so rising reads build it at
+    most once."""
+    if n < 0:
+        raise ValueError(f"no B_{n}: the index is negative")
+    if n >= INDEX_MIN:
+        return Fraction(0) if n % 2 else bernoulli_by_index(n)
+    cache = cache if cache is not None else _DEFAULT_CACHE
+    if n not in cache.bernoulli:
+        cache.ensure_bernoulli(INDEX_MIN - 1)
+    return cache.bernoulli[n]
+
+
+def euler_exact(n: int, cache: SpecialCache | None = None) -> int:
+    """Euler number E_n (sec x = sum (-1)^(n/2) E_n x^n/n!), 0 at odd n,
+    by the route `bernoulli_exact` takes at n."""
+    if n < 0:
+        raise ValueError(f"no E_{n}: the index is negative")
+    if n % 2:
+        return 0
+    if n >= INDEX_MIN:
+        return euler_by_index(n)
+    cache = cache if cache is not None else _DEFAULT_CACHE
+    if n not in cache.euler:
+        cache.ensure_euler(INDEX_MIN - 1)
+    return cache.euler[n]
+
+
 def harmonic_exact(n: int, order: int = 1) -> Fraction:
     """H_n^(m) = sum_{0<k<=n} 1/k^m, exactly: row h{m} of SUMS summed by
     binary splitting, and 0 at n = 0."""
@@ -299,7 +316,7 @@ def checked_residue(what: str, p: int, route: str, fast: int, value) -> Residue:
 
 
 def bernoulli_mod_p_fast(m: int, p: int, cache: SpecialCache | None = None) -> Residue:
-    """B_m mod p by the power-sum route, compared with the tangent-number
-    table; the two routes must agree."""
+    """B_m mod p by the power-sum route, compared with `bernoulli_exact`;
+    the two routes must agree."""
     return checked_residue(f"B_{m}", p, "power-sum", bernoulli_mod_p(m, p),
                            bernoulli_exact(m, cache))

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from congrlab import congruences
+from congrlab import congruences, special
 from congrlab.cli import parse_and_run
 from congrlab.congruences import CheckResult, evaluate_check
 from congrlab.fanout import available_cpus
@@ -158,6 +158,24 @@ def test_cli_verify_small_run(tmp_path, capsys):
     assert rows[-1]["summary"]["failed"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["bernoulli", "--max", "30"],
+    ["series"],
+    ["identity", "--n", "1:20"],
+    ["verify", "--primes", "7:31", "--format", "json"],
+], ids=["bernoulli", "series", "identity", "verify"])
+def test_cli_out_file_holds_what_stdout_prints(tmp_path, capsys, argv):
+    def timeless(text):
+        return [line for line in text.splitlines(keepends=True) if '"elapsed_ms"' not in line]
+
+    assert parse_and_run(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert parse_and_run(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert timeless(out.read_text()) == timeless(printed)
+
+
 def test_cli_unknown_check_exits_2():
     assert parse_and_run(["verify", "--primes", "7:97", "--checks", "NO_SUCH"]) == 2
 
@@ -197,8 +215,8 @@ def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route
                                                       check):
     """The special numbers of 997 and 1009 come by index; one off by one at
     997 is an engine fault, in this process and in a pool worker."""
-    by_index = getattr(congruences, route)
-    monkeypatch.setattr(congruences, route,
+    by_index = getattr(special, route)
+    monkeypatch.setattr(special, route,
                         lambda n: by_index(n) + (n == index))
     for jobs in ("1", "2"):
         code = parse_and_run(["verify", "--primes", "997:1009", "--checks", check,

@@ -402,9 +402,10 @@ def test_padic_path_reads_nothing_from_the_exact_path(cache, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the p-adic path read the exact path")
 
-    for name in ("bernoulli_exact", "euler_exact", "harmonic_exact"):
+    for name in ("bernoulli_exact", "euler_exact", "harmonic_exact",
+                 "bernoulli_by_index", "euler_by_index"):
         monkeypatch.setattr(special, name, refuse)
-    for name in ("bernoulli_exact", "euler_exact", "bernoulli_by_index", "euler_by_index"):
+    for name in ("bernoulli_exact", "euler_exact"):
         monkeypatch.setattr(congruences, name, refuse)
     for name in ("row_sum", "row_numerators", "Sweep"):
         monkeypatch.setattr(congruences, name, refuse)
@@ -1087,10 +1088,10 @@ def test_euler_number_is_the_one_the_character_sum_route_covers():
 
 
 def test_special_numbers_from_index_60_up_come_by_index(monkeypatch):
-    """The index alone picks the route.  A run builds each triangle once,
-    below INDEX_MIN, and reads every B_{p-3}, B_{p-5} and E_{p-3} from
-    INDEX_MIN up by index, once at its prime, even from a cache whose
-    tables hold it."""
+    """The index alone picks the route.  A run builds each triangle at most
+    once, below INDEX_MIN and only when it reads an index there, and reads
+    every B_{p-3}, B_{p-5} and E_{p-3} from INDEX_MIN up by index, once at
+    its prime, even from a cache whose tables hold it."""
     built, by_index = [], []
     for name in ("_tangent_numbers", "_secant_numbers"):
         triangle = getattr(special, name)
@@ -1098,8 +1099,8 @@ def test_special_numbers_from_index_60_up_come_by_index(monkeypatch):
                             lambda k, name=name, triangle=triangle:
                             built.append((name, k)) or triangle(k))
     for name in ("bernoulli_by_index", "euler_by_index"):
-        route = getattr(congruences, name)
-        monkeypatch.setattr(congruences, name,
+        route = getattr(special, name)
+        monkeypatch.setattr(special, name,
                             lambda n, name=name, route=route:
                             by_index.append((name, n)) or route(n))
     held = SpecialCache()
@@ -1109,8 +1110,7 @@ def test_special_numbers_from_index_60_up_come_by_index(monkeypatch):
     for primes, cache, triangles in (
             (to_499, SpecialCache(), [("_tangent_numbers", 29), ("_secant_numbers", 29)]),
             (to_499, held, []),
-            ([997, 1009, 1013], SpecialCache(),
-             [("_tangent_numbers", 29), ("_secant_numbers", 29)])):
+            ([997, 1009, 1013], SpecialCache(), [])):
         built.clear()
         by_index.clear()
         run_suite(check_ids("all"), primes, cache, padic_limit=0)

@@ -166,6 +166,32 @@ def test_index_route_domain():
                 route(n)
 
 
+def test_a_negative_index_is_refused():
+    for n in (-1, -2):
+        for reader in (bernoulli_exact, euler_exact):
+            with pytest.raises(ValueError, match=f"_{n}: the index is negative"):
+                reader(n)
+
+
+def test_rising_reads_build_each_triangle_once(monkeypatch):
+    """B_{p-3} and E_{p-3} read over the primes 7..503 in rising order from
+    one cache build each triangle once, to INDEX_MIN - 1, and come by index
+    at every p - 3 from INDEX_MIN up."""
+    calls = []
+    for name in ("_tangent_numbers", "_secant_numbers", "bernoulli_by_index", "euler_by_index"):
+        route = getattr(special, name)
+        monkeypatch.setattr(special, name, lambda n, name=name, route=route:
+                            calls.append((name, n)) or route(n))
+    cache, primes = SpecialCache(), sieve_primes(PrimeRange(7, 503))
+    for p in primes:
+        bernoulli_exact(p - 3, cache)
+        euler_exact(p - 3, cache)
+    half = (special.INDEX_MIN - 1) // 2
+    assert calls == [("_tangent_numbers", half), ("_secant_numbers", half)] + [
+        (name, p - 3) for p in primes if p - 3 >= special.INDEX_MIN
+        for name in ("bernoulli_by_index", "euler_by_index")]
+
+
 @pytest.mark.parametrize("n", [60, 98, 994, 1006])
 def test_index_route_with_too_few_guard_bits_raises(monkeypatch, n):
     """48 working bits short of the default, where the error bound allows a
