@@ -178,9 +178,12 @@ class PAdic:
         digits = bound - base
         if digits <= 0:
             return cls.zero_marker(p, bound)
-        powers = [p ** i for i in range(digits)]
-        total = sum(u * powers[v - base] for v, u in zip(vals, units)
-                    if v - base < digits)
+        if vals.count(base) == len(vals):  # one valuation, as most rows have
+            total = sum(units)
+        else:
+            powers = [p ** i for i in range(digits)]
+            total = sum(u * powers[v - base] for v, u in zip(vals, units)
+                        if v - base < digits)
         return cls.from_residue(total, p, digits).shift(-base)
 
     # -- predicates ----------------------------------------------------

@@ -8,9 +8,10 @@ check reads at a prime, through one memo; each path only computes it.  The
 paths share no row data: the exact path steps the rows of `SUMS`, and the
 p-adic path reads every row, harmonic numbers included, off per-prime
 factorial tables (`FactorialTable`).  It reads nothing the exact path
-builds, takes B and E mod p from routes that read no table, and q_p(2) from
-2^(p-1) mod p^(PADIC_PREC+1).  The exact path checks each Bernoulli or Euler
-number it reads against that route.
+builds, takes B and E mod p from routes that read no table, q_p(2) from
+2^(p-1) mod p^(PADIC_PREC+1), and (-1)^n C(p-1, n) from its factorial
+table.  The exact path checks each Bernoulli or Euler number it reads
+against that route.
 
 A check has one description, `sides`, that both contexts read: two scalars,
 or for a per-k check two columns over the same k (`arith.Column`), each a
@@ -57,20 +58,22 @@ PADIC_PATH_MAX_PRIME = 61
 
 class Context:
     """The interface a check reads, at one prime: `frac`, `column`, `S`,
-    `terms`, `gaps`, `bern`, `euler`, `qp`, `div_pp` and `residue`.  A check
-    reads a row only as a range lo..hi at p, summed (`S`) or per k (`terms`,
-    a column), and every other factor by the method named after it.
+    `terms`, `gaps`, `bern`, `euler`, `qp`, `morley`, `div_pp` and
+    `residue`.  A check reads a row only as a range lo..hi at p, summed (`S`)
+    or per k (`terms`, a column), and every other factor by the method named
+    after it.
 
     The base owns every read.  One memo, shared by every check evaluated at
     the prime, holds the row sums (harmonic numbers among them), the per-k
-    columns, the harmonic gaps, the special numbers, q_p(2) and, on the
-    p-adic path, the prime's factorial table; the base decides which B and E
-    indices exist.  A context supplies only its arithmetic: `frac`,
-    `column`, `_row_sum`, `_terms`, `_gaps`, its source of B, E and q_p(2)
-    (`_bern`, `_euler`, `_qp`), `div_pp` and `residue`.  Each builds every
-    value a check reads in its own arithmetic, from its own description of
-    the rows: the exact path from the closed forms and ratios of SUMS, the
-    p-adic path from the factors of FACTORS.
+    columns, the harmonic gaps, the special numbers, q_p(2), (-1)^n C(p-1, n)
+    and, on the p-adic path, the prime's factorial table; the base decides
+    which B and E indices exist.  A context supplies only its arithmetic:
+    `frac`, `column`, `_row_sum`, `_terms`, `_gaps`, its source of B, E,
+    q_p(2) and (-1)^n C(p-1, n) (`_bern`, `_euler`, `_qp`, `_morley`),
+    `div_pp` and `residue`.  Each builds every value a check reads in its
+    own arithmetic, from its own description of the rows: the exact path
+    from the closed forms and ratios of SUMS, the p-adic path from the
+    factors of FACTORS.
     """
 
     def __init__(self, p: int):
@@ -110,6 +113,10 @@ class Context:
     def qp(self):
         """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p, memoized."""
         return self._memo(("qp",), self._qp)
+
+    def morley(self):
+        """(-1)^n C(p-1, n), the left side of Morley's congruence, memoized."""
+        return self._memo(("M",), self._morley)
 
 
 class ExactContext(Context):
@@ -163,6 +170,9 @@ class ExactContext(Context):
     def _qp(self):
         return Fraction(pow(2, self.p - 1) - 1, self.p)
 
+    def _morley(self):
+        return Fraction((-1) ** self.n * comb(self.p - 1, self.n))
+
     def _bern(self, i: int):
         value = bernoulli_exact(i, self.cache)
         # a residue that misses the power-sum route raises InternalInconsistency,
@@ -193,7 +203,8 @@ class PadicContext(Context):
 
     - A rational constant of a statement is lifted by `frac`.  q_p(2) is
       read off 2^(p-1) mod p^(PADIC_PREC+1) at absolute precision
-      PADIC_PREC, not lifted from the exact path's rational.
+      PADIC_PREC, not lifted from the exact path's rational, and
+      (-1)^n C(p-1, n) off the factorial table, not from `math.comb`.
     - A row, H_n^(m) among them, is read off the prime's `FactorialTable`,
       built on the first read through the base memo and held for the life
       of the context, as a product of its FACTORS; no entry of SUMS is
@@ -224,9 +235,11 @@ class PadicContext(Context):
         """The constant x at every k of ks."""
         return PadicColumn(self.p, ks, *([part] * len(ks) for part in (x.val, x.unit, x.prec)))
 
+    def _table(self) -> FactorialTable:
+        return self._memo(("F",), lambda: FactorialTable(self.p, PADIC_PREC))
+
     def _terms(self, name: str, lo: int, hi: int) -> PadicColumn:
-        table = self._memo(("F",), lambda: FactorialTable(self.p, PADIC_PREC))
-        vals, units = table.read(name, lo, hi)
+        vals, units = self._table().read(name, lo, hi)
         return PadicColumn(self.p, range(lo, hi + 1), vals, units, [PADIC_PREC] * len(vals))
 
     def _gaps(self) -> PadicColumn:
@@ -248,6 +261,13 @@ class PadicContext(Context):
         # its own route, so a wrong exact q_p(2) shows as a path disagreement
         power = pow(2, self.p - 1, self.p ** (PADIC_PREC + 1))
         return PAdic.from_residue((power - 1) // self.p, self.p, PADIC_PREC)
+
+    def _morley(self):
+        # C(p-1, n) = U[p-1] IU[n]^2, a unit since p - 1 < p; its own route, so
+        # a wrong exact value shows as a path disagreement
+        table = self._table()
+        unit = (-1) ** self.n * table.U[self.p - 1] * table.IU[self.n] ** 2
+        return PAdic.from_residue(unit % table.mod, self.p, PADIC_PREC)
 
     def _bern(self, i: int):
         return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
@@ -375,7 +395,7 @@ def _catalog() -> dict[str, CheckSpec]:
         note="checked for k in [0,n] where C(n,k) is meaningful")
 
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
-        _scalar(lambda c: c.frac((-1) ** c.n * comb(c.p - 1, c.n)),
+        _scalar(lambda c: c.morley(),
                 lambda c: c.frac(4 ** (c.p - 1))
                 + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)))
 
@@ -695,6 +715,29 @@ def _run_block(ids, padic_limit: int, cache: SpecialCache,
 # block, p + _PRIME_COST_OFFSET balanced the default run's two blocks and
 # dual-path's more evenly than p alone, which left the first block slowest.
 _PRIME_COST_OFFSET = 75
+# The plan's model, in the same units, measured on 2 vCPUs with Python
+# 3.11.7, where a unit of the exact path on the proven checks is 12-23 us
+# (at 7..199 and 997..1031).  A block's first prime q also sums its Sweep's
+# PRIME_FREE rows from k = 1, _BLOCK_START * (q + _PRIME_COST_OFFSET) more: a
+# fresh block's first prime took 58.6-64.3 ms at 997 against 20.2-23.3 ms
+# after the previous prime, and 21.3-23.5 against 6.7-7.4 ms at 499.  The
+# p-adic path adds about one more unit per unit, 15-21 us per p + 75 at
+# 7..199, 401..449 and 997..1031, so the plan counts a prime at or below the
+# p-adic limit twice; the cuts keep p + _PRIME_COST_OFFSET, which was timed
+# with the default limit.  Every check, not only the proven ones, adds
+# 15-25% more, which the plan ignores.  A pool takes 27-65 ms to start, with
+# its import of concurrent.futures, and each worker adds about 2.5 ms (30.5,
+# 31.7, 34.2 and 40.8 ms at 2, 3, 4 and 6 workers, medians of 9):
+# _POOL_START plus _WORKER_START per worker, 2000 units at 2 workers.
+# Blocks run side by side are slower than one alone: the slower of two
+# copies of a block run at once on a 2-worker pool took a median 1.04-1.19
+# times what one took alone (9 runs each at 401..449, 997..1013 and 7..199),
+# so _POOL_SLOWDOWN scales the slowest pooled block.  Three primes near 1000
+# then model 1.06 times one block on three workers, and run in this process.
+_BLOCK_START = 2
+_POOL_START = 1750
+_WORKER_START = 125
+_POOL_SLOWDOWN = 1.1
 
 
 def _blocks(primes: list[int], count: int) -> list[list[int]]:
@@ -708,6 +751,30 @@ def _blocks(primes: list[int], count: int) -> list[list[int]]:
         cuts.append(min(max(cut, cuts[-1] + 1), len(primes) - count + j))
     cuts.append(len(primes))
     return [primes[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _makespan(blocks: list[list[int]], padic_limit: int) -> float:
+    """The modeled time of a run over `blocks`, one worker each: the slowest
+    block, its start included, with the primes on the p-adic path counted
+    twice; with two or more, slowed by running side by side, plus the start
+    of a pool with a worker per block."""
+    slowest = max(_BLOCK_START * (block[0] + _PRIME_COST_OFFSET)
+                  + sum((p + _PRIME_COST_OFFSET) * (2 if p <= padic_limit else 1)
+                        for p in block)
+                  for block in blocks)
+    if len(blocks) == 1:
+        return slowest
+    return _POOL_SLOWDOWN * slowest + _POOL_START + _WORKER_START * len(blocks)
+
+
+def _plan(primes: list[int], jobs: int, padic_limit: int) -> list[list[int]]:
+    """The blocks of the sorted `primes` a run of at most `jobs` workers
+    takes: of 1 to min(jobs, len(primes)) blocks from `_blocks`, the fewest
+    with the least modeled makespan.  One block runs in this process."""
+    if not primes:
+        return []
+    return min((_blocks(primes, count) for count in range(1, min(jobs, len(primes)) + 1)),
+               key=lambda blocks: _makespan(blocks, padic_limit))
 
 
 def summarize(results: list[CheckResult]) -> dict:
@@ -737,13 +804,16 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
 
     A p that is not prime raises ValueError before anything is evaluated.  The
     checks at one prime share one exact and one p-adic context.  The primes
-    are cut into min(jobs, len(primes)) blocks of consecutive primes, one
-    `fan_out` task each, so that the exact path sweeps each block's
-    PRIME_FREE rows as running prefixes (`Sweep`); no row depends on the
-    blocks.  Each task carries `cache`, pickled with it when it runs in a
-    worker.  Every special-number value a context reads is cross-checked
-    mod p on its first read; a mismatch raises InternalInconsistency, since
-    no verdict built on it could be trusted.
+    run in blocks of consecutive primes, one `fan_out` task each, so that
+    the exact path sweeps each block's PRIME_FREE rows as running prefixes
+    (`Sweep`); no row depends on the blocks.  `_plan` picks how many, from
+    one, run in this process, to min(jobs, len(primes)) on a pool: the
+    fewest that the cost model of `_blocks`, with a block's Sweep start, a
+    pool's start and the slowdown of blocks run side by side added, says
+    end soonest.  Each task carries `cache`, pickled with
+    it when it runs in a worker.  Every special-number value a context reads
+    is cross-checked mod p on its first read; a mismatch raises
+    InternalInconsistency, since no verdict built on it could be trusted.
     """
     ids = list(ids)
     primes = sorted(map(_checked_prime, primes))
@@ -751,7 +821,7 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
         if i not in CHECK_CATALOG:
             raise UnknownCheck(f"unknown check id {i!r}")
     cache = cache if cache is not None else SpecialCache()
-    blocks = _blocks(primes, min(jobs, len(primes))) if primes else []
+    blocks = _plan(primes, jobs, padic_limit)
     chunks = fan_out(partial(_run_block, ids, padic_limit, cache), blocks, jobs)
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.id, r.p))

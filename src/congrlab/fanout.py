@@ -8,7 +8,6 @@ The tasks are independent, so the results equal those of the plain loop.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 
 def available_cpus() -> int:
@@ -23,13 +22,15 @@ def fan_out(fn, items, jobs: int) -> list:
     """`[fn(item) for item in items]`, over `min(jobs, len(items))` processes.
 
     With one worker or one item no process starts and this process runs
-    the plain loop.  A pool starts all its workers at the first task, so it
-    is never larger than the number of items.  The pool pickles `fn` and
-    the item for each task, with all that `fn` carries, such as the tables
-    a block of primes reads.
+    the plain loop.  `concurrent.futures` is imported only to start a pool,
+    so a run without one does not pay that import (20-40 ms).  A pool starts
+    all its workers at the first task, so it is never larger than the
+    number of items.  The pool pickles `fn` and the item for each task, with
+    all that `fn` carries, such as the tables a block of primes reads.
     """
     workers = min(jobs, len(items))
     if workers <= 1:
         return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))

@@ -1,10 +1,9 @@
 """Fixtures shared by the test modules."""
 
+import concurrent.futures
 import pickle
 
 import pytest
-
-from congrlab import fanout
 
 
 @pytest.fixture
@@ -32,5 +31,6 @@ def inline_pool(monkeypatch):
                 return pickle.loads(pickle.dumps(task(*args)))
             return map(run, *iterables)
 
-    monkeypatch.setattr(fanout, "ProcessPoolExecutor", InlinePool)
+    # `fan_out` imports the pool class when it starts one, so patch its module
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return sizes

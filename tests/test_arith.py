@@ -233,6 +233,23 @@ def test_sum_of_terms_equals_adding_them_to_a_zero_marker(p, prec, terms):
     assert got._abs_prec() == min(0, min(vals)) + prec
 
 
+@settings(max_examples=300)
+@given(st.sampled_from([3, *SMALL_PRIMES, 61, 251]), st.integers(1, 6), st.integers(-3, 8),
+       st.lists(st.integers(1, 10 ** 6), min_size=1, max_size=12))
+def test_sum_of_terms_of_one_valuation_equals_adding_them(p, prec, v, units):
+    """Terms of one valuation v, negative ones included, add as their units
+    do: the same digits and precision as sequential addition."""
+    mod = p ** prec
+    units = [u % mod for u in units if u % p]
+    if not units:
+        return
+    expected = PAdic.zero_marker(p, prec)
+    for u in units:
+        expected = expected + PAdic(p, v, u, prec)
+    got = PAdic.sum_terms(p, [v] * len(units), units, prec)
+    assert (got.val, got.unit, got.prec) == (expected.val, expected.unit, expected.prec)
+
+
 # -- residue columns ------------------------------------------------------------
 
 padic_parts = st.one_of(

@@ -4,12 +4,16 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import congrlab
 from congrlab import congruences, special
+from congrlab.arith import PrimeRange, sieve_primes
 from congrlab.cli import parse_and_run
 from congrlab.congruences import CheckResult, evaluate_check
 from congrlab.fanout import available_cpus
@@ -189,6 +193,13 @@ def test_cli_unknown_subcommand_exits_2():
     assert parse_and_run(["frobnicate"]) == 2
 
 
+def _assert_two_blocks(lo, hi):
+    """A run of lo..hi at two workers and the default p-adic limit cuts two
+    blocks, so a fault in the first is raised in a pool worker."""
+    primes = sieve_primes(PrimeRange(lo, hi))
+    assert len(congruences._plan(primes, 2, congruences.PADIC_PATH_MAX_PRIME)) == 2
+
+
 def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
     build = SpecialCache.ensure_bernoulli
 
@@ -197,8 +208,10 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
         cache.bernoulli[4] += 1  # B_{p-3} at p = 7
 
     monkeypatch.setattr(SpecialCache, "ensure_bernoulli", corrupt)
-    for jobs in ("1", "2"):  # in this process, and raised in a pool worker
-        code = parse_and_run(["verify", "--primes", "7:13", "--checks", "T1.1-1.1",
+    # in this process, and raised in a pool worker: 7..199 takes two blocks
+    _assert_two_blocks(7, 199)
+    for jobs, window in (("1", "7:13"), ("2", "7:199")):
+        code = parse_and_run(["verify", "--primes", window, "--checks", "T1.1-1.1",
                               "--jobs", jobs])
         captured = capsys.readouterr()
         assert code == 2
@@ -213,13 +226,15 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
 ], ids=["B_p-3", "B_p-5", "E_p-3"])
 def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route, index,
                                                       check):
-    """The special numbers of 997 and 1009 come by index; one off by one at
-    997 is an engine fault, in this process and in a pool worker."""
+    """The special numbers from 997 up come by index; one off by one at 997
+    is an engine fault, in this process and in a pool worker (997..1100
+    takes two blocks)."""
     by_index = getattr(special, route)
     monkeypatch.setattr(special, route,
                         lambda n: by_index(n) + (n == index))
-    for jobs in ("1", "2"):
-        code = parse_and_run(["verify", "--primes", "997:1009", "--checks", check,
+    _assert_two_blocks(997, 1100)
+    for jobs, window in (("1", "997:1009"), ("2", "997:1100")):
+        code = parse_and_run(["verify", "--primes", window, "--checks", check,
                               "--jobs", jobs])
         captured = capsys.readouterr()
         assert code == 2
@@ -230,7 +245,8 @@ def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route
 def test_cli_wrong_harmonic_gap_step_exits_2_without_rows(monkeypatch, capsys):
     """One step of the exact gaps' accumulation off by one at p = 101, above
     the p-adic limit, misses H_{p-1} in their last numerator: an engine
-    fault, in this process and in a pool worker."""
+    fault, in this process and in a pool worker (101..307 takes two
+    blocks)."""
     gaps = congruences.harmonic_gap_numerators
 
     def wrong_step(n, k=10):
@@ -238,8 +254,9 @@ def test_cli_wrong_harmonic_gap_step_exits_2_without_rows(monkeypatch, capsys):
         return L, nums[:k - 1] + [A + (n == 50) for A in nums[k - 1:]]
 
     monkeypatch.setattr(congruences, "harmonic_gap_numerators", wrong_step)
-    for jobs in ("1", "2"):
-        code = parse_and_run(["verify", "--primes", "101:103", "--checks", "PS11c-3.2",
+    _assert_two_blocks(101, 307)
+    for jobs, window in (("1", "101:103"), ("2", "101:307")):
+        code = parse_and_run(["verify", "--primes", window, "--checks", "PS11c-3.2",
                               "--jobs", jobs])
         captured = capsys.readouterr()
         assert code == 2
@@ -350,13 +367,14 @@ def test_cli_jobs_below_one_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--primes", "7:31", "--checks", "T1.1-1.1"],
+    ["verify", "--primes", "7:199", "--checks", "T1.1-1.1"],
     ["identity", "--names", "APERY,TELE1,BBAG", "--n", "1:5"],
 ])
 def test_cli_jobs_default_to_the_cpus_this_process_may_use(argv, monkeypatch, inline_pool,
                                                           capsys):
     """One allowed CPU runs the plain loop; three ask a pool for three
-    workers."""
+    workers.  7..199 is long enough for three blocks to pay for their
+    start."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parse_and_run(argv) == 0
     assert inline_pool == []
@@ -364,6 +382,25 @@ def test_cli_jobs_default_to_the_cpus_this_process_may_use(argv, monkeypatch, in
     assert parse_and_run(argv) == 0
     assert inline_pool == [3]
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("jobs", ["2", "8"])
+def test_cli_verify_in_one_block_imports_no_pool(jobs, tmp_path):
+    """Three primes near 1000 run as one block in this process at any number
+    of workers, which imports neither concurrent.futures nor
+    multiprocessing."""
+    code = ("import sys\n"
+            "from congrlab.cli import parse_and_run\n"
+            "status = parse_and_run(['verify', '--primes', '997:1013', '--jobs', sys.argv[2],\n"
+            "                        '--out', sys.argv[1]])\n"
+            "print(status, sorted({m.split('.')[0] for m in sys.modules}\n"
+            "                     & {'concurrent', 'multiprocessing'}))\n")
+    src = os.path.dirname(os.path.dirname(congrlab.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.json"), jobs],
+                         capture_output=True, text=True, env=env, check=True)
+    assert run.stdout == "0 []\n"
+    assert json.loads((tmp_path / "report.json").read_text())[-1]["summary"]["total"] > 0
 
 
 def test_available_cpus_without_an_affinity_call(monkeypatch):

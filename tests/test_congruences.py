@@ -457,6 +457,18 @@ def test_a_wrong_exact_fermat_quotient_is_a_path_disagreement(monkeypatch):
     assert summary["path_disagreements"] == len(primes)
 
 
+def test_a_wrong_exact_morley_binomial_is_a_path_disagreement(monkeypatch):
+    """The p-adic path reads (-1)^n C(p-1, n) off its factorial table, not off
+    math.comb: with p^3 added on the exact path alone, L2.2-2.3, which reads
+    it mod p^4, disagrees at every prime."""
+    morley = ExactContext._morley
+    monkeypatch.setattr(ExactContext, "_morley", lambda self: morley(self) + self.p ** 3)
+    primes = sieve_primes(PrimeRange(5, 61))
+    results, summary = run_suite(["L2.2-2.3"], primes, padic_limit=61)
+    assert [r.path_agreement for r in results] == [False] * len(primes)
+    assert summary["path_disagreements"] == len(primes)
+
+
 def test_fermat_quotient_checks_at_the_wieferich_prime(monkeypatch):
     """2^1092 = 1 mod 1093^2, so q_p(2) = 0 mod p at p = 1093.  The nine
     checks that read q_p(2) agree on both paths there, and P2.14 reads
@@ -1010,13 +1022,24 @@ def test_run_suite_deterministic_order(cache):
     assert [(r.id, r.p) for r in res1] == sorted((r.id, r.p) for r in res1)
 
 
+def _joined_blocks(ids, primes, cache, padic_limit, count):
+    """The rows of `_run_block` over the `count` blocks of `primes`, joined
+    and sorted as run_suite sorts them, with no timings."""
+    rows = [dataclasses.replace(r, elapsed_ms=0.0)
+            for block in congruences._blocks(primes, count)
+            for r in congruences._run_block(ids, padic_limit, cache, block)]
+    return sorted(rows, key=lambda r: (r.id, r.p))
+
+
 def test_run_suite_parallel_matches_serial(cache):
+    """Blocks of 7..31 give the serial rows, though a run of 8 primes this
+    small no longer starts a pool."""
     ids = check_ids("proven")[:8]
     primes = sieve_primes(PrimeRange(7, 31))
-    serial, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=1)
-    parallel, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=2)
-    key = lambda r: (r.id, r.p, r.lhs, r.rhs, r.passed, r.applicable)
-    assert [key(r) for r in serial] == [key(r) for r in parallel]
+    serial = [dataclasses.replace(r, elapsed_ms=0.0)
+              for r in run_suite(ids, primes, cache, padic_limit=0, jobs=1)[0]]
+    for count in (1, 2, 3):
+        assert _joined_blocks(ids, primes, cache, 0, count) == serial, count
 
 
 def test_run_suite_rows_do_not_depend_on_the_blocks(cache):
@@ -1027,24 +1050,52 @@ def test_run_suite_rows_do_not_depend_on_the_blocks(cache):
         blocks = congruences._blocks(primes, count)
         assert len(blocks) == count and all(blocks)
         assert [p for block in blocks for p in block] == primes
-    row = lambda r: dataclasses.replace(r, elapsed_ms=0.0)
-    runs = [[row(r) for r in run_suite(check_ids("all"), primes, cache, padic_limit=61,
-                                       jobs=jobs)[0]] for jobs in (1, 2, 3)]
-    assert runs[0] == runs[1] == runs[2]
+    ids = check_ids("all")
+    serial = [dataclasses.replace(r, elapsed_ms=0.0)
+              for r in run_suite(ids, primes, cache, padic_limit=61, jobs=1)[0]]
+    for count in (1, 2, 3):
+        assert _joined_blocks(ids, primes, cache, 61, count) == serial, count
+
+
+@pytest.mark.parametrize("window, jobs, padic_limit, count", [
+    ("997:1013", 2, 61, 1), ("991:1009", 2, 61, 1), ("1009:1019", 2, 61, 1),
+    ("997:1013", 3, 61, 1), ("991:1009", 3, 61, 1), ("1009:1019", 3, 61, 1),
+    ("997:1013", 8, 61, 1), ("7:31", 2, 61, 1), ("7:61", 2, 61, 1), ("7:61", 8, 61, 1),
+    ("997:1031", 2, 61, 1), ("7:499", 1, 61, 1),
+    ("7:499", 2, 61, 2), ("3:251", 2, 61, 2), ("997:1100", 2, 61, 2), ("1000:1999", 2, 61, 2),
+    ("7:499", 3, 61, 3), ("7:499", 8, 61, 8), ("997:1033", 5000, 0, 7),
+    ("997:1031", 2, 1100, 2), ("3:251", 2, 251, 2),
+])
+def test_a_run_fans_out_only_when_its_blocks_pay_for_their_start(window, jobs, padic_limit,
+                                                                 count):
+    """Every block's first prime re-sweeps the PRIME_FREE rows from k = 1,
+    and a pool takes tens of ms to start: three primes near 1000 run faster
+    as one block in this process than as two or three blocks on a pool, and
+    more workers than pay for their start stay idle.  The p-adic path makes
+    each prime dearer, so six primes near 1000 split on it alone."""
+    primes = sieve_primes(PrimeRange(*map(int, window.split(":"))))
+    blocks = congruences._plan(primes, jobs, padic_limit)
+    assert len(blocks) == count
+    assert [p for block in blocks for p in block] == primes
+    if count > 1:
+        assert blocks == congruences._blocks(primes, count)
 
 
 def test_pool_starts_at_most_one_worker_per_prime(inline_pool, cache):
     """A pool forks all its workers at the first submit, so --jobs 5000 over
-    two primes, or over two identities, must ask for two."""
+    the 7 primes 997..1033, one block each, or over two identities, must ask
+    for 7 and 2."""
     ids = ["T1.1-1.1", "T1.2-1.7"]
-    pooled, _ = run_suite(ids, [7, 11], cache, padic_limit=0, jobs=5000)
-    serial, _ = run_suite(ids, [7, 11], cache, padic_limit=0, jobs=1)
+    primes = sieve_primes(PrimeRange(997, 1033))
+    assert congruences._plan(primes, 5000, 0) == [[p] for p in primes]
+    pooled, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=5000)
+    serial, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=1)
     row = lambda r: dataclasses.replace(r, elapsed_ms=0.0)
     assert [row(r) for r in pooled] == [row(r) for r in serial]
     names = ["APERY", "TELE1"]
     assert (run_identity_suite(names, range(0, 6), jobs=5000)
             == run_identity_suite(names, range(0, 6), jobs=1))
-    assert inline_pool == [2, 2]
+    assert inline_pool == [len(primes), 2]
 
 
 def test_each_prime_builds_one_padic_context(monkeypatch, cache):
