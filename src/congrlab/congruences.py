@@ -725,15 +725,26 @@ _PRIME_COST_OFFSET = 75
 # 7..199, 401..449 and 997..1031, so the plan counts a prime at or below the
 # p-adic limit twice; the cuts keep p + _PRIME_COST_OFFSET, which was timed
 # with the default limit.  Every check, not only the proven ones, adds
-# 15-25% more, which the plan ignores.  A pool takes 27-65 ms to start, with
-# its import of concurrent.futures, and each worker adds about 2.5 ms (30.5,
-# 31.7, 34.2 and 40.8 ms at 2, 3, 4 and 6 workers, medians of 9):
-# _POOL_START plus _WORKER_START per worker, 2000 units at 2 workers.
-# Blocks run side by side are slower than one alone: the slower of two
-# copies of a block run at once on a 2-worker pool took a median 1.04-1.19
-# times what one took alone (9 runs each at 401..449, 997..1013 and 7..199),
-# so _POOL_SLOWDOWN scales the slowest pooled block.  Three primes near 1000
-# then model 1.06 times one block on three workers, and run in this process.
+# 15-25% more, which the plan ignores.  A fan-out's first start in a fresh
+# process, forking a child per worker past this one, took 8.4-8.6 ms wall at
+# 2 and 3 workers, 11.2 at 4 and 15.6 at 6, and 8-23 ms of CPU (medians of 9;
+# the process pool it replaced took 34-47 ms).  _POOL_START plus
+# _WORKER_START per worker, 2000 units at 2 workers, charges three to five
+# times that and is kept: at the start's own 400-700 units, each window of
+# three primes near 1000 would split into 2 blocks at 2 workers and 3 at 3,
+# and each block past the first pays its Sweep's catch-up, about 40 ms of CPU
+# there (the 58.6-64.3 against 20.2-23.3 ms above), for no wall time saved:
+# forced into 2 blocks, 997..1013 on 2 workers took 0.232 against 0.223 s
+# wall and 0.325 against 0.223 s CPU (medians of 15 alternating fresh runs).
+# Where the plan splits, as at 7..199 on 2 workers, two blocks took 0.91-0.96
+# of one block's wall time and 1.19-1.25 times its CPU (medians of two sets
+# of 21 alternating fresh runs).  Blocks run side by side are slower than
+# one alone: the slower of two copies of a block run at once on 2 workers
+# took a median 1.04-1.19 times what one took alone (9 runs each at
+# 401..449, 997..1013 and 7..199), so _POOL_SLOWDOWN scales the slowest
+# block of a fan-out.
+# Three primes near 1000 then model 1.06 times one block on three workers,
+# and run in this process.
 _BLOCK_START = 2
 _POOL_START = 1750
 _WORKER_START = 125
@@ -757,7 +768,7 @@ def _makespan(blocks: list[list[int]], padic_limit: int) -> float:
     """The modeled time of a run over `blocks`, one worker each: the slowest
     block, its start included, with the primes on the p-adic path counted
     twice; with two or more, slowed by running side by side, plus the start
-    of a pool with a worker per block."""
+    of a fan-out with a worker per block, this process one of them."""
     slowest = max(_BLOCK_START * (block[0] + _PRIME_COST_OFFSET)
                   + sum((p + _PRIME_COST_OFFSET) * (2 if p <= padic_limit else 1)
                         for p in block)
@@ -770,7 +781,8 @@ def _makespan(blocks: list[list[int]], padic_limit: int) -> float:
 def _plan(primes: list[int], jobs: int, padic_limit: int) -> list[list[int]]:
     """The blocks of the sorted `primes` a run of at most `jobs` workers
     takes: of 1 to min(jobs, len(primes)) blocks from `_blocks`, the fewest
-    with the least modeled makespan.  One block runs in this process."""
+    with the least modeled makespan.  One block runs in this process and
+    forks nothing; more fan out, this process running one share."""
     if not primes:
         return []
     return min((_blocks(primes, count) for count in range(1, min(jobs, len(primes)) + 1)),
@@ -807,13 +819,15 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     run in blocks of consecutive primes, one `fan_out` task each, so that
     the exact path sweeps each block's PRIME_FREE rows as running prefixes
     (`Sweep`); no row depends on the blocks.  `_plan` picks how many, from
-    one, run in this process, to min(jobs, len(primes)) on a pool: the
-    fewest that the cost model of `_blocks`, with a block's Sweep start, a
-    pool's start and the slowdown of blocks run side by side added, says
-    end soonest.  Each task carries `cache`, pickled with
-    it when it runs in a worker.  Every special-number value a context reads
-    is cross-checked mod p on its first read; a mismatch raises
-    InternalInconsistency, since no verdict built on it could be trusted.
+    one, run in this process, to min(jobs, len(primes)) over forked
+    processes: the fewest that the cost model of `_blocks`, with a block's
+    Sweep start, a fan-out's start and the slowdown of blocks run side by
+    side added, says end soonest.  Each task reads the tables of `cache`,
+    which a forked worker inherits; only its rows come back, pickled, and a
+    platform without `os.fork` runs the blocks in turn in this process.
+    Every special-number value a context reads is cross-checked mod p on
+    its first read; a mismatch raises InternalInconsistency, since no
+    verdict built on it could be trusted.
     """
     ids = list(ids)
     primes = sorted(map(_checked_prime, primes))

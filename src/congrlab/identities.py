@@ -173,9 +173,10 @@ def _run_identity(name: str, n_range) -> list[IdentityCase]:
 
 
 def run_identity_suite(names=None, n_range=range(1, 51), jobs: int = 1) -> list[IdentityCase]:
-    """Evaluate every (name, n) pair, with `jobs` worker processes taking one
-    identity per task (`fan_out`); an error in a case is an engine fault and
-    propagates, never a failed case."""
+    """Evaluate every (name, n) pair, with up to `jobs` workers, this
+    process and forked children, taking one identity per task (`fan_out`;
+    the plain loop where the platform has no `os.fork`); an error in a case
+    is an engine fault and propagates, never a failed case."""
     names = list(IDENTITY_CATALOG) if names is None else list(names)
     for name in names:
         if name not in IDENTITY_CATALOG:

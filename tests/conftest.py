@@ -1,36 +1,37 @@
 """Fixtures shared by the test modules."""
 
-import concurrent.futures
-import pickle
+import os
 
 import pytest
 
+from congrlab import congruences, identities
+
 
 @pytest.fixture
-def inline_pool(monkeypatch):
-    """Replace `fan_out`'s process pool by a stand-in that runs every task in
-    this process and starts none; the list records the worker count each
-    pool was asked for.  Each task's function and item, and its result, go
-    through pickle as a real pool sends them, so a task that cannot be
-    pickled fails here too."""
-    sizes = []
+def fan_out_sizes(monkeypatch):
+    """The worker count of each fan-out of the two suites that starts a
+    process, this process counted as one; a fan-out that runs the plain loop
+    adds none.  `os.fork` is wrapped to count the children each `fan_out`
+    call forks, and the children are real."""
+    sizes, forks = [], []
+    fork = os.fork
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def counting_fork():
+        forks.append(None)
+        return fork()
 
-        def __enter__(self):
-            return self
+    def counted(fan_out):
+        def run(fn, items, jobs):
+            forks.clear()
+            try:
+                return fan_out(fn, items, jobs)
+            finally:
+                if forks:
+                    sizes.append(len(forks) + 1)
+        return run
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            def run(*args):
-                task, args = pickle.loads(pickle.dumps((fn, args)))
-                return pickle.loads(pickle.dumps(task(*args)))
-            return map(run, *iterables)
-
-    # `fan_out` imports the pool class when it starts one, so patch its module
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # each suite calls the `fan_out` its module imported, so patch it there
+    for module in (congruences, identities):
+        monkeypatch.setattr(module, "fan_out", counted(module.fan_out))
     return sizes

@@ -195,7 +195,7 @@ def test_cli_unknown_subcommand_exits_2():
 
 def _assert_two_blocks(lo, hi):
     """A run of lo..hi at two workers and the default p-adic limit cuts two
-    blocks, so a fault in the first is raised in a pool worker."""
+    blocks, so the fault in the first is raised in a fan-out."""
     primes = sieve_primes(PrimeRange(lo, hi))
     assert len(congruences._plan(primes, 2, congruences.PADIC_PATH_MAX_PRIME)) == 2
 
@@ -208,7 +208,7 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
         cache.bernoulli[4] += 1  # B_{p-3} at p = 7
 
     monkeypatch.setattr(SpecialCache, "ensure_bernoulli", corrupt)
-    # in this process, and raised in a pool worker: 7..199 takes two blocks
+    # in this process, and in a fan-out: 7..199 takes two blocks
     _assert_two_blocks(7, 199)
     for jobs, window in (("1", "7:13"), ("2", "7:199")):
         code = parse_and_run(["verify", "--primes", window, "--checks", "T1.1-1.1",
@@ -227,7 +227,7 @@ def test_cli_special_number_mismatch_exits_2_without_rows(monkeypatch, capsys):
 def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route, index,
                                                       check):
     """The special numbers from 997 up come by index; one off by one at 997
-    is an engine fault, in this process and in a pool worker (997..1100
+    is an engine fault, in this process and in a fan-out (997..1100
     takes two blocks)."""
     by_index = getattr(special, route)
     monkeypatch.setattr(special, route,
@@ -245,7 +245,7 @@ def test_cli_corrupt_index_value_exits_2_without_rows(monkeypatch, capsys, route
 def test_cli_wrong_harmonic_gap_step_exits_2_without_rows(monkeypatch, capsys):
     """One step of the exact gaps' accumulation off by one at p = 101, above
     the p-adic limit, misses H_{p-1} in their last numerator: an engine
-    fault, in this process and in a pool worker (101..307 takes two
+    fault, in this process and in a fan-out (101..307 takes two
     blocks)."""
     gaps = congruences.harmonic_gap_numerators
 
@@ -275,7 +275,7 @@ def test_cli_internal_error_exits_2_without_rows(monkeypatch, capsys):
         return lhs(n, F)
 
     monkeypatch.setitem(IDENTITY_CATALOG, "SIGMA", (start, broken, rhs))
-    # one name runs in this process; two start a pool, whose worker raises
+    # one name runs in this process; two fan out, and the fault comes back
     for jobs, names in (("1", "SIGMA"), ("2", "SIGMA,APERY")):
         code = parse_and_run(["identity", "--names", names, "--n", "1:5", "--jobs", jobs])
         captured = capsys.readouterr()
@@ -370,17 +370,17 @@ def test_cli_jobs_below_one_exits_2(capsys):
     ["verify", "--primes", "7:199", "--checks", "T1.1-1.1"],
     ["identity", "--names", "APERY,TELE1,BBAG", "--n", "1:5"],
 ])
-def test_cli_jobs_default_to_the_cpus_this_process_may_use(argv, monkeypatch, inline_pool,
+def test_cli_jobs_default_to_the_cpus_this_process_may_use(argv, monkeypatch, fan_out_sizes,
                                                           capsys):
-    """One allowed CPU runs the plain loop; three ask a pool for three
-    workers.  7..199 is long enough for three blocks to pay for their
-    start."""
+    """One allowed CPU runs the plain loop; three fan out over three
+    workers, this process and two children.  7..199 is long enough for
+    three blocks to pay for their start."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parse_and_run(argv) == 0
-    assert inline_pool == []
+    assert fan_out_sizes == []
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
     assert parse_and_run(argv) == 0
-    assert inline_pool == [3]
+    assert fan_out_sizes == [3]
     capsys.readouterr()
 
 
@@ -388,18 +388,22 @@ def test_cli_jobs_default_to_the_cpus_this_process_may_use(argv, monkeypatch, in
 def test_cli_verify_in_one_block_imports_no_pool(jobs, tmp_path):
     """Three primes near 1000 run as one block in this process at any number
     of workers, which imports neither concurrent.futures nor
-    multiprocessing."""
+    multiprocessing, nor pickle; runs that fan out, of primes and of
+    identities, import pickle but no pool."""
     code = ("import sys\n"
             "from congrlab.cli import parse_and_run\n"
-            "status = parse_and_run(['verify', '--primes', '997:1013', '--jobs', sys.argv[2],\n"
-            "                        '--out', sys.argv[1]])\n"
-            "print(status, sorted({m.split('.')[0] for m in sys.modules}\n"
-            "                     & {'concurrent', 'multiprocessing'}))\n")
+            "def run(*argv):\n"
+            "    status = parse_and_run([*argv, '--out', sys.argv[1]])\n"
+            "    print(status, sorted({m.split('.')[0] for m in sys.modules}\n"
+            "                         & {'concurrent', 'multiprocessing', 'pickle'}))\n"
+            "run('verify', '--primes', '997:1013', '--jobs', sys.argv[2])\n"
+            "run('verify', '--primes', '7:499', '--jobs', '2')\n"
+            "run('identity', '--n', '1:40', '--jobs', '2')\n")
     src = os.path.dirname(os.path.dirname(congrlab.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     run = subprocess.run([sys.executable, "-c", code, str(tmp_path / "report.json"), jobs],
                          capture_output=True, text=True, env=env, check=True)
-    assert run.stdout == "0 []\n"
+    assert run.stdout == "0 []\n0 ['pickle']\n0 ['pickle']\n"
     assert json.loads((tmp_path / "report.json").read_text())[-1]["summary"]["total"] > 0
 
 

@@ -1033,7 +1033,7 @@ def _joined_blocks(ids, primes, cache, padic_limit, count):
 
 def test_run_suite_parallel_matches_serial(cache):
     """Blocks of 7..31 give the serial rows, though a run of 8 primes this
-    small no longer starts a pool."""
+    small no longer fans out."""
     ids = check_ids("proven")[:8]
     primes = sieve_primes(PrimeRange(7, 31))
     serial = [dataclasses.replace(r, elapsed_ms=0.0)
@@ -1069,8 +1069,8 @@ def test_run_suite_rows_do_not_depend_on_the_blocks(cache):
 def test_a_run_fans_out_only_when_its_blocks_pay_for_their_start(window, jobs, padic_limit,
                                                                  count):
     """Every block's first prime re-sweeps the PRIME_FREE rows from k = 1,
-    and a pool takes tens of ms to start: three primes near 1000 run faster
-    as one block in this process than as two or three blocks on a pool, and
+    and a fan-out is charged tens of ms to start: three primes near 1000 run
+    faster as one block in this process than as two or three blocks, and
     more workers than pay for their start stay idle.  The p-adic path makes
     each prime dearer, so six primes near 1000 split on it alone."""
     primes = sieve_primes(PrimeRange(*map(int, window.split(":"))))
@@ -1081,10 +1081,10 @@ def test_a_run_fans_out_only_when_its_blocks_pay_for_their_start(window, jobs, p
         assert blocks == congruences._blocks(primes, count)
 
 
-def test_pool_starts_at_most_one_worker_per_prime(inline_pool, cache):
-    """A pool forks all its workers at the first submit, so --jobs 5000 over
-    the 7 primes 997..1033, one block each, or over two identities, must ask
-    for 7 and 2."""
+def test_pool_starts_at_most_one_worker_per_prime(fan_out_sizes, cache):
+    """A fan-out forks all its children at its start, so --jobs 5000 over
+    the 7 primes 997..1033, one block each, or over two identities, must run
+    on 7 and 2 workers, this process counted as one."""
     ids = ["T1.1-1.1", "T1.2-1.7"]
     primes = sieve_primes(PrimeRange(997, 1033))
     assert congruences._plan(primes, 5000, 0) == [[p] for p in primes]
@@ -1095,7 +1095,7 @@ def test_pool_starts_at_most_one_worker_per_prime(inline_pool, cache):
     names = ["APERY", "TELE1"]
     assert (run_identity_suite(names, range(0, 6), jobs=5000)
             == run_identity_suite(names, range(0, 6), jobs=1))
-    assert inline_pool == [len(primes), 2]
+    assert fan_out_sizes == [len(primes), 2]
 
 
 def test_each_prime_builds_one_padic_context(monkeypatch, cache):

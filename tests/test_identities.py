@@ -151,8 +151,8 @@ def test_suite_single_case():
 
 
 def test_suite_over_a_pool_matches_the_serial_suite():
-    """Each identity is one task of the pool; the cases are the serial ones,
-    in the same order."""
+    """Each identity is one task of the fan-out; the cases are the serial
+    ones, in the same order."""
     assert run_identity_suite(None, range(0, 41), jobs=2) == run_identity_suite(None, range(0, 41))
 
 
@@ -362,7 +362,7 @@ def test_a_wrong_odd_recip_ratio_is_an_engine_fault(name, monkeypatch, capsys):
     monkeypatch.setitem(SUMS, "odd_recip", (term, wrong))
     with pytest.raises(InternalInconsistency, match="'odd_recip'"):
         run_identity_suite([name], range(1, 201))
-    # one name runs in this process; two start a pool, whose worker raises
+    # one name runs in this process; two fan out, and the fault comes back
     for jobs, names in (("1", name), ("2", f"{name},BBAG")):
         code = parse_and_run(["identity", "--names", names, "--n", "1:200", "--jobs", jobs])
         captured = capsys.readouterr()
