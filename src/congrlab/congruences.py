@@ -22,7 +22,6 @@ each side once, a column in one pass, and compares the residue lists.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
@@ -38,7 +37,7 @@ from .errors import (
     UnknownCheck,
     ValuationViolation,
 )
-from .fanout import fan_out
+from .fanout import cut, fan_out
 from .special import (
     SpecialCache,
     bernoulli_exact,
@@ -726,14 +725,14 @@ _PRIME_COST_OFFSET = 75
 # p-adic limit twice; the cuts keep p + _PRIME_COST_OFFSET, which was timed
 # with the default limit.  Every check, not only the proven ones, adds
 # 15-25% more, which the plan ignores.  A fan-out's first start in a fresh
-# process, forking a child per worker past this one, took 8.4-8.6 ms wall at
-# 2 and 3 workers, 11.2 at 4 and 15.6 at 6, and 8-23 ms of CPU (medians of 9;
-# the process pool it replaced took 34-47 ms).  _POOL_START plus
-# _WORKER_START per worker, 2000 units at 2 workers, charges three to five
-# times that and is kept: at the start's own 400-700 units, each window of
-# three primes near 1000 would split into 2 blocks at 2 workers and 3 at 3,
-# and each block past the first pays its Sweep's catch-up, about 40 ms of CPU
-# there (the 58.6-64.3 against 20.2-23.3 ms above), for no wall time saved:
+# process, forking a child per block past the first, took 6.3 ms wall at 2
+# workers, 8.7 at 3, 11.0 at 4 and 12.7 at 6, and as much CPU, the children's
+# included (medians of 9).  _POOL_START plus _WORKER_START per worker, 2000
+# units at 2 workers, charges three to seven times that and is kept: at the
+# start's own 300-700 units, each window of three primes near 1000 would
+# split into 2 blocks at 2 workers and 3 at 3, and each block past the first
+# pays its Sweep's catch-up, about 40 ms of CPU there (the 58.6-64.3 against
+# 20.2-23.3 ms above), for no wall time saved:
 # forced into 2 blocks, 997..1013 on 2 workers took 0.232 against 0.223 s
 # wall and 0.325 against 0.223 s CPU (medians of 15 alternating fresh runs).
 # Where the plan splits, as at 7..199 on 2 workers, two blocks took 0.91-0.96
@@ -752,16 +751,9 @@ _POOL_SLOWDOWN = 1.1
 
 
 def _blocks(primes: list[int], count: int) -> list[list[int]]:
-    """`count` non-empty runs of consecutive primes from the sorted `primes`,
-    cut where the running sum of p + _PRIME_COST_OFFSET, the proxy for their
-    cost, crosses each j/count of its total."""
-    cost = list(accumulate(p + _PRIME_COST_OFFSET for p in primes))
-    cuts = [0]
-    for j in range(1, count):
-        cut = bisect_left(cost, cost[-1] * j / count) + 1
-        cuts.append(min(max(cut, cuts[-1] + 1), len(primes) - count + j))
-    cuts.append(len(primes))
-    return [primes[a:b] for a, b in zip(cuts, cuts[1:])]
+    """`count` blocks of the sorted `primes`, cut by p + _PRIME_COST_OFFSET,
+    the proxy for their cost."""
+    return cut(primes, count, lambda p: p + _PRIME_COST_OFFSET)
 
 
 def _makespan(blocks: list[list[int]], padic_limit: int) -> float:
@@ -782,7 +774,8 @@ def _plan(primes: list[int], jobs: int, padic_limit: int) -> list[list[int]]:
     """The blocks of the sorted `primes` a run of at most `jobs` workers
     takes: of 1 to min(jobs, len(primes)) blocks from `_blocks`, the fewest
     with the least modeled makespan.  One block runs in this process and
-    forks nothing; more fan out, this process running one share."""
+    forks nothing; more fan out, one worker per block, this process running
+    the first."""
     if not primes:
         return []
     return min((_blocks(primes, count) for count in range(1, min(jobs, len(primes)) + 1)),
@@ -816,15 +809,16 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
 
     A p that is not prime raises ValueError before anything is evaluated.  The
     checks at one prime share one exact and one p-adic context.  The primes
-    run in blocks of consecutive primes, one `fan_out` task each, so that
-    the exact path sweeps each block's PRIME_FREE rows as running prefixes
-    (`Sweep`); no row depends on the blocks.  `_plan` picks how many, from
-    one, run in this process, to min(jobs, len(primes)) over forked
-    processes: the fewest that the cost model of `_blocks`, with a block's
-    Sweep start, a fan-out's start and the slowdown of blocks run side by
-    side added, says end soonest.  Each task reads the tables of `cache`,
-    which a forked worker inherits; only its rows come back, pickled, and a
-    platform without `os.fork` runs the blocks in turn in this process.
+    run in blocks of consecutive primes, one `fan_out` share and one worker
+    each, so that the exact path sweeps each block's PRIME_FREE rows as
+    running prefixes (`Sweep`); no row depends on the blocks.  `_plan` picks
+    how many, from one, run in this process, to min(jobs, len(primes)), this
+    process running the first and a forked child each other: the fewest
+    that the cost model of `_blocks`, with a block's Sweep start, a
+    fan-out's start and the slowdown of blocks run side by side added, says
+    end soonest.  Each block reads the tables of `cache`, which a forked
+    worker inherits; only its rows come back, pickled, and a platform
+    without `os.fork` runs the blocks in turn in this process.
     Every special-number value a context reads is cross-checked mod p on
     its first read; a mismatch raises InternalInconsistency, since no
     verdict built on it could be trusted.
@@ -836,7 +830,7 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
             raise UnknownCheck(f"unknown check id {i!r}")
     cache = cache if cache is not None else SpecialCache()
     blocks = _plan(primes, jobs, padic_limit)
-    chunks = fan_out(partial(_run_block, ids, padic_limit, cache), blocks, jobs)
+    chunks = fan_out(partial(_run_block, ids, padic_limit, cache), blocks)
     results = [r for chunk in chunks for r in chunk]
     results.sort(key=lambda r: (r.id, r.p))
     return results, summarize(results)

@@ -1,19 +1,16 @@
-"""Spread independent tasks over forked processes.
+"""Spread independent shares of work over forked processes.
 
-Both batch suites go through `fan_out`: `run_suite` with one task per
-block of consecutive primes, `run_identity_suite` with one per identity.
-The tasks are independent, so the results equal those of the plain loop.
+Both batch suites cut their work into runs of consecutive values with `cut`
+and hand them to `fan_out`, one process per run: `run_suite` cuts its primes
+into blocks, `run_identity_suite` its n values.  The shares are independent,
+so the results equal those of the plain loop.
 """
 
 from __future__ import annotations
 
 import os
-
-_INDEX = 4  # bytes of one item index on the claim pipe
-# Item indices are written to the claim pipe this many bytes at a time:
-# POSIX's least PIPE_BUF, so that each write lands whole and the pipe always
-# holds whole indices.
-_CHUNK = 512
+from bisect import bisect_left
+from itertools import accumulate
 
 
 def available_cpus() -> int:
@@ -24,139 +21,91 @@ def available_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def fan_out(fn, items, jobs: int) -> list:
-    """`[fn(item) for item in items]`, over `min(jobs, len(items))` processes.
+def cut(values: list, count: int, cost) -> list[list]:
+    """`count` non-empty runs of consecutive `values`, in order, cut where
+    the running sum of `cost(value)` crosses each j/count of its total;
+    `count` must be 1 to len(values)."""
+    total = list(accumulate(map(cost, values)))
+    cuts = [0]
+    for j in range(1, count):
+        at = bisect_left(total, total[-1] * j / count) + 1
+        cuts.append(min(max(at, cuts[-1] + 1), len(values) - count + j))
+    cuts.append(len(values))
+    return [values[a:b] for a, b in zip(cuts, cuts[1:])]
 
-    With one worker or one item, or on a platform without `os.fork`, no
-    process starts and this process runs the plain loop.  Otherwise this
-    process forks one child per further worker and runs a share itself:
-    every process claims the next item index off one claim pipe as it frees
-    up, and each child pickles back its results by index, or the first
-    exception its share raised, then exits.  `fn` and `items`, with all that
-    `fn` carries, such as the tables a block of primes reads, reach the
-    children by fork; only results cross a pipe, and `pickle` is imported
-    only here.  Fork only from a process with no other thread running.
+
+def fan_out(fn, shares) -> list:
+    """`[fn(share) for share in shares]`, one process per share.
+
+    With one share, or on a platform without `os.fork`, no process starts
+    and this process runs the plain loop.  Otherwise this process forks one
+    child per share past the first and runs `shares[0]` itself; each child
+    pickles back `(True, result)`, or `(False, exception)` if `fn` raised,
+    then exits.  `fn` and the shares, with all that `fn` carries, such as
+    the tables a block of primes reads, reach the children by fork; only
+    results cross a pipe, and `pickle` is imported only here.  Fork only
+    from a process with no other thread running.
 
     Every child is reaped before this returns or raises.  An exception
     raised by `fn` comes back as the plain loop would raise it: that of the
-    lowest item index that raised, since every process claims indices in
-    rising order and stops at its first exception.  A child that ends
-    without sending its results raises RuntimeError.
+    lowest share that raised.  A child that ends without sending its result
+    raises RuntimeError.
     """
-    workers = min(jobs, len(items))
-    if workers <= 1 or not hasattr(os, "fork"):
-        return [fn(item) for item in items]
+    if len(shares) <= 1 or not hasattr(os, "fork"):
+        return [fn(share) for share in shares]
     import pickle
     import signal
 
-    claims, queue = os.pipe()
-    # This process alone fills the claim pipe, so neither end may block it:
-    # when the pipe is full it runs a claimed item (`_feed`), and the read
-    # end, shared by every process, is polled while empty (`_claims`).
-    os.set_blocking(claims, False)
-    os.set_blocking(queue, False)
-    children = {}  # pid: the read end of its result pipe
+    children = []  # (pid, the read end of its result pipe), in share order
     try:
-        for _ in range(workers - 1):
+        for share in shares[1:]:
             reader, writer = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(reader)
-                _child(fn, items, claims, queue, writer)
+                _child(fn, share, writer)
             os.close(writer)
-            children[pid] = open(reader, "rb")
-        done = {}
-        failures = [_feed(fn, items, claims, queue, done)]
-        os.close(queue)
-        queue = None
-        if failures[0] is None:
-            failures.append(_run(fn, items, _claims(claims), done))
-        for pid, results in list(children.items()):
-            with results:
-                data = results.read()
+            children.append((pid, open(reader, "rb")))
+        outcomes = [_outcome(fn, shares[0])]
+        while children:
+            pid, result = children[0]
+            with result:
+                data = result.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[pid]
+            del children[0]
             if code:
                 how = f"was killed by signal {-code}" if code < 0 else f"exited with status {code}"
                 raise RuntimeError(f"a worker process {how} before sending its results")
-            got, failure = pickle.loads(data)
-            done.update(got)
-            failures.append(failure)
+            outcomes.append(pickle.loads(data))
     finally:
-        os.close(claims)
-        if queue is not None:
-            os.close(queue)
-        for pid, results in children.items():
-            results.close()
+        for pid, result in children:
+            result.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    failure = min(filter(None, failures), key=lambda f: f[0], default=None)
-    if failure is not None:
-        raise failure[1]
-    return [done[i] for i in range(len(items))]
+    for ok, value in outcomes:
+        if not ok:
+            raise value
+    return [value for _, value in outcomes]
 
 
-def _run(fn, items, indices, done: dict):
-    """Run `fn` on the item at each of `indices` into `done`, index to
-    result, up to the first that raises; that (index, exception), or None."""
-    for i in indices:
-        try:
-            done[i] = fn(items[i])
-        except Exception as exc:  # sent back, and raised by fan_out
-            return i, exc
-    return None
+def _outcome(fn, share) -> tuple:
+    """`(True, fn(share))`, or `(False, the exception it raised)`."""
+    try:
+        return True, fn(share)
+    except Exception as exc:  # sent back, and raised by fan_out
+        return False, exc
 
 
-def _claims(claims: int):
-    """The item indices this process claims off the claim pipe, until it is
-    empty and closed; waits while it is empty and still being written."""
-    import select
-    while True:
-        try:
-            index = os.read(claims, _INDEX)
-        except BlockingIOError:
-            waiting = select.poll()
-            waiting.register(claims, select.POLLIN)
-            waiting.poll()
-            continue
-        if not index:
-            return
-        yield int.from_bytes(index, "little")
-
-
-def _feed(fn, items, claims: int, queue: int, done: dict):
-    """Write every item index to the claim pipe; whenever it is full, run an
-    item claimed off it in this process rather than wait for the children,
-    which may all have ended.  The first (index, exception) raised, after
-    which nothing more is written, or None."""
-    indices = b"".join(i.to_bytes(_INDEX, "little") for i in range(len(items)))
-    sent = 0
-    while sent < len(indices):
-        try:
-            sent += os.write(queue, indices[sent:sent + _CHUNK])
-        except BlockingIOError:
-            try:
-                index = os.read(claims, _INDEX)
-            except BlockingIOError:  # the children emptied it meanwhile
-                continue
-            failure = _run(fn, items, [int.from_bytes(index, "little")], done)
-            if failure is not None:
-                return failure
-    return None
-
-
-def _child(fn, items, claims: int, queue: int, out: int):
-    """A forked child's share: run the items it claims, write the pickled
-    (results by index, first failure or None) to `out` and exit, with status
-    0 only when all of it was written.  Never returns."""
+def _child(fn, share, out: int):
+    """A forked child's share: run it, write the pickled outcome to `out`
+    and exit, with status 0 only when all of it was written.  Never
+    returns."""
     import pickle
     code = 1
     try:
-        os.close(queue)  # else the claim pipe never reads as closed
-        done = {}
-        failure = _run(fn, items, _claims(claims), done)
+        outcome = _outcome(fn, share)
         with open(out, "wb") as fh:
-            pickle.dump((done, failure), fh)
+            pickle.dump(outcome, fh)
         code = 0
     except BaseException:  # reported through the exit status; this process ends here
         import traceback

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from math import comb
 
 from .errors import DomainError, UnknownIdentity
-from .fanout import fan_out
+from .fanout import cut, fan_out
 from .special import harmonic_gap_numerators
 from .sums import Cursor, row_numerators, row_sum
 
@@ -173,13 +173,20 @@ def _run_identity(name: str, n_range) -> list[IdentityCase]:
 
 
 def run_identity_suite(names=None, n_range=range(1, 51), jobs: int = 1) -> list[IdentityCase]:
-    """Evaluate every (name, n) pair, with up to `jobs` workers, this
-    process and forked children, taking one identity per task (`fan_out`;
-    the plain loop where the platform has no `os.fork`); an error in a case
-    is an engine fault and propagates, never a failed case."""
+    """Evaluate every (name, n) pair, name by name in the order given and n
+    rising, with up to `jobs` workers, at most one per identity.  Each worker, this process the first
+    and a forked child each other (`fan_out`), runs every identity over its
+    own run of consecutive n, cut (`cut`) to about equal sums of n + 1,
+    since a left side that depends on n sums n terms at each n, and of 0
+    below n = 0, where no identity is declared; a platform without
+    `os.fork` runs the plain loop.  An error in a case is an engine
+    fault and propagates, never a failed case."""
     names = list(IDENTITY_CATALOG) if names is None else list(names)
     for name in names:
         if name not in IDENTITY_CATALOG:
             raise UnknownIdentity(f"unknown identity {name!r}")
-    chunks = fan_out(partial(_run_identity, n_range=n_range), names, jobs)
-    return [case for chunk in chunks for case in chunk]
+    ns = list(n_range)
+    count = min(jobs, len(names), len(ns))
+    shares = cut(ns, count, lambda n: max(n + 1, 0)) if count else []
+    chunks = fan_out(lambda share: [_run_identity(name, share) for name in names], shares)
+    return [case for runs in zip(*chunks) for run in runs for case in run]

@@ -93,7 +93,12 @@ def emit_report(results, fmt: str = "json", include_elapsed: bool = True) -> str
     summary = _summary(results)
 
     if fmt == "json":
-        return json.dumps(rows + [{"summary": summary}], indent=2)
+        # The text of json.dumps(rows + [{"summary": summary}], indent=2):
+        # each flat row goes through the C encoder, which indent= bypasses.
+        row_text = json.JSONEncoder(separators=(",\n    ", ": ")).encode
+        tail = json.dumps([{"summary": summary}], indent=2)[2:-2]
+        return "[\n" + ",\n".join(
+            ["  {\n    " + row_text(row)[1:-1] + "\n  }" for row in rows] + [tail]) + "\n]"
 
     if fmt == "csv":
         buf = io.StringIO()

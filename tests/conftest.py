@@ -21,10 +21,10 @@ def fan_out_sizes(monkeypatch):
         return fork()
 
     def counted(fan_out):
-        def run(fn, items, jobs):
+        def run(fn, shares):
             forks.clear()
             try:
-                return fan_out(fn, items, jobs)
+                return fan_out(fn, shares)
             finally:
                 if forks:
                     sizes.append(len(forks) + 1)

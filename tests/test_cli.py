@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import congrlab
-from congrlab import congruences, special
+from congrlab import congruences, report, special
 from congrlab.arith import PrimeRange, sieve_primes
 from congrlab.cli import parse_and_run
 from congrlab.congruences import CheckResult, evaluate_check
@@ -75,6 +75,22 @@ def test_mixed_result_kinds_serialize():
                evaluate_series("S-ZETA2", terms=5, tol=1.0)]
     for fmt in ("json", "csv", "md"):
         assert emit_report(results, fmt)
+
+
+def test_json_report_is_the_indented_dump_of_its_rows():
+    """Rows go through the C encoder; the text is still that of the
+    indent=2 dump of the rows and the summary."""
+    cache = SpecialCache()
+    for results in ([evaluate_check(i, p, cache) for i in ("T1.1-1.1", "L2.1a") for p in (5, 7)]
+                    + [_result(agreement=False)],
+                    [evaluate_identity("APERY", n) for n in (1, 2)],
+                    [evaluate_series("S-ZETA2", terms=5, tol=1.0)],
+                    []):
+        for include_elapsed in (True, False):
+            ordered = sort_results(results)
+            rows = [report._to_row(r, include_elapsed) for r in ordered]
+            expected = json.dumps(rows + [{"summary": report._summary(ordered)}], indent=2)
+            assert emit_report(results, "json", include_elapsed) == expected
 
 
 def test_unknown_format_rejected():
@@ -389,13 +405,13 @@ def test_cli_verify_in_one_block_imports_no_pool(jobs, tmp_path):
     """Three primes near 1000 run as one block in this process at any number
     of workers, which imports neither concurrent.futures nor
     multiprocessing, nor pickle; runs that fan out, of primes and of
-    identities, import pickle but no pool."""
+    identities, import pickle but no pool, and no select."""
     code = ("import sys\n"
             "from congrlab.cli import parse_and_run\n"
             "def run(*argv):\n"
             "    status = parse_and_run([*argv, '--out', sys.argv[1]])\n"
             "    print(status, sorted({m.split('.')[0] for m in sys.modules}\n"
-            "                         & {'concurrent', 'multiprocessing', 'pickle'}))\n"
+            "                         & {'concurrent', 'multiprocessing', 'pickle', 'select'}))\n"
             "run('verify', '--primes', '997:1013', '--jobs', sys.argv[2])\n"
             "run('verify', '--primes', '7:499', '--jobs', '2')\n"
             "run('identity', '--n', '1:40', '--jobs', '2')\n")

@@ -1,7 +1,8 @@
-"""The fork fan-out: results in item order, exceptions carried back from a
-child or raised in this process's own share, no child left behind, a child
-that dies, a claim queue longer than one pipe holds, and the plain loop
-where the platform cannot fork.  No test runs more than 3 processes."""
+"""The fork fan-out, one process per share: results in share order,
+exceptions carried back from a child or raised in this process's own share,
+no child left behind, a child that dies, and the plain loop where the
+platform cannot fork; and the cut of a run of values into shares.  No test
+runs more than 3 processes."""
 
 import os
 import signal
@@ -10,7 +11,7 @@ import time
 import pytest
 
 from congrlab.cli import parse_and_run
-from congrlab.fanout import fan_out
+from congrlab.fanout import cut, fan_out
 from congrlab.identities import IDENTITY_CATALOG
 
 
@@ -35,20 +36,20 @@ def _no_child_left():
 
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_results_come_back_in_item_order(jobs):
-    """Each item sleeps less than the one before, so later items finish
-    first in whichever process claimed them."""
+    """Each share sleeps less than the one before, so later shares finish
+    first; one process runs each share."""
     def slower_first(i):
-        time.sleep(0.01 * (8 - i))
+        time.sleep(0.05 * (jobs - i))
         return i * i, os.getpid()
 
-    results = fan_out(slower_first, list(range(8)), jobs)
-    assert [square for square, _ in results] == [i * i for i in range(8)]
-    assert len({pid for _, pid in results}) > 1
+    results = fan_out(slower_first, list(range(jobs)))
+    assert [square for square, _ in results] == [i * i for i in range(jobs)]
+    assert len({pid for _, pid in results}) == jobs
     _no_child_left()
 
 
 def test_an_exception_raised_in_a_child_comes_back():
-    """This process's items sleep, so the child claims one and raises."""
+    """This process's share sleeps while the child's raises."""
     parent = os.getpid()
 
     def raise_in_child(i):
@@ -58,13 +59,13 @@ def test_an_exception_raised_in_a_child_comes_back():
         return i
 
     with pytest.raises(LookupError, match="^raised in a child$") as caught:
-        fan_out(raise_in_child, list(range(3)), 2)
+        fan_out(raise_in_child, [0, 1])
     assert caught.type is LookupError
     _no_child_left()
 
 
 def test_an_exception_raised_in_this_process_comes_back():
-    """The child's items sleep, so this process claims one and raises."""
+    """The child's share sleeps while this process's raises."""
     parent = os.getpid()
 
     def raise_here(i):
@@ -74,22 +75,22 @@ def test_an_exception_raised_in_this_process_comes_back():
         return i
 
     with pytest.raises(ZeroDivisionError, match="^raised in this process$"):
-        fan_out(raise_here, list(range(4)), 2)
+        fan_out(raise_here, [0, 1])
     _no_child_left()
 
 
 def test_the_lowest_item_that_raises_wins():
-    """As in the plain loop: every process stops at its first exception,
-    and of those the lowest item's is raised."""
-    def raise_from_one(i):
-        if i >= 1:
-            raise ValueError(f"item {i}")
-        time.sleep(0.05)
-        return i
+    """As in the plain loop, the lowest share's exception is raised, this
+    process's own or a child's, even when a later share raised first."""
+    for first in (0, 1, 1):
+        def raise_from(i):
+            time.sleep(0.05 * (2 - i))
+            if i >= first:
+                raise ValueError(f"share {i}")
+            return i
 
-    for _ in range(3):
-        with pytest.raises(ValueError, match="^item 1$"):
-            fan_out(raise_from_one, list(range(9)), 3)
+        with pytest.raises(ValueError, match=f"^share {first}$"):
+            fan_out(raise_from, [0, 1, 2])
     _no_child_left()
 
 
@@ -103,7 +104,7 @@ def test_a_killed_child_raises_rather_than_returning_part():
         return i
 
     with pytest.raises(RuntimeError, match="killed by signal 9"):
-        fan_out(die_in_child, list(range(3)), 2)
+        fan_out(die_in_child, [0, 1])
     _no_child_left()
 
 
@@ -128,12 +129,17 @@ def test_cli_exits_2_when_a_worker_is_killed(monkeypatch, capsys):
     _no_child_left()
 
 
-def test_more_items_than_one_pipe_holds():
-    """20,000 indices of 4 bytes are more than a 64 KiB pipe holds, so the
-    queue is written while the children claim off it."""
-    items = list(range(20_000))
-    assert fan_out(abs, items, 2) == items
-    _no_child_left()
+def test_cut_keeps_every_value_once_in_order_in_non_empty_runs():
+    """`count` runs when there are enough values; n = 1..200 in two runs of
+    about equal sums of n + 1 is cut at 141 | 142."""
+    for values, count in [(list(range(1, 201)), 2), (list(range(0, 41)), 3),
+                          (list(range(0, 3)), 3), ([7, 11, 13, 997, 1009], 4), ([5], 1)]:
+        runs = cut(values, count, lambda v: v + 1)
+        assert len(runs) == count
+        assert all(runs)
+        assert [v for run in runs for v in run] == values
+    low, high = cut(list(range(1, 201)), 2, lambda n: n + 1)
+    assert (low[-1], high[0]) == (141, 142)
 
 
 def test_without_fork_the_plain_loop_runs(monkeypatch):
@@ -144,5 +150,5 @@ def test_without_fork_the_plain_loop_runs(monkeypatch):
         pids.append(os.getpid())
         return -i
 
-    assert fan_out(record, list(range(5)), 3) == [0, -1, -2, -3, -4]
-    assert pids == [os.getpid()] * 5
+    assert fan_out(record, list(range(3))) == [0, -1, -2]
+    assert pids == [os.getpid()] * 3

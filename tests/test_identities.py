@@ -151,9 +151,13 @@ def test_suite_single_case():
 
 
 def test_suite_over_a_pool_matches_the_serial_suite():
-    """Each identity is one task of the fan-out; the cases are the serial
-    ones, in the same order."""
-    assert run_identity_suite(None, range(0, 41), jobs=2) == run_identity_suite(None, range(0, 41))
+    """Each worker runs every identity over its own run of n; the cases are
+    the serial ones, in the same order, with fewer n than workers, with one
+    n, which forks nothing, with none, and with n below every domain."""
+    for n_range, jobs in [(range(0, 41), 2), (range(0, 41), 3), (range(0, 2), 3),
+                          (range(5, 6), 2), (range(0), 2), (range(-30, 10), 2)]:
+        assert (run_identity_suite(None, n_range, jobs=jobs)
+                == run_identity_suite(None, n_range)), (n_range, jobs)
 
 
 def test_suite_skips_below_domain():
