@@ -713,41 +713,12 @@ def _run_block(ids, padic_limit: int, cache: SpecialCache,
 # p-adic limit, the p-adic path) plus a part that grows with p; timing each
 # block, p + _PRIME_COST_OFFSET balanced the default run's two blocks and
 # dual-path's more evenly than p alone, which left the first block slowest.
+# `_plan` weighs a run in the same units, a prime on the p-adic path counted
+# twice, and gives each block at least _BLOCK_WORK of it.
 _PRIME_COST_OFFSET = 75
-# The plan's model, in the same units, measured on 2 vCPUs with Python
-# 3.11.7, where a unit of the exact path on the proven checks is 12-23 us
-# (at 7..199 and 997..1031).  A block's first prime q also sums its Sweep's
-# PRIME_FREE rows from k = 1, _BLOCK_START * (q + _PRIME_COST_OFFSET) more: a
-# fresh block's first prime took 58.6-64.3 ms at 997 against 20.2-23.3 ms
-# after the previous prime, and 21.3-23.5 against 6.7-7.4 ms at 499.  The
-# p-adic path adds about one more unit per unit, 15-21 us per p + 75 at
-# 7..199, 401..449 and 997..1031, so the plan counts a prime at or below the
-# p-adic limit twice; the cuts keep p + _PRIME_COST_OFFSET, which was timed
-# with the default limit.  Every check, not only the proven ones, adds
-# 15-25% more, which the plan ignores.  A fan-out's first start in a fresh
-# process, forking a child per block past the first, took 6.3 ms wall at 2
-# workers, 8.7 at 3, 11.0 at 4 and 12.7 at 6, and as much CPU, the children's
-# included (medians of 9).  _POOL_START plus _WORKER_START per worker, 2000
-# units at 2 workers, charges three to seven times that and is kept: at the
-# start's own 300-700 units, each window of three primes near 1000 would
-# split into 2 blocks at 2 workers and 3 at 3, and each block past the first
-# pays its Sweep's catch-up, about 40 ms of CPU there (the 58.6-64.3 against
-# 20.2-23.3 ms above), for no wall time saved:
-# forced into 2 blocks, 997..1013 on 2 workers took 0.232 against 0.223 s
-# wall and 0.325 against 0.223 s CPU (medians of 15 alternating fresh runs).
-# Where the plan splits, as at 7..199 on 2 workers, two blocks took 0.91-0.96
-# of one block's wall time and 1.19-1.25 times its CPU (medians of two sets
-# of 21 alternating fresh runs).  Blocks run side by side are slower than
-# one alone: the slower of two copies of a block run at once on 2 workers
-# took a median 1.04-1.19 times what one took alone (9 runs each at
-# 401..449, 997..1013 and 7..199), so _POOL_SLOWDOWN scales the slowest
-# block of a fan-out.
-# Three primes near 1000 then model 1.06 times one block on three workers,
-# and run in this process.
-_BLOCK_START = 2
-_POOL_START = 1750
-_WORKER_START = 125
-_POOL_SLOWDOWN = 1.1
+# Each block's first prime re-sweeps the PRIME_FREE rows from k = 1, about 40 ms
+# at 997, so three primes near 1000 (3222-3266 units) must stay one block.
+_BLOCK_WORK = 3500
 
 
 def _blocks(primes: list[int], count: int) -> list[list[int]]:
@@ -756,30 +727,17 @@ def _blocks(primes: list[int], count: int) -> list[list[int]]:
     return cut(primes, count, lambda p: p + _PRIME_COST_OFFSET)
 
 
-def _makespan(blocks: list[list[int]], padic_limit: int) -> float:
-    """The modeled time of a run over `blocks`, one worker each: the slowest
-    block, its start included, with the primes on the p-adic path counted
-    twice; with two or more, slowed by running side by side, plus the start
-    of a fan-out with a worker per block, this process one of them."""
-    slowest = max(_BLOCK_START * (block[0] + _PRIME_COST_OFFSET)
-                  + sum((p + _PRIME_COST_OFFSET) * (2 if p <= padic_limit else 1)
-                        for p in block)
-                  for block in blocks)
-    if len(blocks) == 1:
-        return slowest
-    return _POOL_SLOWDOWN * slowest + _POOL_START + _WORKER_START * len(blocks)
-
-
 def _plan(primes: list[int], jobs: int, padic_limit: int) -> list[list[int]]:
     """The blocks of the sorted `primes` a run of at most `jobs` workers
-    takes: of 1 to min(jobs, len(primes)) blocks from `_blocks`, the fewest
-    with the least modeled makespan.  One block runs in this process and
-    forks nothing; more fan out, one worker per block, this process running
-    the first."""
+    takes: as many from `_blocks` as give each at least _BLOCK_WORK of the
+    run's work, the sum of p + _PRIME_COST_OFFSET with a prime at or below
+    `padic_limit` counted twice, but at least one and at most jobs or
+    primes.  One block runs in this process and forks nothing; more fan
+    out, one worker per block, this process running the first."""
     if not primes:
         return []
-    return min((_blocks(primes, count) for count in range(1, min(jobs, len(primes)) + 1)),
-               key=lambda blocks: _makespan(blocks, padic_limit))
+    work = sum((p + _PRIME_COST_OFFSET) * (2 if p <= padic_limit else 1) for p in primes)
+    return _blocks(primes, max(1, min(jobs, len(primes), work // _BLOCK_WORK)))
 
 
 def summarize(results: list[CheckResult]) -> dict:
@@ -813,12 +771,11 @@ def run_suite(ids, primes, cache: SpecialCache | None = None,
     each, so that the exact path sweeps each block's PRIME_FREE rows as
     running prefixes (`Sweep`); no row depends on the blocks.  `_plan` picks
     how many, from one, run in this process, to min(jobs, len(primes)), this
-    process running the first and a forked child each other: the fewest
-    that the cost model of `_blocks`, with a block's Sweep start, a
-    fan-out's start and the slowdown of blocks run side by side added, says
-    end soonest.  Each block reads the tables of `cache`, which a forked
-    worker inherits; only its rows come back, pickled, and a platform
-    without `os.fork` runs the blocks in turn in this process.
+    process running the first and a forked child each other: as many as
+    leave each block at least `_BLOCK_WORK` of the run's work, enough to
+    pay for its Sweep's catch-up.  Each block reads the tables of `cache`,
+    which a forked worker inherits; only its rows come back, pickled, and a
+    platform without `os.fork` runs the blocks in turn in this process.
     Every special-number value a context reads is cross-checked mod p on
     its first read; a mismatch raises InternalInconsistency, since no
     verdict built on it could be trusted.

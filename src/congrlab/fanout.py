@@ -46,10 +46,12 @@ def fan_out(fn, shares) -> list:
     results cross a pipe, and `pickle` is imported only here.  Fork only
     from a process with no other thread running.
 
-    Every child is reaped before this returns or raises.  An exception
-    raised by `fn` comes back as the plain loop would raise it: that of the
-    lowest share that raised.  A child that ends without sending its result
-    raises RuntimeError.
+    Outcomes are collected in share order, and the first that failed ends
+    the fan-out: its exception is raised as the plain loop would raise it,
+    that of the lowest share that raised, without waiting for later shares.
+    A child that ends without sending its result raises RuntimeError.
+    A child still running then is killed, and every child is reaped before
+    this returns or raises.
     """
     if len(shares) <= 1 or not hasattr(os, "fork"):
         return [fn(share) for share in shares]
@@ -67,7 +69,7 @@ def fan_out(fn, shares) -> list:
             os.close(writer)
             children.append((pid, open(reader, "rb")))
         outcomes = [_outcome(fn, shares[0])]
-        while children:
+        while outcomes[-1][0] and children:
             pid, result = children[0]
             with result:
                 data = result.read()
@@ -82,9 +84,9 @@ def fan_out(fn, shares) -> list:
             result.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    for ok, value in outcomes:
-        if not ok:
-            raise value
+    ok, value = outcomes[-1]
+    if not ok:
+        raise value
     return [value for _, value in outcomes]
 
 

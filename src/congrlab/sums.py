@@ -180,9 +180,14 @@ def row_numerators(name: str, a: int, lo: int, hi: int,
 def _split(ratio, a: int, lo: int, hi: int) -> tuple[int, int, int]:
     """Integers (P, Q, T) over the steps lo <= k < hi, hi > lo, with
     P/Q = prod_k r_k and T/Q = sum_j prod_{lo<=k<=j} r_k, r_k = ratio(a, k)."""
-    if hi - lo == 1:
-        num, den = ratio(a, lo)
-        return num, den, num
+    if hi - lo <= 16:  # short runs fold in a loop: the same integers, fewer calls
+        P, Q, T = 1, 1, 0
+        for k in range(lo, hi):
+            num, den = ratio(a, k)
+            P *= num
+            Q *= den
+            T = T * den + P
+        return P, Q, T
     mid = (lo + hi) // 2
     p1, q1, t1 = _split(ratio, a, lo, mid)
     p2, q2, t2 = _split(ratio, a, mid, hi)

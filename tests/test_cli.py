@@ -383,14 +383,14 @@ def test_cli_jobs_below_one_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify", "--primes", "7:199", "--checks", "T1.1-1.1"],
+    ["verify", "--primes", "7:251", "--checks", "T1.1-1.1"],
     ["identity", "--names", "APERY,TELE1,BBAG", "--n", "1:5"],
 ])
 def test_cli_jobs_default_to_the_cpus_this_process_may_use(argv, monkeypatch, fan_out_sizes,
                                                           capsys):
     """One allowed CPU runs the plain loop; three fan out over three
-    workers, this process and two children.  7..199 is long enough for
-    three blocks to pay for their start."""
+    workers, this process and two children.  7..251 holds three blocks'
+    work."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     assert parse_and_run(argv) == 0
     assert fan_out_sizes == []

@@ -243,10 +243,14 @@ def test_every_identity_row_ratio_steps_to_the_next_closed_form_term(monkeypatch
 
 
 @pytest.mark.parametrize("read", [("k1", 13, 4, 4), ("b", 11, 0, 9), ("b", 11, 3, 7),
-                                  ("odd2_alt", 13, 0, 12), ("odd2_alt", 13, 7, 12)])
+                                  ("odd2_alt", 13, 0, 12), ("odd2_alt", 13, 7, 12),
+                                  ("k1", 41, 1, 17), ("k1", 41, 1, 18),
+                                  ("odd2_alt", 41, 0, 33)])
 def test_row_sum_over_edge_ranges(read):
     """Ranges the catalogs never read: one term, steps past a zero term
-    (`b` at k = n), and ratios with negative denominators (`odd2_alt`)."""
+    (`b` at k = n), ratios with negative denominators (`odd2_alt`), and 16,
+    17 and 33 steps, the longest run `_split` folds in a loop, the shortest
+    it splits, and a split with a split inside."""
     _assert_steps(*read)
 
 
@@ -1063,16 +1067,18 @@ def test_run_suite_rows_do_not_depend_on_the_blocks(cache):
     ("997:1013", 8, 61, 1), ("7:31", 2, 61, 1), ("7:61", 2, 61, 1), ("7:61", 8, 61, 1),
     ("997:1031", 2, 61, 1), ("7:499", 1, 61, 1),
     ("7:499", 2, 61, 2), ("3:251", 2, 61, 2), ("997:1100", 2, 61, 2), ("1000:1999", 2, 61, 2),
-    ("7:499", 3, 61, 3), ("7:499", 8, 61, 8), ("997:1033", 5000, 0, 7),
+    ("7:499", 3, 61, 3), ("7:499", 8, 61, 8), ("3433:3469", 5000, 0, 7),
     ("997:1031", 2, 1100, 2), ("3:251", 2, 251, 2),
+    ("997:1033", 5000, 0, 2), ("997:1031", 5000, 0, 1),
 ])
 def test_a_run_fans_out_only_when_its_blocks_pay_for_their_start(window, jobs, padic_limit,
                                                                  count):
     """Every block's first prime re-sweeps the PRIME_FREE rows from k = 1,
-    and a fan-out is charged tens of ms to start: three primes near 1000 run
-    faster as one block in this process than as two or three blocks, and
-    more workers than pay for their start stay idle.  The p-adic path makes
-    each prime dearer, so six primes near 1000 split on it alone."""
+    so each block carries at least _BLOCK_WORK: three primes near 1000 run
+    as one block in this process, and more workers than the run's work
+    fills stay idle: 997..1031, 6540 units of work, is one block at any
+    number of workers, and 997..1033, 7648 units, is two.  The p-adic path
+    makes each prime dearer, so six primes near 1000 split on it alone."""
     primes = sieve_primes(PrimeRange(*map(int, window.split(":"))))
     blocks = congruences._plan(primes, jobs, padic_limit)
     assert len(blocks) == count
@@ -1083,10 +1089,10 @@ def test_a_run_fans_out_only_when_its_blocks_pay_for_their_start(window, jobs, p
 
 def test_pool_starts_at_most_one_worker_per_prime(fan_out_sizes, cache):
     """A fan-out forks all its children at its start, so --jobs 5000 over
-    the 7 primes 997..1033, one block each, or over two identities, must run
-    on 7 and 2 workers, this process counted as one."""
+    the 7 primes 3433..3469, one block each, or over two identities, must
+    run on 7 and 2 workers, this process counted as one."""
     ids = ["T1.1-1.1", "T1.2-1.7"]
-    primes = sieve_primes(PrimeRange(997, 1033))
+    primes = sieve_primes(PrimeRange(3433, 3469))
     assert congruences._plan(primes, 5000, 0) == [[p] for p in primes]
     pooled, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=5000)
     serial, _ = run_suite(ids, primes, cache, padic_limit=0, jobs=1)

@@ -1,8 +1,8 @@
 """The fork fan-out, one process per share: results in share order,
 exceptions carried back from a child or raised in this process's own share,
-no child left behind, a child that dies, and the plain loop where the
-platform cannot fork; and the cut of a run of values into shares.  No test
-runs more than 3 processes."""
+without waiting for later shares, no child left behind, a child that dies,
+and the plain loop where the platform cannot fork; and the cut of a run of
+values into shares.  No test runs more than 3 processes."""
 
 import os
 import signal
@@ -91,6 +91,27 @@ def test_the_lowest_item_that_raises_wins():
 
         with pytest.raises(ValueError, match=f"^share {first}$"):
             fan_out(raise_from, [0, 1, 2])
+    _no_child_left()
+
+
+@pytest.mark.parametrize("shares", [[0, 1], [0, 1, 2]], ids=["here", "in-a-child"])
+def test_a_raising_share_does_not_wait_for_later_shares(shares):
+    """The next to last share raises at once, in this process or in a child,
+    and the last sleeps 2 s: the exception comes back long before the
+    sleeper would end, and the sleeper is killed and reaped."""
+    low = len(shares) - 2
+
+    def raise_then_sleep(i):
+        if i == low:
+            raise ValueError(f"share {i}")
+        if i > low:
+            time.sleep(2)
+        return i
+
+    start = time.monotonic()
+    with pytest.raises(ValueError, match=f"^share {low}$"):
+        fan_out(raise_then_sleep, shares)
+    assert time.monotonic() - start < 1
     _no_child_left()
 
 
