@@ -15,18 +15,23 @@ against that route.
 
 A check has one description, `sides`, that both contexts read: two scalars,
 or for a per-k check two columns over the same k (`arith.Column`), each a
-row or gap read combined in the path's arithmetic.  `_compare_pairs` reduces
-each side once, a column in one pass, and compares the residue lists.
+row or gap read combined in the path's arithmetic.  A scalar statement is
+written as two text rows, which `_side` turns into reads of the context when
+the catalog is built; the three per-k checks are written as code.
+`_compare_pairs` reduces each side once, a column in one pass, and compares
+the residue lists.
 """
 
 from __future__ import annotations
 
+import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import accumulate
 from math import comb, isqrt
+from operator import add, methodcaller, mul, sub
 
 from .arith import Column, ExactColumn, PAdic, PadicColumn, vp_rational
 from .arith import reduce_mod as rat_reduce_mod  # the name bench/tracer.py wraps
@@ -47,7 +52,7 @@ from .special import (
     euler_mod_p,
     harmonic_gap_numerators,
 )
-from .sums import PRIME_FREE, FactorialTable, Sweep, row_numerators, row_sum
+from .sums import FACTORS, PRIME_FREE, FactorialTable, Sweep, row_numerators, row_sum
 
 PADIC_PATH_MAX_PRIME = 61
 
@@ -314,10 +319,111 @@ class CheckResult:
     note: str = ""
 
 
-def _scalar(fn_lhs, fn_rhs):
-    def sides(ctx):
-        return fn_lhs(ctx), fn_rhs(ctx)
-    return sides
+# -- statements as text rows ----------------------------------------------
+
+# A scalar statement is two text rows, its sides.  `_side` parses each once,
+# when CHECK_CATALOG is built, into a function of the context that makes the
+# reads and operations the written expression makes, in their order.
+# - A side is terms joined by a lone + or -, added left to right.
+# - A term is a coefficient, then factors, multiplied left to right.  Without
+#   a coefficient it is its factors, the first negated under a leading -;
+#   without a factor it is its coefficient.
+# - The coefficient is the product of whichever of these are written: a
+#   rational a or a/b, p or p^j, s^n = (-1)^n, s^h = (-1)^((p+1)/2) and
+#   4^(p-1).  It is lifted once, by frac.
+# - A factor is a row sum row[lo,hi], each bound one of _BOUNDS, or one of
+#   _SPECIAL: B3 = B_{p-3}, B5 = B_{p-5}, E = E_{p-3}, q = q_p(2) and
+#   M = (-1)^n C(p-1, n).  It may carry a power ^k; /p^s before it divides
+#   it by p^s (div_pp).
+# So T1.1-1.3's right side, -2 H_{(p-1)/2} - (7/2) p^2 B_{p-3}, is
+# "-2 h1[1,n] - 7/2 p^2 B3".  A malformed row raises ValueError naming its
+# check and token.
+_BOUNDS = {"0": (0, 0), "1": (0, 1), "n-1": (1, -1), "n": (1, 0), "n+1": (1, 1),
+           "p-1": (2, 0)}  # (a, b) is the bound a n + b, and p - 1 = 2n
+# the exponents (j, a, h, d) of p^j (-1)^(a n + h (p+1)/2) 4^(d (p-1))
+_INTEGERS = {"p": (1, 0, 0, 0), "s^n": (0, 1, 0, 0), "s^h": (0, 0, 1, 0),
+             "4^(p-1)": (0, 0, 0, 1)}
+_SPECIAL = {"B3": lambda c: c.bern(c.p - 3), "B5": lambda c: c.bern(c.p - 5),
+            "E": methodcaller("euler"), "q": methodcaller("qp"), "M": methodcaller("morley")}
+_TOKEN = re.compile(r"(-?)(.+?)(?:\^(\d+))?")  # sign, base, power
+_RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?")
+_ROW = re.compile(r"(\w+)\[(.*),(.*)\]")
+
+
+def _read(check_id: str, token: str, base: str):
+    """The read of the factor `base` of `token`: a row sum or a special number."""
+    row = _ROW.fullmatch(base)
+    if row is None:
+        if base not in _SPECIAL:
+            raise ValueError(f"{check_id}: unknown token {token!r}")
+        return _SPECIAL[base]
+    name, lo, hi = row.groups()
+    if name not in FACTORS:
+        raise ValueError(f"{check_id}: unknown row {name!r} in {token!r}")
+    for bound in (lo, hi):
+        if bound not in _BOUNDS:
+            raise ValueError(f"{check_id}: unknown bound {bound!r} in {token!r}")
+    (la, lb), (ha, hb) = _BOUNDS[lo], _BOUNDS[hi]
+    return lambda c: c.S(name, la * c.n + lb, ha * c.n + hb)
+
+
+def _term(check_id: str, tokens: list[str], near: str):
+    """The read of the term written as `tokens`; `near` is the token next to
+    it, which names an empty term."""
+    if not tokens:
+        raise ValueError(f"{check_id}: empty term at {near!r}")
+    written, rational, exponents, reads, shift = False, Fraction(1), (0, 0, 0, 0), [], None
+    for i, token in enumerate(tokens):
+        minus, base, power = _TOKEN.fullmatch(token).groups()
+        if not reads and shift is None and _RATIONAL.fullmatch(token):
+            written, rational = True, rational * Fraction(token)
+        elif not reads and shift is None and not minus and base in _INTEGERS:
+            written, j = True, int(power or 1)
+            exponents = tuple(e + j * f for e, f in zip(exponents, _INTEGERS[base]))
+        elif base == "/p" and not minus and shift is None:
+            shift = int(power or 1)
+        elif minus and i:
+            raise ValueError(f"{check_id}: unknown token {token!r}")
+        else:
+            read = _read(check_id, token, base)
+            if power:
+                read = lambda c, f=read, k=int(power): f(c) ** k
+            if shift:
+                read = lambda c, f=read, s=shift: c.div_pp(f(c), s)
+            reads.append((lambda c, f=read: -f(c)) if minus else read)
+            shift = None
+    if shift is not None:
+        raise ValueError(f"{check_id}: no factor after {tokens[-1]!r}")
+    if written:
+        (k, b), (j, a, h, d) = rational.as_integer_ratio(), exponents
+        reads.insert(0, lambda c: c.frac(k * c.p ** j * (-1) ** (a * c.n + h * ((c.p + 1) // 2))
+                                         * 4 ** (d * (c.p - 1)), b))
+    return _fold(reads[0], [(mul, read) for read in reads[1:]])
+
+
+def _side(check_id: str, text: str):
+    """The function of the context that the row `text` writes."""
+    terms, operators, tokens, near = [], [], [], text
+    for token in text.split():
+        if token in ("+", "-"):
+            terms.append(_term(check_id, tokens, token))
+            operators.append(sub if token == "-" else add)
+            tokens, near = [], token
+        else:
+            tokens.append(token)
+    terms.append(_term(check_id, tokens, near))
+    return _fold(terms[0], list(zip(operators, terms[1:])))
+
+
+def _fold(first, rest):
+    """The read first(c), combined left to right with each read of the
+    (operator, read) pairs of `rest`."""
+    def fold(c):
+        value = first(c)
+        for operator, read in rest:
+            value = operator(value, read(c))
+        return value
+    return fold if rest else first
 
 
 # -- the catalog ----------------------------------------------------------
@@ -327,52 +433,33 @@ def _catalog() -> dict[str, CheckSpec]:
     C: dict[str, CheckSpec] = {}
 
     def add(id, desc, m, minp, status, sides, shift=0, note=""):
+        """`sides` is a per-k check's function of the context, or the two
+        rows of a scalar statement."""
+        if not callable(sides):
+            lhs, rhs = (_side(id, row) for row in sides)
+            sides = lambda c: (lhs(c), rhs(c))
         C[id] = CheckSpec(id, desc, m, minp, status, sides, shift, note)
 
     add("T1.1-1.1", "alternating inverse central sum vs -2 B_{p-3}", 1, 7, "proven",
-        _scalar(lambda c: c.S("alt_inv_k3", 1, c.n),
-                lambda c: c.frac(-2) * c.bern(c.p - 3)))
-
+        ("alt_inv_k3[1,n]", "-2 B3"))
     add("T1.1-1.2", "alternating central sum vs (56/15) p B_{p-3}", 2, 7, "proven",
-        _scalar(lambda c: c.S("alt_k2", 1, c.n),
-                lambda c: c.frac(56 * c.p, 15) * c.bern(c.p - 3)))
-
+        ("alt_k2[1,n]", "56/15 p B3"))
     add("T1.1-1.3", "half-range squared central sum vs harmonic + B_{p-3}", 3, 7, "proven",
-        _scalar(lambda c: c.S("sq_k1", 1, c.n),
-                lambda c: c.frac(-2) * c.S("h1", 1, c.n)
-                - c.frac(7 * c.p * c.p, 2) * c.bern(c.p - 3)))
-
+        ("sq_k1[1,n]", "-2 h1[1,n] - 7/2 p^2 B3"))
     add("T1.1-1.4a", "(-4/p^2) upper-half squared central sum vs -14 B_{p-3}", 1, 7, "proven",
-        _scalar(lambda c: c.frac(-4) * c.div_pp(c.S("sq_k1", c.n + 1, c.p - 1), 2),
-                lambda c: c.frac(-14) * c.bern(c.p - 3)),
-        shift=2)
-
+        ("-4 /p^2 sq_k1[n+1,p-1]", "-14 B3"), shift=2)
     add("T1.1-1.4b", "reciprocal squared central sum vs -14 B_{p-3}", 1, 7, "proven",
-        _scalar(lambda c: c.S("inv_sq_k3", 1, c.n),
-                lambda c: c.frac(-14) * c.bern(c.p - 3)))
-
+        ("inv_sq_k3[1,n]", "-14 B3"))
     add("C1.1-1.5a", "(1/p) upper-half odd sum vs -B_{p-3}/4", 1, 7, "proven",
-        _scalar(lambda c: c.div_pp(c.S("odd2_alt", c.n + 1, c.p - 1), 1),
-                lambda c: c.frac(-1, 4) * c.bern(c.p - 3)),
-        shift=1)
-
+        ("/p odd2_alt[n+1,p-1]", "-1/4 B3"), shift=1)
     add("C1.1-1.5b", "negated reciprocal odd-cube sum vs -B_{p-3}/4", 1, 7, "proven",
-        _scalar(lambda c: -c.S("inv_odd3_alt", 0, c.n - 1),
-                lambda c: c.frac(-1, 4) * c.bern(c.p - 3)))
-
+        ("-inv_odd3_alt[0,n-1]", "-1/4 B3"))
     add("T1.2-1.6a", "(1/p^2) upper-half odd squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: c.div_pp(c.S("sq_odd1", c.n + 1, c.p - 1), 2),
-                lambda c: c.frac(-7, 4) * c.bern(c.p - 3)),
-        shift=2)
-
+        ("/p^2 sq_odd1[n+1,p-1]", "-7/4 B3"), shift=2)
     add("T1.2-1.6b", "negated reciprocal odd-cube squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: -c.S("inv_sq_odd3", 0, c.n - 1),
-                lambda c: c.frac(-7, 4) * c.bern(c.p - 3)))
-
+        ("-inv_sq_odd3[0,n-1]", "-7/4 B3"))
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
-        _scalar(lambda c: c.S("sq_odd1", 0, c.n - 1),
-                lambda c: c.frac(-2) * c.qp() - c.frac(c.p) * c.qp() ** 2
-                + c.frac(5 * c.p * c.p, 12) * c.bern(c.p - 3)))
+        ("sq_odd1[0,n-1]", "-2 q - p q^2 + 5/12 p^2 B3"))
 
     # A per-k check compares two columns over the same k: rows read per k
     # and the harmonic gaps, times a constant or another column, plus a
@@ -394,68 +481,34 @@ def _catalog() -> dict[str, CheckSpec]:
         note="checked for k in [0,n] where C(n,k) is meaningful")
 
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
-        _scalar(lambda c: c.morley(),
-                lambda c: c.frac(4 ** (c.p - 1))
-                + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)))
-
+        ("M", "4^(p-1) + 1/12 p^3 B3"))
+    # the nested p^2 (2/3 q^3 + 7/12 B_{p-3}) of the source, written expanded
     add("L2.2-2.4", "refined Lehmer congruence for H_{(p-1)/2}", 3, 5, "proven",
-        _scalar(lambda c: c.S("h1", 1, c.n),
-                lambda c: c.frac(-2) * c.qp() + c.frac(c.p) * c.qp() ** 2
-                - c.frac(c.p * c.p) * (c.frac(2, 3) * c.qp() ** 3
-                                       + c.frac(7, 12) * c.bern(c.p - 3))))
-
+        ("h1[1,n]", "-2 q + p q^2 - 2/3 p^2 q^3 - 7/12 p^2 B3"))
     add("L2.2-2.5a", "H_{(p-1)/2}^(2) vs (7/3) p B_{p-3}", 2, 5, "proven",
-        _scalar(lambda c: c.S("h2", 1, c.n),
-                lambda c: c.frac(7 * c.p, 3) * c.bern(c.p - 3)))
-
+        ("h2[1,n]", "7/3 p B3"))
     add("L2.2-2.5b", "H_{(p-1)/2}^(3) vs -2 B_{p-3}", 1, 5, "proven",
-        _scalar(lambda c: c.S("h3", 1, c.n),
-                lambda c: c.frac(-2) * c.bern(c.p - 3)))
-
+        ("h3[1,n]", "-2 B3"))
     add("L2.4a", "full squared central sum /k^2 vs -2 H^2", 2, 5, "proven",
-        _scalar(lambda c: c.S("sq_k2", 1, c.p - 1),
-                lambda c: c.frac(-2) * c.S("h1", 1, c.n) ** 2))
-
+        ("sq_k2[1,p-1]", "-2 h1[1,n]^2"))
     add("L2.4b", "full squared central sum /k^3 vs harmonic cubes", 1, 5, "proven",
-        _scalar(lambda c: c.S("sq_k3", 1, c.p - 1),
-                lambda c: c.frac(-4, 3) * c.S("h1", 1, c.n) ** 3
-                - c.frac(2, 3) * c.S("h3", 1, c.n)))
-
+        ("sq_k3[1,p-1]", "-4/3 h1[1,n]^3 - 2/3 h3[1,n]"))
     add("P2.9", "full alternating central sum vs -(4/15) p B_{p-3}", 2, 7, "proven",
-        _scalar(lambda c: c.S("alt_k2", 1, c.p - 1),
-                lambda c: c.frac(-4 * c.p, 15) * c.bern(c.p - 3)))
-
+        ("alt_k2[1,p-1]", "-4/15 p B3"))
     add("P2.10", "half-range bridge congruence", 3, 7, "proven",
-        _scalar(lambda c: c.S("sq_k1", 1, c.n) + c.frac(2) * c.S("h1", 1, c.n),
-                lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.n)
-                - c.frac(7 * c.p * c.p, 6) * c.bern(c.p - 3)))
-
+        ("sq_k1[1,n] + 2 h1[1,n]", "-5/8 p alt_k2[1,n] - 7/6 p^2 B3"))
     add("P2.11", "full-range bridge congruence", 3, 7, "proven",
-        _scalar(lambda c: c.S("sq_k1", 1, c.p - 1) + c.frac(2) * c.S("h1", 1, c.n),
-                lambda c: c.frac(-5 * c.p, 8) * c.S("alt_k2", 1, c.p - 1)
-                - c.frac(c.p * c.p, 6) * c.bern(c.p - 3)),
+        ("sq_k1[1,p-1] + 2 h1[1,n]", "-5/8 p alt_k2[1,p-1] - 1/6 p^2 B3"),
         note="source prints C(2k,k)/(k16^k); the surrounding argument requires "
              "the square, which is what is checked")
-
     add("P2.12", "shifted-denominator squared sum vs Fermat quotient", 3, 7, "proven",
-        _scalar(lambda c: c.S("sq_shifted", 1, c.n),
-                lambda c: c.frac(2) * c.qp() + c.frac(c.p) * c.qp() ** 2
-                - c.frac(c.p * c.p) * c.bern(c.p - 3)))
-
+        ("sq_shifted[1,n]", "2 q + p q^2 - p^2 B3"))
     add("P2.13", "shifted-denominator sum vs 1/2,1/4,1/8 splitting", 3, 7, "proven",
-        _scalar(lambda c: c.S("sq_shifted", 1, c.n),
-                lambda c: c.frac(1, 2) * c.S("sq_k1", 1, c.n)
-                - c.frac(c.p, 4) * c.S("sq_k2", 1, c.n)
-                + c.frac(c.p * c.p, 8) * c.S("sq_k3", 1, c.n)))
-
+        ("sq_shifted[1,n]", "1/2 sq_k1[1,n] - 1/4 p sq_k2[1,n] + 1/8 p^2 sq_k3[1,n]"))
     add("P2.14", "half squared central sum /k^2 vs Fermat quotient", 2, 7, "proven",
-        _scalar(lambda c: c.S("sq_k2", 1, c.n),
-                lambda c: c.frac(-8) * c.qp() ** 2 + c.frac(8 * c.p) * c.qp() ** 3))
-
+        ("sq_k2[1,n]", "-8 q^2 + 8 p q^3"))
     add("P2.15", "half squared central sum /k^3 vs Fermat quotient", 1, 7, "proven",
-        _scalar(lambda c: c.S("sq_k3", 1, c.n),
-                lambda c: c.frac(32, 3) * c.qp() ** 3
-                + c.frac(4, 3) * c.bern(c.p - 3)))
+        ("sq_k3[1,n]", "32/3 q^3 + 4/3 B3"))
 
     def ps11c_sides(c):
         # h = H(n+k) - H(n-k), read from the context like the rows, which
@@ -466,128 +519,65 @@ def _catalog() -> dict[str, CheckSpec]:
     add("PS11c-3.2", "per-k refinement of the (-16)^k transform", 4, 5, "proven",
         ps11c_sides)
 
-    add("PH3", "H_{p-1}^(3) = 0 mod p", 1, 5, "proven",
-        _scalar(lambda c: c.S("h3", 1, c.p - 1), lambda c: c.frac(0)))
-
+    add("PH3", "H_{p-1}^(3) = 0 mod p", 1, 5, "proven", ("h3[1,p-1]", "0"))
     add("L3.2-3.3", "odd-cube squared sum vs Fermat quotient cube", 1, 5, "proven",
-        _scalar(lambda c: c.S("sq_odd3", 0, c.n - 1),
-                lambda c: c.frac(-4, 3) * c.qp() ** 3
-                - c.frac(1, 6) * c.bern(c.p - 3)))
-
+        ("sq_odd3[0,n-1]", "-4/3 q^3 - 1/6 B3"))
     add("L3.3-3.4", "odd-square squared sum vs Fermat quotient square", 2, 5, "proven",
-        _scalar(lambda c: c.S("sq_odd2", 0, c.n - 1),
-                lambda c: c.frac(-2) * c.qp() ** 2
-                + c.frac(2 * c.p, 3) * c.qp() ** 3
-                - c.frac(c.p, 6) * c.bern(c.p - 3)))
-
+        ("sq_odd2[0,n-1]", "-2 q^2 + 2/3 p q^3 - 1/6 p B3"))
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
-        _scalar(lambda c: c.S("k1", 1, c.p - 1),
-                lambda c: c.frac(8 * c.p * c.p, 9) * c.bern(c.p - 3)))
-
+        ("k1[1,p-1]", "8/9 p^2 B3"))
     add("X-S11c-a", "half central sum /k vs Euler number", 2, 5, "proven",
-        _scalar(lambda c: c.S("k1", 1, c.n),
-                lambda c: c.frac((-1) ** ((c.p + 1) // 2) * 8 * c.p, 3) * c.euler()))
-
+        ("k1[1,n]", "8/3 s^h p E"))
     add("X-S11c-b", "half reciprocal central sum vs Euler number", 1, 5, "proven",
-        _scalar(lambda c: c.S("inv_k2", 1, c.n),
-                lambda c: c.frac((-1) ** c.n * 4, 3) * c.euler()))
-
+        ("inv_k2[1,n]", "4/3 s^n E"))
     add("X-T1-a", "full alternating inverse sum vs -(2/5) H_{p-1}/p^2", 3, 7, "proven",
-        _scalar(lambda c: c.S("alt_inv_k3", 1, c.p - 1),
-                lambda c: c.frac(-2, 5) * c.div_pp(c.S("h1", 1, c.p - 1), 2)),
+        ("alt_inv_k3[1,p-1]", "-2/5 /p^2 h1[1,p-1]"),
         shift=2, note="Wolstenholme guarantees the shift")
-
     add("X-T1-b", "full alternating central sum vs (4/5) H_{p-1}/p", 3, 7, "proven",
-        _scalar(lambda c: c.S("alt_k2", 1, c.p - 1),
-                lambda c: c.frac(4, 5) * c.div_pp(c.S("h1", 1, c.p - 1), 1)),
+        ("alt_k2[1,p-1]", "4/5 /p h1[1,p-1]"),
         shift=1, note="Wolstenholme guarantees the shift")
-
     add("X-G1-a", "Glaisher: H_{p-1} vs -(p^2/3) B_{p-3}", 3, 5, "proven",
-        _scalar(lambda c: c.S("h1", 1, c.p - 1),
-                lambda c: c.frac(-c.p * c.p, 3) * c.bern(c.p - 3)))
-
+        ("h1[1,p-1]", "-1/3 p^2 B3"))
     add("X-G1-b", "Glaisher: H_{p-1}^(2) vs (2/3) p B_{p-3}", 2, 5, "proven",
-        _scalar(lambda c: c.S("h2", 1, c.p - 1),
-                lambda c: c.frac(2 * c.p, 3) * c.bern(c.p - 3)))
-
+        ("h2[1,p-1]", "2/3 p B3"))
     add("X-S11c-16", "full squared central sum /16^k vs Euler number", 3, 5, "proven",
-        _scalar(lambda c: c.S("sq_k0", 0, c.p - 1),
-                lambda c: c.frac((-1) ** c.n)
-                - c.frac(c.p * c.p) * c.euler()),
+        ("sq_k0[0,p-1]", "s^n - p^2 E"),
         note="summation starts at k=0; the source's k=1 lower bound drops "
              "the unit term and fails at every prime")
-
     add("X-T2", "full squared central sum /(k 16^k) vs -2 H_{(p-1)/2}", 3, 5, "proven",
-        _scalar(lambda c: c.S("sq_k1", 1, c.p - 1),
-                lambda c: c.frac(-2) * c.S("h1", 1, c.n)))
-
+        ("sq_k1[1,p-1]", "-2 h1[1,n]"))
     add("X-S11b-a", "lower odd central sum = 0 mod p^2", 2, 5, "proven",
-        _scalar(lambda c: c.S("odd1", 0, c.n - 1),
-                lambda c: c.frac(0)))
-
+        ("odd1[0,n-1]", "0"))
     add("X-S11b-b", "upper odd central sum vs (p/3) E_{p-3}", 2, 5, "proven",
-        _scalar(lambda c: c.S("odd1", c.n + 1, c.p - 1),
-                lambda c: c.frac(c.p, 3) * c.euler()))
-
+        ("odd1[n+1,p-1]", "1/3 p E"))
     add("X-T3", "lower odd-square alternating sum vs H_{p-1}/(5p)", 3, 7, "proven",
-        _scalar(lambda c: c.S("odd2_alt", 0, c.n - 1),
-                lambda c: c.frac(1, 5) * c.div_pp(c.S("h1", 1, c.p - 1), 1)),
+        ("odd2_alt[0,n-1]", "1/5 /p h1[1,p-1]"),
         shift=1, note="Wolstenholme guarantees the shift")
-
     add("X-S11b-c", "upper odd-square alternating sum vs -(p/4) B_{p-3}", 2, 7,
-        "conjectural",
-        _scalar(lambda c: c.S("odd2_alt", c.n + 1, c.p - 1),
-                lambda c: c.frac(-c.p, 4) * c.bern(c.p - 3)))
-
+        "conjectural", ("odd2_alt[n+1,p-1]", "-1/4 p B3"))
     add("CJ1.1-a", "upper squared central sum vs -(21/2) H_{p-1}", 4, 7,
-        "conjectural",
-        _scalar(lambda c: c.S("sq_k1", c.n + 1, c.p - 1),
-                lambda c: c.frac(-21, 2) * c.S("h1", 1, c.p - 1)))
-
+        "conjectural", ("sq_k1[n+1,p-1]", "-21/2 h1[1,p-1]"))
     add("CJ1.1-b", "reciprocal odd-cube sum vs H_{p-1}/p^2 and B_{p-5}", 3, 7,
-        "conjectural",
-        _scalar(lambda c: c.S("inv_odd3_alt", 0, c.n - 1),
-                lambda c: c.frac(-3, 4) * c.div_pp(c.S("h1", 1, c.p - 1), 2)
-                - c.frac(47 * c.p * c.p, 400) * c.bern(c.p - 5)),
+        "conjectural", ("inv_odd3_alt[0,n-1]", "-3/4 /p^2 h1[1,p-1] - 47/400 p^2 B5"),
         shift=2, note="B_{p-5} forces p >= 7")
-
     add("CJ1.2-a", "full quartic-binomial sum vs -3H + (7/4) p^2 B_{p-3}", 3, 3,
-        "conjectural",
-        _scalar(lambda c: c.S("quad", 1, c.p - 1),
-                lambda c: c.frac(-3) * c.S("h1", 1, c.n)
-                + c.frac(7 * c.p * c.p, 4) * c.bern(c.p - 3)))
-
+        "conjectural", ("quad[1,p-1]", "-3 h1[1,n] + 7/4 p^2 B3"))
     add("CJ1.2-b", "half quartic-binomial sum vs -3H + Euler number", 2, 3,
-        "conjectural",
-        _scalar(lambda c: c.S("quad", 1, c.n),
-                lambda c: c.frac(-3) * c.S("h1", 1, c.n)
-                + c.frac((-1) ** ((c.p + 1) // 2) * 2 * c.p) * c.euler()))
+        "conjectural", ("quad[1,n]", "-3 h1[1,n] + 2 s^h p E"))
 
-    _cj12_note = ("the garbled leading token in the source resolves to a "
-                  "factor p on the sum; verified empirically")
-
-    def cj12c_rhs(c):
-        return c.frac((-1) ** c.n * 32) * c.euler()
-
-    def cj12d_rhs(c):
-        return c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp()
-                             + c.frac(c.p) * c.euler())
-
+    # the source's 16 (s^h q + p E) on CJ1.2-d's right side is written expanded
+    cj12_note = ("the garbled leading token in the source resolves to a "
+                 "factor p on the sum; verified empirically")
     add("CJ1.2-c", "p * reciprocal quartic sum vs 32 E_{p-3}", 1, 3, "conjectural",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad", 1, c.n), cj12c_rhs),
-        shift=1, note=_cj12_note)
-
+        ("p inv_quad[1,n]", "32 s^n E"), shift=1, note=cj12_note)
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
-        "conjectural",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted", 1, c.n), cj12d_rhs),
-        shift=1, note=_cj12_note + "; fails at p=3, so min prime 5")
-
+        "conjectural", ("p inv_quad_shifted[1,n]", "16 s^h q + 16 p E"),
+        shift=1, note=cj12_note + "; fails at p=3, so min prime 5")
     add("CJ1.2-c-lit", "literal C(4k,k) reading of CJ1.2-c", 1, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_lit", 1, c.n), cj12c_rhs),
+        ("p inv_quad_lit[1,n]", "32 s^n E"),
         shift=1, note="reported for the conjectural hunt, never asserted")
-
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
-        _scalar(lambda c: c.frac(c.p) * c.S("inv_quad_shifted_lit", 1, c.n), cj12d_rhs),
+        ("p inv_quad_shifted_lit[1,n]", "16 s^h q + 16 p E"),
         shift=1, note="reported for the conjectural hunt, never asserted")
 
     return C

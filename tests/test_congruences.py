@@ -2,6 +2,7 @@
 agreement, equivalence chains, valuation guarantees and suite determinism."""
 
 import dataclasses
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
@@ -141,6 +142,77 @@ def test_catalog_metadata_sane():
         assert spec.min_prime in (3, 5, 7)
         assert spec.status in ("proven", "conjectural", "exploratory")
         assert spec.shift >= 0
+
+
+# -- statements as text rows -----------------------------------------------------
+
+PER_K_CHECKS = ("L2.1a", "L2.1b", "PS11c-3.2")
+
+
+def _value(x):
+    """A side's value, comparable with ==: a Fraction, or a PAdic's digits."""
+    return x if isinstance(x, Fraction) else (x.val, x.unit, x.prec)
+
+
+@pytest.mark.parametrize("p", [7, 61])
+def test_every_scalar_row_resolves_on_both_contexts(p, cache):
+    scalar = [spec for spec in CHECK_CATALOG.values() if spec.id not in PER_K_CHECKS]
+    assert len(scalar) == 47
+    for ctx in (ExactContext(p, cache), PadicContext(p)):
+        for spec in scalar:
+            assert not any(isinstance(side, Column) for side in spec.sides(ctx)), spec.id
+
+
+@pytest.mark.parametrize("row, message", [
+    ("hx[1,n]", "unknown row 'hx' in 'hx[1,n]'"),
+    ("2 h1[1,m]", "unknown bound 'm' in 'h1[1,m]'"),
+    ("2 h1[1,n] z", "unknown token 'z'"),
+    ("p -q", "unknown token '-q'"),
+    ("h1[1,n] + - q", "empty term at '-'"),
+    ("h1[1,n] +", "empty term at '+'"),
+    ("", "empty term at ''"),
+    ("2 /p^2", "no factor after '/p^2'"),
+])
+def test_a_malformed_row_raises_naming_its_check_and_token(row, message):
+    with pytest.raises(ValueError, match=re.escape(f"X-BAD: {message}")):
+        congruences._side("X-BAD", row)
+
+
+def test_a_malformed_row_fails_when_the_catalog_is_built(monkeypatch):
+    monkeypatch.delitem(congruences._BOUNDS, "p-1")
+    with pytest.raises(ValueError, match=re.escape("T1.1-1.4a: unknown bound 'p-1'")):
+        congruences._catalog()
+
+
+def test_a_term_multiplies_its_factors_left_to_right(cache):
+    p = 13
+    side = congruences._side("X-TWO", "-3/2 p q^2 B3")
+    for ctx in (ExactContext(p, cache), PadicContext(p)):
+        expected = ctx.frac(-3 * p, 2) * ctx.qp() ** 2 * ctx.bern(p - 3)
+        assert _value(side(ctx)) == _value(expected)
+
+
+def _cj12d_nested(c):
+    return c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp() + c.frac(c.p) * c.euler())
+
+
+# the right sides the catalog writes expanded, in the nested form of the source
+NESTED_RHS = {
+    "L2.2-2.4": lambda c: (c.frac(-2) * c.qp() + c.frac(c.p) * c.qp() ** 2
+                           - c.frac(c.p * c.p) * (c.frac(2, 3) * c.qp() ** 3
+                                                  + c.frac(7, 12) * c.bern(c.p - 3))),
+    "CJ1.2-d": _cj12d_nested,
+    "CJ1.2-d-lit": _cj12d_nested,
+}
+
+
+@pytest.mark.parametrize("p", sieve_primes(PrimeRange(5, 251)))
+def test_expanded_rows_equal_their_nested_form(p, cache):
+    for ctx in (ExactContext(p, cache), PadicContext(p)):
+        for check_id, nested in NESTED_RHS.items():
+            m = CHECK_CATALOG[check_id].m
+            rhs = CHECK_CATALOG[check_id].sides(ctx)[1]
+            assert ctx.residue(rhs, m) == ctx.residue(nested(ctx), m), (check_id, type(ctx))
 
 
 def _record_row_reads(monkeypatch, module) -> set:
@@ -894,8 +966,8 @@ def test_a_failed_valuation_guarantee_is_a_failed_row(status, code, monkeypatch,
     """H_6 = 49/20 has valuation exactly 2 at p = 7, so a statement that
     divides it by p^3 fails at 7: a failed row, not an engine fault, with
     no path agreement.  A proven one exits 1, a conjectural one 0."""
-    check_id = _patch_check(monkeypatch, status, congruences._scalar(
-        lambda c: c.div_pp(c.S("h1", 1, c.p - 1), 3), lambda c: c.frac(0)))
+    check_id = _patch_check(monkeypatch, status,
+                            lambda c: (c.div_pp(c.S("h1", 1, c.p - 1), 3), c.frac(0)))
     result = evaluate_check(check_id, 7, padic_limit=7)
     assert (result.applicable, result.passed, result.path_agreement) == (True, False, None)
     assert result.note == "ValuationViolation: p=7: expected valuation >= 3, got 2"
@@ -905,8 +977,7 @@ def test_a_failed_valuation_guarantee_is_a_failed_row(status, code, monkeypatch,
 
 def test_a_side_with_p_in_its_denominator_is_a_failed_row(monkeypatch, capsys):
     """A side of 1/p has no residue mod p: the statement fails at p."""
-    check_id = _patch_check(monkeypatch, "proven", congruences._scalar(
-        lambda c: c.frac(1, c.p), lambda c: c.frac(0)))
+    check_id = _patch_check(monkeypatch, "proven", lambda c: (c.frac(1, c.p), c.frac(0)))
     result = evaluate_check(check_id, 7, padic_limit=7)
     assert (result.passed, result.path_agreement) == (False, None)
     assert result.note == "ValuationViolation: 1/7 has p=7 in its denominator"
