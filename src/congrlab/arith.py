@@ -225,13 +225,11 @@ class PAdic:
     def __pow__(self, k: int) -> "PAdic":
         if k < 0:
             raise ValueError("p-adic powers take exponents >= 0")
-        result = PAdic.from_rational(1, self.p, max(self.prec, 1))
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        if k == 0:
+            return PAdic.from_rational(1, self.p, max(self.prec, 1))
+        result = self
+        for _ in range(k - 1):  # the catalog's powers are at most cubes
+            result = result * self
         return result
 
     # -- extraction ----------------------------------------------------

@@ -18,8 +18,9 @@ or for a per-k check two columns over the same k (`arith.Column`), each a
 row or gap read combined in the path's arithmetic.  A scalar statement is
 written as two text rows, which `_side` turns into reads of the context when
 the catalog is built; the three per-k checks are written as code.
-`_compare_pairs` reduces each side once, a column in one pass, and compares
-the residue lists.
+`_compare_pairs` reduces each side once, a column in one pass, to a list of
+residues; `evaluate_check` decides the verdict from the exact path's lists
+and the paths' agreement from both paths' whole lists.
 """
 
 from __future__ import annotations
@@ -617,25 +618,18 @@ def _checked_prime(p: int) -> int:
     return p
 
 
-def _residues(ctx, side, e: int) -> list[int]:
-    return side.residues(e) if isinstance(side, Column) else [ctx.residue(side, e)]
-
-
 def _compare_pairs(ctx, spec: CheckSpec):
-    """Evaluate both sides of a check in one context and compare their
-    residues: (passed, lhs, rhs, label).  A scalar side is one residue, a
-    column one per k; only a mismatch is searched for its first failing k,
-    whose residues and label "k=..." are returned.  A side with p in its
+    """Reduce both sides of a check in one context mod p^m: (ks, lhs, rhs),
+    each side's residues as a list, one per k of `ks` for a per-k check and
+    one for a scalar check, whose `ks` is None.  A side with p in its
     denominator fails the statement at p: ValuationViolation."""
     lhs, rhs = spec.sides(ctx)
     try:
-        lv, rv = _residues(ctx, lhs, spec.m), _residues(ctx, rhs, spec.m)
+        if isinstance(lhs, Column):
+            return lhs.ks, lhs.residues(spec.m), rhs.residues(spec.m)
+        return None, [ctx.residue(lhs, spec.m)], [ctx.residue(rhs, spec.m)]
     except NegativeValuation as exc:
         raise ValuationViolation(str(exc)) from exc
-    if lv == rv:
-        return True, lv[0], rv[0], None
-    i = next(i for i, (a, b) in enumerate(zip(lv, rv, strict=True)) if a != b)
-    return False, lv[i], rv[i], f"k={lhs.ks[i]}" if isinstance(lhs, Column) else None
 
 
 def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
@@ -643,8 +637,12 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
                    contexts: tuple | None = None) -> CheckResult:
     """Evaluate one catalog check at one prime.
 
-    The p-adic path runs too when p <= padic_limit.  A p that is not prime
-    raises ValueError before any context is built.  `contexts` are the shared
+    The exact path decides the row: the check passes when its two residue
+    lists are equal, and the row reports the residues at the first k where
+    they differ, else at the first k, with that k in the note.  The p-adic
+    path runs too when p <= padic_limit, and the paths agree when its lists
+    equal the exact path's at every k.  A p that is not prime raises
+    ValueError before any context is built.  `contexts` are the shared
     (exact, p-adic) contexts of p; without them the check gets fresh ones.
     Either way every special number it reads is cross-checked on its first
     read in a context.
@@ -663,25 +661,27 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     start = time.perf_counter()
     note = spec.note
     try:
-        ok, lv, rv, bad = _compare_pairs(exact, spec)
+        pairs = _compare_pairs(exact, spec)
     except ValuationViolation as exc:  # the statement itself fails at p
         return CheckResult(check_id, p, spec.m, None, None, False, spec.status,
                            applicable=True,
                            elapsed_ms=(time.perf_counter() - start) * 1000,
                            note=(note + "; " if note else "")
                            + f"{type(exc).__name__}: {exc}")
-    if bad is not None:
-        note = (note + "; " if note else "") + f"first failing instance {bad}"
+    ks, lv, rv = pairs
+    passed = lv == rv
+    i = 0 if passed else next(i for i, (a, b) in enumerate(zip(lv, rv, strict=True)) if a != b)
+    if ks is not None and not passed:
+        note = (note + "; " if note else "") + f"first failing instance k={ks[i]}"
     agreement = None
     if p <= padic_limit:
         try:
-            pok, plv, prv, _ = _compare_pairs(padic, spec)
+            agreement = _compare_pairs(padic, spec) == pairs
         except CongrlabError as exc:  # an engine fault, never a verdict
             raise InternalInconsistency(
                 f"p={p}: {check_id} on the p-adic path: "
                 f"{type(exc).__name__}: {exc}") from exc
-        agreement = (pok == ok and plv == lv and prv == rv)
-    return CheckResult(check_id, p, spec.m, lv, rv, ok, spec.status,
+    return CheckResult(check_id, p, spec.m, lv[i], rv[i], passed, spec.status,
                        applicable=True, path_agreement=agreement,
                        elapsed_ms=(time.perf_counter() - start) * 1000, note=note)
 
@@ -694,7 +694,7 @@ def _run_block(ids, padic_limit: int, cache: SpecialCache,
     sweep, results = Sweep(), []
     for p in primes:
         contexts = ExactContext(p, cache, sweep), PadicContext(p)
-        results += [evaluate_check(i, p, cache, padic_limit, contexts=contexts)
+        results += [evaluate_check(i, p, padic_limit=padic_limit, contexts=contexts)
                     for i in ids]
     return results
 
@@ -734,19 +734,11 @@ def summarize(results: list[CheckResult]) -> dict:
     summary = {"total": len(results), "passed": 0, "failed": 0,
                "inapplicable": 0, "path_disagreements": 0, "by_status": {}}
     for r in results:
-        bucket = summary["by_status"].setdefault(
-            r.status, {"passed": 0, "failed": 0, "inapplicable": 0})
-        if not r.applicable:
-            summary["inapplicable"] += 1
-            bucket["inapplicable"] += 1
-        elif r.passed:
-            summary["passed"] += 1
-            bucket["passed"] += 1
-        else:
-            summary["failed"] += 1
-            bucket["failed"] += 1
-        if r.path_agreement is False:
-            summary["path_disagreements"] += 1
+        outcome = "inapplicable" if not r.applicable else "passed" if r.passed else "failed"
+        summary[outcome] += 1
+        summary["by_status"].setdefault(
+            r.status, {"passed": 0, "failed": 0, "inapplicable": 0})[outcome] += 1
+        summary["path_disagreements"] += r.path_agreement is False
     return summary
 
 

@@ -130,6 +130,21 @@ def test_padic_operands_must_be_padics_of_one_prime():
         x ** -1
 
 
+@pytest.mark.parametrize("x", [PAdic.from_rational(Fraction(14, 3), 7, 3),
+                               PAdic.from_rational(Fraction(5, 49), 7, 2),
+                               PAdic.zero_marker(7, 2)])
+def test_padic_power_is_the_chained_product(x):
+    """x^k has the valuation, unit and precision of x * ... * x, k factors,
+    and x^0 is 1 lifted at x's precision, at least 1; a zero marker's
+    bound grows k-fold."""
+    product = PAdic.from_rational(1, 7, max(x.prec, 1))
+    for k in range(5):
+        power = x ** k
+        assert (power.val, power.unit, power.prec) == (product.val, product.unit,
+                                                       product.prec), k
+        product = x if k == 0 else product * x
+
+
 def test_padic_residue_errors():
     with pytest.raises(NegativeValuation):
         PAdic.from_rational(Fraction(1, 7), 7, 3).residue(1)

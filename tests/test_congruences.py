@@ -726,10 +726,9 @@ def test_per_k_checks_match_the_fraction_route(p):
                     spec.id, type(ctx).__name__)
 
 
-# (check, row, k) -> (lhs, rhs) of the first failing k with that k of the row
-# off by one on the exact path, and by one in its unit on the p-adic path, at
-# p = 13: the first, a middle and the last k each check reads of the row.
-# The values are those comparing one pair per k gave.
+# (check, row, k) -> (lhs, rhs) at k with that k of the row off by one on the
+# exact path, and by one in its unit on the p-adic path, at p = 13: the
+# first, a middle and the last k each check reads of the row.
 _PER_K_FAULTS = {
     ("L2.1a", "l21a", 1): ((144, 143), (156, 143)),
     ("L2.1a", "l21a", 6): ((144, 143), (156, 143)),
@@ -747,7 +746,8 @@ _PER_K_FAULTS = {
 @pytest.mark.parametrize("path", ["exact", "padic"])
 def test_a_per_k_fault_fails_at_its_k_on_each_path(check_id, row, k, path, monkeypatch):
     """One wrong k of a row the check reads, past the exact path's guard: the
-    check fails at that k and no other, with that k's residues."""
+    faulted path's two residue lists differ at that k and no other, with
+    that k's residues, and the exact path's row fails there."""
     p, spec = 13, CHECK_CATALOG[check_id]
     row_numerators, read = congruences.row_numerators, FactorialTable.read
 
@@ -769,11 +769,34 @@ def test_a_per_k_fault_fails_at_its_k_on_each_path(check_id, row, k, path, monke
         monkeypatch.setattr(FactorialTable, "read", faulty_read)
     lhs, rhs = _PER_K_FAULTS[check_id, row, k][path == "padic"]
     ctx = ExactContext(p, SpecialCache()) if path == "exact" else PadicContext(p)
-    assert congruences._compare_pairs(ctx, spec) == (False, lhs, rhs, f"k={k}")
+    ks, lv, rv = congruences._compare_pairs(ctx, spec)
+    i = ks.index(k)
+    assert [j for j, (a, b) in enumerate(zip(lv, rv, strict=True)) if a != b] == [i]
+    assert (lv[i], rv[i]) == (lhs, rhs)
     if path == "exact":
         result = evaluate_check(check_id, p, padic_limit=0)
         assert (result.passed, result.lhs, result.rhs) == (False, lhs, rhs)
         assert result.note.endswith(f"first failing instance k={k}")
+
+
+def test_a_padic_column_fault_past_the_first_k_is_a_path_disagreement(monkeypatch):
+    """p^(m-1) added to every p-adic per-k residue past the first, on both
+    sides alike: the p-adic sides still match each other at every k, so
+    only a comparison of the paths' whole residue lists sees it.  Each
+    per-k check disagrees at 13 and 61, and the CLI exits 1."""
+    residues = PadicColumn.residues
+
+    def shifted(column, e):
+        values, m = residues(column, e), column.p ** e
+        return values[:1] + [(v + column.p ** (e - 1)) % m for v in values[1:]]
+
+    monkeypatch.setattr(PadicColumn, "residues", shifted)
+    per_k = ("L2.1a", "L2.1b", "PS11c-3.2")
+    for p in (13, 61):
+        results = [evaluate_check(i, p, padic_limit=p) for i in per_k]
+        assert [(r.passed, r.path_agreement) for r in results] == [(True, False)] * 3, p
+    assert parse_and_run(["verify", "--checks", ",".join(per_k), "--primes", "13:13",
+                          "--padic-limit", "13", "--jobs", "1"]) == 1
 
 
 def test_a_padic_column_fault_is_an_engine_fault(monkeypatch):

@@ -30,6 +30,15 @@ def test_alternating_inverse_cubes_converges_fast():
     assert report.converged
 
 
+def test_geometric_series_report_their_plain_partial_sum_at_few_terms():
+    """S-APERY3's and S-PI2-10's terms shrink like 4^-k, so at 10 terms the
+    partial sum itself is within 1e-9 and 5e-10 of the target; an average of
+    the last two partial sums is about twice as far."""
+    for name, bound in (("S-APERY3", 1e-9), ("S-PI2-10", 5e-10)):
+        report = evaluate_series(name, terms=10, tol=math.inf)
+        assert report.error < bound, (name, report.error)
+
+
 def test_slow_catalan_series_converges():
     report = evaluate_series("S-4G", terms=10 ** 5, tol=1e-6)
     assert report.converged
