@@ -11,7 +11,8 @@ zeta(n) and E_n from the Dirichlet beta function, each an Euler product in
 integer fixed point, with pi from the Chudnovsky series, held once per
 process (`bernoulli_by_index`, `euler_by_index`).  The residues the
 congruence suite consumes also have routes that read no exact value:
-`bernoulli_mod_p` (a power sum) and `euler_mod_p` (a character sum).  The
+`bernoulli_mod_p` (a power sum) and `euler_mod_p` (a character sum),
+memoized, so both paths at one prime share one run of each sum.  The
 p-adic path reads only these; the exact path compares each value it reads
 with them (`checked_residue`; `bernoulli_mod_p_fast` compares
 `bernoulli_exact`).
@@ -24,6 +25,7 @@ p-adic path sums the units of its own h1 digits.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import factorial, isqrt, prod
 
@@ -281,9 +283,11 @@ def harmonic_gap_numerators(n: int) -> tuple[int, list[int]]:
     return L, list(accumulate(L // (n + k) + L // (n - k + 1) for k in range(1, n + 1)))
 
 
+@lru_cache(maxsize=4)  # both paths at one prime read B_{p-3} and B_{p-5}
 def bernoulli_mod_p(m: int, p: int) -> int:
     """B_m mod p by the power-sum route, with no table: for even m with
-    2 <= m <= p-3, T = sum_{0<a<p} a^m is p B_m mod p^2."""
+    2 <= m <= p-3, T = sum_{0<a<p} a^m is p B_m mod p^2.  Memoized by its
+    arguments, so the two paths at one prime run one sum."""
     if m % 2 or not 2 <= m <= p - 3:
         raise ValueError("need even m with 2 <= m <= p-3")
     p2 = p * p
@@ -294,10 +298,11 @@ def bernoulli_mod_p(m: int, p: int) -> int:
     return total // p
 
 
+@lru_cache(maxsize=2)  # both paths at one prime read E_{p-3}
 def euler_mod_p(p: int) -> int:
     """E_{p-3} mod p by the character-sum route, with no table:
     sum_{0<a<p, a odd} chi(a) a^(p-3) = E_{p-3}/2 (mod p), chi the
-    nontrivial character mod 4."""
+    nontrivial character mod 4.  Memoized by p, as `bernoulli_mod_p`."""
     if p < 5:
         raise ValueError("need p >= 5")
     half = sum((-1) ** (a // 2) * pow(a, p - 3, p) for a in range(1, p, 2))

@@ -37,6 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, prod
+from operator import add
 
 from .arith import vp_int
 from .errors import InternalInconsistency
@@ -67,8 +68,8 @@ SUMS = {
                                          4 * (k + 1) ** 2 * (2 * k + 3) ** o))
        for o in (1, 2, 3)},
     "sq_shifted": (lambda p, k: Fraction(_c(k) ** 2, (2 * k + p) * 16 ** k),
-                   lambda p, k: ((2 * k + 1) ** 2 * (2 * k + p),
-                                 4 * (k + 1) ** 2 * (2 * k + p + 2))),
+                   lambda p, k: ((o := 2 * k + 1) * o * (2 * k + p),
+                                 4 * (j := k + 1) * j * (2 * k + p + 2))),
     "odd1": (lambda p, k: Fraction(_c(k), (2 * k + 1) * 16 ** k),
              lambda p, k: ((2 * k + 1) ** 2, 8 * (k + 1) * (2 * k + 3))),
     "odd2_alt": (lambda p, k: Fraction(_c(k), (2 * k + 1) ** 2 * (-16) ** k),
@@ -110,22 +111,22 @@ SUMS = {
     "odd_recip": (lambda n, k: Fraction(1, 2 * k + 1),
                   lambda n, k: (2 * k + 1, 2 * k + 3)),
     "apery": (lambda n, k: Fraction((-1) ** k, k ** 3 * _b(n, k)),
-              lambda n, k: (-k ** 3, (k + 1) * (n - k) * (n + k + 1))),
+              lambda n, k: (-k * k * k, (k + 1) * (n - k) * (n + k + 1))),
     "oddsq": (lambda n, k: Fraction((-1) ** k * _b(n, k), (2 * k + 1) ** 2),
-              lambda n, k: (-(n - k) * (n + k + 1) * (2 * k + 1) ** 2,
-                            (k + 1) ** 2 * (2 * k + 3) ** 2)),
+              lambda n, k: (-(n - k) * (n + k + 1) * (o := 2 * k + 1) * o,
+                            (j := (k + 1) * (2 * k + 3)) * j)),
     "prodinger": (lambda n, k: Fraction((-1) ** k * _b(n, k), k),
-                  lambda n, k: (-(n - k) * (n + k + 1) * k, (k + 1) ** 3)),
+                  lambda n, k: (-(n - k) * (n + k + 1) * k, (j := k + 1) * j * j)),
     "luke": (lambda n, k: Fraction(_c(k) ** 2, (n - k) * 16 ** k),
-             lambda n, k: ((2 * k + 1) ** 2 * (n - k), 4 * (k + 1) ** 2 * (n - k - 1))),
+             lambda n, k: ((o := 2 * k + 1) * o * (n - k), 4 * (j := k + 1) * j * (n - k - 1))),
     "glaisher4": (lambda n, k: Fraction((1 - 4 * k) * _c(k) ** 4, (2 * k - 1) ** 4 * 256 ** k),
                   lambda n, k: ((4 * k + 3) * (2 * k - 1) ** 4,
                                 16 * (4 * k - 1) * (k + 1) ** 4)),
     # C(2k,k) k^2/(4n^4 + k^4) * prod_{0<j<k} (n^4 - j^4)/(4n^4 + j^4)
     "bbag": (lambda n, k: Fraction(_c(k) * k * k * prod(n ** 4 - j ** 4 for j in range(1, k)),
                                    prod(4 * n ** 4 + j ** 4 for j in range(1, k + 1))),
-             lambda n, k: (2 * (2 * k + 1) * (k + 1) * (n ** 4 - k ** 4),
-                           k * k * (4 * n ** 4 + (k + 1) ** 4))),
+             lambda n, k: (2 * (2 * k + 1) * (k + 1) * ((m := n * n * n * n) - k * k * k * k),
+                           k * k * (4 * m + (j := (k + 1) * (k + 1)) * j))),
 }
 
 
@@ -349,13 +350,15 @@ class FactorialTable:
     - a square or a cube, from the column of the factor or of its inverse.
     A column keeps its valuations only where one is nonzero, and is built on
     its first read.  A read of a row over lo..hi multiplies the slices of
-    its columns and adds their valuations: no ratio is stepped, and nothing
-    of SUMS is read.
+    its columns one factor at a time, through the memo of `_product` that
+    rows with shared leading factors share, and adds their valuations: no
+    ratio is stepped, and nothing of SUMS is read.
     """
 
     def __init__(self, p: int, prec: int):
         self.p, self.mod = p, p ** prec
         self.columns: dict[tuple[str, int], tuple] = {}
+        self.products: dict[tuple, tuple] = {}
         mod, top = self.mod, 4 * p
         # the unit part and the valuation of each j, 0! = 1 at j = 0
         parts, steps = [1, *range(1, top + 1)], [0] * (top + 1)
@@ -374,35 +377,36 @@ class FactorialTable:
 
     def read(self, name: str, lo: int, hi: int) -> tuple[list[int], list[int]]:
         """(vals, units) of the terms t_lo..t_hi of row `name` at p, fresh
-        lists.  A row with a factor k starts at k = 1."""
+        copies of `_product`'s lists.  A row with a factor k starts at k = 1."""
         factors = FACTORS[name]
-        columns = [self._column(factor, e) for factor, e in factors]
         first = 1 if any(factor == "k" for factor, _ in factors) else 0
-        last = min(len(column[1]) for column in columns) - 1
+        last = min(len(self._column(*factor)[1]) for factor in factors) - 1
         if not first <= lo <= hi <= last:
             raise ValueError(f"row {name!r} at p={self.p} over {lo}..{hi}: "
                              f"outside {first}..{last}")
-        end, mod = hi + 1, self.mod
-        parts = [units[lo:end] for _, units in columns]
-        if len(parts) == 1:
-            units = parts[0]
-        elif len(parts) == 2:
-            units = [x * y % mod for x, y in zip(*parts)]
-        elif len(parts) == 3:
-            units = [x * y * z % mod for x, y, z in zip(*parts)]
-        elif len(parts) == 4:
-            units = [x * y * z * w % mod for x, y, z, w in zip(*parts)]
-        else:
-            units = [x * y * z * w * t % mod for x, y, z, w, t in zip(*parts)]
-        parts = [part for part in (vals[lo:end] for vals, _ in columns if vals is not None)
-                 if any(part)]
-        if not parts:
-            vals = [0] * (end - lo)
-        elif len(parts) == 1:
-            vals = parts[0]
-        else:
-            vals = list(map(sum, zip(*parts)))
-        return vals, units
+        vals, units = self._product(factors, lo, hi + 1)
+        return list(vals), list(units)
+
+    def _product(self, factors: tuple, lo: int, end: int) -> tuple[list[int], list[int]]:
+        """(vals, units) of the product of the columns of `factors` over
+        lo..end-1, held in `products`: the product of all but the last
+        column over that range, itself through this memo, times the last
+        column.  Rows that share leading factors, such as the _SQUARE rows,
+        share that product over one range.  The lists are the memo's own, and
+        may be shared between its entries: a caller must not change them."""
+        product = self.products.get((factors, lo, end))
+        if product is None:
+            vals, units = self._column(*factors[-1])
+            units = units[lo:end]
+            if len(factors) == 1:
+                vals = [0] * (end - lo) if vals is None else vals[lo:end]
+            else:
+                head_vals, head_units = self._product(factors[:-1], lo, end)
+                mod = self.mod
+                units = [x * y % mod for x, y in zip(head_units, units)]
+                vals = head_vals if vals is None else list(map(add, head_vals, vals[lo:end]))
+            product = self.products[factors, lo, end] = vals, units
+        return product
 
     def _column(self, factor: str, e: int) -> tuple:
         """(vals, units) of factor^e over its k, e = ±1, ±2 or ±3; vals is None

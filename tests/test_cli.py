@@ -423,6 +423,16 @@ def test_cli_verify_in_one_block_imports_no_pool(jobs, tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())[-1]["summary"]["total"] > 0
 
 
+def test_importing_the_package_loads_none_of_its_modules():
+    """congrlab/__init__.py exports nothing: a caller imports the submodule
+    that holds a name, and `import congrlab` alone loads no congrlab.*."""
+    code = "import sys, congrlab; print([m for m in sys.modules if m.startswith('congrlab.')])"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(congrlab.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_available_cpus_without_an_affinity_call(monkeypatch):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)

@@ -1,6 +1,7 @@
 """Bernoulli/Euler/harmonic numbers: frozen values, classical sanity
 theorems, the defining recurrences, and the independent mod-p cross-checks."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, gcd, lcm
@@ -9,7 +10,7 @@ import pytest
 
 from congrlab import special
 from congrlab.arith import PAdic, PrimeRange, rat_reduce_mod, sieve_primes, vp_rational
-from congrlab.congruences import PADIC_PREC, PadicContext
+from congrlab.congruences import PADIC_PREC, PadicContext, check_ids, run_suite
 from congrlab.errors import InternalInconsistency
 from congrlab.special import (
     SpecialCache,
@@ -90,6 +91,23 @@ def test_routes_read_no_table(monkeypatch):
     for p, (bern, euler) in expected.items():
         assert [bernoulli_mod_p(m, p) for m in range(2, p - 2, 2)] == bern
         assert euler_mod_p(p) == euler
+
+
+def test_both_paths_at_one_prime_run_each_power_sum_once(monkeypatch):
+    """Every check at p = 13 reads B_10, B_8 and E_10 mod 13 on both paths,
+    and each of the three sums runs once."""
+    runs = Counter()
+
+    def counting_pow(a, e, m):
+        runs[e, m] += 1
+        return pow(a, e, m)
+
+    monkeypatch.setattr(special, "pow", counting_pow, raising=False)
+    special.bernoulli_mod_p.cache_clear()
+    special.euler_mod_p.cache_clear()
+    results, _ = run_suite(check_ids("all"), [13], padic_limit=13)
+    assert all(r.path_agreement for r in results if r.applicable)
+    assert runs == {(10, 169): 12, (8, 169): 12, (10, 13): 6}
 
 
 # -- Euler numbers ------------------------------------------------------------

@@ -19,8 +19,9 @@ median and quartiles (`spread`), key by key for the per-path seconds:
   of the exact path's seconds) over each of RANGES;
 - the per-k checks PER_K_CHECKS alone, on both paths to PER_K_PADIC_LIMIT,
   over each of PER_K_RANGES;
-- each path at each of EXPONENT_PRIMES, all in one run, and its cost-vs-p
-  exponent fitted to the medians;
+- each path over each window of consecutive primes of EXPONENT_WINDOWS,
+  one run per window, as its mean seconds per prime keyed by the window's
+  mean prime, and its cost-vs-p exponent fitted to the medians;
 - the identity suite over n = 1..N for each N of IDENTITY_NS, with its
   growth exponent log2(t(2N) / t(N)) of the medians.
 Run it on an otherwise idle machine: every number is wall time.
@@ -46,7 +47,10 @@ PAIRS = 10  # fewer alternating pairs than this cannot back a claimed gain
 # A single prime cannot show the exact path sweeping its rows over a range of
 # primes; 7:1999 does.
 RANGES = ("3:251", "7:499", "7:1999")
-EXPONENT_PRIMES = (251, 503, 1009, 2003)
+# Five consecutive primes from each of 251, 503, 1009 and 2003: a run of one
+# prime, 0.01-0.2 s, is bimodal on a 2-vCPU host, so one prime per point
+# cannot compare two trees.
+EXPONENT_WINDOWS = ("251:271", "503:541", "1009:1031", "2003:2029")
 # The checks compared one residue per k, timed alone; no per-layer metric of
 # the benchmark isolates them.
 PER_K_CHECKS = "L2.1a,L2.1b,PS11c-3.2"
@@ -55,18 +59,14 @@ PER_K_PADIC_LIMIT = 251
 IDENTITY_NS = (200, 400)  # the identity suite over 1..N; each N doubles the last
 
 # Times each path's _compare_pairs, all checks or those of argv[2], at every
-# prime of argv[1] (a range lo:hi or a list p,q,...), with the p-adic path up
-# to argv[3] or to the last prime, and the exact path's B and E reads on
-# their own; prints {"exact": {p: s}, "padic": {p: s}, "special": {p: s}}.
+# prime of argv[1], a range lo:hi, with the p-adic path up to argv[3] or to
+# the last prime, and the exact path's B and E reads on their own; prints
+# {"exact": {p: s}, "padic": {p: s}, "special": {p: s}}.
 PATHS_CODE = """
 import json, sys, time
 from congrlab import congruences as C
 from congrlab.arith import PrimeRange, sieve_primes
-arg = sys.argv[1]
-if ":" in arg:
-    primes = sieve_primes(PrimeRange(*map(int, arg.split(":"))))
-else:
-    primes = [int(p) for p in arg.split(",")]
+primes = sieve_primes(PrimeRange(*map(int, sys.argv[1].split(":"))))
 spent = {"exact": {}, "padic": {}, "special": {}}
 def add(side, p, seconds):
     spent[side][p] = spent[side].get(p, 0.0) + seconds
@@ -139,10 +139,20 @@ def range_seconds(trees: dict, primes: str, *selection: str) -> dict:
     return spreads(trees, measure, " ".join((primes, *selection)))
 
 
+def window_seconds(tree: Path) -> dict:
+    """{path: {mean prime: mean PATHS_CODE seconds per prime}} of each window
+    of EXPONENT_WINDOWS, one run per window."""
+    per = {}
+    for window in EXPONENT_WINDOWS:
+        for path, seconds in json.loads(child(tree, "-c", PATHS_CODE, window)).items():
+            mean_prime = statistics.fmean(map(int, seconds))
+            per.setdefault(path, {})[mean_prime] = statistics.fmean(seconds.values())
+    return per
+
+
 def fitted(per: dict) -> dict:
-    """One path's spread of PATHS_CODE seconds, keyed by int p, with the
+    """One path's spread of seconds per prime, keyed by mean prime, with the
     cost-vs-p exponent of their medians."""
-    per = {int(p): t for p, t in per.items()}
     return {"seconds": per, "exponent": cost_exponent({p: t["median"] for p, t in per.items()})}
 
 
@@ -206,10 +216,8 @@ def main() -> int:
         print(f"# {PER_K_CHECKS} over {rng}, both paths to {PER_K_PADIC_LIMIT}: " + ", ".join(
             f"{side} exact {t['exact']['median']:.3f} s, p-adic {t['padic']['median']:.3f} s"
             for side, t in per_k[rng].items()), file=sys.stderr, flush=True)
-    primes = ",".join(map(str, EXPONENT_PRIMES))
     exponents = {side: {path: fitted(t[path]) for path in ("exact", "padic")}
-                 for side, t in spreads(trees, lambda tree: json.loads(
-                     child(tree, "-c", PATHS_CODE, primes)), primes).items()}
+                 for side, t in spreads(trees, window_seconds, "cost exponent").items()}
 
     identity = {side: {"seconds": {}} for side in trees}
     for n in IDENTITY_NS:
@@ -233,7 +241,7 @@ def main() -> int:
         "path_seconds_jobs1": paths,
         "per_k_seconds_jobs1": {"checks": PER_K_CHECKS, "padic_limit": PER_K_PADIC_LIMIT,
                                 **per_k},
-        "cost_exponent": {"primes": list(EXPONENT_PRIMES), **exponents},
+        "cost_exponent": {"windows": list(EXPONENT_WINDOWS), **exponents},
         "identity_seconds_jobs1": {"n": list(IDENTITY_NS), **identity},
     }, indent=1, sort_keys=True) + "\n")
     return 0

@@ -7,6 +7,7 @@ it writes, its per-metric verdicts, and its two timing scripts.
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -53,10 +54,12 @@ class Main(unittest.TestCase):
                         "metrics": {m["name"]: {"value": 1.0} for m in SPEC["end_to_end"]}})
                 elif argv[1] == bench_file.IDENTITY_CODE:
                     figure, out = "identity " + argv[2], "0.5"
-                else:
+                else:  # seconds proportional to p at each prime of the range
                     figure = " ".join(argv[2:])
-                    primes = ["3"] if ":" in argv[2] else argv[2].split(",")
-                    out = json.dumps({path: {p: 0.01 for p in primes}
+                    lo, hi = map(int, argv[2].split(":"))
+                    primes = [n for n in range(lo, hi + 1)
+                              if all(n % d for d in range(2, math.isqrt(n) + 1))]
+                    out = json.dumps({path: {p: p / 1000 for p in primes}
                                       for path in ("exact", "padic", "special")})
                 cls.order.setdefault(figure, []).append(sides[tree])
                 return out + "\n"
@@ -73,15 +76,21 @@ class Main(unittest.TestCase):
         selection = f"{bench_file.PER_K_CHECKS} {bench_file.PER_K_PADIC_LIMIT}"
         figures = [*(w["name"] for w in SPEC["workloads"]), *bench_file.RANGES,
                    *(f"{rng} {selection}" for rng in bench_file.PER_K_RANGES),
-                   ",".join(map(str, bench_file.EXPONENT_PRIMES)),
+                   *bench_file.EXPONENT_WINDOWS,
                    *(f"identity {n}" for n in bench_file.IDENTITY_NS)]
         self.assertEqual(set(self.order), set(figures))
         for figure in figures:
             self.assertEqual(self.order[figure], pairs(bench_file.PAIRS), figure)
 
     def test_the_file_has_the_layout_of_the_last_one(self):
-        recorded = json.loads((ROOT / "BENCH_29.json").read_text())
+        recorded = json.loads((ROOT / "BENCH_39.json").read_text())
         self.assertEqual(key_tree(self.written), key_tree(recorded))
+
+    def test_the_cost_exponent_is_fitted_to_each_windows_mean_prime(self):
+        for side in ("parent", "change"):
+            for path in ("exact", "padic"):
+                self.assertAlmostEqual(
+                    self.written["cost_exponent"][side][path]["exponent"], 1.0, msg=(side, path))
 
 
 class WorkloadRecord(unittest.TestCase):
