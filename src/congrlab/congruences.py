@@ -8,10 +8,9 @@ check reads at a prime, through one memo; each path only computes it.  The
 paths share no row data: the exact path steps the rows of `SUMS`, and the
 p-adic path reads every row, harmonic numbers included, off per-prime
 factorial tables (`FactorialTable`).  It reads nothing the exact path
-builds, takes B and E mod p from routes that read no table, q_p(2) from
-2^(p-1) mod p^(PADIC_PREC+1), and (-1)^n C(p-1, n) from its factorial
-table.  The exact path checks each Bernoulli or Euler number it reads
-against that route.
+builds, takes B and E mod p from routes that read no table, and q_p(2) from
+2^(p-1) mod p^(PADIC_PREC+1).  The exact path checks each Bernoulli or
+Euler number it reads against that route.
 
 A check has one description, `sides`, that both contexts read: two scalars,
 or for a per-k check two columns over the same k (`arith.Column`), each a
@@ -29,9 +28,9 @@ import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate
-from math import comb, isqrt
+from math import isqrt
 from operator import add, methodcaller, mul, sub
 
 from .arith import Column, ExactColumn, PAdic, PadicColumn, vp_rational
@@ -63,22 +62,21 @@ PADIC_PATH_MAX_PRIME = 61
 
 class Context:
     """The interface a check reads, at one prime: `frac`, `column`, `S`,
-    `terms`, `gaps`, `bern`, `euler`, `qp`, `morley`, `div_pp` and
-    `residue`.  A check reads a row only as a range lo..hi at p, summed (`S`)
-    or per k (`terms`, a column), and every other factor by the method named
-    after it.
+    `terms`, `gaps`, `bern`, `euler`, `qp`, `div_pp` and `residue`.  A
+    check reads a row only as a range lo..hi at p, summed (`S`) or per k
+    (`terms`, a column), and every other factor by the method named after
+    it.
 
     The base owns every read.  One memo, shared by every check evaluated at
     the prime, holds the row sums (harmonic numbers among them), the per-k
-    columns, the harmonic gaps, the special numbers, q_p(2), (-1)^n C(p-1, n)
-    and, on the p-adic path, the prime's factorial table; the base decides
-    which B and E indices exist.  A context supplies only its arithmetic:
-    `frac`, `column`, `_row_sum`, `_terms`, `_gaps`, its source of B, E,
-    q_p(2) and (-1)^n C(p-1, n) (`_bern`, `_euler`, `_qp`, `_morley`),
-    `div_pp` and `residue`.  Each builds every value a check reads in its
-    own arithmetic, from its own description of the rows: the exact path
-    from the closed forms and ratios of SUMS, the p-adic path from the
-    factors of FACTORS.
+    columns, the harmonic gaps, the special numbers, q_p(2) and, on the
+    p-adic path, the prime's factorial table; the base decides which B and
+    E indices exist.  A context supplies only its arithmetic: `frac`,
+    `column`, `_row_sum`, `_terms`, `_gaps`, its source of B, E and q_p(2)
+    (`_bern`, `_euler`, `_qp`), `div_pp` and `residue`.  Each builds every
+    value a check reads in its own arithmetic, from its own description of
+    the rows: the exact path from the closed forms and ratios of SUMS, the
+    p-adic path from the factors of FACTORS.
     """
 
     def __init__(self, p: int):
@@ -118,10 +116,6 @@ class Context:
     def qp(self):
         """The Fermat quotient q_p(2) = (2^(p-1) - 1)/p, memoized."""
         return self._memo(("qp",), self._qp)
-
-    def morley(self):
-        """(-1)^n C(p-1, n), the left side of Morley's congruence, memoized."""
-        return self._memo(("M",), self._morley)
 
 
 class ExactContext(Context):
@@ -175,9 +169,6 @@ class ExactContext(Context):
     def _qp(self):
         return Fraction(pow(2, self.p - 1) - 1, self.p)
 
-    def _morley(self):
-        return Fraction((-1) ** self.n * comb(self.p - 1, self.n))
-
     def _bern(self, i: int):
         value = bernoulli_exact(i, self.cache)
         # a residue that misses the power-sum route raises InternalInconsistency,
@@ -208,8 +199,7 @@ class PadicContext(Context):
 
     - A rational constant of a statement is lifted by `frac`.  q_p(2) is
       read off 2^(p-1) mod p^(PADIC_PREC+1) at absolute precision
-      PADIC_PREC, not lifted from the exact path's rational, and
-      (-1)^n C(p-1, n) off the factorial table, not from `math.comb`.
+      PADIC_PREC, not lifted from the exact path's rational.
     - A row, H_n^(m) among them, is read off the prime's `FactorialTable`,
       built on the first read through the base memo and held for the life
       of the context, as a product of its FACTORS; no entry of SUMS is
@@ -267,13 +257,6 @@ class PadicContext(Context):
         power = pow(2, self.p - 1, self.p ** (PADIC_PREC + 1))
         return PAdic.from_residue((power - 1) // self.p, self.p, PADIC_PREC)
 
-    def _morley(self):
-        # C(p-1, n) = U[p-1] IU[n]^2, a unit since p - 1 < p; its own route, so
-        # a wrong exact value shows as a path disagreement
-        table = self._table()
-        unit = (-1) ** self.n * table.U[self.p - 1] * table.IU[self.n] ** 2
-        return PAdic.from_residue(unit % table.mod, self.p, PADIC_PREC)
-
     def _bern(self, i: int):
         return PAdic.from_residue(bernoulli_mod_p(i, self.p), self.p, 1)
 
@@ -327,15 +310,13 @@ class CheckResult:
 # reads and operations the written expression makes, in their order.
 # - A side is terms joined by a lone + or -, added left to right.
 # - A term is a coefficient, then factors, multiplied left to right.  Without
-#   a coefficient it is its factors, the first negated under a leading -;
-#   without a factor it is its coefficient.
+#   a coefficient it is its factors; without a factor it is its coefficient.
 # - The coefficient is the product of whichever of these are written: a
 #   rational a or a/b, p or p^j, s^n = (-1)^n, s^h = (-1)^((p+1)/2) and
 #   4^(p-1).  It is lifted once, by frac.
 # - A factor is a row sum row[lo,hi], each bound one of _BOUNDS, or one of
-#   _SPECIAL: B3 = B_{p-3}, B5 = B_{p-5}, E = E_{p-3}, q = q_p(2) and
-#   M = (-1)^n C(p-1, n).  It may carry a power ^k; /p^s before it divides
-#   it by p^s (div_pp).
+#   _SPECIAL: B3 = B_{p-3}, B5 = B_{p-5}, E = E_{p-3} and q = q_p(2).  It
+#   may carry a power ^k; /p^s before it divides it by p^s (div_pp).
 # So T1.1-1.3's right side, -2 H_{(p-1)/2} - (7/2) p^2 B_{p-3}, is
 # "-2 h1[1,n] - 7/2 p^2 B3".  A malformed row raises ValueError naming its
 # check and token.
@@ -345,8 +326,8 @@ _BOUNDS = {"0": (0, 0), "1": (0, 1), "n-1": (1, -1), "n": (1, 0), "n+1": (1, 1),
 _INTEGERS = {"p": (1, 0, 0, 0), "s^n": (0, 1, 0, 0), "s^h": (0, 0, 1, 0),
              "4^(p-1)": (0, 0, 0, 1)}
 _SPECIAL = {"B3": lambda c: c.bern(c.p - 3), "B5": lambda c: c.bern(c.p - 5),
-            "E": methodcaller("euler"), "q": methodcaller("qp"), "M": methodcaller("morley")}
-_TOKEN = re.compile(r"(-?)(.+?)(?:\^(\d+))?")  # sign, base, power
+            "E": methodcaller("euler"), "q": methodcaller("qp")}
+_TOKEN = re.compile(r"(.+?)(?:\^(\d+))?")  # base, power
 _RATIONAL = re.compile(r"-?\d+(?:/[1-9]\d*)?")
 _ROW = re.compile(r"(\w+)\[(.*),(.*)\]")
 
@@ -374,24 +355,22 @@ def _term(check_id: str, tokens: list[str], near: str):
     if not tokens:
         raise ValueError(f"{check_id}: empty term at {near!r}")
     written, rational, exponents, reads, shift = False, Fraction(1), (0, 0, 0, 0), [], None
-    for i, token in enumerate(tokens):
-        minus, base, power = _TOKEN.fullmatch(token).groups()
+    for token in tokens:
+        base, power = _TOKEN.fullmatch(token).groups()
         if not reads and shift is None and _RATIONAL.fullmatch(token):
             written, rational = True, rational * Fraction(token)
-        elif not reads and shift is None and not minus and base in _INTEGERS:
+        elif not reads and shift is None and base in _INTEGERS:
             written, j = True, int(power or 1)
             exponents = tuple(e + j * f for e, f in zip(exponents, _INTEGERS[base]))
-        elif base == "/p" and not minus and shift is None:
+        elif base == "/p" and shift is None:
             shift = int(power or 1)
-        elif minus and i:
-            raise ValueError(f"{check_id}: unknown token {token!r}")
         else:
             read = _read(check_id, token, base)
             if power:
                 read = lambda c, f=read, k=int(power): f(c) ** k
             if shift:
                 read = lambda c, f=read, s=shift: c.div_pp(f(c), s)
-            reads.append((lambda c, f=read: -f(c)) if minus else read)
+            reads.append(read)
             shift = None
     if shift is not None:
         raise ValueError(f"{check_id}: no factor after {tokens[-1]!r}")
@@ -454,11 +433,11 @@ def _catalog() -> dict[str, CheckSpec]:
     add("C1.1-1.5a", "(1/p) upper-half odd sum vs -B_{p-3}/4", 1, 7, "proven",
         ("/p odd2_alt[n+1,p-1]", "-1/4 B3"), shift=1)
     add("C1.1-1.5b", "negated reciprocal odd-cube sum vs -B_{p-3}/4", 1, 7, "proven",
-        ("-inv_odd3_alt[0,n-1]", "-1/4 B3"))
+        ("-1 inv_odd3_alt[0,n-1]", "-1/4 B3"))
     add("T1.2-1.6a", "(1/p^2) upper-half odd squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
         ("/p^2 sq_odd1[n+1,p-1]", "-7/4 B3"), shift=2)
     add("T1.2-1.6b", "negated reciprocal odd-cube squared sum vs -(7/4) B_{p-3}", 1, 5, "proven",
-        ("-inv_sq_odd3[0,n-1]", "-7/4 B3"))
+        ("-1 inv_sq_odd3[0,n-1]", "-7/4 B3"))
     add("T1.2-1.7", "half-range odd squared sum vs Fermat quotient expansion", 3, 5, "proven",
         ("sq_odd1[0,n-1]", "-2 q - p q^2 + 5/12 p^2 B3"))
 
@@ -482,7 +461,7 @@ def _catalog() -> dict[str, CheckSpec]:
         note="checked for k in [0,n] where C(n,k) is meaningful")
 
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
-        ("M", "4^(p-1) + 1/12 p^3 B3"))
+        ("s^n nk[n,n]", "4^(p-1) + 1/12 p^3 B3"))
     # the nested p^2 (2/3 q^3 + 7/12 B_{p-3}) of the source, written expanded
     add("L2.2-2.4", "refined Lehmer congruence for H_{(p-1)/2}", 3, 5, "proven",
         ("h1[1,n]", "-2 q + p q^2 - 2/3 p^2 q^3 - 7/12 p^2 B3"))
@@ -610,7 +589,6 @@ def check_ids(selector: str = "all") -> list[str]:
 # -- evaluation ------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)  # evaluate_check asks once per check and prime
 def _checked_prime(p: int) -> int:
     """p, which must be prime: no check means anything at another p."""
     if p < 2 or any(p % q == 0 for q in range(2, isqrt(p) + 1)):
@@ -641,22 +619,21 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     lists are equal, and the row reports the residues at the first k where
     they differ, else at the first k, with that k in the note.  The p-adic
     path runs too when p <= padic_limit, and the paths agree when its lists
-    equal the exact path's at every k.  A p that is not prime raises
-    ValueError before any context is built.  `contexts` are the shared
-    (exact, p-adic) contexts of p; without them the check gets fresh ones.
-    Either way every special number it reads is cross-checked on its first
-    read in a context.
+    equal the exact path's at every k.  `contexts` are the shared (exact,
+    p-adic) contexts of p, whose caller has checked that p is prime; without
+    them the check gets fresh ones, and a p that is not prime raises
+    ValueError before they are built.  Either way every special number it
+    reads is cross-checked on its first read in a context.
     """
     if check_id not in CHECK_CATALOG:
         raise UnknownCheck(f"unknown check id {check_id!r}")
-    _checked_prime(p)
+    if contexts is None:
+        cache = cache if cache is not None else SpecialCache()
+        contexts = ExactContext(_checked_prime(p), cache), PadicContext(p)
     spec = CHECK_CATALOG[check_id]
     if p < spec.min_prime:
         return CheckResult(check_id, p, spec.m, None, None, None, spec.status,
                            applicable=False, note=f"inapplicable: needs p >= {spec.min_prime}")
-    if contexts is None:
-        cache = cache if cache is not None else SpecialCache()
-        contexts = ExactContext(p, cache), PadicContext(p)
     exact, padic = contexts
     start = time.perf_counter()
     note = spec.note

@@ -103,6 +103,9 @@ SUMS = {
     # C(n,k) C(n+k,k) at n = (p-1)/2 = p // 2
     "b": (lambda p, k: _b(p // 2, k),
           lambda p, k: ((p // 2 - k) * (p // 2 + k + 1), (k + 1) ** 2)),
+    # C(n+k,k) at n = p // 2; at k = n it is C(p-1, n), Morley's binomial
+    "nk": (lambda p, k: comb(p // 2 + k, k),
+           lambda p, k: (p // 2 + k + 1, k + 1)),
     # H_n^(m), read by both catalogs (any a)
     **{f"h{m}": (lambda a, k, m=m: Fraction(1, k ** m),
                  lambda a, k, m=m: (k ** m, (k + 1) ** m))
@@ -328,7 +331,8 @@ FACTORS = {
     "inv_quad_shifted": _INV_QUAD + (("k", -2), ("2k-1", -1)),
     "inv_quad_shifted_lit": _INV_QUAD_LIT + (("k", -2), ("2k-1", -1)),
     "l21a": (("k", 1), ("C(2k,k)", 1), ("C(2(p-k),p-k)", 1)),
-    "b": (("C(n,k)C(n+k,k)", 1),),
+    "b": (("C(n,k)", 1), ("C(n+k,k)", 1)),
+    "nk": (("C(n+k,k)", 1),),
     **{f"h{m}": (("k", -m),) for m in (1, 2, 3)},
 }
 
@@ -341,10 +345,10 @@ class FactorialTable:
     One walk over j = 1..4p builds the unit part U[j] of j! mod p^prec and
     its valuation V[j], the running sum of v_p(j) (Legendre); one inverse,
     of U[4p], and a walk back give the inverses IU[j] (Montgomery, Math.
-    Comp. 48, 1987).  Each factor is a column over k = 0..p-1 (0..n for C(n,k)C(n+k,k),
-    n = (p-1)/2), read off these lists with no further inverse:
-    - a binomial, such as C(2k,k) = U[2k] IU[k]^2 with valuation V[2k] - 2V[k]
-      and inverse IU[2k] U[k]^2;
+    Comp. 48, 1987).  Each factor is a column over k = 0..p-1 (0..n for C(n,k)
+    and C(n+k,k), n = (p-1)/2), read off these lists with no further inverse:
+    - a binomial, one factorial over two, such as C(2k,k) = (2k)!/(k! k!) =
+      U[2k] IU[k]^2 with valuation V[2k] - 2V[k] and inverse IU[2k] U[k]^2;
     - a linear form j = j(k), with unit U[j] IU[j-1] and inverse U[j-1] IU[j];
     - a power c^k, by running products of c or of its inverse;
     - a square or a cube, from the column of the factor or of its inverse.
@@ -447,22 +451,17 @@ class FactorialTable:
             units = head + [num[j] * den[j - 1] % mod for j in js]
             vals = [0] * len(head) + [V[j] - V[j - 1] for j in js]
         else:
-            # a binomial as top! over the product of its bottoms' factorials
-            top, *bottoms = {
+            # a binomial as top! / (low! high!)
+            top, low, high = {
                 "C(2k,k)": (range(0, 2 * p, 2), ks, ks),
                 "C(4k,2k)": (range(0, 4 * p, 4), range(0, 2 * p, 2), range(0, 2 * p, 2)),
                 "C(4k,k)": (range(0, 4 * p, 4), ks, range(0, 3 * p, 3)),
                 "C(2(p-k),p-k)": (range(2 * p, 0, -2), range(p, 0, -1), range(p, 0, -1)),
-                "C(n,k)C(n+k,k)": (range(n, 2 * n + 1), range(n + 1), range(n + 1),
-                                   range(n, -1, -1)),
+                "C(n,k)": ([n] * (n + 1), range(n + 1), range(n, -1, -1)),
+                "C(n+k,k)": (range(n, 2 * n + 1), range(n + 1), [n] * (n + 1)),
             }[factor]
-            if len(bottoms) == 2:
-                units = [num[t] * den[a] * den[b] % mod for t, a, b in zip(top, *bottoms)]
-                vals = [V[t] - V[a] - V[b] for t, a, b in zip(top, *bottoms)]
-            else:
-                units = [num[t] * den[a] * den[b] * den[c] % mod
-                         for t, a, b, c in zip(top, *bottoms)]
-                vals = [V[t] - V[a] - V[b] - V[c] for t, a, b, c in zip(top, *bottoms)]
+            units = [num[t] * den[a] * den[b] % mod for t, a, b in zip(top, low, high)]
+            vals = [V[t] - V[a] - V[b] for t, a, b in zip(top, low, high)]
         if e < 0:
             vals = [-v for v in vals]
         return (vals if any(vals) else None), units

@@ -168,6 +168,7 @@ def test_every_scalar_row_resolves_on_both_contexts(p, cache):
     ("2 h1[1,m]", "unknown bound 'm' in 'h1[1,m]'"),
     ("2 h1[1,n] z", "unknown token 'z'"),
     ("p -q", "unknown token '-q'"),
+    ("-q", "unknown token '-q'"),
     ("h1[1,n] + - q", "empty term at '-'"),
     ("h1[1,n] +", "empty term at '+'"),
     ("", "empty term at ''"),
@@ -448,8 +449,8 @@ def test_padic_rows_match_the_exact_rows(p, cache, monkeypatch):
 
 
 def test_a_table_read_outside_its_row_raises():
-    """A row with a factor k starts at k = 1, C(n,k)C(n+k,k) ends at n and
-    every other row at p - 1: a read past either end raises ValueError and
+    """A row with a factor k starts at k = 1, a row of C(n,k) or C(n+k,k)
+    ends at n and every other row at p - 1: a read past either end raises ValueError and
     never returns the place-holder at k = 0."""
     table = FactorialTable(13, 5)
     assert table.read("b", 0, 6)[0] == [0] * 7
@@ -534,15 +535,66 @@ def test_a_wrong_exact_fermat_quotient_is_a_path_disagreement(monkeypatch):
 
 
 def test_a_wrong_exact_morley_binomial_is_a_path_disagreement(monkeypatch):
-    """The p-adic path reads (-1)^n C(p-1, n) off its factorial table, not off
-    math.comb: with p^3 added on the exact path alone, L2.2-2.3, which reads
-    it mod p^4, disagrees at every prime."""
-    morley = ExactContext._morley
-    monkeypatch.setattr(ExactContext, "_morley", lambda self: morley(self) + self.p ** 3)
+    """The p-adic path reads C(p-1, n), the term of row nk at k = n, off its
+    factorial table, not off SUMS: with p^3 added to the row's closed form,
+    which the exact path reads at k = n without stepping, L2.2-2.3, which
+    reads it mod p^4, disagrees at every prime."""
+    term, ratio = SUMS["nk"]
+    monkeypatch.setitem(SUMS, "nk", (lambda p, k: term(p, k) + p ** 3, ratio))
     primes = sieve_primes(PrimeRange(5, 61))
     results, summary = run_suite(["L2.2-2.3"], primes, padic_limit=61)
     assert [r.path_agreement for r in results] == [False] * len(primes)
     assert summary["path_disagreements"] == len(primes)
+
+
+@pytest.mark.parametrize("p", [*sieve_primes(PrimeRange(5, 61)), 1093])
+def test_morleys_binomial_is_the_term_of_row_nk_at_n(p):
+    """C(n+k,k) at k = n is C(2n, n) = C(p-1, n): the exact path reads it as
+    the row's closed form, and the p-adic path off its factorial table, to
+    PADIC_PREC digits of a unit."""
+    n, prec = (p - 1) // 2, congruences.PADIC_PREC
+    assert ExactContext(p, SpecialCache()).S("nk", n, n) == comb(p - 1, n)
+    x = PadicContext(p).S("nk", n, n)
+    assert (x.val, x.prec) == (0, prec)
+    assert x.residue(prec) == comb(p - 1, n) % p ** prec
+
+
+class _ReadOnlyTable:
+    """A factorial table that offers `read` alone."""
+
+    def __init__(self, p, prec):
+        self.read = FactorialTable(p, prec).read
+
+
+@pytest.mark.parametrize("p", [13, 61])
+def test_the_padic_path_uses_nothing_of_its_table_but_read(p, cache, monkeypatch):
+    """Every check evaluates on the p-adic path, agreeing with the exact
+    path, when the prime's table offers nothing but `read`: no check reaches
+    into the table's factorials."""
+    table = _ReadOnlyTable(p, congruences.PADIC_PREC)
+    monkeypatch.setattr(PadicContext, "_table", lambda self: table)
+    contexts = ExactContext(p, cache), PadicContext(p)
+    for check_id in check_ids("all"):
+        result = evaluate_check(check_id, p, padic_limit=p, contexts=contexts)
+        assert result.path_agreement is True, check_id
+
+
+def test_a_run_checks_each_prime_once(monkeypatch):
+    """run_suite checks each prime once, and evaluate_check with the shared
+    contexts of a run does not check it again: the default run, 41 proven
+    checks at the 92 primes 7..499, checks 92."""
+    calls = Counter()
+    checked = congruences._checked_prime
+
+    def counting(p):
+        calls[p] += 1
+        return checked(p)
+
+    monkeypatch.setattr(congruences, "_checked_prime", counting)
+    primes = sieve_primes(PrimeRange(7, 499))
+    run_suite(check_ids("proven"), primes)
+    assert len(primes) == 92
+    assert calls == Counter(primes)
 
 
 def test_fermat_quotient_checks_at_the_wieferich_prime(monkeypatch):
