@@ -32,11 +32,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _at_least(least, kind=int):
-    """An argparse type: a `kind` no smaller than `least`; nan is refused."""
+def _at_least(least):
+    """An argparse type: an int no smaller than `least`."""
     def at_least(text: str):
-        value = kind(text)
-        if not value >= least:
+        value = int(text)
+        if value < least:
             raise argparse.ArgumentTypeError(f"{value} is not at least {least}")
         return value
     return at_least
@@ -98,8 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("series", help="floating sanity checks of the series")
     common(sp)
     sp.add_argument("--names", default="all")
-    sp.add_argument("--terms", type=int, default=None)
-    sp.add_argument("--tol", type=_at_least(0.0, float), default=None)
 
     sp = sub.add_parser("bernoulli", help="print the even-index Bernoulli numbers")
     out(sp)
@@ -137,7 +135,7 @@ def parse_and_run(argv=None) -> int:
                                                        args.jobs),
                                     f"--names {args.names!r} at --n {lo}:{hi}")
             else:  # series
-                results = run_series_suite(_names(args.names), args.terms, args.tol)
+                results = run_series_suite(_names(args.names))
             report, status = emit_report(results, args.format), exit_status(results)
 
         with open(args.out, "w") if args.out else nullcontext(sys.stdout) as fh:

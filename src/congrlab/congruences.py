@@ -1,9 +1,10 @@
 """Declarative catalog of the p-adic congruences and a two-path evaluator.
 
 Every check is evaluated once over exact rationals (ground truth) and, for
-primes up to `padic_limit`, once over valuation-aware truncated p-adics; the
-two residues must coincide.  A disagreement is an engine bug, not a failing
-congruence, and is surfaced as such.  The base `Context` decides what a
+primes up to `padic_limit` and wherever a proven or conjectural check fails,
+once over valuation-aware truncated p-adics; the two residues must
+coincide.  A disagreement is an engine bug, not a failing congruence, and
+is surfaced as such.  The base `Context` decides what a
 check reads at a prime, through one memo; each path only computes it.  The
 paths share no row data: the exact path steps the rows of `SUMS`, and the
 p-adic path reads every row, harmonic numbers included, off per-prime
@@ -312,8 +313,9 @@ class CheckResult:
 # - A term is a coefficient, then factors, multiplied left to right.  Without
 #   a coefficient it is its factors; without a factor it is its coefficient.
 # - The coefficient is the product of whichever of these are written: a
-#   rational a or a/b, p or p^j, s^n = (-1)^n, s^h = (-1)^((p+1)/2) and
-#   4^(p-1).  It is lifted once, by frac.
+#   rational a or a/b, p or p^j, and s^n = (-1)^n.  It is lifted once, by
+#   frac.  A sign (-1)^((p+1)/2) is written -s^n, and 4^(p-1) = (1 + p q)^2
+#   as 1 + 2 p q + p^2 q^2.
 # - A factor is a row sum row[lo,hi], each bound one of _BOUNDS, or one of
 #   _SPECIAL: B3 = B_{p-3}, B5 = B_{p-5}, E = E_{p-3} and q = q_p(2).  It
 #   may carry a power ^k; /p^s before it divides it by p^s (div_pp).
@@ -322,9 +324,8 @@ class CheckResult:
 # check and token.
 _BOUNDS = {"0": (0, 0), "1": (0, 1), "n-1": (1, -1), "n": (1, 0), "n+1": (1, 1),
            "p-1": (2, 0)}  # (a, b) is the bound a n + b, and p - 1 = 2n
-# the exponents (j, a, h, d) of p^j (-1)^(a n + h (p+1)/2) 4^(d (p-1))
-_INTEGERS = {"p": (1, 0, 0, 0), "s^n": (0, 1, 0, 0), "s^h": (0, 0, 1, 0),
-             "4^(p-1)": (0, 0, 0, 1)}
+# the exponents (j, a) of p^j (-1)^(a n)
+_INTEGERS = {"p": (1, 0), "s^n": (0, 1)}
 _SPECIAL = {"B3": lambda c: c.bern(c.p - 3), "B5": lambda c: c.bern(c.p - 5),
             "E": methodcaller("euler"), "q": methodcaller("qp")}
 _TOKEN = re.compile(r"(.+?)(?:\^(\d+))?")  # base, power
@@ -354,7 +355,7 @@ def _term(check_id: str, tokens: list[str], near: str):
     it, which names an empty term."""
     if not tokens:
         raise ValueError(f"{check_id}: empty term at {near!r}")
-    written, rational, exponents, reads, shift = False, Fraction(1), (0, 0, 0, 0), [], None
+    written, rational, exponents, reads, shift = False, Fraction(1), (0, 0), [], None
     for token in tokens:
         base, power = _TOKEN.fullmatch(token).groups()
         if not reads and shift is None and _RATIONAL.fullmatch(token):
@@ -375,9 +376,8 @@ def _term(check_id: str, tokens: list[str], near: str):
     if shift is not None:
         raise ValueError(f"{check_id}: no factor after {tokens[-1]!r}")
     if written:
-        (k, b), (j, a, h, d) = rational.as_integer_ratio(), exponents
-        reads.insert(0, lambda c: c.frac(k * c.p ** j * (-1) ** (a * c.n + h * ((c.p + 1) // 2))
-                                         * 4 ** (d * (c.p - 1)), b))
+        (k, b), (j, a) = rational.as_integer_ratio(), exponents
+        reads.insert(0, lambda c: c.frac(k * c.p ** j * (-1) ** (a * c.n), b))
     return _fold(reads[0], [(mul, read) for read in reads[1:]])
 
 
@@ -460,8 +460,9 @@ def _catalog() -> dict[str, CheckSpec]:
     add("L2.1b", "C(n,k) C(n+k,k) = C(2k,k)^2/(-16)^k, per k", 2, 5, "proven", l21b_sides,
         note="checked for k in [0,n] where C(n,k) is meaningful")
 
+    # the source's 4^(p-1) = (1 + p q)^2, written expanded
     add("L2.2-2.3", "refined Morley congruence", 4, 5, "proven",
-        ("s^n nk[n,n]", "4^(p-1) + 1/12 p^3 B3"))
+        ("s^n nk[n,n]", "1 + 2 p q + p^2 q^2 + 1/12 p^3 B3"))
     # the nested p^2 (2/3 q^3 + 7/12 B_{p-3}) of the source, written expanded
     add("L2.2-2.4", "refined Lehmer congruence for H_{(p-1)/2}", 3, 5, "proven",
         ("h1[1,n]", "-2 q + p q^2 - 2/3 p^2 q^3 - 7/12 p^2 B3"))
@@ -507,7 +508,7 @@ def _catalog() -> dict[str, CheckSpec]:
     add("X-ST", "full central sum /k vs (8/9) p^2 B_{p-3}", 3, 5, "proven",
         ("k1[1,p-1]", "8/9 p^2 B3"))
     add("X-S11c-a", "half central sum /k vs Euler number", 2, 5, "proven",
-        ("k1[1,n]", "8/3 s^h p E"))
+        ("k1[1,n]", "-8/3 s^n p E"))
     add("X-S11c-b", "half reciprocal central sum vs Euler number", 1, 5, "proven",
         ("inv_k2[1,n]", "4/3 s^n E"))
     add("X-T1-a", "full alternating inverse sum vs -(2/5) H_{p-1}/p^2", 3, 7, "proven",
@@ -543,21 +544,22 @@ def _catalog() -> dict[str, CheckSpec]:
     add("CJ1.2-a", "full quartic-binomial sum vs -3H + (7/4) p^2 B_{p-3}", 3, 3,
         "conjectural", ("quad[1,p-1]", "-3 h1[1,n] + 7/4 p^2 B3"))
     add("CJ1.2-b", "half quartic-binomial sum vs -3H + Euler number", 2, 3,
-        "conjectural", ("quad[1,n]", "-3 h1[1,n] + 2 s^h p E"))
+        "conjectural", ("quad[1,n]", "-3 h1[1,n] - 2 s^n p E"))
 
-    # the source's 16 (s^h q + p E) on CJ1.2-d's right side is written expanded
+    # the source's 16 ((-1)^((p+1)/2) q + p E) on CJ1.2-d's right side is
+    # written expanded
     cj12_note = ("the garbled leading token in the source resolves to a "
                  "factor p on the sum; verified empirically")
     add("CJ1.2-c", "p * reciprocal quartic sum vs 32 E_{p-3}", 1, 3, "conjectural",
         ("p inv_quad[1,n]", "32 s^n E"), shift=1, note=cj12_note)
     add("CJ1.2-d", "p * shifted reciprocal quartic sum vs Fermat quotient", 2, 5,
-        "conjectural", ("p inv_quad_shifted[1,n]", "16 s^h q + 16 p E"),
+        "conjectural", ("p inv_quad_shifted[1,n]", "-16 s^n q + 16 p E"),
         shift=1, note=cj12_note + "; fails at p=3, so min prime 5")
     add("CJ1.2-c-lit", "literal C(4k,k) reading of CJ1.2-c", 1, 3, "exploratory",
         ("p inv_quad_lit[1,n]", "32 s^n E"),
         shift=1, note="reported for the conjectural hunt, never asserted")
     add("CJ1.2-d-lit", "literal C(4k,k) reading of CJ1.2-d", 2, 3, "exploratory",
-        ("p inv_quad_shifted_lit[1,n]", "16 s^h q + 16 p E"),
+        ("p inv_quad_shifted_lit[1,n]", "-16 s^n q + 16 p E"),
         shift=1, note="reported for the conjectural hunt, never asserted")
 
     return C
@@ -618,8 +620,11 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     The exact path decides the row: the check passes when its two residue
     lists are equal, and the row reports the residues at the first k where
     they differ, else at the first k, with that k in the note.  The p-adic
-    path runs too when p <= padic_limit, and the paths agree when its lists
-    equal the exact path's at every k.  `contexts` are the shared (exact,
+    path runs too when p <= padic_limit, or when a check that is not
+    exploratory fails, so that no failure rests on one path alone; the
+    paths agree when its lists equal the exact path's at every k.  A
+    statement that fails by ValuationViolation on the exact path is a
+    failed row with no p-adic run.  `contexts` are the shared (exact,
     p-adic) contexts of p, whose caller has checked that p is prime; without
     them the check gets fresh ones, and a p that is not prime raises
     ValueError before they are built.  Either way every special number it
@@ -651,7 +656,7 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     if ks is not None and not passed:
         note = (note + "; " if note else "") + f"first failing instance k={ks[i]}"
     agreement = None
-    if p <= padic_limit:
+    if p <= padic_limit or not (passed or spec.status == "exploratory"):
         try:
             agreement = _compare_pairs(padic, spec) == pairs
         except CongrlabError as exc:  # an engine fault, never a verdict

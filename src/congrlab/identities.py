@@ -39,7 +39,6 @@ class IdentityCase:
     rhs: Fraction
     passed: bool
     recurrence_residual: Fraction = Fraction(0)
-    note: str = ""
 
 
 def _sigma_lhs(n):

@@ -45,7 +45,7 @@ def _to_row(result, include_elapsed: bool) -> dict:
             "rhs": str(result.rhs),
             "pass": _passed(result),
             "status": "identity",
-            "note": result.note,
+            "note": "",
         }
     elif isinstance(result, SeriesReport):
         row = {

@@ -96,11 +96,12 @@ def evaluate_series(name: str, terms: int | None = None,
                         error <= tolerance)
 
 
-def run_series_suite(names=None, terms: int | None = None,
-                     tol: float | None = None) -> list[SeriesReport]:
+def run_series_suite(names=None) -> list[SeriesReport]:
+    """Each named series, all of them by default, at its own terms and
+    tolerance."""
     if names is None:
         names = list(SERIES_CATALOG)
     for n in names:
         if n not in SERIES_CATALOG:
             raise UnknownSeries(f"unknown series {n!r}")
-    return [evaluate_series(n, terms, tol) for n in names]
+    return [evaluate_series(n) for n in names]

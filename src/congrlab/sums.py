@@ -11,12 +11,12 @@ the literal C(4k,k) reading of C(4k,2k).
 
 `row_numerators` steps the exact integers t_k * D over a common
 denominator D with exact divisions, for the exact path's per-k reads and
-SIGMA's lhs.  `row_sum` sums a row exactly by binary splitting over the
-integer ratio pairs (Haible & Papanikolaou, "Fast multiprecision
-evaluation of series of rational numbers", 1998), with one `Fraction`
-reduction per sum.  A `Cursor` keeps one row's running prefix at a rising
-index, splitting only the steps since its last read; it and `row_sum`
-share one guarded fold, `_steps`.  A `Sweep` keeps two cursors for each
+SIGMA's lhs.  Every exact sum is one fold: a `Cursor` keeps one row's
+running prefix at a rising index and splits only the steps since its last
+read, by binary splitting over the integer ratio pairs (Haible &
+Papanikolaou, "Fast multiprecision evaluation of series of rational
+numbers", 1998) under one closed-form guard, `_steps`.  `row_sum` sums a
+range as a fresh cursor's prefix.  A `Sweep` keeps two cursors for each
 PRIME_FREE row, whose terms do not depend on p, over a rising run of
 primes, and an identity run one for each row whose terms do not depend
 on n.  The exact path reads the congruence rows from SUMS and guards
@@ -25,9 +25,10 @@ each against its closed form, so a wrong ratio is an engine fault.
 The p-adic path reads the same rows as products of named factors (FACTORS):
 C(2k,k), C(4k,2k), powers c^k, linear forms such as 2k+1, each to a power.
 A `FactorialTable` holds, at one prime, the units and valuations of j! for
-j <= 4p and reads every factor off them, so no ratio is stepped and no entry
-of SUMS is read: a closed form and ratio that are wrong together give a path
-disagreement, not a value both paths agree on.
+j <= 4p and reads every factor but a power off them as one factorial over
+two, so no ratio is stepped and no entry of SUMS is read: a closed form and
+ratio that are wrong together give a path disagreement, not a value both
+paths agree on.
 """
 
 from __future__ import annotations
@@ -216,14 +217,10 @@ def _steps(name: str, a: int, t_lo, lo: int, hi: int) -> tuple:
 
 def row_sum(name: str, a: int, lo: int, hi: int) -> Fraction:
     """The exact sum t_lo + ... + t_hi of row `name` of SUMS at parameter a:
-    the guarded binary splitting of `_steps`, reduced once."""
+    the prefix at hi of a fresh `Cursor` from lo."""
     if hi < lo:
         raise ValueError(f"sum row {name!r} over the empty range {lo}..{hi}")
-    first = SUMS[name][0](a, lo)
-    if hi == lo:
-        return Fraction(first)
-    Q, T, _ = _steps(name, a, first, lo, hi)
-    return Fraction(first.numerator * (Q + T), first.denominator * Q)
+    return Cursor(name, a, lo).prefix(a, hi)
 
 
 class Cursor:
@@ -232,13 +229,13 @@ class Cursor:
     Fractions.
 
     `prefix(a, x)` past the cursor splits only the new steps with `_steps`,
-    the guarded fold `row_sum` takes, and folds them in: F <- F + t*T/Q and
-    t <- t*P/Q, the closed form at the new x.  A read one term behind,
-    F(x-1) after F(x), is F(x) - t_x from the cursor's own state and moves
-    nothing; a read further behind raises ValueError and leaves the cursor
-    where it was.  Each advance reads the row at the a it is given, so a
-    row whose terms do not read a can carry one cursor across parameters.
-    Every value is exact; nothing is reduced mod p.
+    the one guarded fold of every exact sum, and folds them in:
+    F <- F + t*T/Q and t <- t*P/Q, the closed form at the new x.  A read one
+    term behind, F(x-1) after F(x), is F(x) - t_x from the cursor's own
+    state and moves nothing; a read further behind raises ValueError and
+    leaves the cursor where it was.  Each advance reads the row at the a it
+    is given, so a row whose terms do not read a can carry one cursor
+    across parameters.  Every value is exact; nothing is reduced mod p.
     """
 
     __slots__ = ("name", "at", "t", "total")
@@ -302,8 +299,6 @@ class Sweep:
         return cursor.prefix(a, x)
 
 
-
-
 # The congruence rows as the p-adic path reads them: t_k is the product of
 # f(k)^e over the (factor, e) pairs of its row, each factor a column of
 # `FactorialTable`.  SUMS holds the same rows as closed forms and ratios, which
@@ -311,6 +306,7 @@ class Sweep:
 _SQUARE = (("C(2k,k)", 2), ("16^k", -1))
 _INV_QUAD = (("C(2k,k)", -1), ("C(4k,2k)", -1), ("64^k", 1))
 _INV_QUAD_LIT = (("C(2k,k)", -1), ("C(4k,k)", -1), ("64^k", 1))
+_POWERS = {"(-1)^k": -1, "16^k": 16, "64^k": 64}
 FACTORS = {
     "alt_inv_k3": (("(-1)^k", 1), ("C(2k,k)", -1), ("k", -3)),
     "alt_k2": (("(-1)^k", 1), ("C(2k,k)", 1), ("k", -2)),
@@ -346,17 +342,19 @@ class FactorialTable:
     its valuation V[j], the running sum of v_p(j) (Legendre); one inverse,
     of U[4p], and a walk back give the inverses IU[j] (Montgomery, Math.
     Comp. 48, 1987).  Each factor is a column over k = 0..p-1 (0..n for C(n,k)
-    and C(n+k,k), n = (p-1)/2), read off these lists with no further inverse:
-    - a binomial, one factorial over two, such as C(2k,k) = (2k)!/(k! k!) =
-      U[2k] IU[k]^2 with valuation V[2k] - 2V[k] and inverse IU[2k] U[k]^2;
-    - a linear form j = j(k), with unit U[j] IU[j-1] and inverse U[j-1] IU[j];
-    - a power c^k, by running products of c or of its inverse;
-    - a square or a cube, from the column of the factor or of its inverse.
-    A column keeps its valuations only where one is nonzero, and is built on
-    its first read.  A read of a row over lo..hi multiplies the slices of
-    its columns one factor at a time, through the memo of `_product` that
-    rows with shared leading factors share, and adds their valuations: no
-    ratio is stepped, and nothing of SUMS is read.
+    and C(n+k,k), n = (p-1)/2).  A power c^k is a running product of c^e.
+    Every other factor is one factorial over two, top!/(low! high!), read
+    off these lists with no further inverse: C(2k,k) = (2k)!/(k! k!) has
+    the unit U[2k] IU[k]^2, its inverse IU[2k] U[k]^2, and the valuation
+    V[2k] - 2V[k]; a linear form j = j(k) is j!/((j-1)! 0!).  The unit is
+    raised to |e| and the valuation multiplied by e.  A linear form is 0 at
+    some k = 0, which has no unit: a placeholder 0 holds its place, and
+    `read` starts a row with a factor k at 1.  A column keeps its
+    valuations only where one is nonzero, and is built on its first read.
+    A read of a row over lo..hi multiplies the slices of its columns one
+    factor at a time, through the memo of `_product` that rows with shared
+    leading factors share, and adds their valuations: no ratio is stepped,
+    and nothing of SUMS is read.
     """
 
     def __init__(self, p: int, prec: int):
@@ -413,55 +411,35 @@ class FactorialTable:
         return product
 
     def _column(self, factor: str, e: int) -> tuple:
-        """(vals, units) of factor^e over its k, e = ±1, ±2 or ±3; vals is None
-        where every valuation is 0."""
+        """(vals, units) of factor^e over its k; vals is None where every
+        valuation is 0."""
         column = self.columns.get((factor, e))
         if column is None:
-            if abs(e) == 1:
-                column = self._unit_column(factor, e)
-            elif abs(e) in (2, 3):
-                vals, units = self._column(factor, 1 if e > 0 else -1)
-                mod = self.mod
-                units = ([u * u % mod for u in units] if abs(e) == 2
-                         else [u * u * u % mod for u in units])
-                column = (None if vals is None else [abs(e) * v for v in vals]), units
+            p, n, mod, V = self.p, self.p // 2, self.mod, self.V
+            if factor in _POWERS:
+                column = None, list(accumulate(repeat(pow(_POWERS[factor], e, mod), p - 1),
+                                               lambda x, y: x * y % mod, initial=1))
             else:
-                raise ValueError(f"no column {factor}^{e}")
+                # top!/(low! high!) at each k; a linear form j is j!/((j-1)! 0!)
+                ks, zeros = range(p), [0] * p
+                top, low, high = {
+                    "C(2k,k)": (range(0, 2 * p, 2), ks, ks),
+                    "C(4k,2k)": (range(0, 4 * p, 4), range(0, 2 * p, 2), range(0, 2 * p, 2)),
+                    "C(4k,k)": (range(0, 4 * p, 4), ks, range(0, 3 * p, 3)),
+                    "C(2(p-k),p-k)": (range(2 * p, 0, -2), range(p, 0, -1), range(p, 0, -1)),
+                    "C(n,k)": ([n] * (n + 1), range(n + 1), range(n, -1, -1)),
+                    "C(n+k,k)": (range(n, 2 * n + 1), range(n + 1), [n] * (n + 1)),
+                    "k": (ks, range(-1, p - 1), zeros),
+                    "2k+1": (range(1, 2 * p, 2), range(0, 2 * p - 1, 2), zeros),
+                    "2k-1": (range(-1, 2 * p - 2, 2), range(-2, 2 * p - 3, 2), zeros),
+                    "2k+p": (range(p, 3 * p, 2), range(p - 1, 3 * p - 1, 2), zeros),
+                }[factor]
+                num, den, power = *((self.U, self.IU) if e > 0 else (self.IU, self.U)), abs(e)
+                # a form j <= 0, whose low! is (j-1)!, has no unit: a placeholder 0
+                units = [pow(num[t] * den[a] * den[b], power, mod) if a >= 0 else 0
+                         for t, a, b in zip(top, low, high)]
+                vals = [e * (V[t] - V[a] - V[b]) if a >= 0 else 0
+                        for t, a, b in zip(top, low, high)]
+                column = (vals if any(vals) else None), units
             self.columns[factor, e] = column
         return column
-
-    def _unit_column(self, factor: str, e: int) -> tuple:
-        """(vals, units) of factor^e, e = ±1, read off U, IU and V."""
-        p, n, mod, V = self.p, self.p // 2, self.mod, self.V
-        num, den = (self.U, self.IU) if e > 0 else (self.IU, self.U)
-        ks = range(p)
-        powers = {"(-1)^k": -1, "16^k": 16, "64^k": 64}
-        if factor in powers:
-            c = powers[factor] % mod if e > 0 else pow(powers[factor], -1, mod)
-            return None, list(accumulate(repeat(c, p - 1), lambda x, y: x * y % mod,
-                                         initial=1))
-        linear = {"k": ks, "2k+1": range(1, 2 * p, 2), "2k-1": range(-1, 2 * p - 2, 2),
-                  "2k+p": range(p, 3 * p, 2)}
-        if factor in linear:
-            js = linear[factor]
-            # the form at k = 0 is -1, a unit, or 0, which has no unit: its 0
-            # holds the place, and `read` starts a row with a factor k at 1
-            head = [] if js[0] > 0 else [mod - 1] if js[0] else [0]
-            js = js[len(head):]
-            units = head + [num[j] * den[j - 1] % mod for j in js]
-            vals = [0] * len(head) + [V[j] - V[j - 1] for j in js]
-        else:
-            # a binomial as top! / (low! high!)
-            top, low, high = {
-                "C(2k,k)": (range(0, 2 * p, 2), ks, ks),
-                "C(4k,2k)": (range(0, 4 * p, 4), range(0, 2 * p, 2), range(0, 2 * p, 2)),
-                "C(4k,k)": (range(0, 4 * p, 4), ks, range(0, 3 * p, 3)),
-                "C(2(p-k),p-k)": (range(2 * p, 0, -2), range(p, 0, -1), range(p, 0, -1)),
-                "C(n,k)": ([n] * (n + 1), range(n + 1), range(n, -1, -1)),
-                "C(n+k,k)": (range(n, 2 * n + 1), range(n + 1), [n] * (n + 1)),
-            }[factor]
-            units = [num[t] * den[a] * den[b] % mod for t, a, b in zip(top, low, high)]
-            vals = [V[t] - V[a] - V[b] for t, a, b in zip(top, low, high)]
-        if e < 0:
-            vals = [-v for v in vals]
-        return (vals if any(vals) else None), units

@@ -350,14 +350,6 @@ def test_cli_series(capsys):
     assert "S-ZETA2" in captured.out and "S-PI3" in captured.out
 
 
-@pytest.mark.parametrize("tol", ["-1", "nan"])
-def test_cli_series_tolerance_below_zero_exits_2(tol, capsys):
-    """A negative tolerance would fail every series and exit 1, the
-    counterexample status."""
-    assert parse_and_run(["series", "--names", "S-ZETA2", "--tol", tol]) == 2
-    assert capsys.readouterr().out == ""
-
-
 def test_cli_bernoulli_prints_and_persists_cache(capsys):
     code = parse_and_run(["bernoulli", "--max", "12"])
     captured = capsys.readouterr()

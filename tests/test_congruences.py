@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from congrlab import cli, congruences, identities, special, sums
 from congrlab.arith import (
     Column,
+    ExactColumn,
     PAdic,
     PadicColumn,
     PrimeRange,
@@ -173,6 +174,8 @@ def test_every_scalar_row_resolves_on_both_contexts(p, cache):
     ("h1[1,n] +", "empty term at '+'"),
     ("", "empty term at ''"),
     ("2 /p^2", "no factor after '/p^2'"),
+    ("2 s^h q", "unknown token 's^h'"),
+    ("4^(p-1)", "unknown token '4^(p-1)'"),
 ])
 def test_a_malformed_row_raises_naming_its_check_and_token(row, message):
     with pytest.raises(ValueError, match=re.escape(f"X-BAD: {message}")):
@@ -193,15 +196,26 @@ def test_a_term_multiplies_its_factors_left_to_right(cache):
         assert _value(side(ctx)) == _value(expected)
 
 
+def _sign_h(c):
+    """(-1)^((p+1)/2), which the catalog writes -s^n."""
+    return c.frac((-1) ** ((c.p + 1) // 2))
+
+
 def _cj12d_nested(c):
-    return c.frac(16) * (c.frac((-1) ** ((c.p + 1) // 2)) * c.qp() + c.frac(c.p) * c.euler())
+    return c.frac(16) * (_sign_h(c) * c.qp() + c.frac(c.p) * c.euler())
 
 
-# the right sides the catalog writes expanded, in the nested form of the source
+# the right sides the catalog writes in its normal form (expanded, with no
+# sign but s^n and no power but p^j), in the form of the source
 NESTED_RHS = {
+    "L2.2-2.3": lambda c: (c.frac(4 ** (c.p - 1))
+                           + c.frac(c.p ** 3, 12) * c.bern(c.p - 3)),
     "L2.2-2.4": lambda c: (c.frac(-2) * c.qp() + c.frac(c.p) * c.qp() ** 2
                            - c.frac(c.p * c.p) * (c.frac(2, 3) * c.qp() ** 3
                                                   + c.frac(7, 12) * c.bern(c.p - 3))),
+    "X-S11c-a": lambda c: c.frac(8, 3) * _sign_h(c) * c.frac(c.p) * c.euler(),
+    "CJ1.2-b": lambda c: (c.frac(-3) * c.S("h1", 1, c.n)
+                          + c.frac(2) * _sign_h(c) * c.frac(c.p) * c.euler()),
     "CJ1.2-d": _cj12d_nested,
     "CJ1.2-d-lit": _cj12d_nested,
 }
@@ -953,8 +967,9 @@ def test_no_row_is_stepped_twice_at_one_prime(p, cache, monkeypatch):
         return read(table, name, lo, hi)
 
     def folding(cursor, a, x):
-        if x > cursor.at:
-            key = next(key for key, held in sweep.cursors.items() if held is cursor)
+        # a cursor `row_sum` made for one sum is not the sweep's, and is skipped
+        key = next((key for key, held in sweep.cursors.items() if held is cursor), None)
+        if key is not None and x > cursor.at:
             folds.append((*key, range(cursor.at + 1, x + 1)))
         return prefix(cursor, a, x)
 
@@ -1090,6 +1105,67 @@ def test_a_padic_valuation_violation_is_an_engine_fault(monkeypatch, capsys):
     assert code == 2
     assert captured.out == ""
     assert "expected valuation >= 2" in captured.err
+
+
+def _fold_fault(monkeypatch):
+    """1/3 added to the h3 prefix at every x = 0 (mod 7), as a Cursor folds it."""
+    prefix = sums.Cursor.prefix
+
+    def folding(cursor, a, x):
+        total = prefix(cursor, a, x)
+        return total + Fraction(1, 3) if cursor.name == "h3" and x % 7 == 0 else total
+
+    monkeypatch.setattr(sums.Cursor, "prefix", folding)
+
+
+def _dropped_factor(monkeypatch):
+    """Exact per-k residues that skip the last factor of their column."""
+    residues = ExactColumn.residues
+
+    def dropped(column, e):
+        return residues(ExactColumn(column.p, column.ks, column.factors[:-1], column.num,
+                                    column.den), e)
+
+    monkeypatch.setattr(ExactColumn, "residues", dropped)
+
+
+@pytest.mark.parametrize("fault, below, above", [(_fold_fault, 6, 12),
+                                                 (_dropped_factor, 48, 84)],
+                         ids=["fold", "dropped-factor"])
+def test_an_exact_path_fault_above_the_limit_is_a_path_disagreement(
+        fault, below, above, cache, monkeypatch):
+    """All checks over 3..199, the p-adic path to 61, with one exact-path
+    fault: each failed row of a proven or conjectural check, at 61 or below
+    and above it, is a path disagreement, since above the limit a failing
+    check runs the p-adic path too.  The exploratory -lit rows, which fail
+    at most primes, keep one path above the limit, and a passing row has no
+    second path there."""
+    fault(monkeypatch)
+    results, _ = run_suite(check_ids("all"), sieve_primes(PrimeRange(3, 199)), cache,
+                           padic_limit=61)
+    failed = [r for r in results
+              if r.applicable and not r.passed and r.status != "exploratory"]
+    assert Counter(r.p > 61 for r in failed) == {False: below, True: above}
+    assert {r.path_agreement for r in failed} == {False}
+    assert {r.path_agreement for r in results if r.p > 61
+            and (r.passed or r.status == "exploratory")} == {None}
+
+
+def test_a_wrong_coefficient_fails_on_both_paths(cache, monkeypatch, capsys):
+    """X-G1-b with 1/3 where it states 2/3, the row both contexts read: every
+    row over 67..199, all above the p-adic limit, fails with the paths
+    agreeing, and the CLI exits 1 with no path disagreement."""
+    spec = CHECK_CATALOG["X-G1-b"]
+    lhs, rhs = (congruences._side(spec.id, row) for row in ("h2[1,p-1]", "1/3 p B3"))
+    monkeypatch.setitem(CHECK_CATALOG, spec.id,
+                        dataclasses.replace(spec, sides=lambda c: (lhs(c), rhs(c))))
+    results, summary = run_suite([spec.id], sieve_primes(PrimeRange(67, 199)), cache,
+                                 padic_limit=61)
+    assert [(r.passed, r.path_agreement) for r in results] == [(False, True)] * 28
+    assert summary["path_disagreements"] == 0
+    assert parse_and_run(["verify", "--checks", spec.id, "--primes", "67:67",
+                          "--jobs", "1"]) == 1
+    assert "PATH DISAGREEMENT" not in capsys.readouterr().out
 
 
 # -- proven checks, small primes ---------------------------------------------------
