@@ -149,8 +149,8 @@ class ExactContext(Context):
         return ExactColumn(self.p, ks, (), x.numerator, x.denominator)
 
     def _terms(self, name: str, lo: int, hi: int) -> ExactColumn:
-        # both paths step by the same ratio, so a wrong one would agree with
-        # itself; the guard checks the last term against its closed form
+        # the p-adic path reads no ratio, so the guard checks the last term
+        # against its closed form: a wrong ratio is an engine fault
         den, nums = row_numerators(name, self.p, lo, hi)
         return ExactColumn(self.p, range(lo, hi + 1), (nums,), 1, den)
 
@@ -624,7 +624,10 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     exploratory fails, so that no failure rests on one path alone; the
     paths agree when its lists equal the exact path's at every k.  A
     statement that fails by ValuationViolation on the exact path is a
-    failed row with no p-adic run.  `contexts` are the shared (exact,
+    failed row with no residues, and takes the p-adic path by the same
+    rule: the paths agree when it fails by ValuationViolation there too.
+    Any other fault on the p-adic path, a ValuationViolation on it alone
+    among them, is an engine fault.  `contexts` are the shared (exact,
     p-adic) contexts of p, whose caller has checked that p is prime; without
     them the check gets fresh ones, and a p that is not prime raises
     ValueError before they are built.  Either way every special number it
@@ -642,28 +645,31 @@ def evaluate_check(check_id: str, p: int, cache: SpecialCache | None = None,
     exact, padic = contexts
     start = time.perf_counter()
     note = spec.note
+    passed, lhs, rhs = False, None, None
     try:
         pairs = _compare_pairs(exact, spec)
     except ValuationViolation as exc:  # the statement itself fails at p
-        return CheckResult(check_id, p, spec.m, None, None, False, spec.status,
-                           applicable=True,
-                           elapsed_ms=(time.perf_counter() - start) * 1000,
-                           note=(note + "; " if note else "")
-                           + f"{type(exc).__name__}: {exc}")
-    ks, lv, rv = pairs
-    passed = lv == rv
-    i = 0 if passed else next(i for i, (a, b) in enumerate(zip(lv, rv, strict=True)) if a != b)
-    if ks is not None and not passed:
-        note = (note + "; " if note else "") + f"first failing instance k={ks[i]}"
+        pairs, note = None, (note + "; " if note else "") + f"{type(exc).__name__}: {exc}"
+    else:
+        ks, lv, rv = pairs
+        passed = lv == rv
+        i = 0 if passed else next(i for i, (a, b) in enumerate(zip(lv, rv, strict=True))
+                                  if a != b)
+        if ks is not None and not passed:
+            note = (note + "; " if note else "") + f"first failing instance k={ks[i]}"
+        lhs, rhs = lv[i], rv[i]
     agreement = None
     if p <= padic_limit or not (passed or spec.status == "exploratory"):
         try:
             agreement = _compare_pairs(padic, spec) == pairs
-        except CongrlabError as exc:  # an engine fault, never a verdict
-            raise InternalInconsistency(
-                f"p={p}: {check_id} on the p-adic path: "
-                f"{type(exc).__name__}: {exc}") from exc
-    return CheckResult(check_id, p, spec.m, lv[i], rv[i], passed, spec.status,
+        except CongrlabError as exc:
+            if pairs is not None or not isinstance(exc, ValuationViolation):
+                # an engine fault, never a verdict
+                raise InternalInconsistency(
+                    f"p={p}: {check_id} on the p-adic path: "
+                    f"{type(exc).__name__}: {exc}") from exc
+            agreement = True  # the statement fails at p on both paths
+    return CheckResult(check_id, p, spec.m, lhs, rhs, passed, spec.status,
                        applicable=True, path_agreement=agreement,
                        elapsed_ms=(time.perf_counter() - start) * 1000, note=note)
 

@@ -23,12 +23,12 @@ on n.  The exact path reads the congruence rows from SUMS and guards
 each against its closed form, so a wrong ratio is an engine fault.
 
 The p-adic path reads the same rows as products of named factors (FACTORS):
-C(2k,k), C(4k,2k), powers c^k, linear forms such as 2k+1, each to a power.
-A `FactorialTable` holds, at one prime, the units and valuations of j! for
-j <= 4p and reads every factor but a power off them as one factorial over
-two, so no ratio is stepped and no entry of SUMS is read: a closed form and
-ratio that are wrong together give a path disagreement, not a value both
-paths agree on.
+C(2k,k), C(4k,2k), powers c^k, linear forms such as 2k+1, a factor to the
+power e being |e| copies of it or of its inverse.  A `FactorialTable` holds,
+at one prime, the units and valuations of j! for j <= 4p and reads every
+factor but a power off them as one factorial over two, so no ratio is
+stepped and no entry of SUMS is read: a closed form and ratio that are
+wrong together give a path disagreement, not a value both paths agree on.
 """
 
 from __future__ import annotations
@@ -300,9 +300,9 @@ class Sweep:
 
 
 # The congruence rows as the p-adic path reads them: t_k is the product of
-# f(k)^e over the (factor, e) pairs of its row, each factor a column of
-# `FactorialTable`.  SUMS holds the same rows as closed forms and ratios, which
-# only the exact path reads.
+# f(k)^e over the (factor, e) pairs of its row, |e| copies of a column of
+# `FactorialTable`, f's or 1/f's.  SUMS holds the same rows as closed forms and
+# ratios, which only the exact path reads.
 _SQUARE = (("C(2k,k)", 2), ("16^k", -1))
 _INV_QUAD = (("C(2k,k)", -1), ("C(4k,2k)", -1), ("64^k", 1))
 _INV_QUAD_LIT = (("C(2k,k)", -1), ("C(4k,k)", -1), ("64^k", 1))
@@ -341,20 +341,20 @@ class FactorialTable:
     One walk over j = 1..4p builds the unit part U[j] of j! mod p^prec and
     its valuation V[j], the running sum of v_p(j) (Legendre); one inverse,
     of U[4p], and a walk back give the inverses IU[j] (Montgomery, Math.
-    Comp. 48, 1987).  Each factor is a column over k = 0..p-1 (0..n for C(n,k)
-    and C(n+k,k), n = (p-1)/2).  A power c^k is a running product of c^e.
-    Every other factor is one factorial over two, top!/(low! high!), read
-    off these lists with no further inverse: C(2k,k) = (2k)!/(k! k!) has
-    the unit U[2k] IU[k]^2, its inverse IU[2k] U[k]^2, and the valuation
-    V[2k] - 2V[k]; a linear form j = j(k) is j!/((j-1)! 0!).  The unit is
-    raised to |e| and the valuation multiplied by e.  A linear form is 0 at
-    some k = 0, which has no unit: a placeholder 0 holds its place, and
-    `read` starts a row with a factor k at 1.  A column keeps its
-    valuations only where one is nonzero, and is built on its first read.
-    A read of a row over lo..hi multiplies the slices of its columns one
-    factor at a time, through the memo of `_product` that rows with shared
-    leading factors share, and adds their valuations: no ratio is stepped,
-    and nothing of SUMS is read.
+    Comp. 48, 1987).  Each factor f gives two columns, f and 1/f, over
+    k = 0..p-1 (0..n for C(n,k) and C(n+k,k), n = (p-1)/2).  A power c^k is
+    a running product of c or of 1/c.  Every other factor is one factorial
+    over two, top!/(low! high!), read off these lists with no further
+    inverse: C(2k,k) = (2k)!/(k! k!) has the unit U[2k] IU[k]^2, its inverse
+    IU[2k] U[k]^2, and the valuation +-(V[2k] - 2V[k]); a linear form
+    j = j(k) is j!/((j-1)! 0!).  A linear form is 0 at some k = 0, which
+    has no unit: a placeholder 0 holds its place, and `read` starts a row
+    with a factor k at 1.  A column keeps its valuations only where one is
+    nonzero, and is built on its first read.  A read of a row over lo..hi
+    multiplies the slices of its columns one at a time, f^e as |e| copies
+    of f or 1/f, through the memo of `_product`, and adds their valuations:
+    no unit is raised to a power, no ratio is stepped, and nothing of SUMS
+    is read.
     """
 
     def __init__(self, p: int, prec: int):
@@ -380,22 +380,22 @@ class FactorialTable:
     def read(self, name: str, lo: int, hi: int) -> tuple[list[int], list[int]]:
         """(vals, units) of the terms t_lo..t_hi of row `name` at p, fresh
         copies of `_product`'s lists.  A row with a factor k starts at k = 1."""
-        factors = FACTORS[name]
-        first = 1 if any(factor == "k" for factor, _ in factors) else 0
-        last = min(len(self._column(*factor)[1]) for factor in factors) - 1
+        copies = tuple((f, 1 if e > 0 else -1) for f, e in FACTORS[name] for _ in range(abs(e)))
+        first = 1 if any(factor == "k" for factor, _ in copies) else 0
+        last = min(len(self._column(*column)[1]) for column in copies) - 1
         if not first <= lo <= hi <= last:
             raise ValueError(f"row {name!r} at p={self.p} over {lo}..{hi}: "
                              f"outside {first}..{last}")
-        vals, units = self._product(factors, lo, hi + 1)
+        vals, units = self._product(copies, lo, hi + 1)
         return list(vals), list(units)
 
     def _product(self, factors: tuple, lo: int, end: int) -> tuple[list[int], list[int]]:
-        """(vals, units) of the product of the columns of `factors` over
-        lo..end-1, held in `products`: the product of all but the last
-        column over that range, itself through this memo, times the last
-        column.  Rows that share leading factors, such as the _SQUARE rows,
-        share that product over one range.  The lists are the memo's own, and
-        may be shared between its entries: a caller must not change them."""
+        """(vals, units) of the product of the columns `factors`, (factor, +-1)
+        pairs, over lo..end-1, held in `products`: the product of all but the
+        last column over that range, itself through this memo, times the last
+        column.  Rows that share leading columns, such as the _SQUARE rows or
+        sq_k1 and sq_k2, share it over one range.  The lists are the memo's
+        own, and may be shared between its entries: a caller must not change them."""
         product = self.products.get((factors, lo, end))
         if product is None:
             vals, units = self._column(*factors[-1])
@@ -410,14 +410,14 @@ class FactorialTable:
             product = self.products[factors, lo, end] = vals, units
         return product
 
-    def _column(self, factor: str, e: int) -> tuple:
-        """(vals, units) of factor^e over its k; vals is None where every
-        valuation is 0."""
-        column = self.columns.get((factor, e))
+    def _column(self, factor: str, sign: int) -> tuple:
+        """(vals, units) of factor^sign, sign = +-1, over its k; vals is None
+        where every valuation is 0."""
+        column = self.columns.get((factor, sign))
         if column is None:
             p, n, mod, V = self.p, self.p // 2, self.mod, self.V
             if factor in _POWERS:
-                column = None, list(accumulate(repeat(pow(_POWERS[factor], e, mod), p - 1),
+                column = None, list(accumulate(repeat(pow(_POWERS[factor], sign, mod), p - 1),
                                                lambda x, y: x * y % mod, initial=1))
             else:
                 # top!/(low! high!) at each k; a linear form j is j!/((j-1)! 0!)
@@ -434,12 +434,12 @@ class FactorialTable:
                     "2k-1": (range(-1, 2 * p - 2, 2), range(-2, 2 * p - 3, 2), zeros),
                     "2k+p": (range(p, 3 * p, 2), range(p - 1, 3 * p - 1, 2), zeros),
                 }[factor]
-                num, den, power = *((self.U, self.IU) if e > 0 else (self.IU, self.U)), abs(e)
+                num, den = (self.U, self.IU) if sign > 0 else (self.IU, self.U)
                 # a form j <= 0, whose low! is (j-1)!, has no unit: a placeholder 0
-                units = [pow(num[t] * den[a] * den[b], power, mod) if a >= 0 else 0
+                units = [num[t] * den[a] * den[b] % mod if a >= 0 else 0
                          for t, a, b in zip(top, low, high)]
-                vals = [e * (V[t] - V[a] - V[b]) if a >= 0 else 0
+                vals = [sign * (V[t] - V[a] - V[b]) if a >= 0 else 0
                         for t, a, b in zip(top, low, high)]
                 column = (vals if any(vals) else None), units
-            self.columns[factor, e] = column
+            self.columns[factor, sign] = column
         return column

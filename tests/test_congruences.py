@@ -865,6 +865,31 @@ def test_a_padic_column_fault_past_the_first_k_is_a_path_disagreement(monkeypatc
                           "--padic-limit", "13", "--jobs", "1"]) == 1
 
 
+def test_a_column_fault_reaches_every_power_of_its_factor(cache, monkeypatch):
+    """+1 on the unit of C(2k,k) at k = 2, in its one column: a row reads
+    C(2k,k)^2 as two copies of that column, so the checks on the squared
+    rows disagree at 13 and 61 too, beside the twelve that read C(2k,k) to
+    the first power."""
+    column = FactorialTable._column
+
+    def planted(table, factor, sign):
+        vals, units = column(table, factor, sign)
+        if (factor, sign) == ("C(2k,k)", 1):
+            units = units[:2] + [units[2] + 1] + units[3:]
+        return vals, units
+
+    monkeypatch.setattr(FactorialTable, "_column", planted)
+    first_power = {"CJ1.2-a", "CJ1.2-b", "L2.1a", "P2.10", "P2.11", "P2.9", "T1.1-1.2",
+                   "X-S11b-a", "X-S11c-a", "X-ST", "X-T1-b", "X-T3"}
+    squared = {"L2.1b", "L2.4a", "P2.14", "X-T2", "X-S11c-16", "PS11c-3.2"}
+    for p, count in ((13, 23), (61, 26)):
+        contexts = ExactContext(p, cache), PadicContext(p)
+        disagreeing = {i for i in check_ids("all") if evaluate_check(
+            i, p, padic_limit=p, contexts=contexts).path_agreement is False}
+        assert first_power | squared <= disagreeing, p
+        assert len(disagreeing) == count, p
+
+
 def test_a_padic_column_fault_is_an_engine_fault(monkeypatch):
     """A p-adic per-k value of negative valuation, or one known to fewer
     digits than the check reads, raises on the p-adic path as PAdic.residue
@@ -1054,22 +1079,23 @@ def _verify_at_7(check_id) -> int:
 @pytest.mark.parametrize("status, code", [("proven", 1), ("conjectural", 0)])
 def test_a_failed_valuation_guarantee_is_a_failed_row(status, code, monkeypatch, capsys):
     """H_6 = 49/20 has valuation exactly 2 at p = 7, so a statement that
-    divides it by p^3 fails at 7: a failed row, not an engine fault, with
-    no path agreement.  A proven one exits 1, a conjectural one 0."""
+    divides it by p^3 fails at 7: a failed row, not an engine fault, on
+    which both paths agree.  A proven one exits 1, a conjectural one 0."""
     check_id = _patch_check(monkeypatch, status,
                             lambda c: (c.div_pp(c.S("h1", 1, c.p - 1), 3), c.frac(0)))
     result = evaluate_check(check_id, 7, padic_limit=7)
-    assert (result.applicable, result.passed, result.path_agreement) == (True, False, None)
+    assert (result.applicable, result.passed, result.path_agreement) == (True, False, True)
     assert result.note == "ValuationViolation: p=7: expected valuation >= 3, got 2"
     assert _verify_at_7(check_id) == code
     assert "expected valuation >= 3" in capsys.readouterr().out
 
 
 def test_a_side_with_p_in_its_denominator_is_a_failed_row(monkeypatch, capsys):
-    """A side of 1/p has no residue mod p: the statement fails at p."""
+    """A side of 1/p has no residue mod p: the statement fails at p, on both
+    paths."""
     check_id = _patch_check(monkeypatch, "proven", lambda c: (c.frac(1, c.p), c.frac(0)))
     result = evaluate_check(check_id, 7, padic_limit=7)
-    assert (result.passed, result.path_agreement) == (False, None)
+    assert (result.passed, result.path_agreement) == (False, True)
     assert result.note == "ValuationViolation: 1/7 has p=7 in its denominator"
     assert _verify_at_7(check_id) == 1
     assert "ValuationViolation" in capsys.readouterr().out
@@ -1107,15 +1133,18 @@ def test_a_padic_valuation_violation_is_an_engine_fault(monkeypatch, capsys):
     assert "expected valuation >= 2" in captured.err
 
 
-def _fold_fault(monkeypatch):
-    """1/3 added to the h3 prefix at every x = 0 (mod 7), as a Cursor folds it."""
-    prefix = sums.Cursor.prefix
+def _fold_fault(name, step, at):
+    """1/3 added to the prefix of row `name` at every x = at (mod step), as a
+    Cursor folds it."""
+    def fault(monkeypatch):
+        prefix = sums.Cursor.prefix
 
-    def folding(cursor, a, x):
-        total = prefix(cursor, a, x)
-        return total + Fraction(1, 3) if cursor.name == "h3" and x % 7 == 0 else total
+        def folding(cursor, a, x):
+            total = prefix(cursor, a, x)
+            return total + Fraction(1, 3) if cursor.name == name and x % step == at else total
 
-    monkeypatch.setattr(sums.Cursor, "prefix", folding)
+        monkeypatch.setattr(sums.Cursor, "prefix", folding)
+    return fault
 
 
 def _dropped_factor(monkeypatch):
@@ -1129,9 +1158,13 @@ def _dropped_factor(monkeypatch):
     monkeypatch.setattr(ExactColumn, "residues", dropped)
 
 
-@pytest.mark.parametrize("fault, below, above", [(_fold_fault, 6, 12),
-                                                 (_dropped_factor, 48, 84)],
-                         ids=["fold", "dropped-factor"])
+# The sq_k1 fold fault leaves T1.1-1.4a's upper-half sum, which that check
+# divides by p^2, with valuation 0 at 35 of the primes 7..199, so the exact
+# path fails it there by ValuationViolation.
+@pytest.mark.parametrize("fault, below, above", [(_fold_fault("h3", 7, 0), 6, 12),
+                                                 (_dropped_factor, 48, 84),
+                                                 (_fold_fault("sq_k1", 4, 2), 57, 95)],
+                         ids=["fold", "dropped-factor", "violation"])
 def test_an_exact_path_fault_above_the_limit_is_a_path_disagreement(
         fault, below, above, cache, monkeypatch):
     """All checks over 3..199, the p-adic path to 61, with one exact-path

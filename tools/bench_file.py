@@ -1,19 +1,23 @@
 """Write one BENCH_<name>.json from bench/run.py result lines and path timings.
 
-    python3 tools/bench_file.py --parent DIR --change DIR --out BENCH_12.json
+    python3 tools/bench_file.py --parent DIR --change DIR --anchor DIR --out BENCH_12.json
 
-DIR is a source checkout (make the parent's with `git archive`).  Every
-figure is measured by one loop, `alternate`, in pairs of one run per
-checkout, each run a child process: pair i, counted from 0, runs the
-parent first when i is even and the change first when it is odd.
+DIR is a source checkout (make each with `git archive`): the parent, the
+change, and a fixed anchor, the tree of the last re-anchor of ROADMAP.md,
+which every file times in the same loop, so that its change/anchor ratios
+compare across files although the host's speed drifts between them.  Every
+figure is measured by one loop, `alternate`, in ROUNDS rounds of one run per
+checkout, each run a child process, in the orders of `run_order`.
 
 For each workload of BENCHMARK.json it runs `bench/run.py` for the
-`run_seconds` BENCHMARK.json sets, in PAIRS pairs, and keeps every result
+`run_seconds` BENCHMARK.json sets, in ROUNDS rounds, and keeps every result
 line.  For each end-to-end metric it records the change/parent ratio of the
-medians and whether the change stays inside the metric's bound, and prints
-one line per metric to stderr.  Every other figure is timed in PAIRS pairs
-too, each run a fresh process at --jobs 1, and each side is recorded as its
-median and quartiles (`spread`), key by key for the per-path seconds:
+medians, whether the change stays inside the metric's bound, and the spread
+of the change/anchor ratios of the rounds, and prints one line per metric
+to stderr.  Every other figure is timed in ROUNDS rounds too, each run a
+fresh process at --jobs 1, and each side is recorded as its median and
+quartiles (`spread`), key by key for the per-path seconds, beside the
+spread of the change/anchor ratios of the rounds (RATIO):
 - the exact and the p-adic path (`_compare_pairs` of every check) and the
   exact path's special numbers (`ExactContext._bern` and `_euler`, left out
   of the exact path's seconds) over each of RANGES;
@@ -43,7 +47,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "bench"))
 from tracer import cost_exponent  # noqa: E402
 
-PAIRS = 10  # fewer alternating pairs than this cannot back a claimed gain
+ROUNDS = 10  # fewer alternating rounds than this cannot back a claimed gain
+SIDES = ("parent", "change", "anchor")
+RATIO = "change/anchor"  # the key of the spread of each round's change/anchor ratio
 # A single prime cannot show the exact path sweeping its rows over a range of
 # primes; 7:1999 does.
 RANGES = ("3:251", "7:499", "7:1999")
@@ -114,20 +120,40 @@ def child(tree: Path, *argv: str) -> str:
                           text=True, env=dict(os.environ, PYTHONPATH=str(tree / "src"))).stdout
 
 
+def run_order(i: int) -> tuple:
+    """The sides of round i, counted from 0: rotation i of SIDES, with the
+    parent and the change swapped in rounds 3-5 of every six, so that each
+    side runs first in a third of the rounds and the parent runs before the
+    change in every other round."""
+    sides = SIDES if i % 6 < 3 else ("change", "parent", "anchor")
+    return sides[i % 3:] + sides[:i % 3]
+
+
 def alternate(trees: dict, count: int, measure, label: str) -> dict:
-    """{side: [measure(tree of side) in each of `count` pairs]}, pair i
-    running the parent first when i is even; one stderr line per pair."""
-    runs = {"parent": [], "change": []}
+    """{side: [measure(tree of side) in each of `count` rounds]}, round i
+    running the sides in `run_order(i)`; one stderr line per round."""
+    runs = {side: [] for side in SIDES}
     for i in range(count):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+        for side in run_order(i):
             runs[side].append(measure(trees[side]))
-        print(f"# {label} pair {i + 1}/{count}", file=sys.stderr, flush=True)
+        print(f"# {label} round {i + 1}/{count}", file=sys.stderr, flush=True)
     return runs
 
 
+def quotient(change, anchor):
+    """change / anchor, key by key of dicts of numbers, leaving out each key
+    whose anchor is 0, such as the special numbers of checks that read none."""
+    if isinstance(change, dict):
+        return {key: quotient(change[key], anchor[key]) for key in change if anchor[key] != 0}
+    return change / anchor
+
+
 def spreads(trees: dict, measure, label: str) -> dict:
-    """Each side's `spread` of `measure` over PAIRS alternating pairs."""
-    return {side: spread(rs) for side, rs in alternate(trees, PAIRS, measure, label).items()}
+    """Each side's `spread` of `measure` over ROUNDS rounds, and under RATIO
+    the spread of each round's change/anchor ratio."""
+    runs = alternate(trees, ROUNDS, measure, label)
+    return {**{side: spread(rs) for side, rs in runs.items()},
+            RATIO: spread(list(map(quotient, runs["change"], runs["anchor"])))}
 
 
 def range_seconds(trees: dict, primes: str, *selection: str) -> dict:
@@ -176,14 +202,19 @@ def workload_record(workload: str, runs: dict, spec: dict) -> dict:
         # the change is worse by the share sign * (ratio - 1) of the parent's median
         ratio = change["median"] / parent["median"] if parent["median"] else None
         inside = ratio is None or sign * (ratio - 1) <= metric["bound"]
+        anchored = (spread(list(map(quotient, values["change"], values["anchor"])))
+                    if all(values["anchor"]) else None)
         record[name] = {"unit": metric["unit"], "parent": parent, "change": change,
+                        "anchor": spread(values["anchor"]), RATIO: anchored,
                         "change_wins": wins, "ratio": ratio, "inside_bound": inside,
                         "runs": values}
         print(f"# {workload} {name}: median {parent['median']:.4g} -> {change['median']:.4g} "
               f"{metric['unit']} (parent IQR {parent['q1']:.4g}-{parent['q3']:.4g}), "
               f"ratio {'-' if ratio is None else f'{ratio:.3f}'}, {wins}/{len(values['change'])} "
               f"wins, {'inside' if inside else 'PAST'} its bound {metric['bound']:.0%} "
-              f"({metric['better']} is better)", file=sys.stderr, flush=True)
+              f"({metric['better']} is better), change/anchor "
+              f"{'-' if anchored is None else format(anchored['median'], '.3f')}",
+              file=sys.stderr, flush=True)
     return record
 
 
@@ -191,20 +222,21 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--anchor", type=Path, required=True)
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args()
-    trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    trees = {side: getattr(args, side).resolve() for side in SIDES}
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
 
     # Where the environment sets PYTHONDONTWRITEBYTECODE, a tree with no
-    # __pycache__ compiles its sources in every run: compile both first.
+    # __pycache__ compiles its sources in every run: compile each first.
     for tree in trees.values():
         child(tree, "-m", "compileall", "-q", "src")
 
     workloads = {}
     for name in (w["name"] for w in spec["workloads"]):
-        runs = alternate(trees, PAIRS, lambda tree: json.loads(child(
+        runs = alternate(trees, ROUNDS, lambda tree: json.loads(child(
             tree, "bench/run.py", "--workload", name, "--seconds", str(seconds)
         ).strip().splitlines()[-1]), name)
         workloads[name] = workload_record(name, runs, spec)
@@ -212,19 +244,22 @@ def main() -> int:
     paths = {rng: range_seconds(trees, rng) for rng in RANGES}
     per_k = {}
     for rng in PER_K_RANGES:
-        per_k[rng] = range_seconds(trees, rng, PER_K_CHECKS, str(PER_K_PADIC_LIMIT))
+        per_k[rng] = t = range_seconds(trees, rng, PER_K_CHECKS, str(PER_K_PADIC_LIMIT))
         print(f"# {PER_K_CHECKS} over {rng}, both paths to {PER_K_PADIC_LIMIT}: " + ", ".join(
-            f"{side} exact {t['exact']['median']:.3f} s, p-adic {t['padic']['median']:.3f} s"
-            for side, t in per_k[rng].items()), file=sys.stderr, flush=True)
-    exponents = {side: {path: fitted(t[path]) for path in ("exact", "padic")}
-                 for side, t in spreads(trees, window_seconds, "cost exponent").items()}
+            f"{side} exact {t[side]['exact']['median']:.3f} s, "
+            f"p-adic {t[side]['padic']['median']:.3f} s" for side in SIDES),
+            file=sys.stderr, flush=True)
+    windows = spreads(trees, window_seconds, "cost exponent")
+    exponents = {side: {path: fitted(windows[side][path]) for path in ("exact", "padic")}
+                 for side in SIDES}
 
-    identity = {side: {"seconds": {}} for side in trees}
+    identity = {side: {"seconds": {}} for side in windows}
     for n in IDENTITY_NS:
         for side, t in spreads(trees, lambda tree: float(child(tree, "-c", IDENTITY_CODE, str(n))),
                                f"identity N={n}").items():
             identity[side]["seconds"][n] = t
-    for side, record in identity.items():
+    for side in SIDES:
+        record = identity[side]
         per = record["seconds"]
         record["exponent"] = math.log2(per[IDENTITY_NS[1]]["median"]
                                        / per[IDENTITY_NS[0]]["median"])
@@ -234,14 +269,16 @@ def main() -> int:
 
     args.out.write_text(json.dumps({
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version()},
-        "settings": {"pairs": PAIRS, "seconds": seconds,
-                     "order": "parent first in odd pairs, change first in even pairs",
+        "settings": {"rounds": ROUNDS, "seconds": seconds,
+                     "order": "round i, from 0, runs rotation i of (parent, change, anchor), "
+                              "parent and change swapped in rounds 3-5 of every six",
                      "quartiles": "statistics.quantiles(n=4), exclusive method"},
         "workloads": workloads,
         "path_seconds_jobs1": paths,
         "per_k_seconds_jobs1": {"checks": PER_K_CHECKS, "padic_limit": PER_K_PADIC_LIMIT,
                                 **per_k},
-        "cost_exponent": {"windows": list(EXPONENT_WINDOWS), **exponents},
+        "cost_exponent": {"windows": list(EXPONENT_WINDOWS), **exponents,
+                          RATIO: windows[RATIO]},
         "identity_seconds_jobs1": {"n": list(IDENTITY_NS), **identity},
     }, indent=1, sort_keys=True) + "\n")
     return 0

@@ -29,10 +29,33 @@ def key_tree(value):
     return None
 
 
-def pairs(count):
-    """parent, change, change, parent, ... over `count` pairs."""
-    return [side for i in range(count)
-            for side in (("parent", "change") if i % 2 == 0 else ("change", "parent"))]
+# The orders of six rounds: the rotations of (parent, change, anchor), then
+# those of (change, parent, anchor).
+ORDERS = (("parent", "change", "anchor"), ("change", "anchor", "parent"),
+          ("anchor", "parent", "change"), ("change", "parent", "anchor"),
+          ("parent", "anchor", "change"), ("anchor", "change", "parent"))
+# Every figure the stubbed child gives the anchor is twice the other trees'.
+SCALE = {"parent": 1.0, "change": 1.0, "anchor": 2.0}
+
+
+def rounds(count):
+    """The sides in the order they run over `count` rounds."""
+    return [side for i in range(count) for side in ORDERS[i % len(ORDERS)]]
+
+
+def ratio_spreads(value):
+    """Every spread under the key RATIO in a JSON value."""
+    if not isinstance(value, dict):
+        return []
+    return [*([value[bench_file.RATIO]] if bench_file.RATIO in value else []),
+            *(s for v in value.values() for s in ratio_spreads(v))]
+
+
+def medians(value):
+    """Every median in a spread, or key by key of dicts of them."""
+    if "median" in value:
+        return [value["median"]]
+    return [m for v in value.values() for m in medians(v)]
 
 
 class Main(unittest.TestCase):
@@ -42,37 +65,41 @@ class Main(unittest.TestCase):
     def setUpClass(cls):
         cls.order = {}  # the trees, in the order they ran, of each figure
         with tempfile.TemporaryDirectory() as tmp:
-            trees = {side: Path(tmp, side).resolve() for side in ("parent", "change")}
+            trees = {side: Path(tmp, side).resolve() for side in SCALE}
             sides = {tree: side for side, tree in trees.items()}
 
             def child(tree, *argv):
                 if argv[:2] == ("-m", "compileall"):
                     return ""
+                scale = SCALE[sides[tree]]
                 if argv[0] == "bench/run.py":
                     figure, out = argv[2], json.dumps({
                         "correct": True, "failed": 0,
-                        "metrics": {m["name"]: {"value": 1.0} for m in SPEC["end_to_end"]}})
+                        "metrics": {m["name"]: {"value": scale} for m in SPEC["end_to_end"]}})
                 elif argv[1] == bench_file.IDENTITY_CODE:
-                    figure, out = "identity " + argv[2], "0.5"
+                    figure, out = "identity " + argv[2], str(0.5 * scale)
                 else:  # seconds proportional to p at each prime of the range
                     figure = " ".join(argv[2:])
                     lo, hi = map(int, argv[2].split(":"))
                     primes = [n for n in range(lo, hi + 1)
                               if all(n % d for d in range(2, math.isqrt(n) + 1))]
-                    out = json.dumps({path: {p: p / 1000 for p in primes}
-                                      for path in ("exact", "padic", "special")})
+                    out = {path: {p: scale * p / 1000 for p in primes}
+                           for path in ("exact", "padic", "special")}
+                    if len(argv) > 3:  # the per-k checks read no special number
+                        out["special"] = {}
+                    out = json.dumps(out)
                 cls.order.setdefault(figure, []).append(sides[tree])
                 return out + "\n"
 
-            argv = ["bench_file.py", "--parent", str(trees["parent"]), "--change",
-                    str(trees["change"]), "--out", str(Path(tmp, "BENCH.json"))]
+            argv = ["bench_file.py", *(f"--{side}={tree}" for side, tree in trees.items()),
+                    "--out", str(Path(tmp, "BENCH.json"))]
             with mock.patch.object(bench_file, "child", child), \
                     mock.patch.object(sys, "argv", argv), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert bench_file.main() == 0
             cls.written = json.loads(Path(tmp, "BENCH.json").read_text())
 
-    def test_every_figure_alternates_which_tree_runs_first(self):
+    def test_every_figure_rotates_which_tree_runs_first(self):
         selection = f"{bench_file.PER_K_CHECKS} {bench_file.PER_K_PADIC_LIMIT}"
         figures = [*(w["name"] for w in SPEC["workloads"]), *bench_file.RANGES,
                    *(f"{rng} {selection}" for rng in bench_file.PER_K_RANGES),
@@ -80,24 +107,36 @@ class Main(unittest.TestCase):
                    *(f"identity {n}" for n in bench_file.IDENTITY_NS)]
         self.assertEqual(set(self.order), set(figures))
         for figure in figures:
-            self.assertEqual(self.order[figure], pairs(bench_file.PAIRS), figure)
+            self.assertEqual(self.order[figure], rounds(bench_file.ROUNDS), figure)
 
     def test_the_file_has_the_layout_of_the_last_one(self):
-        recorded = json.loads((ROOT / "BENCH_39.json").read_text())
+        recorded = json.loads((ROOT / "BENCH_42.json").read_text())
         self.assertEqual(key_tree(self.written), key_tree(recorded))
 
+    def test_every_figure_has_its_change_over_anchor_ratio(self):
+        """Each end-to-end metric, each range, the windows and the identity
+        suite read 1/2, the stubbed change over the stubbed anchor, round by
+        round, key by key."""
+        found = ratio_spreads(self.written)
+        self.assertEqual(len(found), len(SPEC["workloads"]) * len(SPEC["end_to_end"])
+                         + len(bench_file.RANGES) + len(bench_file.PER_K_RANGES) + 2)
+        for spread in found:
+            self.assertEqual(set(medians(spread)), {0.5})
+
     def test_the_cost_exponent_is_fitted_to_each_windows_mean_prime(self):
-        for side in ("parent", "change"):
+        for side in SCALE:
             for path in ("exact", "padic"):
                 self.assertAlmostEqual(
                     self.written["cost_exponent"][side][path]["exponent"], 1.0, msg=(side, path))
 
 
 class WorkloadRecord(unittest.TestCase):
-    def record(self, metric, parent, change):
+    def record(self, metric, parent, change, anchor=None):
         spec = {"end_to_end": [metric]}
         runs = {side: [{"correct": True, "failed": 0, "metrics": {metric["name"]: {"value": v}}}
-                       for v in values] for side, values in (("parent", parent), ("change", change))}
+                       for v in values]
+                for side, values in (("parent", parent), ("change", change),
+                                     ("anchor", parent if anchor is None else anchor))}
         with contextlib.redirect_stderr(io.StringIO()):
             return bench_file.workload_record("w", runs, spec)[metric["name"]]
 
@@ -106,6 +145,13 @@ class WorkloadRecord(unittest.TestCase):
         got = self.record(metric, [1.0, 2.0, 9.0], [3.0, 1.0, 0.5])
         self.assertEqual((got["parent"]["median"], got["change"]["median"]), (2.0, 1.0))
         self.assertEqual(got["ratio"], 0.5)
+
+    def test_the_anchor_ratio_is_taken_round_by_round(self):
+        metric = {"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}
+        got = self.record(metric, [1.0, 1.0, 1.0], [1.0, 4.0, 3.0], [2.0, 2.0, 1.0])
+        self.assertEqual(got["anchor"]["median"], 2.0)
+        # the rounds' ratios 0.5, 2 and 3, where the medians' ratio is 3/2
+        self.assertEqual(got[bench_file.RATIO]["median"], 2.0)
 
     def test_a_tie_counts_for_neither_side(self):
         for better, wins in (("lower", 1), ("higher", 1)):
